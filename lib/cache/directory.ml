@@ -71,27 +71,48 @@ let check_node t node =
   if node < 0 || node >= Array.length t.tables then
     invalid_arg "Directory: node out of range"
 
+(* A single acquisition passes [lock_overhead] itself (1. *. x = x
+   exactly), which saves boxing a fresh float on the common path. *)
 let charge t n =
   if n > 0 && t.lock_overhead > 0. then
-    t.charge_fn (float_of_int n *. t.lock_overhead)
+    t.charge_fn
+      (if n = 1 then t.lock_overhead else float_of_int n *. t.lock_overhead)
 
-(* FNV-1a over a canonical rendering of one meta. Stable across runs,
-   unlike the polymorphic Hashtbl.hash contract. *)
-let meta_hash (m : Meta.t) =
-  let s =
-    Printf.sprintf "%s|%d|%d|%.17g|%.17g|%s" m.Meta.key m.Meta.owner
-      m.Meta.size m.Meta.exec_time m.Meta.created
-      (match m.Meta.expires with
-      | None -> "-"
-      | Some e -> Printf.sprintf "%.17g" e)
-  in
-  let h = ref 0x811c9dc5 in
-  String.iter
-    (fun c ->
-      h := !h lxor Char.code c;
-      h := !h * 0x01000193 land 0x3FFFFFFFFFFFFFF)
-    s;
+(* FNV-1a over one meta's fields: the key's bytes and length, owner,
+   size, and the IEEE bits of exec_time, created and expires (behind a
+   presence byte). Stable across runs and processes, unlike the
+   polymorphic Hashtbl.hash contract, and it allocates nothing, so the
+   digest it maintains costs no garbage per insert or delete. *)
+let fnv_byte h b = (h lxor b) * 0x01000193 land 0x3FFFFFFFFFFFFFF
+
+(* The [n] low-order bytes of [x], least significant first. *)
+let fnv_bytes h x n =
+  let h = ref h in
+  for i = 0 to n - 1 do
+    h := fnv_byte !h ((x lsr (8 * i)) land 0xff)
+  done;
   !h
+
+let fnv_float h f =
+  let bits = Int64.bits_of_float f in
+  let lo = Int64.to_int bits land 0xFFFF_FFFF in
+  let hi = Int64.to_int (Int64.shift_right_logical bits 32) in
+  fnv_bytes (fnv_bytes h lo 4) hi 4
+
+let meta_hash (m : Meta.t) =
+  let key = m.Meta.key in
+  let h = ref 0x811c9dc5 in
+  for i = 0 to String.length key - 1 do
+    h := fnv_byte !h (Char.code (String.unsafe_get key i))
+  done;
+  let h = fnv_bytes !h (String.length key) 8 in
+  let h = fnv_bytes h m.Meta.owner 8 in
+  let h = fnv_bytes h m.Meta.size 8 in
+  let h = fnv_float h m.Meta.exec_time in
+  let h = fnv_float h m.Meta.created in
+  match m.Meta.expires with
+  | None -> fnv_byte h 0
+  | Some e -> fnv_float (fnv_byte h 1) e
 
 let hint_add t ~node key =
   match t.hints with
@@ -123,106 +144,104 @@ let scan_charge t tbl =
     t.charge_fn
       (float_of_int (Stdlib.max 1 (Hashtbl.length tbl.entries)) *. t.scan_cost)
 
-(* Run [f] on [tbl] with read (or write) protection per granularity. The
-   lock-operation cost is charged while the lock is held (the probe scans
-   the table under its lock), so a single global lock serialises all that
-   scan time — the contention the paper's §4.2 argument predicts. *)
-let with_table_rd t tbl f =
-  match t.gran with
-  | Global ->
-      Sim.Rwlock.with_rd t.global_lock (fun () ->
-          charge t 1;
-          scan_charge t tbl;
-          f ())
-  | Per_table ->
-      Sim.Rwlock.with_rd tbl.lock (fun () ->
-          charge t 1;
-          scan_charge t tbl;
-          f ())
-  | Per_entry ->
-      (* One acquisition per entry scanned in this probe. *)
-      let scanned = Stdlib.max 1 (Hashtbl.length tbl.entries) in
-      t.extra_rd <- t.extra_rd + scanned - 1;
-      Sim.Rwlock.with_rd tbl.lock (fun () ->
-          charge t scanned;
-          scan_charge t tbl;
-          f ())
+let unlock lock ~write =
+  if write then Sim.Rwlock.wr_unlock lock else Sim.Rwlock.rd_unlock lock
 
-let with_table_wr t tbl f =
+(* The one locked path of every table access: take [tbl]'s protection
+   for reading or writing, charge the lock operations and the scan while
+   holding it, run [body t tbl a b], and release the lock even if the
+   body raises. The lock-operation cost is charged under the lock (the
+   probe scans the table under its lock), so a single global lock
+   serialises all that scan time — the contention the paper's §4.2
+   argument predicts. [body] is a toplevel function with its arguments
+   passed beside it, so a probe allocates no closure. *)
+let locked t tbl ~write body a b =
   let lock =
     match t.gran with Global -> t.global_lock | Per_table | Per_entry -> tbl.lock
   in
-  Sim.Rwlock.with_wr lock (fun () ->
-      charge t 1;
-      scan_charge t tbl;
-      f ())
-
-let probe t tbl ~now key =
-  with_table_rd t tbl (fun () ->
-      match Hashtbl.find_opt tbl.entries key with
-      | Some meta when not (Meta.expired meta ~now) -> Some meta
-      | Some _ | None -> None)
-
-(* Scan the probe chain [order] from position [from], skipping any table
-   whose bit is set in [skip] (already probed). Returns the hit's table
-   id alongside the meta so the hint repair below can re-hint it. *)
-let scan_order t order ~now key ~from ~skip =
-  let n = Array.length order in
-  let rec go i =
-    if i >= n then None
-    else
-      let node = order.(i) in
-      if skip land (1 lsl node) <> 0 then go (i + 1)
-      else
-        match probe t t.tables.(node) ~now key with
-        | Some meta -> Some (meta, node)
-        | None -> go (i + 1)
+  let acquisitions =
+    match t.gran with
+    | Per_entry when not write ->
+        (* One acquisition per entry scanned in this probe. *)
+        let scanned = Stdlib.max 1 (Hashtbl.length tbl.entries) in
+        t.extra_rd <- t.extra_rd + scanned - 1;
+        scanned
+    | Global | Per_table | Per_entry -> 1
   in
-  go from
+  if write then Sim.Rwlock.wr_lock lock else Sim.Rwlock.rd_lock lock;
+  match
+    charge t acquisitions;
+    scan_charge t tbl;
+    body t tbl a b
+  with
+  | v ->
+      unlock lock ~write;
+      v
+  | exception e ->
+      unlock lock ~write;
+      raise e
+
+let find_live _ tbl now key =
+  match Hashtbl.find_opt tbl.entries key with
+  | Some meta as hit when not (Meta.expired meta ~now) -> hit
+  | Some _ | None -> None
+
+let probe t tbl ~now key = locked t tbl ~write:false find_live now key
+
+(* Scan the probe chain [order] from position [i], skipping any table
+   whose bit is set in [skip] (already probed). With [rehint], a hit's
+   table is hinted again — the repair after a false hint. *)
+let rec scan_order t order ~now key i ~skip ~rehint =
+  if i >= Array.length order then None
+  else
+    let node = order.(i) in
+    if skip land (1 lsl node) <> 0 then
+      scan_order t order ~now key (i + 1) ~skip ~rehint
+    else
+      match probe t t.tables.(node) ~now key with
+      | Some _ as hit ->
+          if rehint then hint_add t ~node key;
+          hit
+      | None -> scan_order t order ~now key (i + 1) ~skip ~rehint
+
+(* Probe only the hinted tables in [mask], in probe-chain order. On a hit
+   we saved every un-hinted table that precedes it in the chain; if every
+   hinted probe misses, the hint was false and the full scan (minus
+   tables already probed) takes over. *)
+let rec scan_hinted t h order ~now key ~mask i probed =
+  if i >= Array.length order then begin
+    t.hint_false <- t.hint_false + 1;
+    (* Every hinted table was probed and missed, so the whole mask is
+       stale (expired entries, or an owner change after a handoff). Drop
+       it — otherwise every future lookup of this key would pay the
+       false-hint fallback again — and re-hint wherever the fallback scan
+       finds the key now. *)
+    Hashtbl.remove h key;
+    scan_order t order ~now key 0 ~skip:mask ~rehint:true
+  end
+  else
+    let node = order.(i) in
+    if mask land (1 lsl node) = 0 then
+      scan_hinted t h order ~now key ~mask (i + 1) probed
+    else
+      match probe t t.tables.(node) ~now key with
+      | Some _ as hit ->
+          t.hint_saved <- t.hint_saved + (i + 1 - (probed + 1));
+          hit
+      | None -> scan_hinted t h order ~now key ~mask (i + 1) (probed + 1)
 
 let lookup_from t ~self ~now key =
   check_node t self;
   let order = t.orders.(self) in
   match t.hints with
-  | None -> Option.map fst (scan_order t order ~now key ~from:0 ~skip:0)
+  | None -> scan_order t order ~now key 0 ~skip:0 ~rehint:false
   | Some h -> (
       match Hashtbl.find_opt h key with
       | None | Some 0 ->
           (* No hint: the key should be nowhere, but hints are advisory,
              so fall back to the full ordered scan. *)
-          Option.map fst (scan_order t order ~now key ~from:0 ~skip:0)
-      | Some mask ->
-          (* Probe only the hinted tables, in probe-chain order. On a hit
-             we saved every un-hinted table that precedes it in the
-             chain; if every hinted probe misses, the hint was false and
-             the full scan (minus tables already probed) takes over. *)
-          let n = Array.length order in
-          let rec go i probed =
-            if i >= n then begin
-              t.hint_false <- t.hint_false + 1;
-              (* Every hinted table was probed and missed, so the whole
-                 mask is stale (expired entries, or an owner change after
-                 a handoff). Drop it — otherwise every future lookup of
-                 this key would pay the false-hint fallback again — and
-                 re-hint wherever the fallback scan finds the key now. *)
-              Hashtbl.remove h key;
-              (match scan_order t order ~now key ~from:0 ~skip:mask with
-              | Some (meta, node) ->
-                  hint_add t ~node key;
-                  Some meta
-              | None -> None)
-            end
-            else
-              let node = order.(i) in
-              if mask land (1 lsl node) = 0 then go (i + 1) probed
-              else
-                match probe t t.tables.(node) ~now key with
-                | Some meta ->
-                    t.hint_saved <- t.hint_saved + (i + 1 - (probed + 1));
-                    Some meta
-                | None -> go (i + 1) (probed + 1)
-          in
-          go 0 0)
+          scan_order t order ~now key 0 ~skip:0 ~rehint:false
+      | Some mask -> scan_hinted t h order ~now key ~mask 0 0)
 
 let lookup t ~now key = lookup_from t ~self:0 ~now key
 
@@ -254,18 +273,21 @@ let wipe_unlocked t tbl ~node =
 
 let insert t ~node meta =
   check_node t node;
-  let tbl = t.tables.(node) in
-  with_table_wr t tbl (fun () -> insert_unlocked t tbl ~node meta)
+  locked t t.tables.(node) ~write:true
+    (fun t tbl node meta -> insert_unlocked t tbl ~node meta)
+    node meta
 
 let delete t ~node key =
   check_node t node;
-  let tbl = t.tables.(node) in
-  with_table_wr t tbl (fun () -> delete_unlocked t tbl ~node key)
+  locked t t.tables.(node) ~write:true
+    (fun t tbl node key -> delete_unlocked t tbl ~node key)
+    node key
 
 let purge_node t ~node =
   check_node t node;
-  let tbl = t.tables.(node) in
-  with_table_wr t tbl (fun () -> wipe_unlocked t tbl ~node)
+  locked t t.tables.(node) ~write:true
+    (fun t tbl node () -> wipe_unlocked t tbl ~node)
+    node ()
 
 let reset_node t ~node =
   check_node t node;
@@ -273,10 +295,11 @@ let reset_node t ~node =
 
 let touch t ~node key ~now =
   check_node t node;
-  let tbl = t.tables.(node) in
-  with_table_wr t tbl (fun () ->
+  locked t t.tables.(node) ~write:true
+    (fun _ tbl now key ->
       tbl.last_touch <- now;
       Hashtbl.mem tbl.entries key)
+    now key
 
 let entries t ~node =
   check_node t node;

@@ -20,11 +20,10 @@ type t = {
    unlike the polymorphic [Hashtbl.hash] contract. *)
 let fnv1a s =
   let h = ref 0x811c9dc5 in
-  String.iter
-    (fun c ->
-      h := !h lxor Char.code c;
-      h := !h * 0x01000193 land 0x3FFFFFFFFFFFFFF)
-    s;
+  for i = 0 to String.length s - 1 do
+    h := (!h lxor Char.code (String.unsafe_get s i)) * 0x01000193
+         land 0x3FFFFFFFFFFFFFF
+  done;
   !h
 
 let create ~nodes ~vnodes =
@@ -84,22 +83,31 @@ let successors t key ~k =
   done;
   List.rev !out
 
-let acting_owner t ~up key =
+(* The walk past down nodes; [seen] marks the down nodes already asked
+   about, so [up] is consulted once per distinct node. *)
+let rec walk_up t ~up ~start ~seen i =
   let n = Array.length t.points in
+  if i >= n then None
+  else
+    let node = snd t.points.((start + i) mod n) in
+    if seen.(node) then walk_up t ~up ~start ~seen (i + 1)
+    else if up node then Some node
+    else begin
+      seen.(node) <- true;
+      walk_up t ~up ~start ~seen (i + 1)
+    end
+
+(* The primary owner answers without allocating; the [nodes]-sized
+   [seen] set is only built once the walk has passed a down node. *)
+let acting_owner t ~up key =
   let start = first_at_or_after t (fnv1a key) in
-  let seen = Array.make t.nodes false in
-  let rec go i =
-    if i >= n then None
-    else
-      let node = snd t.points.((start + i) mod n) in
-      if seen.(node) then go (i + 1)
-      else if up node then Some node
-      else begin
-        seen.(node) <- true;
-        go (i + 1)
-      end
-  in
-  go 0
+  let primary = snd t.points.(start) in
+  if up primary then Some primary
+  else begin
+    let seen = Array.make t.nodes false in
+    seen.(primary) <- true;
+    walk_up t ~up ~start ~seen 1
+  end
 
 let spread t ~keys =
   let counts = Array.make t.nodes 0 in

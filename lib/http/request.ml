@@ -77,7 +77,20 @@ let to_wire t =
 let cache_key t =
   Meth.to_string t.meth ^ " " ^ Uri.to_string (Uri.canonical t.uri)
 
-let wire_size t = String.length (to_wire t)
+(* [String.length (to_wire t)], summed from the parts instead of built. *)
+let wire_size t =
+  let body = String.length t.body in
+  let content_length =
+    if body > 0 && not (Headers.mem t.headers "Content-Length") then
+      String.length "Content-Length: \r\n" + Wire.decimal_length body
+    else 0
+  in
+  String.length (Meth.to_string t.meth)
+  + String.length (Uri.to_string t.uri)
+  + String.length t.version
+  + 4 (* two spaces and the CRLF ending the request line *)
+  + Wire.headers_size (Headers.to_list t.headers)
+  + content_length + 2 + body
 
 let pp ppf t =
   Format.fprintf ppf "%a %a %s" Meth.pp t.meth Uri.pp t.uri t.version

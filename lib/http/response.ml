@@ -80,7 +80,21 @@ let to_wire t =
   Buffer.add_string buf t.body;
   Buffer.contents buf
 
-let wire_size t = String.length (to_wire t)
+(* [String.length (to_wire t)], summed from the parts instead of built:
+   a CGI reply's body is never copied just to be counted. *)
+let wire_size t =
+  let body = String.length t.body in
+  let content_length =
+    if Headers.mem t.headers "Content-Length" then 0
+    else String.length "Content-Length: \r\n" + Wire.decimal_length body
+  in
+  String.length t.version
+  + Wire.decimal_length (Status.code t.status)
+  + String.length (Status.reason t.status)
+  + 4 (* two spaces and the CRLF ending the status line *)
+  + Wire.headers_size (Headers.to_list t.headers)
+  + content_length + 2 + body
+
 let body_size t = String.length t.body
 
 let pp ppf t =

@@ -23,3 +23,10 @@ let parse_header_line line =
       in
       if String.equal (String.trim name) "" then Error "empty header name"
       else Ok (String.trim name, value)
+
+let rec decimal_length n = if n < 10 then 1 else 1 + decimal_length (n / 10)
+
+let headers_size hs =
+  List.fold_left
+    (fun acc (k, v) -> acc + String.length k + String.length v + 4)
+    0 hs

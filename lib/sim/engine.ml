@@ -82,6 +82,9 @@ let cancel ev =
     incr ev.cancels
   end
 
+(* Born cancelled and never queued, so [cancel] leaves it alone. *)
+let no_event = { cancelled = true; cancels = ref 0; action = Noop }
+
 let pending t = Pqueue.Timed.length t.queue - !(t.cancels)
 let suspended t = t.n_suspended
 let events_processed t = t.n_events

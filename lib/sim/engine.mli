@@ -50,6 +50,10 @@ val schedule_after : t -> float -> (unit -> unit) -> handle
     heap. *)
 val cancel : handle -> unit
 
+(** [no_event] is a handle that was never scheduled: cancelling it does
+    nothing. It initialises handle-holding fields without an [option]. *)
+val no_event : handle
+
 (** [spawn t f] registers [f] as a new process starting at the current time.
     May be called from inside or outside a process. *)
 val spawn : t -> (unit -> unit) -> unit

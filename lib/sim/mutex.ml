@@ -2,9 +2,13 @@ type t = {
   mutable held : bool;
   queue : unit Engine.resumer Queue.t;
   observe : (wait:float -> depth:int -> unit) option;
+  enqueue : unit Engine.resumer -> unit;
+      (* built once, so a contended [lock] allocates no closure *)
 }
 
-let create ?observe () = { held = false; queue = Queue.create (); observe }
+let create ?observe () =
+  let queue = Queue.create () in
+  { held = false; queue; observe; enqueue = (fun r -> Queue.push r queue) }
 
 let observed t ~wait ~depth =
   match t.observe with None -> () | Some f -> f ~wait ~depth
@@ -17,12 +21,12 @@ let lock t =
   else begin
     let depth = Queue.length t.queue in
     match t.observe with
-    | None -> Engine.suspend (fun resume -> Queue.push resume t.queue)
+    | None -> Engine.suspend t.enqueue
     | Some _ ->
         (* Contended path: the caller is a process, so reading the clock
            before and after the suspension is safe. *)
         let t0 = Engine.now () in
-        Engine.suspend (fun resume -> Queue.push resume t.queue);
+        Engine.suspend t.enqueue;
         observed t ~wait:(Engine.now () -. t0) ~depth
   end
 
@@ -35,9 +39,8 @@ let try_lock t =
 
 let unlock t =
   if not t.held then invalid_arg "Mutex.unlock: not locked";
-  match Queue.take_opt t.queue with
-  | Some r -> Engine.resume r () (* lock stays held, ownership transfers *)
-  | None -> t.held <- false
+  if Queue.is_empty t.queue then t.held <- false
+  else Engine.resume (Queue.take t.queue) () (* ownership transfers *)
 
 let with_lock t f =
   lock t;

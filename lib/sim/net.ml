@@ -67,6 +67,16 @@ let check_endpoint t who = if who < 0 || who >= Array.length t.nics then
 
 let tx_time t bytes = float_of_int bytes /. t.bandwidth
 
+(* Hold the sender's NIC for the message's transmission time. *)
+let serialise t ~src ~bytes =
+  let nic = t.nics.(src) in
+  Mutex.lock nic;
+  match Engine.delay (tx_time t bytes) with
+  | () -> Mutex.unlock nic
+  | exception e ->
+      Mutex.unlock nic;
+      raise e
+
 let account t bytes =
   t.n_messages <- t.n_messages + 1;
   t.n_bytes <- t.n_bytes + bytes
@@ -79,7 +89,7 @@ let send t ~src ~dst ~bytes mailbox msg =
   if src = dst then Mailbox.send mailbox msg
   else begin
     (* Serialise through the sender's NIC, then fly for [lat]. *)
-    Mutex.with_lock t.nics.(src) (fun () -> Engine.delay (tx_time t bytes));
+    serialise t ~src ~bytes;
     if not (dropped t) then
       match fault_action t ~src ~dst with
       | Fault.Drop -> ()
@@ -115,7 +125,7 @@ let transfer t ~src ~dst ~bytes =
   if bytes < 0 then invalid_arg "Net.transfer: negative size";
   account t bytes;
   if src <> dst then begin
-    Mutex.with_lock t.nics.(src) (fun () -> Engine.delay (tx_time t bytes));
+    serialise t ~src ~bytes;
     Engine.delay (one_way t ~src ~dst)
   end
 

@@ -111,6 +111,76 @@ let test_digest_incremental () =
         (Cache.Directory.digest d ~node:0)
         (Cache.Directory.digest d ~node:2))
 
+(* The digest of a table with [extra] and then [m] inserted. *)
+let digest_with ~extra m =
+  in_engine (fun () ->
+      let d = Cache.Directory.create ~nodes:1 () in
+      List.iter (Cache.Directory.insert d ~node:0) extra;
+      Cache.Directory.insert d ~node:0 m;
+      Cache.Directory.digest d ~node:0)
+
+let gen_meta =
+  QCheck.Gen.(
+    map
+      (fun ((key, owner, size), (exec_time, created, expires)) ->
+        Cache.Meta.make ~key ~owner ~size ~exec_time ~created ~expires)
+      (pair
+         (triple
+            (string_size ~gen:printable (1 -- 24))
+            (0 -- 63) (0 -- 1_000_000))
+         (triple (float_bound_inclusive 5.) (float_bound_inclusive 1000.)
+            (opt (float_bound_inclusive 2000.)))))
+
+(* Anti-entropy skips a repair when digests match, so a change to any one
+   field of an entry — down to one unit in the last place of a float —
+   must change its table's digest. *)
+let prop_digest_sees_every_field =
+  let gen =
+    QCheck.Gen.(triple (list_size (0 -- 4) gen_meta) gen_meta (0 -- 5))
+  in
+  let print (_, m, field) =
+    Printf.sprintf "field %d of %s" field
+      (Format.asprintf "%a" Cache.Meta.pp m)
+  in
+  QCheck.Test.make ~name:"changing one field changes the digest" ~count:500
+    (QCheck.make ~print gen) (fun (extra, (m : Cache.Meta.t), field) ->
+      let extra = List.filter (fun (e : Cache.Meta.t) -> e.key <> m.key) extra in
+      let changed =
+        match field with
+        | 0 -> { m with owner = m.owner + 1 }
+        | 1 -> { m with size = m.size + 1 }
+        | 2 -> { m with exec_time = Float.succ m.exec_time }
+        | 3 -> { m with created = Float.succ m.created }
+        | 4 ->
+            {
+              m with
+              expires = (match m.expires with None -> Some m.created | Some _ -> None);
+            }
+        | _ ->
+            {
+              m with
+              expires =
+                Some (Float.succ (Option.value m.expires ~default:m.created));
+            }
+      in
+      digest_with ~extra m <> digest_with ~extra changed)
+
+(* Digests are compared between processes, so the hash must not depend
+   on anything but the meta: it is pinned to values computed
+   independently from its definition (FNV-1a over the key bytes, then
+   the key length, owner and size as 8 little-endian bytes each, then
+   the IEEE bits of exec_time and created, then a presence byte and the
+   bits of expires, folded to 58 bits). *)
+let test_digest_golden () =
+  let m expires =
+    Cache.Meta.make ~key:"GET /cgi-bin/query?q=swala" ~owner:3 ~size:4096
+      ~exec_time:1.6 ~created:12.5 ~expires
+  in
+  check_digest_pair "with expiry" (1, 0x13d57d328d9266c)
+    (digest_with ~extra:[] (m (Some 42.25)));
+  check_digest_pair "without expiry" (1, 0x7462dcf065681e)
+    (digest_with ~extra:[] (m None))
+
 (* ------------------------------------------------------------------ *)
 (* Hint index *)
 
@@ -407,8 +477,12 @@ let () =
         [ Alcotest.test_case "batching knobs are validated" `Quick
             test_batch_config_validation ] );
       ( "digest",
-        [ Alcotest.test_case "incremental digest equals recompute" `Quick
-            test_digest_incremental ] );
+        [
+          Alcotest.test_case "incremental digest equals recompute" `Quick
+            test_digest_incremental;
+          Alcotest.test_case "golden values" `Quick test_digest_golden;
+          QCheck_alcotest.to_alcotest prop_digest_sees_every_field;
+        ] );
       ( "hints",
         [
           Alcotest.test_case "hint skips preceding tables" `Quick

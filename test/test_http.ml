@@ -239,6 +239,68 @@ let prop_request_roundtrip =
           && Http.Meth.equal r.Http.Request.meth r'.Http.Request.meth
       | Error _ -> false)
 
+(* [wire_size] is computed from lengths, not by serialising; it must
+   agree with [to_wire] whatever the headers, with or without a declared
+   Content-Length (in any case), and for empty bodies. *)
+let gen_headers =
+  QCheck.Gen.(
+    list_size (0 -- 4)
+      (oneof
+         [
+           pair
+             (oneofl [ "Content-Type"; "X-Cache"; "Host"; "Accept" ])
+             (string_size ~gen:printable (0 -- 20));
+           map
+             (fun (name, n) -> (name, string_of_int n))
+             (pair
+                (oneofl [ "Content-Length"; "content-length"; "CONTENT-LENGTH" ])
+                (0 -- 100_000));
+         ]))
+
+let gen_body =
+  QCheck.Gen.(
+    oneof [ return ""; string_size ~gen:printable (1 -- 10); string_size (0 -- 12_000) ])
+
+let prop_request_wire_size =
+  let gen =
+    QCheck.Gen.(
+      quad
+        (oneofl Http.Meth.[ Get; Head; Post ])
+        (oneofl [ "/"; "/x"; "/cgi-bin/q?b=2&a=1"; "/a%20b/c?q=x+y" ])
+        gen_headers gen_body)
+  in
+  QCheck.Test.make ~name:"request wire_size = length of to_wire" ~count:500
+    (QCheck.make gen) (fun (meth, target, headers, body) ->
+      let r =
+        Http.Request.make ~headers:(Http.Headers.of_list headers) ~body meth
+          target
+      in
+      Http.Request.wire_size r = String.length (Http.Request.to_wire r))
+
+let prop_response_wire_size =
+  let gen =
+    QCheck.Gen.(
+      triple
+        (oneofl
+           Http.Status.
+             [
+               Ok;
+               Bad_request;
+               Forbidden;
+               Not_found;
+               Internal_server_error;
+               Not_implemented;
+               Service_unavailable;
+             ])
+        gen_headers gen_body)
+  in
+  QCheck.Test.make ~name:"response wire_size = length of to_wire" ~count:500
+    (QCheck.make gen) (fun (status, headers, body) ->
+      let r =
+        Http.Response.make ~headers:(Http.Headers.of_list headers) ~body status
+      in
+      Http.Response.wire_size r = String.length (Http.Response.to_wire r))
+
 (* ------------------------------------------------------------------ *)
 (* Response *)
 
@@ -333,7 +395,7 @@ let () =
           Alcotest.test_case "cache key distinguishes" `Quick test_cache_key_distinguishes;
           Alcotest.test_case "wire size" `Quick test_request_wire_size;
         ] );
-      qsuite "request-props" [ prop_request_roundtrip ];
+      qsuite "request-props" [ prop_request_roundtrip; prop_request_wire_size ];
       ( "response",
         [
           Alcotest.test_case "ok constructor" `Quick test_response_ok;
@@ -343,4 +405,5 @@ let () =
           Alcotest.test_case "parse errors" `Quick test_response_parse_errors;
           Alcotest.test_case "roundtrip" `Quick test_response_roundtrip;
         ] );
+      qsuite "resp-props" [ prop_response_wire_size ];
     ]
