@@ -7,6 +7,29 @@
 open Cmdliner
 
 (* ------------------------------------------------------------------ *)
+(* Usage errors: one line on stderr, exit 2 *)
+
+let usage_error cmd msg =
+  prerr_endline (Printf.sprintf "swala_sim %s: %s" cmd msg);
+  exit 2
+
+let check_positive cmd flag n =
+  if n < 1 then usage_error cmd (Printf.sprintf "%s must be >= 1" flag)
+
+(* An output file is written only once the simulation is over, so an
+   unwritable path is probed before any work starts: opened for writing
+   without truncation, then closed — and removed again if the probe is
+   what created it, so a run that fails later leaves no empty file. *)
+let check_writable cmd flag path =
+  let existed = Sys.file_exists path in
+  match open_out_gen [ Open_wronly; Open_creat ] 0o666 path with
+  | oc ->
+      close_out oc;
+      if not existed then Sys.remove path
+  | exception Sys_error e ->
+      usage_error cmd (Printf.sprintf "%s: cannot write %s" flag e)
+
+(* ------------------------------------------------------------------ *)
 (* Shared options *)
 
 let seed_t =
@@ -727,10 +750,7 @@ let resolve_scenario ~preset ~duration ~flash ~diurnal ~geo ~churn_rate
 let run_multi ~seeds ~jobs ~seed ~workload ~requests ~nodes ~mode ~policy
     ~capacity ~streams ~router ~metrics_out ~cfg_of =
   let jobs = if jobs = 0 then Sim.Sweep.default_jobs () else jobs in
-  if jobs < 1 then begin
-    prerr_endline "swala_sim run: --jobs must be >= 0";
-    exit 2
-  end;
+  if jobs < 1 then usage_error "run" "--jobs must be >= 0";
   Printf.printf
     "workload=%s requests=%d nodes=%d mode=%s policy=%s capacity=%d \
      streams=%d seeds=%d..%d\n"
@@ -813,29 +833,21 @@ let run_cmd_impl seed nodes mode policy capacity streams requests workload
     diurnal geo_tiers churn_rate churn_downtime churn_fixed trace_file
     trace_breakdown metrics_out telemetry_interval telemetry_csv incidents_out
     slo_target slo_objective seeds jobs =
-  if seeds < 1 then begin
-    prerr_endline "swala_sim run: --seeds must be >= 1";
-    exit 2
-  end;
-  if seeds > 1 && (trace_file <> None || trace_breakdown) then begin
-    prerr_endline
-      "swala_sim run: --trace-file/--trace-breakdown are single-run \
-       reports; not available with --seeds > 1";
-    exit 2
-  end;
-  if seeds > 1 && (telemetry_csv <> None || incidents_out <> None) then begin
-    prerr_endline
-      "swala_sim run: --telemetry-csv/--incidents-out are single-run \
-       reports; not available with --seeds > 1";
-    exit 2
-  end;
+  check_positive "run" "--seeds" seeds;
+  check_positive "run" "--streams" streams;
+  check_positive "run" "--requests" requests;
+  if seeds > 1 && (trace_file <> None || trace_breakdown) then
+    usage_error "run"
+      "--trace/--trace-breakdown are single-run reports; not \
+       available with --seeds > 1";
+  if seeds > 1 && (telemetry_csv <> None || incidents_out <> None) then
+    usage_error "run"
+      "--telemetry-csv/--incidents-out are single-run reports; not \
+       available with --seeds > 1";
   if telemetry_interval = None && (telemetry_csv <> None || incidents_out <> None)
-  then begin
-    prerr_endline
-      "swala_sim run: --telemetry-csv/--incidents-out require \
-       --telemetry-interval";
-    exit 2
-  end;
+  then
+    usage_error "run"
+      "--telemetry-csv/--incidents-out require --telemetry-interval";
   let rules =
     match rules_file with
     | None -> Swala.Rules.empty
@@ -888,6 +900,24 @@ let run_cmd_impl seed nodes mode policy capacity streams requests workload
    with Invalid_argument msg ->
      prerr_endline msg;
      exit 2);
+  let check_writable = check_writable "run" in
+  Option.iter (check_writable "--trace") trace_file;
+  Option.iter
+    (fun path ->
+      if seeds = 1 then check_writable "--metrics-out" path
+      else
+        for sd = seed to seed + seeds - 1 do
+          check_writable "--metrics-out" (Printf.sprintf "%s.%d" path sd)
+        done)
+    metrics_out;
+  Option.iter
+    (fun prefix ->
+      check_writable "--telemetry-csv" (prefix ^ ".cluster.csv");
+      for i = 0 to nodes - 1 do
+        check_writable "--telemetry-csv" (Printf.sprintf "%s.node%d.csv" prefix i)
+      done)
+    telemetry_csv;
+  Option.iter (check_writable "--incidents-out") incidents_out;
   if seeds > 1 then
     run_multi ~seeds ~jobs ~seed ~workload ~requests ~nodes ~mode ~policy
       ~capacity ~streams ~router ~metrics_out ~cfg_of
@@ -1101,6 +1131,8 @@ let output_t =
     & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Output file (default stdout).")
 
 let gen_cmd_impl seed requests workload output =
+  check_positive "gen" "--requests" requests;
+  Option.iter (check_writable "gen" "--output") output;
   match trace_of_workload ~workload ~seed ~requests with
   | Error e ->
       prerr_endline e;

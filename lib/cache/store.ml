@@ -26,6 +26,10 @@ type t = {
       (* store-global version generator: heap items must never match a
          slot they were not pushed for, even across remove/re-insert of
          the same key *)
+  mutable expiry_floor : float;
+      (* no stored entry expires before this instant: lowered by every
+         insert with a TTL, raised only by a full [purge_expired] scan,
+         so removals leave it low (stale but still a lower bound) *)
   stats : Stats.t;
 }
 
@@ -57,6 +61,7 @@ let create ~capacity ?capacity_bytes ~policy ~clock ?rng () =
     n_keys = 0;
     gdsf_clock = 0.;
     vgen = 0;
+    expiry_floor = Float.infinity;
     stats = Stats.create ();
   }
 
@@ -231,22 +236,41 @@ let insert t meta body =
   in
   slot.index <- order_add t key;
   Hashtbl.add t.table key slot;
+  (match meta.Meta.expires with
+  | Some e when e < t.expiry_floor -> t.expiry_floor <- e
+  | Some _ | None -> ());
   push_heap t slot;
   t.stats.Stats.inserts <- t.stats.Stats.inserts + 1;
   t.stats.Stats.bytes_stored <- t.stats.Stats.bytes_stored + meta.Meta.size;
   List.rev !evicted
 
+(* The purge daemon calls this every [purge_interval] on every node;
+   while the clock is below [expiry_floor] nothing can have expired, so
+   it returns without visiting the table. A scan that does run also
+   recomputes the floor from the survivors. *)
 let purge_expired t =
-  let victims =
-    Hashtbl.fold
-      (fun _ slot acc -> if expired_now t slot then slot :: acc else acc)
-      t.table []
-  in
-  List.map
-    (fun slot ->
-      drop_expired t slot;
-      slot.entry.meta)
-    victims
+  if t.clock () < t.expiry_floor then []
+  else begin
+    let floor = ref Float.infinity in
+    let victims =
+      Hashtbl.fold
+        (fun _ slot acc ->
+          if expired_now t slot then slot :: acc
+          else begin
+            (match slot.entry.meta.Meta.expires with
+            | Some e when e < !floor -> floor := e
+            | Some _ | None -> ());
+            acc
+          end)
+        t.table []
+    in
+    t.expiry_floor <- !floor;
+    List.map
+      (fun slot ->
+        drop_expired t slot;
+        slot.entry.meta)
+      victims
+  end
 
 let clear t =
   let n = Hashtbl.length t.table in

@@ -7,6 +7,12 @@
     continuation as an event. Events fire in (time, sequence) order, so runs
     are fully deterministic.
 
+    Events that are due at the current time and have no {!handle} — a
+    {!resume}, a {!delay} that ends now (such as {!yield}), {!spawn} and
+    {!spawn_child} — wait in a FIFO lane instead of the timed heap. The
+    lane is an implementation detail: [run] merges it with the heap in
+    (time, sequence) order, and every count below includes it.
+
     All per-process operations ({!delay}, {!now}, {!spawn_child}, {!suspend},
     {!self_engine}) must be called from inside a process started with
     {!spawn}; calling them elsewhere raises [Not_in_process]. ({!now} and
@@ -64,7 +70,8 @@ val spawn : t -> (unit -> unit) -> unit
     ends while some process is still suspended. *)
 val run : ?until:float -> ?detect_deadlock:bool -> t -> unit
 
-(** [pending t] is the number of queued (uncancelled) events. *)
+(** [pending t] is the number of queued (uncancelled) events, in the heap
+    and the same-instant lane together. *)
 val pending : t -> int
 
 (** [suspended t] is the number of processes currently blocked in
@@ -78,12 +85,21 @@ val events_processed : t -> int
 
 (** {1 Flight-recorder inspection}
 
-    O(1) reads for the telemetry sampler: raw heap occupancy (live plus
-    cancelled — {!pending} nets the census out), the backing-array size,
-    and the lazy-cancellation census whose growth drives compaction. *)
+    Cheap reads for the telemetry sampler. Each describes the event queue
+    as one heap holding every queued event, so the values do not depend
+    on which events took the same-instant lane. *)
 
+(** [heap_depth t] is the raw queue occupancy: live plus cancelled events,
+    lane entries included ({!pending} nets the census out). *)
 val heap_depth : t -> int
+
+(** [heap_capacity t] is the slot count one heap holding every queued
+    event would have grown to: [0] before the first event, else 16
+    doubled until it covers the most events ever queued at once. *)
 val heap_capacity : t -> int
+
+(** [cancelled_events t] is the lazy-cancellation census whose growth
+    drives compaction. *)
 val cancelled_events : t -> int
 
 (** {1 Process-side operations} *)

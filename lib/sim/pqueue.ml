@@ -180,6 +180,10 @@ module Timed = struct
     if t.size = 0 then invalid_arg "Pqueue.Timed.min_time: empty heap";
     t.times.(0)
 
+  let min_seq t =
+    if t.size = 0 then invalid_arg "Pqueue.Timed.min_seq: empty heap";
+    t.seqs.(0)
+
   let peek_min t =
     if t.size = 0 then invalid_arg "Pqueue.Timed.peek_min: empty heap";
     t.data.(0)

@@ -69,6 +69,10 @@ module Timed : sig
       @raise Invalid_argument on an empty heap. *)
   val min_time : 'a t -> float
 
+  (** [min_seq h] is the key sequence number of the minimum element.
+      @raise Invalid_argument on an empty heap. *)
+  val min_seq : 'a t -> int
+
   (** [peek_min h] is the minimum element, not removed.
       @raise Invalid_argument on an empty heap. *)
   val peek_min : 'a t -> 'a

@@ -235,6 +235,47 @@ let test_store_purge_expired () =
   check_int "second purge" 1 (List.length (Cache.Store.purge_expired store));
   check_bool "keep survives" true (Cache.Store.mem store "keep")
 
+(* The store reads its clock once per purge and once more for every slot
+   a scan visits, so counting clock reads counts the slots a purge
+   visited. *)
+let counting_store ~capacity =
+  let clock = ref 0. and reads = ref 0 in
+  let store =
+    Cache.Store.create ~capacity ~policy:Cache.Policy.Lru
+      ~clock:(fun () ->
+        incr reads;
+        !clock)
+      ()
+  in
+  let purge () =
+    reads := 0;
+    let keys = List.map (fun m -> m.Cache.Meta.key) (Cache.Store.purge_expired store) in
+    (keys, !reads)
+  in
+  (store, clock, purge)
+
+let test_store_purge_ttl_free () =
+  let store, clock, purge = counting_store ~capacity:10 in
+  List.iter (fun k -> ignore (Cache.Store.insert store (meta k) "")) [ "a"; "b"; "c" ];
+  clock := 1e9;
+  Alcotest.(check (pair (list string) int)) "nothing, no slot visited" ([], 1) (purge ());
+  check_int "all kept" 3 (Cache.Store.length store)
+
+let test_store_purge_stale_bound () =
+  let store, clock, purge = counting_store ~capacity:10 in
+  ignore (Cache.Store.insert store (meta ~expires:1. "early") "");
+  ignore (Cache.Store.insert store (meta ~expires:5. "late") "");
+  ignore (Cache.Store.insert store (meta "forever") "");
+  check_bool "removed" true (Cache.Store.remove store "early");
+  clock := 2.;
+  (* the bound still says 1: one rescan finds nothing and tightens it *)
+  Alcotest.(check (pair (list string) int)) "rescan" ([], 3) (purge ());
+  Alcotest.(check (pair (list string) int)) "tightened to 5" ([], 1) (purge ());
+  clock := 5.;
+  Alcotest.(check (pair (list string) int)) "due at 5" ([ "late" ], 3) (purge ());
+  Alcotest.(check (pair (list string) int)) "TTL-free again" ([], 1) (purge ());
+  Alcotest.(check (list string)) "survivor" [ "forever" ] (Cache.Store.keys store)
+
 let test_store_peek_no_stats () =
   let store, _ = make_store () in
   ignore (Cache.Store.insert store (meta "a") "");
@@ -347,6 +388,98 @@ let prop_store_matches_model policy =
             if real <> expected then raise Exit
           end;
           Cache.Store.keys store = Model.keys model)
+        ops)
+
+(* Purge against a model: random inserts with and without a TTL,
+   lookups, removes, clock advances and purges on a small store (so
+   evictions happen too; the model drops what [insert] reports evicted).
+   Every purge must return exactly the model's expired entries, and the
+   store must then hold exactly the model's live keys. *)
+type purge_op =
+  | P_insert of int * float option  (** key, TTL *)
+  | P_lookup of int
+  | P_remove of int
+  | P_advance of float
+  | P_purge
+
+let print_purge_op = function
+  | P_insert (k, None) -> Printf.sprintf "insert k%d" k
+  | P_insert (k, Some ttl) -> Printf.sprintf "insert k%d ttl %g" k ttl
+  | P_lookup k -> Printf.sprintf "lookup k%d" k
+  | P_remove k -> Printf.sprintf "remove k%d" k
+  | P_advance d -> Printf.sprintf "advance %g" d
+  | P_purge -> "purge"
+
+let gen_purge_op =
+  let open QCheck.Gen in
+  let key = 0 -- 9 in
+  let span = oneof [ oneofl [ 0.; 0.5; 1.; 2. ]; float_bound_inclusive 3. ] in
+  frequency
+    [
+      (4, map2 (fun k ttl -> P_insert (k, ttl)) key (opt ~ratio:0.6 span));
+      (2, map (fun k -> P_lookup k) key);
+      (1, map (fun k -> P_remove k) key);
+      (3, map (fun d -> P_advance d) span);
+      (3, return P_purge);
+    ]
+
+let count =
+  match Option.bind (Sys.getenv_opt "QCHECK_COUNT") int_of_string_opt with
+  | Some n -> n
+  | None -> 300
+
+let prop_purge_matches_model =
+  QCheck.Test.make ~name:"purge returns the expired set" ~count
+    QCheck.(
+      pair (int_range 1 8)
+        (make
+           ~print:(fun ops -> String.concat "; " (List.map print_purge_op ops))
+           Gen.(list_size (1 -- 60) gen_purge_op)))
+    (fun (cap, ops) ->
+      let store, clock = make_store ~capacity:cap () in
+      let model : (string, float option) Hashtbl.t = Hashtbl.create 16 in
+      let expired_at now = function Some e -> now >= e | None -> false in
+      let sorted l = List.sort String.compare l in
+      List.for_all
+        (fun op ->
+          let now = !clock in
+          match op with
+          | P_insert (k, ttl) ->
+              let key = Printf.sprintf "k%d" k in
+              let expires = Option.map (fun ttl -> now +. ttl) ttl in
+              Hashtbl.remove model key;
+              List.iter
+                (fun m -> Hashtbl.remove model m.Cache.Meta.key)
+                (Cache.Store.insert store (meta ?expires key) "v");
+              Hashtbl.replace model key expires;
+              true
+          | P_lookup k ->
+              let key = Printf.sprintf "k%d" k in
+              let live =
+                match Hashtbl.find_opt model key with
+                | Some e when expired_at now e ->
+                    Hashtbl.remove model key;
+                    false
+                | Some _ -> true
+                | None -> false
+              in
+              (Cache.Store.lookup store key <> None) = live
+          | P_remove k ->
+              let key = Printf.sprintf "k%d" k in
+              let present = Hashtbl.mem model key in
+              Hashtbl.remove model key;
+              Cache.Store.remove store key = present
+          | P_advance d ->
+              clock := now +. d;
+              true
+          | P_purge ->
+              let expected =
+                Hashtbl.fold (fun k e acc -> if expired_at now e then k :: acc else acc) model []
+              in
+              List.iter (Hashtbl.remove model) expected;
+              let purged = List.map (fun m -> m.Cache.Meta.key) (Cache.Store.purge_expired store) in
+              sorted purged = sorted expected
+              && Cache.Store.keys store = sorted (Hashtbl.fold (fun k _ acc -> k :: acc) model []))
         ops)
 
 let prop_store_never_exceeds_capacity =
@@ -538,6 +671,9 @@ let () =
           Alcotest.test_case "remove" `Quick test_store_remove;
           Alcotest.test_case "TTL expiry on lookup" `Quick test_store_ttl_expiry_on_lookup;
           Alcotest.test_case "purge expired" `Quick test_store_purge_expired;
+          Alcotest.test_case "TTL-free store purges nothing" `Quick test_store_purge_ttl_free;
+          Alcotest.test_case "stale purge bound rescans once" `Quick
+            test_store_purge_stale_bound;
           Alcotest.test_case "peek is stat-neutral" `Quick test_store_peek_no_stats;
           Alcotest.test_case "peek does not refresh LRU" `Quick
             test_store_peek_does_not_refresh_lru;
@@ -552,6 +688,7 @@ let () =
           prop_store_matches_model Cache.Policy.Fifo;
           prop_store_matches_model Cache.Policy.Lfu;
         ];
+      qsuite "purge-bound" [ prop_purge_matches_model ];
       ( "directory",
         [
           Alcotest.test_case "insert and lookup" `Quick test_directory_insert_lookup;
