@@ -820,15 +820,22 @@ let run_perf () =
      host noise; report the fastest of five to keep the committed
      baseline comparable across noisy machines (CI runners included). *)
   let best_wall = ref infinity and best_r = ref None and minor = ref 0. in
+  (* Words allocated straight into the major heap (major minus promoted):
+     blocks too large for the minor heap, such as rendered bodies. *)
+  let direct_major = ref 0. in
   for _ = 1 to 5 do
-    let m0 = (Gc.quick_stat ()).Gc.minor_words in
+    let s0 = Gc.quick_stat () in
     let t0 = Unix.gettimeofday () in
     let r = go () in
     let wall = Unix.gettimeofday () -. t0 in
     if wall < !best_wall then begin
+      let s1 = Gc.quick_stat () in
       best_wall := wall;
       best_r := Some r;
-      minor := (Gc.quick_stat ()).Gc.minor_words -. m0
+      minor := s1.Gc.minor_words -. s0.Gc.minor_words;
+      direct_major :=
+        s1.Gc.major_words -. s0.Gc.major_words
+        -. (s1.Gc.promoted_words -. s0.Gc.promoted_words)
     end
   done;
   let r = Option.get !best_r in
@@ -837,10 +844,12 @@ let run_perf () =
   let rps = float_of_int n_requests /. wall in
   let eps = float_of_int events /. wall in
   let words_per_event = !minor /. float_of_int events in
+  let major_per_request = !direct_major /. float_of_int n_requests in
   Printf.printf
     "End-to-end (4 nodes, %d requests, %d sim events): %.3f s wall -> %.0f \
-     requests/s, %.0f events/s, %.1f minor words/event\n"
-    n_requests events wall rps eps words_per_event;
+     requests/s, %.0f events/s, %.1f minor words/event, %.1f direct major \
+     words/request\n"
+    n_requests events wall rps eps words_per_event major_per_request;
   let module J = Metrics.Json in
   (* Simulated response-time quantiles ride along (in ms) so a perf PR that
      accidentally changes behaviour — not just speed — shows up here too. *)
@@ -862,6 +871,7 @@ let run_perf () =
          ("requests_per_sec_wall", J.Float rps);
          ("events_per_sec_wall", J.Float eps);
          ("gc_minor_words_per_event", J.Float words_per_event);
+         ("gc_major_words_per_request", J.Float major_per_request);
          ("p50_ms", ms 0.5);
          ("p95_ms", ms 0.95);
          ("p99_ms", ms 0.99);

@@ -1,4 +1,4 @@
-type entry = { meta : Meta.t; body : string }
+type entry = { meta : Meta.t; body : Http.Body.t }
 
 type slot = {
   entry : entry;
@@ -206,7 +206,7 @@ let evict_one t =
       t.stats.Stats.evictions <- t.stats.Stats.evictions + 1;
       Some slot.entry.meta
 
-let insert t meta body =
+let insert_body t meta body =
   let key = meta.Meta.key in
   (* Replacing an existing entry never needs eviction. *)
   ignore (remove t key : bool);
@@ -243,6 +243,8 @@ let insert t meta body =
   t.stats.Stats.inserts <- t.stats.Stats.inserts + 1;
   t.stats.Stats.bytes_stored <- t.stats.Stats.bytes_stored + meta.Meta.size;
   List.rev !evicted
+
+let insert t meta body = insert_body t meta (Http.Body.of_string body)
 
 (* The purge daemon calls this every [purge_interval] on every node;
    while the clock is below [expiry_floor] nothing can have expired, so

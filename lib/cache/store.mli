@@ -1,7 +1,9 @@
 (** Bounded local result cache of one Swala node.
 
     Holds the cached bodies (standing in for the per-entry disk files of
-    §4.1) together with their meta-data, enforces an entry-count capacity
+    §4.1; a CGI result is held as a deferred {!Http.Body.t}, so an entry
+    costs the same memory whatever its size) together with their
+    meta-data, enforces an entry-count capacity
     with a pluggable replacement {!Policy}, and applies TTL expiry. All
     operations are O(log n) amortised via a lazily-invalidated priority
     heap; [Random] replacement uses an O(1) indexed key table instead.
@@ -12,7 +14,7 @@
 
 type t
 
-type entry = { meta : Meta.t; body : string }
+type entry = { meta : Meta.t; body : Http.Body.t }
 
 val create :
   capacity:int -> ?capacity_bytes:int -> policy:Policy.t ->
@@ -32,9 +34,14 @@ val lookup : t -> string -> entry option
     counting hit/miss; expired entries still return [None]. *)
 val peek : t -> string -> entry option
 
-(** [insert t meta body] adds or replaces; evicts per policy when full.
-    Returns the evicted metas (oldest victim first) so the caller can
-    broadcast the corresponding delete messages. *)
+(** [insert_body t meta body] adds or replaces; evicts per policy when
+    full. Returns the evicted metas (oldest victim first) so the caller
+    can broadcast the corresponding delete messages. The byte accounting
+    reads [meta.size]; [body] is stored as given, never rendered. *)
+val insert_body : t -> Meta.t -> Http.Body.t -> Meta.t list
+
+(** [insert t meta body] is [insert_body t meta (Http.Body.of_string
+    body)]. *)
 val insert : t -> Meta.t -> string -> Meta.t list
 
 (** [remove t key] deletes an entry; [true] if present. Used when a remote

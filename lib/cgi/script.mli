@@ -30,5 +30,12 @@ val null : t
 val output : t -> key:string -> string
 
 (** [output_sized t ~key ~bytes] renders a body of approximately [bytes]
-    bytes (used when a trace overrides the script's default output size). *)
+    bytes (used when a trace overrides the script's default output size):
+    exactly [46 + String.length t.name + max 0 (bytes - 96)] bytes,
+    whatever the key. *)
 val output_sized : t -> key:string -> bytes:int -> string
+
+(** [body t ~key ~bytes] is {!output_sized} as a deferred
+    {!Http.Body.t}: its length is computed, and it is rendered only when
+    read. This is what the server model caches and ships. *)
+val body : t -> key:string -> bytes:int -> Http.Body.t

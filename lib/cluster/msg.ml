@@ -12,7 +12,7 @@ type info_envelope = {
 }
 
 type fetch_reply =
-  | Hit of { meta : Cache.Meta.t; body : string }
+  | Hit of { meta : Cache.Meta.t; body : Http.Body.t }
   | Miss of { key : string }
 
 type fetch_request = {
@@ -66,7 +66,7 @@ let lookup_reply_bytes = function
 
 let fetch_reply_bytes = function
   | Hit { meta; body } ->
-      envelope + String.length meta.Cache.Meta.key + String.length body
+      envelope + String.length meta.Cache.Meta.key + Http.Body.length body
   | Miss { key } -> envelope + String.length key
 
 let sync_request_bytes { digests; _ } = envelope + (12 * Array.length digests)

@@ -42,7 +42,7 @@ type info_envelope = {
     outcome: the entry was deleted at the owner after the requester looked
     it up; the requester then executes the CGI locally (Figure 2). *)
 type fetch_reply =
-  | Hit of { meta : Cache.Meta.t; body : string }
+  | Hit of { meta : Cache.Meta.t; body : Http.Body.t }
   | Miss of { key : string }
 
 (** A remote-cache fetch, sent to the owner's data server. The reply
@@ -120,7 +120,7 @@ val lookup_request_bytes : lookup_request -> int
 val lookup_reply_bytes : lookup_reply -> int
 
 (** [fetch_reply_bytes r] is the reply's approximate wire size ([Hit]
-    includes the cached body). *)
+    includes the cached body, by its {!Http.Body.length}). *)
 val fetch_reply_bytes : fetch_reply -> int
 
 (** [sync_request_bytes r] is a digest exchange's opening size (12 bytes

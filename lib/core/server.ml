@@ -571,13 +571,16 @@ let span_of c =
 
 (* Run [f] inside a span on [nd]'s track. The parent defaults to the
    caller's fiber-local span; the local is set to the new span for the
-   duration so nested spans and outgoing messages pick it up. *)
+   duration so nested spans and outgoing messages pick it up. [attrs] is
+   a thunk, called only on the traced branch, so an untraced request
+   never builds the list (nor the strings in it). *)
 let with_span ?parent ?attrs ?async c nd name f =
   match c.tracer with
   | None -> f ()
   | Some tr ->
       let saved = Sim.Engine.get_local () in
       let parent = match parent with Some p -> p | None -> saved in
+      let attrs = Option.map (fun build -> build ()) attrs in
       let id =
         Metrics.Trace.begin_span tr ?attrs ?async ~parent ~track:nd.id ~name
           ()
@@ -700,7 +703,7 @@ let insert_result c nd ~key ~body ~exec_time ttl =
             c.cfg.Config.default_ttl)
   in
   let meta =
-    Cache.Meta.make ~key ~owner:nd.id ~size:(String.length body) ~exec_time
+    Cache.Meta.make ~key ~owner:nd.id ~size:(Http.Body.length body) ~exec_time
       ~created
       ~expires:(Option.map (fun t -> created +. t) ttl)
   in
@@ -711,7 +714,7 @@ let insert_result c nd ~key ~body ~exec_time ttl =
          lives at the home; the home performs it when this announcement
          arrives (apply_shard). Here only the store changes — the
          directory update is the announcement itself. *)
-      let evicted = Cache.Store.insert nd.store meta body in
+      let evicted = Cache.Store.insert_body nd.store meta body in
       List.iter
         (fun (m : Cache.Meta.t) ->
           broadcasts :=
@@ -728,7 +731,7 @@ let insert_result c nd ~key ~body ~exec_time ttl =
       | Some m when m.Cache.Meta.owner <> nd.id ->
           incr nd K.false_miss_duplicate
       | Some _ | None -> ());
-      let evicted = Cache.Store.insert nd.store meta body in
+      let evicted = Cache.Store.insert_body nd.store meta body in
       Cache.Directory.insert (rdir nd) ~node:nd.id meta;
       List.iter
         (fun (m : Cache.Meta.t) ->
@@ -740,7 +743,7 @@ let insert_result c nd ~key ~body ~exec_time ttl =
             :: !broadcasts)
         evicted;
       broadcasts := Cluster.Msg.Insert meta :: !broadcasts
-  | Config.Standalone -> ignore (Cache.Store.insert nd.store meta body : Cache.Meta.t list)
+  | Config.Standalone -> ignore (Cache.Store.insert_body nd.store meta body : Cache.Meta.t list)
   | Config.Disabled -> ());
   incr nd K.inserts;
   List.rev !broadcasts
@@ -952,7 +955,7 @@ let send_broadcasts c nd msgs = List.iter (enqueue c nd) msgs
 
 let exec_cgi c nd (script : Cgi.Script.t) req key =
   with_span c nd "cgi.exec"
-    ~attrs:[ ("script", script.Cgi.Script.name) ]
+    ~attrs:(fun () -> [ ("script", script.Cgi.Script.name) ])
   @@ fun () ->
   (match Hashtbl.find_opt nd.in_flight key with
   | Some n when n > 0 ->
@@ -982,8 +985,7 @@ let exec_cgi c nd (script : Cgi.Script.t) req key =
     Error (Http.Response.error Http.Status.Internal_server_error "CGI failed")
   end
   else
-    let body = Cgi.Script.output_sized script ~key ~bytes:out_bytes in
-    Ok (body, demand)
+    Ok (Cgi.Script.body script ~key ~bytes:out_bytes, demand)
 
 (* Execute, optionally insert in the cache, respond, then broadcast. *)
 let exec_and_respond c nd env (script : Cgi.Script.t) key ~(ctl : cache_ctl) =
@@ -1000,7 +1002,7 @@ let exec_and_respond c nd env (script : Cgi.Script.t) key ~(ctl : cache_ctl) =
       in
       Sim.Cpu.consume nd.cpu
         (c.cfg.Config.model.Config.per_byte_send
-        *. float_of_int (String.length body));
+        *. float_of_int (Http.Body.length body));
       (* Figure 2 answers the client before broadcasting; under the strong
          protocol the whole point is that the reply implies every replica
          already knows, so the order flips. *)
@@ -1048,7 +1050,7 @@ let serve_local c nd env ~t0 (entry : Cache.Store.entry) =
         ~cached:true;
       Sim.Cpu.consume nd.cpu
         (c.cfg.Config.model.Config.per_byte_send
-        *. float_of_int (String.length entry.Cache.Store.body)));
+        *. float_of_int (Http.Body.length entry.Cache.Store.body)));
   respond c nd env (Http.Response.ok entry.Cache.Store.body);
   Metrics.Sample.add c.hit_latency (now () -. t0)
 
@@ -1057,7 +1059,7 @@ let fetch_remote c nd env (script : Cgi.Script.t) key ~(ctl : cache_ctl) ~t0
   let owner = meta.Cache.Meta.owner in
   let answer =
     with_span c nd "fetch.remote"
-      ~attrs:[ ("owner", string_of_int owner) ]
+      ~attrs:(fun () -> [ ("owner", string_of_int owner) ])
     @@ fun () ->
     Sim.Cpu.consume nd.cpu c.cfg.Config.remote_fetch_cost;
     let span = span_of c in
@@ -1114,7 +1116,7 @@ let fetch_remote c nd env (script : Cgi.Script.t) key ~(ctl : cache_ctl) ~t0
       note_hit_freshness c nd served;
       Sim.Cpu.consume nd.cpu
         (c.cfg.Config.model.Config.per_byte_send
-        *. float_of_int (String.length body));
+        *. float_of_int (Http.Body.length body));
       respond c nd env (Http.Response.ok body);
       Metrics.Sample.add c.hit_latency (now () -. t0)
   | Some (Cluster.Msg.Miss _) ->
@@ -1171,7 +1173,8 @@ let forward_lookup c nd env (script : Cgi.Script.t) key ~ctl ~t0 ~home =
   incr nd K.shard_fwd_lookups;
   let t_fwd = now () in
   let answer =
-    with_span c nd "dir.forward" ~attrs:[ ("home", string_of_int home) ]
+    with_span c nd "dir.forward"
+      ~attrs:(fun () -> [ ("home", string_of_int home) ])
     @@ fun () ->
     let reply_mb = Sim.Mailbox.create () in
     let req =
@@ -1317,7 +1320,7 @@ let handle_cgi c nd env (script : Cgi.Script.t) =
 
 let handle c nd env =
   with_span c nd "handle" ~parent:env.span
-    ~attrs:[ ("path", env.req.Http.Request.uri.Http.Uri.path) ]
+    ~attrs:(fun () -> [ ("path", env.req.Http.Request.uri.Http.Uri.path) ])
   @@ fun () ->
   incr nd K.requests;
   if not nd.up then begin
@@ -1826,7 +1829,7 @@ let refresh_entry c nd key =
           if not ctl.attempt then false
           else begin
             with_span c nd "refresh.exec"
-              ~attrs:[ ("script", script.Cgi.Script.name) ]
+              ~attrs:(fun () -> [ ("script", script.Cgi.Script.name) ])
             @@ fun () ->
             let query = uri.Http.Uri.query in
             let demand =
@@ -1844,9 +1847,7 @@ let refresh_entry c nd key =
                let out_bytes =
                  Cgi.Cost.output_bytes_for script.Cgi.Script.cost ~query
                in
-               let body =
-                 Cgi.Script.output_sized script ~key ~bytes:out_bytes
-               in
+               let body = Cgi.Script.body script ~key ~bytes:out_bytes in
                let msgs = insert_result c nd ~key ~body ~exec_time:demand ctl.ttl in
                incr nd K.refreshes;
                Hashtbl.replace nd.refreshed key demand;
@@ -2089,7 +2090,7 @@ let preload c ~node req ~exec_time =
         Cgi.Cost.output_bytes_for script.Cgi.Script.cost
           ~query:req.Http.Request.uri.Http.Uri.query
       in
-      let body = Cgi.Script.output_sized script ~key ~bytes:out_bytes in
+      let body = Cgi.Script.body script ~key ~bytes:out_bytes in
       let ctl = cache_ctl_for c script Http.Meth.Get in
       let msgs = insert_result c nd ~key ~body ~exec_time ctl.ttl in
       send_broadcasts c nd msgs

@@ -11,6 +11,14 @@ let make ?(headers = Headers.empty) ?(body = "") meth target =
   | Ok uri -> { meth; uri; version = "HTTP/1.0"; headers; body }
   | Error e -> invalid_arg ("Request.make: " ^ e)
 
+(* A decoded path and query print and parse back to themselves, so the
+   one check [Uri.parse] makes on its own is the whole of [make]'s
+   validation. *)
+let of_uri ?(headers = Headers.empty) ?(body = "") meth (uri : Uri.t) =
+  if not (Uri.absolute_path uri.path) then
+    invalid_arg "Request.of_uri: request-URI must be absolute (start with '/')";
+  { meth; uri; version = "HTTP/1.0"; headers; body }
+
 let get target = make Meth.Get target
 
 let split_head = Wire.split_head
@@ -86,7 +94,7 @@ let wire_size t =
     else 0
   in
   String.length (Meth.to_string t.meth)
-  + String.length (Uri.to_string t.uri)
+  + Uri.encoded_length t.uri
   + String.length t.version
   + 4 (* two spaces and the CRLF ending the request line *)
   + Wire.headers_size (Headers.to_list t.headers)

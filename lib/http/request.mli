@@ -12,6 +12,12 @@ type t = {
     Raises [Invalid_argument] on a malformed target (programmatic use). *)
 val make : ?headers:Headers.t -> ?body:string -> Meth.t -> string -> t
 
+(** [of_uri ?headers ?body meth uri] is [make ?headers ?body meth
+    (Uri.to_string uri)] without printing and parsing the URI back.
+    Raises [Invalid_argument] when [uri]'s path is not absolute, as
+    [make] does. *)
+val of_uri : ?headers:Headers.t -> ?body:string -> Meth.t -> Uri.t -> t
+
 (** [get target] is [make Get target]. *)
 val get : string -> t
 
@@ -28,8 +34,8 @@ val to_wire : t -> string
     identically (for cacheable scripts). *)
 val cache_key : t -> string
 
-(** [wire_size t] is the serialised byte count (used to charge the network
-    model). *)
+(** [wire_size t] is [String.length (to_wire t)], summed without
+    serialising (used to charge the network model). *)
 val wire_size : t -> int
 
 val pp : Format.formatter -> t -> unit

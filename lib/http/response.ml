@@ -2,23 +2,40 @@ type t = {
   status : Status.t;
   version : string;
   headers : Headers.t;
-  body : string;
+  body : Body.t;
 }
 
-let make ?(headers = Headers.empty) ?(body = "") status =
+let make ?(headers = Headers.empty) ?(body = Body.empty) status =
   { status; version = "HTTP/1.0"; headers; body }
 
-let ok body =
-  make ~headers:(Headers.add Headers.empty "Content-Type" "text/html") ~body
-    Status.Ok
+let html = Headers.add Headers.empty "Content-Type" "text/html"
+let ok body = make ~headers:html ~body Status.Ok
+
+(* The message often echoes request text (a path, a malformed request
+   line), so it is escaped before it goes into markup. *)
+let escape_html s =
+  let special = function '&' | '<' | '>' | '"' | '\'' -> true | _ -> false in
+  if not (String.exists special s) then s
+  else begin
+    let buf = Buffer.create (String.length s + 16) in
+    String.iter
+      (function
+        | '&' -> Buffer.add_string buf "&amp;"
+        | '<' -> Buffer.add_string buf "&lt;"
+        | '>' -> Buffer.add_string buf "&gt;"
+        | '"' -> Buffer.add_string buf "&quot;"
+        | '\'' -> Buffer.add_string buf "&#39;"
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.contents buf
+  end
 
 let error status message =
   let body =
     Printf.sprintf "<html><body><h1>%d %s</h1><p>%s</p></body></html>"
-      (Status.code status) (Status.reason status) message
+      (Status.code status) (Status.reason status) (escape_html message)
   in
-  make ~headers:(Headers.add Headers.empty "Content-Type" "text/html") ~body
-    status
+  make ~headers:html ~body:(Body.of_string body) status
 
 let split_head = Wire.split_head
 let parse_header_line = Wire.parse_header_line
@@ -52,11 +69,18 @@ let parse s =
                         | None -> avail
                       in
                       let body = String.sub s body_off (Stdlib.max 0 want) in
-                      Ok { status; version; headers = hs; body })))
+                      Ok
+                        {
+                          status;
+                          version;
+                          headers = hs;
+                          body = Body.of_string body;
+                        })))
       | [] | [ _ ] -> Error "malformed status line")
 
 let to_wire t =
-  let buf = Buffer.create (String.length t.body + 128) in
+  let body = Body.to_string t.body in
+  let buf = Buffer.create (String.length body + 128) in
   Buffer.add_string buf t.version;
   Buffer.add_char buf ' ';
   Buffer.add_string buf (string_of_int (Status.code t.status));
@@ -66,7 +90,7 @@ let to_wire t =
   let headers =
     if not (Headers.mem t.headers "Content-Length") then
       Headers.replace t.headers "Content-Length"
-        (string_of_int (String.length t.body))
+        (string_of_int (String.length body))
     else t.headers
   in
   List.iter
@@ -77,13 +101,13 @@ let to_wire t =
       Buffer.add_string buf "\r\n")
     (Headers.to_list headers);
   Buffer.add_string buf "\r\n";
-  Buffer.add_string buf t.body;
+  Buffer.add_string buf body;
   Buffer.contents buf
 
 (* [String.length (to_wire t)], summed from the parts instead of built:
-   a CGI reply's body is never copied just to be counted. *)
+   a CGI reply's body is never rendered just to be counted. *)
 let wire_size t =
-  let body = String.length t.body in
+  let body = Body.length t.body in
   let content_length =
     if Headers.mem t.headers "Content-Length" then 0
     else String.length "Content-Length: \r\n" + Wire.decimal_length body
@@ -95,7 +119,7 @@ let wire_size t =
   + Wire.headers_size (Headers.to_list t.headers)
   + content_length + 2 + body
 
-let body_size t = String.length t.body
+let body_size t = Body.length t.body
 
 let pp ppf t =
   Format.fprintf ppf "%s %a (%d bytes)" t.version Status.pp t.status

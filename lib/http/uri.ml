@@ -89,11 +89,13 @@ let parse_query qs =
     in
     go [] parts
 
+let absolute_path p = String.length p > 0 && p.[0] = '/'
+
 let parse s =
   if String.equal s "" then Error "empty request-URI"
   else
     let raw_path, raw_query = split_on_first '?' s in
-    if String.length raw_path = 0 || raw_path.[0] <> '/' then
+    if not (absolute_path raw_path) then
       Error "request-URI must be absolute (start with '/')"
     else
       match percent_decode raw_path with
@@ -115,6 +117,24 @@ let encode_component s =
       s;
     Buffer.contents buf
   end
+
+(* The byte count of [s] once escaped as [percent_encode] ([slash]) or
+   [encode_component] (not [slash]) would: counted, not built. *)
+let escaped_length ~slash s =
+  let n = ref 0 in
+  for i = 0 to String.length s - 1 do
+    let c = String.unsafe_get s i in
+    n := !n + if safe_char c && (slash || c <> '/') then 1 else 3
+  done;
+  !n
+
+let encoded_length t =
+  List.fold_left
+    (fun acc (k, v) ->
+      (* one '?' or '&' before the pair, one '=' inside it *)
+      acc + escaped_length ~slash:false k + escaped_length ~slash:false v + 2)
+    (escaped_length ~slash:true t.path)
+    t.query
 
 let to_string t =
   let path = percent_encode t.path in

@@ -16,6 +16,14 @@ val parse : string -> (t, string) result
     percent-encoded as needed). *)
 val to_string : t -> string
 
+(** [encoded_length t] is [String.length (to_string t)], summed without
+    building the string. *)
+val encoded_length : t -> int
+
+(** [absolute_path p] holds when [p] starts with ['/'], as every
+    request-URI's path must; {!parse} rejects any other. *)
+val absolute_path : string -> bool
+
 (** [canonical t] sorts query parameters by key (then value), producing the
     cache-key form. *)
 val canonical : t -> t

@@ -19,8 +19,7 @@ let to_request item =
   match item.kind with
   | File { path; _ } -> Http.Request.get path
   | Cgi { script; args; _ } ->
-      let uri = { Http.Uri.path = script; query = args } in
-      Http.Request.make Http.Meth.Get (Http.Uri.to_string uri)
+      Http.Request.of_uri Http.Meth.Get { Http.Uri.path = script; query = args }
 
 let key item = Http.Request.cache_key (to_request item)
 

@@ -23,7 +23,10 @@ type t = item list
     [Http.Request.cache_key] of {!to_request}). *)
 val key : item -> string
 
-(** [to_request item] builds the HTTP request a client would send. *)
+(** [to_request item] builds the HTTP request a client would send: for a
+    CGI item, straight from its script and arguments, with no URI printed
+    or parsed. Raises [Invalid_argument] when the script path is not
+    absolute. *)
 val to_request : item -> Http.Request.t
 
 (** [service_time item] is the unloaded service time: CGI demand, or a

@@ -87,7 +87,8 @@ let test_store_insert_lookup () =
   ignore (Cache.Store.insert store (meta "a") "body-a");
   (match Cache.Store.lookup store "a" with
   | Some e ->
-      Alcotest.(check string) "body" "body-a" e.Cache.Store.body;
+      Alcotest.(check string) "body" "body-a"
+        (Http.Body.to_string e.Cache.Store.body);
       Alcotest.(check string) "key" "a" e.Cache.Store.meta.Cache.Meta.key
   | None -> Alcotest.fail "expected hit");
   check_bool "miss" true (Cache.Store.lookup store "b" = None);
@@ -95,13 +96,41 @@ let test_store_insert_lookup () =
   check_int "hits" 1 st.Cache.Stats.hits;
   check_int "misses" 1 st.Cache.Stats.misses
 
+(* A cached CGI result is a description (script, key, size), not its
+   bytes: 2,000 results of 512 KB retain exactly what 2,000 of 8 KB do.
+   Rendering on insert would make the second store 64 times larger. *)
+let test_store_deferred_retention () =
+  let script =
+    Cgi.Script.make ~name:"/cgi-bin/q" (Cgi.Cost.make (Cgi.Cost.Fixed 1.))
+  in
+  let retained bytes =
+    let store, _ = make_store ~capacity:2_000 () in
+    for i = 0 to 1_999 do
+      let key = Printf.sprintf "GET /cgi-bin/q?i=%04d" i in
+      let body = Cgi.Script.body script ~key ~bytes in
+      ignore
+        (Cache.Store.insert_body store
+           (meta ~size:(Http.Body.length body) key)
+           body
+          : Cache.Meta.t list)
+    done;
+    check_int "all held" 2_000 (Cache.Store.length store);
+    Obj.reachable_words (Obj.repr store)
+  in
+  let small = retained 8_192 and large = retained 524_288 in
+  check_int "words per entry, 8 KB vs 512 KB" (small / 2_000) (large / 2_000);
+  check_int "same total" small large;
+  check_bool "below one rendered 8 KB body per entry" true
+    (small / 2_000 < 8_192 / (Sys.word_size / 8))
+
 let test_store_replace_same_key () =
   let store, _ = make_store () in
   ignore (Cache.Store.insert store (meta "a") "v1");
   ignore (Cache.Store.insert store (meta "a") "v2");
   check_int "one entry" 1 (Cache.Store.length store);
   match Cache.Store.lookup store "a" with
-  | Some e -> Alcotest.(check string) "latest" "v2" e.Cache.Store.body
+  | Some e ->
+      Alcotest.(check string) "latest" "v2" (Http.Body.to_string e.Cache.Store.body)
   | None -> Alcotest.fail "hit expected"
 
 let test_store_capacity_enforced () =
@@ -659,6 +688,8 @@ let () =
         [
           Alcotest.test_case "insert and lookup" `Quick test_store_insert_lookup;
           Alcotest.test_case "replace same key" `Quick test_store_replace_same_key;
+          Alcotest.test_case "deferred bodies: fixed words per entry" `Quick
+            test_store_deferred_retention;
           Alcotest.test_case "capacity enforced" `Quick test_store_capacity_enforced;
           Alcotest.test_case "LRU victim" `Quick test_store_lru_victim;
           Alcotest.test_case "FIFO victim" `Quick test_store_fifo_victim;

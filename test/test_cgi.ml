@@ -126,6 +126,52 @@ let test_script_defaults () =
   check_float "no failures" 0. s.Cgi.Script.failure_rate
 
 (* ------------------------------------------------------------------ *)
+(* Deferred bodies against the renderer they defer *)
+
+let count =
+  match Option.bind (Sys.getenv_opt "QCHECK_COUNT") int_of_string_opt with
+  | Some n -> n
+  | None -> 200
+
+(* Script names and keys: empty, short, any byte (non-ASCII included),
+   long, and one fixed UTF-8 string with URI punctuation. *)
+let gen_text =
+  QCheck.Gen.(
+    oneof
+      [
+        return "";
+        string_size ~gen:printable (1 -- 20);
+        string_size ~gen:char (1 -- 20);
+        string_size ~gen:printable (200 -- 2_000);
+        return "caf\xc3\xa9/\xe2\x82\xac?q=a&b=%20+\xff";
+      ])
+
+(* Around the 96-byte framing allowance, and two real sizes. *)
+let gen_bytes =
+  QCheck.Gen.(
+    oneof
+      [ return 0; 1 -- 95; return 96; return 97; return 8_192; return 524_288 ])
+
+let prop_body_matches_reference =
+  QCheck.Test.make ~name:"body renders the reference bytes" ~count
+    (QCheck.make
+       ~print:(fun (name, key, bytes) ->
+         Printf.sprintf "name=%S key=%S bytes=%d" name key bytes)
+       (QCheck.Gen.triple gen_text gen_text gen_bytes))
+    (fun (name, key, bytes) ->
+      let s =
+        Cgi.Script.make ~name:("/" ^ name) (Cgi.Cost.make (Cgi.Cost.Fixed 1.))
+      in
+      let reference = Cgi.Script.output_sized s ~key ~bytes in
+      let body = Cgi.Script.body s ~key ~bytes in
+      Http.Body.length body = String.length reference
+      && Http.Body.length body
+         = 46 + String.length s.Cgi.Script.name + max 0 (bytes - 96)
+      && Http.Body.to_string body = reference)
+
+let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
+
+(* ------------------------------------------------------------------ *)
 (* Registry *)
 
 let test_registry_resolve_script () =
@@ -205,6 +251,7 @@ let () =
           Alcotest.test_case "tiny output" `Quick test_script_output_tiny;
           Alcotest.test_case "defaults" `Quick test_script_defaults;
         ] );
+      qsuite "body-ref" [ prop_body_matches_reference ];
       ( "registry",
         [
           Alcotest.test_case "resolve script" `Quick test_registry_resolve_script;

@@ -19,7 +19,9 @@ let test_msg_sizes_positive () =
 
 let test_msg_reply_size_includes_body () =
   let m = meta "k" in
-  let hit = Cluster.Msg.Hit { meta = m; body = String.make 1000 'x' } in
+  let hit =
+    Cluster.Msg.Hit { meta = m; body = Http.Body.of_string (String.make 1000 'x') }
+  in
   let miss = Cluster.Msg.Miss { key = "k" } in
   check_bool "hit >> miss" true
     (Cluster.Msg.fetch_reply_bytes hit

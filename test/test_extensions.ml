@@ -588,6 +588,90 @@ let test_submit_wire_bad_request () =
        (Swala.Server.merged_counters cluster)
        Swala.Server.K.requests)
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+(* Bodies travel as descriptions; what a client reads must still be the
+   script's rendering, however the result was served. *)
+let test_submit_wire_reference_bytes () =
+  let registry = Cgi.Registry.create () in
+  Workload.Synthetic.register_scripts registry;
+  let cfg = Swala.Config.make ~n_nodes:2 () in
+  let script = Option.get (Cgi.Registry.find_script registry "/cgi-bin/query") in
+  let body =
+    Cgi.Script.output_sized script ~key:"GET /cgi-bin/query?q=a&xb=5000&xd=1.5"
+      ~bytes:5000
+  in
+  let expected =
+    Printf.sprintf
+      "HTTP/1.0 200 OK\r\nContent-Type: text/html\r\nContent-Length: %d\r\n\r\n%s"
+      (String.length body) body
+  in
+  let got = ref [] in
+  let cluster =
+    run_cluster_script ~cfg ~registry (fun cluster ->
+        let ask node =
+          got :=
+            Swala.Server.submit_wire cluster ~client:2 ~node
+              "GET /cgi-bin/query?xd=1.5&q=a&xb=5000 HTTP/1.0\r\n\r\n"
+            :: !got
+        in
+        ask 0;
+        ask 0;
+        Sim.Engine.delay 0.1;
+        ask 1)
+  in
+  let counter k =
+    Metrics.Counter.get (Swala.Server.merged_counters cluster) k
+  in
+  check_int "executed once" 1 (counter Swala.Server.K.cgi_execs);
+  check_int "local hit" 1 (counter Swala.Server.K.hit_local);
+  check_int "remote hit" 1 (counter Swala.Server.K.hit_remote);
+  match List.rev !got with
+  | [ fresh; local; remote ] ->
+      check_string "fresh execution" expected fresh;
+      check_string "local hit" expected local;
+      check_string "remote hit" expected remote
+  | l -> Alcotest.failf "%d replies" (List.length l)
+
+(* Error pages echo request text; it must arrive as text, not markup. *)
+let submit_wire_once request =
+  let registry = Cgi.Registry.create () in
+  Workload.Synthetic.register_scripts registry;
+  let got = ref "" in
+  ignore
+    (run_cluster_script ~cfg:(Swala.Config.make ()) ~registry (fun cluster ->
+         got := Swala.Server.submit_wire cluster ~client:1 ~node:0 request)
+      : Swala.Server.cluster);
+  !got
+
+let test_submit_wire_escapes_404 () =
+  let got =
+    submit_wire_once "GET /a%3Cscript%3Ealert(1)%3C/script%3E HTTP/1.0\r\n\r\n"
+  in
+  let resp = ok_or_fail "parse response" (Http.Response.parse got) in
+  check_int "404" 404 (Http.Status.code resp.Http.Response.status);
+  check_bool "escaped" true
+    (contains got "<p>/a&lt;script&gt;alert(1)&lt;/script&gt;</p>");
+  check_bool "no markup" false (contains got "<script>");
+  let page =
+    Http.Response.error Http.Status.Not_found "/a<script>alert(1)</script>"
+  in
+  check_string "same page" (Http.Response.to_wire page) got;
+  check_int "wire_size" (String.length got) (Http.Response.wire_size page)
+
+let test_submit_wire_escapes_400 () =
+  let got = submit_wire_once "GET <b>oops</b>" in
+  let resp = ok_or_fail "parse response" (Http.Response.parse got) in
+  check_int "400" 400 (Http.Status.code resp.Http.Response.status);
+  check_bool "escaped" true
+    (contains got "&quot;GET &lt;b&gt;oops&lt;/b&gt;&quot;");
+  check_bool "no markup" false (contains got "<b>")
+
 (* ------------------------------------------------------------------ *)
 (* New ablations: shapes *)
 
@@ -712,6 +796,12 @@ let () =
           Alcotest.test_case "wire roundtrip" `Quick test_submit_wire_roundtrip;
           Alcotest.test_case "malformed request -> 400" `Quick
             test_submit_wire_bad_request;
+          Alcotest.test_case "CGI bytes = reference" `Quick
+            test_submit_wire_reference_bytes;
+          Alcotest.test_case "404 page escapes the path" `Quick
+            test_submit_wire_escapes_404;
+          Alcotest.test_case "400 page escapes the request" `Quick
+            test_submit_wire_escapes_400;
         ] );
       ( "new-ablations",
         [

@@ -9,6 +9,13 @@ let ok_or_fail what = function
   | Ok v -> v
   | Error e -> Alcotest.failf "%s: %s" what e
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
 (* ------------------------------------------------------------------ *)
 (* Meth / Status *)
 
@@ -297,7 +304,40 @@ let prop_response_wire_size =
   QCheck.Test.make ~name:"response wire_size = length of to_wire" ~count:500
     (QCheck.make gen) (fun (status, headers, body) ->
       let r =
-        Http.Response.make ~headers:(Http.Headers.of_list headers) ~body status
+        Http.Response.make ~headers:(Http.Headers.of_list headers)
+          ~body:(Http.Body.of_string body) status
+      in
+      Http.Response.wire_size r = String.length (Http.Response.to_wire r))
+
+let count =
+  match Option.bind (Sys.getenv_opt "QCHECK_COUNT") int_of_string_opt with
+  | Some n -> n
+  | None -> 500
+
+(* The same law for a deferred body: a described string, or a CGI result
+   of any size (rendered only by [to_wire]). *)
+let prop_deferred_wire_size =
+  let script =
+    Cgi.Script.make ~name:"/cgi-bin/q" (Cgi.Cost.make (Cgi.Cost.Fixed 1.))
+  in
+  let gen_deferred =
+    QCheck.Gen.(
+      oneof
+        [
+          map
+            (fun s -> Http.Body.deferred ~length:(String.length s) (fun () -> s))
+            gen_body;
+          map
+            (fun (key, bytes) -> Cgi.Script.body script ~key ~bytes)
+            (pair (string_size (0 -- 40)) (0 -- 20_000));
+        ])
+  in
+  QCheck.Test.make ~name:"deferred wire_size = to_wire length" ~count
+    (QCheck.make (QCheck.Gen.pair gen_headers gen_deferred))
+    (fun (headers, body) ->
+      let r =
+        Http.Response.make ~headers:(Http.Headers.of_list headers) ~body
+          Http.Status.Ok
       in
       Http.Response.wire_size r = String.length (Http.Response.to_wire r))
 
@@ -305,29 +345,68 @@ let prop_response_wire_size =
 (* Response *)
 
 let test_response_ok () =
-  let r = Http.Response.ok "<html/>" in
+  let r = Http.Response.ok (Http.Body.of_string "<html/>") in
   check_int "200" 200 (Http.Status.code r.Http.Response.status);
   check_int "body size" 7 (Http.Response.body_size r)
 
 let test_response_wire_adds_content_length () =
-  let r = Http.Response.ok "abc" in
+  let r = Http.Response.ok (Http.Body.of_string "abc") in
   let wire = Http.Response.to_wire r in
   let r' = ok_or_fail "parse" (Http.Response.parse wire) in
   Alcotest.(check (option int)) "content-length" (Some 3)
     (Http.Headers.content_length r'.Http.Response.headers);
-  check_string "body" "abc" r'.Http.Response.body
+  check_string "body" "abc" (Http.Body.to_string r'.Http.Response.body)
 
 let test_response_error_body () =
   let r = Http.Response.error Http.Status.Not_found "/missing" in
   check_bool "mentions path" true
-    (String.length r.Http.Response.body > 0
+    (Http.Response.body_size r > 0
     &&
-    let b = r.Http.Response.body in
+    let b = Http.Body.to_string r.Http.Response.body in
     let rec find i =
       i + 8 <= String.length b
       && (String.sub b i 8 = "/missing" || find (i + 1))
     in
     find 0)
+
+let test_response_error_escapes () =
+  let r = Http.Response.error Http.Status.Bad_request "a&b<c>d\"e'f" in
+  let b = Http.Body.to_string r.Http.Response.body in
+  check_bool "escaped" true
+    (contains b "<p>a&amp;b&lt;c&gt;d&quot;e&#39;f</p>");
+  (* Text without markup characters is untouched. *)
+  check_string "plain"
+    "<html><body><h1>404 Not Found</h1><p>/cgi-bin/q x=1</p></body></html>"
+    (Http.Body.to_string
+       (Http.Response.error Http.Status.Not_found "/cgi-bin/q x=1")
+         .Http.Response.body)
+
+(* Sizing a deferred body never renders it; rendering checks the length
+   it declared. *)
+let test_deferred_body () =
+  let renders = ref 0 in
+  let body =
+    Http.Body.deferred ~length:5 (fun () ->
+        incr renders;
+        "hello")
+  in
+  let r = Http.Response.ok body in
+  check_int "body_size" 5 (Http.Response.body_size r);
+  ignore (Http.Response.wire_size r : int);
+  check_int "not rendered" 0 !renders;
+  check_string "rendered" "hello" (Http.Body.to_string body);
+  check_int "once per read" 1 !renders;
+  let liar = Http.Body.deferred ~length:4 (fun () -> "hello") in
+  check_bool "length checked" true
+    (try
+       ignore (Http.Body.to_string liar : string);
+       false
+     with Invalid_argument _ -> true);
+  check_bool "negative length" true
+    (try
+       ignore (Http.Body.deferred ~length:(-1) (fun () -> ""));
+       false
+     with Invalid_argument _ -> true)
 
 let test_response_parse_errors () =
   check_bool "empty" true (Result.is_error (Http.Response.parse ""));
@@ -340,10 +419,10 @@ let test_response_roundtrip () =
   let r =
     Http.Response.make
       ~headers:(Http.Headers.of_list [ ("X-Cache", "HIT") ])
-      ~body:"data" Http.Status.Ok
+      ~body:(Http.Body.of_string "data") Http.Status.Ok
   in
   let r' = ok_or_fail "parse" (Http.Response.parse (Http.Response.to_wire r)) in
-  check_string "body" "data" r'.Http.Response.body;
+  check_string "body" "data" (Http.Body.to_string r'.Http.Response.body);
   Alcotest.(check (option string)) "header" (Some "HIT")
     (Http.Headers.get r'.Http.Response.headers "x-cache")
 
@@ -402,8 +481,11 @@ let () =
           Alcotest.test_case "wire adds content-length" `Quick
             test_response_wire_adds_content_length;
           Alcotest.test_case "error body" `Quick test_response_error_body;
+          Alcotest.test_case "error body escapes markup" `Quick
+            test_response_error_escapes;
+          Alcotest.test_case "deferred body" `Quick test_deferred_body;
           Alcotest.test_case "parse errors" `Quick test_response_parse_errors;
           Alcotest.test_case "roundtrip" `Quick test_response_roundtrip;
         ] );
-      qsuite "resp-props" [ prop_response_wire_size ];
+      qsuite "resp-props" [ prop_response_wire_size; prop_deferred_wire_size ];
     ]

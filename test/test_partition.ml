@@ -218,10 +218,12 @@ let test_fetch_sync_out_of_order () =
       Sim.Engine.spawn_child (fun () ->
           Sim.Engine.delay 2.0;
           Sim.Net.send net ~src:1 ~dst:0 ~bytes:64 first.Cluster.Msg.reply
-            (Cluster.Msg.Hit { meta = meta "stale"; body = "stale" }));
+            (Cluster.Msg.Hit
+               { meta = meta "stale"; body = Http.Body.of_string "stale" }));
       let second = Sim.Mailbox.recv endpoints.(1).Cluster.Endpoint.data_mb in
       Sim.Net.send net ~src:1 ~dst:0 ~bytes:64 second.Cluster.Msg.reply
-        (Cluster.Msg.Hit { meta = meta "fresh"; body = "fresh" }));
+        (Cluster.Msg.Hit
+           { meta = meta "fresh"; body = Http.Body.of_string "fresh" }));
   let result = ref None in
   Sim.Engine.spawn engine (fun () ->
       result :=
@@ -236,7 +238,8 @@ let test_fetch_sync_out_of_order () =
       match reply with
       | Some (Cluster.Msg.Hit { body; _ }) ->
           Alcotest.(check string)
-            "the straggler did not satisfy the retry" "fresh" body
+            "the straggler did not satisfy the retry" "fresh"
+            (Http.Body.to_string body)
       | Some (Cluster.Msg.Miss _) -> Alcotest.fail "unexpected miss"
       | None -> Alcotest.fail "retry should have been answered in time")
 

@@ -18,6 +18,20 @@ let file ?(id = 0) path bytes =
 (* ------------------------------------------------------------------ *)
 (* Trace *)
 
+(* Reference model for the ingest tests: how a trace item became a
+   request before requests were built from their parts (the URI printed,
+   then parsed back by [Http.Request.make]), and [Http.Request.cache_key]
+   as it was then. *)
+let round_trip_request (item : Workload.Trace.item) =
+  match item.kind with
+  | File { path; _ } -> Http.Request.get path
+  | Cgi { script; args; _ } ->
+      let uri = { Http.Uri.path = script; query = args } in
+      Http.Request.make Http.Meth.Get (Http.Uri.to_string uri)
+
+let printed_cache_key (t : Http.Request.t) =
+  Http.Meth.to_string t.meth ^ " " ^ Http.Uri.to_string (Http.Uri.canonical t.uri)
+
 let test_trace_key_stability () =
   let a = cgi "alpha" and b = cgi "alpha" in
   check_string "same args same key" (Workload.Trace.key a) (Workload.Trace.key b);
@@ -31,6 +45,23 @@ let test_trace_to_request () =
   Alcotest.(check (option string)) "arg carried" (Some "maps")
     (Http.Uri.query_get req.Http.Request.uri "q");
   check_string "path" "/cgi-bin/q" req.Http.Request.uri.Http.Uri.path
+
+(* A script path must be absolute; building the request from its parts
+   keeps the check that parsing the printed URI made. *)
+let test_trace_to_request_relative () =
+  let raises script =
+    try
+      ignore (Workload.Trace.to_request (cgi ~script "k") : Http.Request.t);
+      false
+    with Invalid_argument _ -> true
+  in
+  check_bool "no leading slash" true (raises "cgi-bin/q");
+  check_bool "empty script" true (raises "");
+  check_bool "relative, as before" true
+    (try
+       ignore (round_trip_request (cgi ~script:"cgi-bin/q" "k"));
+       false
+     with Invalid_argument _ -> true)
 
 let test_trace_service_time () =
   check_float_eps 1e-9 "cgi = demand" 2.5
@@ -441,6 +472,73 @@ let prop_upper_bound_bounds_repeats =
       Workload.Analyzer.upper_bound_hits trace = n - unique)
 
 (* ------------------------------------------------------------------ *)
+(* Ingest: requests built from parts against the print/parse round trip *)
+
+let count =
+  match Option.bind (Sys.getenv_opt "QCHECK_COUNT") int_of_string_opt with
+  | Some n -> n
+  | None -> 300
+
+(* Every character the URI codec treats specially, spaces, non-ASCII
+   bytes, and empty strings. *)
+let gen_piece =
+  QCheck.Gen.(
+    oneof
+      [
+        return "";
+        string_size
+          ~gen:
+            (oneofl
+               [ '%'; '+'; '='; '&'; '?'; '/'; ' '; '#'; 'a'; 'Z'; '0'; '-';
+                 '.'; '~'; '\xc3'; '\xa9'; '\xff' ])
+          (1 -- 12);
+        string_size ~gen:char (1 -- 8);
+      ])
+
+let gen_cgi_item =
+  QCheck.Gen.(
+    map2
+      (fun script args ->
+        {
+          Workload.Trace.id = 0;
+          kind =
+            Workload.Trace.Cgi
+              { script = "/" ^ script; args; demand = 1.0; out_bytes = 4096 };
+        })
+      gen_piece
+      (list_size (0 -- 5) (pair gen_piece gen_piece)))
+
+let print_item (item : Workload.Trace.item) =
+  match item.kind with
+  | Workload.Trace.Cgi { script; args; _ } ->
+      Printf.sprintf "script=%S args=[%s]" script
+        (String.concat "; "
+           (List.map (fun (k, v) -> Printf.sprintf "%S, %S" k v) args))
+  | Workload.Trace.File { path; _ } -> path
+
+let arb_item = QCheck.make ~print:print_item gen_cgi_item
+
+let prop_to_request_matches_round_trip =
+  QCheck.Test.make ~name:"to_request = make of printed URI" ~count arb_item
+    (fun item ->
+      Workload.Trace.to_request item = round_trip_request item)
+
+let prop_ingest_wire_size =
+  QCheck.Test.make ~name:"wire_size = length of to_wire" ~count arb_item
+    (fun item ->
+      let r = Workload.Trace.to_request item in
+      Http.Request.wire_size r = String.length (Http.Request.to_wire r))
+
+let prop_cache_key_matches =
+  QCheck.Test.make ~name:"cache_key = printed canonical key" ~count
+    QCheck.(pair (make Gen.(oneofl Http.Meth.[ Get; Head; Post ])) arb_item)
+    (fun (meth, item) ->
+      let r = Workload.Trace.to_request item in
+      let r = Http.Request.of_uri meth r.Http.Request.uri in
+      Http.Request.cache_key r = printed_cache_key r
+      && Workload.Trace.key item = printed_cache_key (round_trip_request item))
+
+(* ------------------------------------------------------------------ *)
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
@@ -451,9 +549,17 @@ let () =
         [
           Alcotest.test_case "key stability" `Quick test_trace_key_stability;
           Alcotest.test_case "to_request" `Quick test_trace_to_request;
+          Alcotest.test_case "to_request rejects relative script" `Quick
+            test_trace_to_request_relative;
           Alcotest.test_case "service time" `Quick test_trace_service_time;
           Alcotest.test_case "aggregates" `Quick test_trace_aggregates;
         ] );
+      qsuite "ingest-props"
+        [
+          prop_to_request_matches_round_trip;
+          prop_ingest_wire_size;
+          prop_cache_key_matches;
+        ];
       ( "logfmt",
         [
           Alcotest.test_case "roundtrip" `Quick test_logfmt_roundtrip_explicit;
