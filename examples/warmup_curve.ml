@@ -2,7 +2,7 @@
 
    A cooperative cache starts cold: early requests all execute their CGIs,
    later ones increasingly hit. This example buckets client-observed
-   response times into windows ([Metrics.Timeseries]) and prints the curve
+   response times into 5 s windows ([Metrics.Timeline]) and prints the curve
    as a crude terminal plot — cold vs pre-warmed cluster side by side.
 
    Run with:  dune exec examples/warmup_curve.exe *)
@@ -15,7 +15,8 @@ let () =
   in
   let cfg = Swala.Config.make ~n_nodes:4 ~seed () in
   let run ~warm =
-    let ts = Metrics.Timeseries.create ~window:5.0 in
+    (* 256 buckets of 5 s cover the roughly 120 s run without a merge. *)
+    let ts = Metrics.Timeline.create ~interval:5.0 () in
     let warmup cluster =
       if warm then begin
         (* Preload every distinct request, spread over the nodes. *)
@@ -36,7 +37,7 @@ let () =
     in
     let result =
       Swala.Cluster_runner.run cfg ~trace ~n_streams:16 ~warmup
-        ~observe:(fun ~time dt -> Metrics.Timeseries.add ts ~time dt)
+        ~observe:(fun ~time dt -> Metrics.Timeline.record ts ~time dt)
         ()
     in
     (ts, result)
@@ -52,8 +53,13 @@ let () =
     let cells = int_of_float (Float.round (40. *. v /. vmax)) in
     String.make (Stdlib.max 0 (Stdlib.min 40 cells)) '#'
   in
-  let cold_means = Metrics.Timeseries.bucket_means cold_ts in
-  let warm_means = Metrics.Timeseries.bucket_means warm_ts in
+  let means tl =
+    Array.map
+      (fun (b : Metrics.Timeline.bucket) -> b.Metrics.Timeline.mean)
+      (Metrics.Timeline.buckets tl)
+  in
+  let cold_means = means cold_ts in
+  let warm_means = means warm_ts in
   let vmax =
     Array.fold_left
       (fun acc v -> if Float.is_nan v then acc else Float.max acc v)

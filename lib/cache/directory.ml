@@ -22,9 +22,6 @@ type t = {
      exclusion correct. *)
   mutable extra_rd : int;
   mutable extra_wr : int;
-  orders : int array array;
-      (* orders.(self) is self followed by the other node ids in index
-         order — the probe chain, precomputed once at create. *)
   hints : (string, int) Hashtbl.t option;
       (* key -> bitmask of tables hinted to hold the key. Advisory only:
          a set bit may be stale (expired/deleted entry), a clear bit may
@@ -56,12 +53,6 @@ let create ?(granularity = Per_table) ?(lock_overhead = 2e-6) ?(scan_cost = 0.)
           });
     extra_rd = 0;
     extra_wr = 0;
-    orders =
-      Array.init nodes (fun self ->
-          Array.init nodes (fun i ->
-              if i = 0 then self
-              else if i <= self then i - 1
-              else i));
     hints = (if hints then Some (Hashtbl.create 256) else None);
     hint_saved = 0;
     hint_false = 0;
@@ -188,28 +179,32 @@ let find_live _ tbl now key =
 
 let probe t tbl ~now key = locked t tbl ~write:false find_live now key
 
-(* Scan the probe chain [order] from position [i], skipping any table
-   whose bit is set in [skip] (already probed). With [rehint], a hit's
-   table is hinted again — the repair after a false hint. *)
-let rec scan_order t order ~now key i ~skip ~rehint =
-  if i >= Array.length order then None
+(* Position [i] of [self]'s probe chain: [self] itself, then the other
+   node ids in index order. *)
+let probe_at ~self i = if i = 0 then self else if i <= self then i - 1 else i
+
+(* Scan [self]'s probe chain from position [i], skipping any table whose
+   bit is set in [skip] (already probed). With [rehint], a hit's table is
+   hinted again — the repair after a false hint. *)
+let rec scan_order t ~self ~now key i ~skip ~rehint =
+  if i >= Array.length t.tables then None
   else
-    let node = order.(i) in
+    let node = probe_at ~self i in
     if skip land (1 lsl node) <> 0 then
-      scan_order t order ~now key (i + 1) ~skip ~rehint
+      scan_order t ~self ~now key (i + 1) ~skip ~rehint
     else
       match probe t t.tables.(node) ~now key with
       | Some _ as hit ->
           if rehint then hint_add t ~node key;
           hit
-      | None -> scan_order t order ~now key (i + 1) ~skip ~rehint
+      | None -> scan_order t ~self ~now key (i + 1) ~skip ~rehint
 
 (* Probe only the hinted tables in [mask], in probe-chain order. On a hit
    we saved every un-hinted table that precedes it in the chain; if every
    hinted probe misses, the hint was false and the full scan (minus
    tables already probed) takes over. *)
-let rec scan_hinted t h order ~now key ~mask i probed =
-  if i >= Array.length order then begin
+let rec scan_hinted t h ~self ~now key ~mask i probed =
+  if i >= Array.length t.tables then begin
     t.hint_false <- t.hint_false + 1;
     (* Every hinted table was probed and missed, so the whole mask is
        stale (expired entries, or an owner change after a handoff). Drop
@@ -217,31 +212,30 @@ let rec scan_hinted t h order ~now key ~mask i probed =
        false-hint fallback again — and re-hint wherever the fallback scan
        finds the key now. *)
     Hashtbl.remove h key;
-    scan_order t order ~now key 0 ~skip:mask ~rehint:true
+    scan_order t ~self ~now key 0 ~skip:mask ~rehint:true
   end
   else
-    let node = order.(i) in
+    let node = probe_at ~self i in
     if mask land (1 lsl node) = 0 then
-      scan_hinted t h order ~now key ~mask (i + 1) probed
+      scan_hinted t h ~self ~now key ~mask (i + 1) probed
     else
       match probe t t.tables.(node) ~now key with
       | Some _ as hit ->
           t.hint_saved <- t.hint_saved + (i + 1 - (probed + 1));
           hit
-      | None -> scan_hinted t h order ~now key ~mask (i + 1) (probed + 1)
+      | None -> scan_hinted t h ~self ~now key ~mask (i + 1) (probed + 1)
 
 let lookup_from t ~self ~now key =
   check_node t self;
-  let order = t.orders.(self) in
   match t.hints with
-  | None -> scan_order t order ~now key 0 ~skip:0 ~rehint:false
+  | None -> scan_order t ~self ~now key 0 ~skip:0 ~rehint:false
   | Some h -> (
       match Hashtbl.find_opt h key with
       | None | Some 0 ->
           (* No hint: the key should be nowhere, but hints are advisory,
              so fall back to the full ordered scan. *)
-          scan_order t order ~now key 0 ~skip:0 ~rehint:false
-      | Some mask -> scan_hinted t h order ~now key ~mask 0 0)
+          scan_order t ~self ~now key 0 ~skip:0 ~rehint:false
+      | Some mask -> scan_hinted t h ~self ~now key ~mask 0 0)
 
 let lookup t ~now key = lookup_from t ~self:0 ~now key
 

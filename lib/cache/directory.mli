@@ -60,8 +60,8 @@ val lookup : t -> now:float -> string -> Meta.t option
 
 (** [lookup_from t ~self ~now key] probes [self]'s table first, then the
     others in index order — preferring a local hit over a remote one. The
-    probe order is precomputed per node at {!create} time, so the chain
-    allocates nothing. With [hints] enabled only hinted tables are
+    probe order is computed position by position, so the chain stores
+    and allocates nothing. With [hints] enabled only hinted tables are
     probed, falling back to the full scan when the hint set is empty or
     every hinted probe misses. A fully false hint (every hinted probe
     missed — the entries expired, or the owner changed under the key)

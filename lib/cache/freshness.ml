@@ -5,11 +5,10 @@
    different rates — argues for per-key control, the trade-off formalised
    in "An Optimal Trade-off between Content Freshness and Refresh Cost"
    (PAPERS.md). This module implements the controller: it observes, per
-   cache key, the access rate (the same two-bucket sliding-window
-   estimator as {!Hotspot}), the recompute rate (EWMA of the gap between
-   successive inserts of the key) and the recompute cost (EWMA of the
-   measured CGI execution time), and picks the TTL minimising the
-   steady-state cost rate
+   cache key, the access rate (a Rate counter, the estimator Hotspot also
+   uses), the recompute rate (EWMA of the gap between successive inserts
+   of the key) and the recompute cost (EWMA of the measured CGI execution
+   time), and picks the TTL minimising the steady-state cost rate
 
      J(T) = penalty * lambda * T / 2  +  cost / T
 
@@ -47,10 +46,7 @@ let mode_of_string = function
 let ewma_alpha = 0.3
 
 type key_state = {
-  (* two-bucket sliding-window access counter (see Hotspot) *)
-  mutable start : float;
-  mutable cur : int;
-  mutable prev : int;
+  accesses : Rate.t;
   (* recompute tracking *)
   mutable last_insert : float option;
   mutable gap_ewma : float option;  (* mean seconds between inserts *)
@@ -62,8 +58,7 @@ type t = {
   min_ttl : float;
   max_ttl : float;
   penalty : float;
-  window : float;
-  half : float;
+  window : Rate.window;
   keys : (string, key_state) Hashtbl.t;
 }
 
@@ -78,8 +73,7 @@ let create ~min_ttl ~max_ttl ~penalty ~window () =
     min_ttl;
     max_ttl;
     penalty;
-    window;
-    half = window /. 2.;
+    window = Rate.window window;
     keys = Hashtbl.create 256;
   }
 
@@ -89,9 +83,7 @@ let state t ~now key =
   | None ->
       let s =
         {
-          start = now;
-          cur = 0;
-          prev = 0;
+          accesses = Rate.create ~now;
           last_insert = None;
           gap_ewma = None;
           cost_ewma = None;
@@ -101,30 +93,9 @@ let state t ~now key =
       Hashtbl.replace t.keys key s;
       s
 
-(* Roll the buckets forward so [s.start] is within [half] of [now]. *)
-let advance t s ~now =
-  if now -. s.start >= t.half then
-    if now -. s.start >= 2. *. t.half then begin
-      s.prev <- 0;
-      s.cur <- 0;
-      s.start <- now
-    end
-    else begin
-      s.prev <- s.cur;
-      s.cur <- 0;
-      s.start <- s.start +. t.half
-    end
-
-let rate t s ~now =
-  advance t s ~now;
-  let elapsed = now -. s.start in
-  let overlap = Float.max 0. ((t.half -. elapsed) /. t.half) in
-  ((float_of_int s.prev *. overlap) +. float_of_int s.cur) /. t.window
-
 let observe_access t ~now key =
   let s = state t ~now key in
-  advance t s ~now;
-  s.cur <- s.cur + 1
+  Rate.note t.window s.accesses ~now
 
 let observe_insert t ~now ~cost key =
   let s = state t ~now key in
@@ -145,16 +116,8 @@ let observe_insert t ~now ~cost key =
       | Some c -> ((1. -. ewma_alpha) *. c) +. (ewma_alpha *. cost));
   s.inserts <- s.inserts + 1
 
-let access_rate t ~now key =
-  match Hashtbl.find_opt t.keys key with
-  | None -> 0.
-  | Some s -> rate t s ~now
-
 let update_interval t key =
   match Hashtbl.find_opt t.keys key with None -> None | Some s -> s.gap_ewma
-
-let observed_cost t key =
-  match Hashtbl.find_opt t.keys key with None -> None | Some s -> s.cost_ewma
 
 let clamp t v = Float.min t.max_ttl (Float.max t.min_ttl v)
 
@@ -171,7 +134,9 @@ let ttl t ~now ~cost key =
   (* The access triggering this very recomputation is evidence of at
      least one access per window, so the rate is floored there; without
      the floor a first-seen key would get max_ttl unconditionally. *)
-  let lambda = Float.max (1. /. t.window) (rate t s ~now) in
+  let lambda =
+    Float.max (1. /. Rate.width t.window) (Rate.rate t.window s.accesses ~now)
+  in
   clamp t (sqrt (2. *. c /. (t.penalty *. lambda)))
 
 (* Rule overrides beat per-script TTLs beat the server-wide layer — the
@@ -189,16 +154,16 @@ let sweep t ~now =
   let dead =
     Hashtbl.fold
       (fun key s acc ->
-        (* Roll the buckets to [now] first: a fully-out-of-window state
-           zeroes both counts, leaving stale counts in place would keep
-           every once-accessed key alive forever. *)
-        advance t s ~now;
         let cold_insert =
           match s.last_insert with
           | None -> true
-          | Some at -> now -. at >= 2. *. t.window
+          | Some at -> now -. at >= 2. *. Rate.width t.window
         in
-        if s.cur = 0 && s.prev = 0 && cold_insert then key :: acc else acc)
+        (* [quiet] rolls the buckets to [now] first: a fully-out-of-window
+           state zeroes both counts, leaving stale counts in place would
+           keep every once-accessed key alive forever. *)
+        if Rate.quiet t.window s.accesses ~now && cold_insert then key :: acc
+        else acc)
       t.keys []
   in
   List.iter (Hashtbl.remove t.keys) dead;

@@ -3,7 +3,7 @@
     Replaces the single fixed [Config.default_ttl] with a per-key TTL
     balancing staleness risk against recompute cost ("An Optimal
     Trade-off between Content Freshness and Refresh Cost", PAPERS.md).
-    Per key it tracks the access rate (two-bucket sliding window, as in
+    Per key it tracks the access rate (a {!Rate} counter, as in
     {!Hotspot}), the recompute rate (EWMA of inter-insert gaps) and the
     recompute cost (EWMA of measured execution times), and emits
 
@@ -47,18 +47,10 @@ val observe_insert : t -> now:float -> cost:float -> string -> unit
     as the rate floor. *)
 val ttl : t -> now:float -> cost:float -> string -> float
 
-(** [access_rate t ~now key] is the current sliding-window estimate,
-    [0.] for untracked keys. *)
-val access_rate : t -> now:float -> string -> float
-
 (** [update_interval t key] is the EWMA of gaps between successive
     inserts of [key] — the key's observed recompute period ([None]
     before the second insert). *)
 val update_interval : t -> string -> float option
-
-(** [observed_cost t key] is the cost EWMA ([None] before the first
-    insert). *)
-val observed_cost : t -> string -> float option
 
 (** [effective_ttl ~rule ~script ~default] is the TTL layer precedence
     shared by both freshness modes: a {!Rules} override beats the

@@ -1,32 +1,16 @@
 (* Sliding-window hotspot detector, run by each shard home over the
-   forwarded lookups it serves.
-
-   Per key, two adjacent half-window buckets approximate a true sliding
-   window: the estimated rate at time [now] is
-
-     (prev * overlap + cur) / window
-
-   where [overlap] is the fraction of the sliding window still covered
-   by the previous bucket. This is the classic two-bucket estimator —
-   O(1) per observation, no per-event timestamps — and is exact for
-   steady arrivals while reacting within one half-window to bursts.
+   forwarded lookups it serves. Each key's lookup rate is a Rate counter
+   (two-bucket sliding window).
 
    Hysteresis: a key promotes when its rate reaches [threshold] and
    demotes (in [sweep]) only when it falls below [threshold / 2], so a
    key oscillating around the threshold does not flap its replica set
    with every bucket turn. *)
 
-type counter = {
-  mutable start : float;  (* start of the current half-window bucket *)
-  mutable cur : int;
-  mutable prev : int;
-}
-
 type t = {
   threshold : float;  (* lookups/s; > 0 *)
-  window : float;
-  half : float;
-  keys : (string, counter) Hashtbl.t;
+  window : Rate.window;
+  keys : (string, Rate.t) Hashtbl.t;
   hot : (string, unit) Hashtbl.t;
   mutable promotions : int;
   mutable demotions : int;
@@ -38,48 +22,25 @@ let create ~threshold ~window =
   if window <= 0. then invalid_arg "Hotspot.create: window must be positive";
   {
     threshold;
-    window;
-    half = window /. 2.;
+    window = Rate.window window;
     keys = Hashtbl.create 64;
     hot = Hashtbl.create 16;
     promotions = 0;
     demotions = 0;
   }
 
-(* Roll the buckets forward so [c.start] is within [half] of [now]. *)
-let advance t c ~now =
-  if now -. c.start >= t.half then begin
-    if now -. c.start >= 2. *. t.half then begin
-      (* Both buckets are entirely in the past. *)
-      c.prev <- 0;
-      c.cur <- 0;
-      c.start <- now
-    end
-    else begin
-      c.prev <- c.cur;
-      c.cur <- 0;
-      c.start <- c.start +. t.half
-    end
-  end
-
-let rate t c ~now =
-  advance t c ~now;
-  let elapsed = now -. c.start in
-  let overlap = Float.max 0. ((t.half -. elapsed) /. t.half) in
-  ((float_of_int c.prev *. overlap) +. float_of_int c.cur) /. t.window
-
 let record t ~now key =
   let c =
     match Hashtbl.find_opt t.keys key with
     | Some c -> c
     | None ->
-        let c = { start = now; cur = 0; prev = 0 } in
+        let c = Rate.create ~now in
         Hashtbl.replace t.keys key c;
         c
   in
-  advance t c ~now;
-  c.cur <- c.cur + 1;
-  if (not (Hashtbl.mem t.hot key)) && rate t c ~now >= t.threshold then begin
+  Rate.note t.window c ~now;
+  if (not (Hashtbl.mem t.hot key)) && Rate.rate t.window c ~now >= t.threshold
+  then begin
     Hashtbl.replace t.hot key ();
     t.promotions <- t.promotions + 1;
     `Promoted
@@ -95,7 +56,8 @@ let sweep t ~now =
         match Hashtbl.find_opt t.keys key with
         | None -> key :: acc
         | Some c ->
-            if rate t c ~now < t.threshold /. 2. then key :: acc else acc)
+            if Rate.rate t.window c ~now < t.threshold /. 2. then key :: acc
+            else acc)
       t.hot []
   in
   let cooled = List.sort compare cooled in
@@ -109,8 +71,8 @@ let sweep t ~now =
   let dead =
     Hashtbl.fold
       (fun key c acc ->
-        if (not (Hashtbl.mem t.hot key)) && now -. c.start >= 2. *. t.half
-        then key :: acc
+        if (not (Hashtbl.mem t.hot key)) && Rate.lapsed t.window c ~now then
+          key :: acc
         else acc)
       t.keys []
   in
@@ -131,5 +93,4 @@ let clear t =
   Hashtbl.reset t.hot
 
 let hot_count t = Hashtbl.length t.hot
-let hot_keys t = List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) t.hot [])
 let stats t = (t.promotions, t.demotions)

@@ -1,12 +1,11 @@
 (** Sliding-window hotspot detector for the sharded metadata plane (see
-    {!Metadata_plane} and docs/METADATA_PLANE.md).
+    docs/METADATA_PLANE.md).
 
     Each shard home records the forwarded lookups it serves per key in a
-    two-bucket sliding-window rate estimator (O(1) per observation, no
-    per-event timestamps). A key whose rate reaches the promotion
-    threshold is {e hot}: the server pushes its directory entry to k
-    ring successors so their local probes answer without forwarding. A
-    hot key is demoted by {!sweep} only once its rate falls below {e
+    {!Rate} counter (O(1) per observation, no per-event timestamps). A
+    key whose rate reaches the promotion threshold is {e hot}: the server
+    pushes its directory entry to k ring successors so their local probes
+    answer without forwarding. A hot key is demoted by {!sweep} only once its rate falls below {e
     half} the threshold — promote-at-T / demote-at-T/2 hysteresis, so a
     key hovering at the threshold does not flap its replica set.
 
@@ -46,9 +45,6 @@ val clear : t -> unit
 
 (** [hot_count t] is the number of currently promoted keys. *)
 val hot_count : t -> int
-
-(** [hot_keys t] lists the promoted keys, sorted. *)
-val hot_keys : t -> string list
 
 (** [stats t] is cumulative [(promotions, demotions)]. *)
 val stats : t -> int * int

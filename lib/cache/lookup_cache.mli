@@ -1,5 +1,5 @@
 (** Per-node positive/negative cache fronting forwarded directory
-    lookups (sharded metadata plane, see {!Metadata_plane}).
+    lookups (sharded metadata plane, see docs/METADATA_PLANE.md).
 
     A node that is not a key's shard home must cross the network to learn
     who caches the key. This small TTL-bounded cache remembers recent

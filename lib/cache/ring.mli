@@ -1,6 +1,5 @@
 (** Consistent-hash ring with virtual nodes — the key→shard-home mapping
-    of the sharded metadata plane (see {!Metadata_plane} and
-    docs/METADATA_PLANE.md).
+    of the sharded metadata plane (see docs/METADATA_PLANE.md).
 
     Each physical node contributes [vnodes] points to a 62-bit hash
     circle; a key is homed at the physical node owning the first point

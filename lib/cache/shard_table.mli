@@ -1,4 +1,5 @@
-(** One node's partition of the sharded directory (see {!Metadata_plane}).
+(** One node's partition of the sharded directory (see
+    docs/METADATA_PLANE.md).
 
     Where the replicated {!Directory} keeps one table per cluster node on
     every node, a shard table is a single key→meta map holding only the

@@ -1,5 +1,5 @@
-let info ?(should_abort = fun () -> false) ?(span = 0) net endpoints ~src msg =
-  let bytes = Msg.info_bytes msg in
+let info ?(should_abort = fun () -> false) ?(span = 0) net inboxes ~src ~bytes
+    msg =
   let sent = ref 0 in
   (* The fan-out pays one NIC transmission per peer, so simulated time
      passes between sends — a crash event can land mid-loop. Checking the
@@ -8,64 +8,33 @@ let info ?(should_abort = fun () -> false) ?(span = 0) net endpoints ~src msg =
      it (as opposed to the network dropping the remaining sends, which
      would count as drops). *)
   (try
-     Array.iter
-       (fun (ep : Endpoint.t) ->
+     Array.iteri
+       (fun dst inbox ->
          if should_abort () then raise Exit;
-         if ep.Endpoint.node <> src then begin
-           Sim.Net.send net ~src ~dst:ep.Endpoint.node ~bytes
-             ep.Endpoint.info_mb
+         if dst <> src then begin
+           Sim.Net.send net ~src ~dst ~bytes inbox
              { Msg.info = msg; ack = None; span };
            incr sent
          end)
-       endpoints
+       inboxes
    with Exit -> ());
   !sent
 
-let info_sync ?(span = 0) net endpoints ~src msg =
-  let bytes = Msg.info_bytes msg in
+let info_sync ?(span = 0) net inboxes ~src ~bytes msg =
   let ack = Sim.Mailbox.create () in
   let sent = ref 0 in
-  Array.iter
-    (fun (ep : Endpoint.t) ->
-      if ep.Endpoint.node <> src then begin
-        Sim.Net.send net ~src ~dst:ep.Endpoint.node ~bytes ep.Endpoint.info_mb
+  Array.iteri
+    (fun dst inbox ->
+      if dst <> src then begin
+        Sim.Net.send net ~src ~dst ~bytes inbox
           { Msg.info = msg; ack = Some (src, ack); span };
         incr sent
       end)
-    endpoints;
+    inboxes;
   for _ = 1 to !sent do
     Sim.Mailbox.recv ack
   done;
   !sent
-
-let info_to ?(span = 0) net endpoints ~src ~dst msg =
-  match
-    Array.find_opt (fun (ep : Endpoint.t) -> ep.Endpoint.node = dst) endpoints
-  with
-  | None -> invalid_arg "Broadcast.info_to: unknown destination endpoint"
-  | Some ep ->
-      Sim.Net.send net ~src ~dst ~bytes:(Msg.info_bytes msg) ep.Endpoint.info_mb
-        { Msg.info = msg; ack = None; span }
-
-let lookup net endpoints ~src ~home req =
-  match
-    Array.find_opt (fun (ep : Endpoint.t) -> ep.Endpoint.node = home) endpoints
-  with
-  | None -> invalid_arg "Broadcast.lookup: unknown home endpoint"
-  | Some ep ->
-      Sim.Net.send net ~src ~dst:home
-        ~bytes:(Msg.lookup_request_bytes req)
-        ep.Endpoint.lookup_mb req
-
-let sync net endpoints ~src ~peer req =
-  match
-    Array.find_opt (fun (ep : Endpoint.t) -> ep.Endpoint.node = peer) endpoints
-  with
-  | None -> invalid_arg "Broadcast.sync: unknown peer endpoint"
-  | Some ep ->
-      Sim.Net.send net ~src ~dst:peer
-        ~bytes:(Msg.sync_request_bytes req)
-        ep.Endpoint.sync_mb req
 
 let fetch net endpoints ~src ~owner req =
   match

@@ -5,11 +5,12 @@
     inter-node consistency protocol (no two-phase commit, no global locks;
     replicas may briefly diverge, producing false hits/misses). *)
 
-(** [info ?should_abort net endpoints ~src msg] transmits [msg] from node
-    [src] to every other endpoint (in endpoint order), fire-and-forget.
-    The caller's simulated thread pays the (tiny) NIC transmission times;
-    deliveries happen after the network latency. Returns the number of
-    peers actually messaged.
+(** [info ?should_abort net inboxes ~src ~bytes msg] transmits [msg]
+    ([bytes] on the wire) from node [src] to every other node's info
+    receiver, fire-and-forget. [inboxes.(i)] is node [i]'s info mailbox;
+    peers are messaged in node order. The caller's simulated thread pays
+    the (tiny) NIC transmission times; deliveries happen after the
+    network latency. Returns the number of peers actually messaged.
 
     [should_abort] (default: never) is consulted before each per-peer
     send; once it returns [true] the remaining peers are skipped. The
@@ -24,41 +25,25 @@
 val info :
   ?should_abort:(unit -> bool) ->
   ?span:int ->
-  Sim.Net.t -> Endpoint.t array -> src:int -> Msg.info -> int
+  Sim.Net.t ->
+  'u Msg.info_envelope Sim.Mailbox.t array ->
+  src:int ->
+  bytes:int ->
+  'u ->
+  int
 
-(** [info_to net endpoints ~src ~dst msg] unicasts one directory update
-    to [dst]'s info receiver — the sharded plane's point-to-point
-    announcement path (an insert/delete travels to the key's shard home
-    only, instead of fanning out to every peer). Fire-and-forget, same
-    envelope and receiver daemon as {!info}. Must run in a process.
-    [span] as in {!info}. *)
-val info_to :
-  ?span:int ->
-  Sim.Net.t -> Endpoint.t array -> src:int -> dst:int -> Msg.info -> unit
-
-(** [lookup net endpoints ~src ~home req] sends a forwarded directory
-    lookup to [home]'s lookup server (sharded plane). The reply arrives
-    in [req.lreply]; on timeout the requester abandons the mailbox and
-    executes locally. Must run in a process. *)
-val lookup :
-  Sim.Net.t -> Endpoint.t array -> src:int -> home:int ->
-  Msg.lookup_request -> unit
-
-(** [sync net endpoints ~src ~peer req] sends one anti-entropy digest
-    exchange request to [peer]'s sync responder. Fire-and-forget like
-    {!info}; the reply (if the peer is up and reachable) arrives in
-    [req.sync_reply]. Must run in a process. *)
-val sync :
-  Sim.Net.t -> Endpoint.t array -> src:int -> peer:int ->
-  Msg.sync_request -> unit
-
-(** [info_sync net endpoints ~src msg] sends [msg] with acknowledgement
-    requests and blocks until every peer has applied it — the strong
-    protocol of the consistency ablation. Returns the number of peers.
-    [span] as in {!info}. *)
+(** [info_sync net inboxes ~src ~bytes msg] sends [msg] with
+    acknowledgement requests and blocks until every peer has applied it —
+    the strong protocol of the consistency ablation. Returns the number of
+    peers. [span] as in {!info}. *)
 val info_sync :
   ?span:int ->
-  Sim.Net.t -> Endpoint.t array -> src:int -> Msg.info -> int
+  Sim.Net.t ->
+  'u Msg.info_envelope Sim.Mailbox.t array ->
+  src:int ->
+  bytes:int ->
+  'u ->
+  int
 
 (** [fetch net endpoints ~src ~owner req] sends a data-fetch request to
     [owner]'s data server. *)

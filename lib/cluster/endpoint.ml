@@ -1,6 +1,5 @@
 type t = {
   node : int;
-  info_mb : Msg.info_envelope Sim.Mailbox.t;
   data_mb : Msg.fetch_request Sim.Mailbox.t;
   sync_mb : Msg.sync_request Sim.Mailbox.t;
   lookup_mb : Msg.lookup_request Sim.Mailbox.t;
@@ -9,14 +8,12 @@ type t = {
 let make ~node =
   {
     node;
-    info_mb = Sim.Mailbox.create ();
     data_mb = Sim.Mailbox.create ();
     sync_mb = Sim.Mailbox.create ();
     lookup_mb = Sim.Mailbox.create ();
   }
 
 let backlog t =
-  Sim.Mailbox.length t.info_mb
-  + Sim.Mailbox.length t.data_mb
+  Sim.Mailbox.length t.data_mb
   + Sim.Mailbox.length t.sync_mb
   + Sim.Mailbox.length t.lookup_mb

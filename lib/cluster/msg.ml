@@ -1,12 +1,5 @@
-type info =
-  | Insert of Cache.Meta.t
-  | Delete of { node : int; key : string }
-  | Batch of info list
-  | Promote of Cache.Meta.t
-  | Demote of { key : string }
-
-type info_envelope = {
-  info : info;
+type 'u info_envelope = {
+  info : 'u;
   ack : (int * unit Sim.Mailbox.t) option;
   span : int;
 }
@@ -45,16 +38,47 @@ type sync_request = {
 (* Wire-size estimates: key text plus a fixed envelope. *)
 let envelope = 64
 
-(* Per-update payload, without the envelope. A batch shares one envelope
-   across its updates; each update then costs a 12-byte sub-header plus
-   its body, so [info_bytes] amortizes the fixed cost. *)
-let rec info_body = function
-  | Insert meta | Promote meta -> String.length meta.Cache.Meta.key + 40
-  | Delete { key; _ } | Demote { key } -> String.length key
-  | Batch updates ->
-      List.fold_left (fun acc u -> acc + 12 + info_body u) 0 updates
+module Replicated = struct
+  type one = [ `One ]
+  type any = [ `Any ]
 
-let info_bytes i = envelope + info_body i
+  type _ t =
+    | Insert : Cache.Meta.t -> 'k t
+    | Delete : { node : int; key : string } -> 'k t
+    | Batch : one t list -> any t
+
+  (* Per-update payload, without the envelope. A batch shares one
+     envelope across its updates; each update then costs a 12-byte
+     sub-header plus its body, so [bytes] amortizes the fixed cost. *)
+  let rec body : type k. k t -> int = function
+    | Insert meta -> String.length meta.Cache.Meta.key + 40
+    | Delete { key; _ } -> String.length key
+    | Batch updates ->
+        List.fold_left (fun acc u -> acc + 12 + body u) 0 updates
+
+  let bytes u = envelope + body u
+
+  let updates : type k. k t -> int = function
+    | Insert _ | Delete _ -> 1
+    | Batch l -> List.length l
+end
+
+module Sharded = struct
+  type t =
+    | Insert of Cache.Meta.t
+    | Delete of { node : int; key : string }
+    | Promote of Cache.Meta.t
+    | Demote of { key : string }
+
+  let bytes = function
+    | Insert meta | Promote meta ->
+        envelope + String.length meta.Cache.Meta.key + 40
+    | Delete { key; _ } | Demote { key } -> envelope + String.length key
+
+  let key = function
+    | Insert m | Promote m -> m.Cache.Meta.key
+    | Delete { key; _ } | Demote { key } -> key
+end
 
 let fetch_request_bytes { key; _ } = envelope + String.length key
 

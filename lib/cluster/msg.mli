@@ -1,42 +1,74 @@
 (** Inter-node protocol messages (paper §4.1-4.2).
 
     Three daemon threads per node consume these: the info receiver applies
-    {!info} broadcasts to the local directory replica, the data server
+    directory updates to the node's metadata plane, the data server
     answers {!fetch_request}s, and the purge thread originates [Delete]
     broadcasts for expired entries. *)
 
-(** Directory maintenance traffic. Under the replicated metadata plane,
-    [Insert]/[Delete] are broadcast after local inserts/deletes, and
-    [Batch] carries several coalesced updates under one shared envelope
-    (Nagle-style batching, see [Core.Server]); receivers apply the
-    updates in list order, so a later update to the same key wins.
-
-    Under the sharded plane the same channel carries point-to-point
-    announcements instead: [Insert]/[Delete] travel only to the key's
-    shard home, and [Promote]/[Demote] are the hotspot-replication
-    control messages a home sends its replica set — [Promote] pushes a
-    hot key's entry to a ring successor, [Demote] retracts it once the
-    key cools. The replicated plane never sends [Promote]/[Demote]. *)
-type info =
-  | Insert of Cache.Meta.t
-  | Delete of { node : int; key : string }
-  | Batch of info list
-  | Promote of Cache.Meta.t
-  | Demote of { key : string }
-
-(** What actually travels on the info channel. Under the paper's weak
+(** What actually travels on the info channel: one update of the
+    metadata plane's own type (below), so a receiver can only be handed
+    updates its plane sends. Under the paper's weak
     protocol [ack] is [None] (fire-and-forget); the synchronous-consistency
     ablation sets it to [(sender, mailbox)], and the receiver acknowledges
     over the network after applying the update, letting the sender block
     until every replica is consistent — the "variation of a two-phase
     commit" §4.2 rejects as too expensive. *)
-type info_envelope = {
-  info : info;
+type 'u info_envelope = {
+  info : 'u;
   ack : (int * unit Sim.Mailbox.t) option;  (** (sender endpoint, inbox) *)
   span : int;
       (** originating span id for causal tracing ([0] = untraced); carries
           no simulated bytes — it models nothing the 1998 protocol sent *)
 }
+
+(** Replicated-plane updates, broadcast to every peer after local inserts
+    and deletes: an insert, a delete, or a flat batch of those. [Batch]
+    carries several coalesced updates under one shared envelope
+    (Nagle-style batching, see [Core.Replicated_plane]); receivers apply
+    them in list order, so a later update to the same key wins.
+
+    The index says whether a value may be a batch: [Insert] and [Delete]
+    are both [one t] and [any t], [Batch] is only [any t] and holds
+    [one t]s, so batches cannot nest. The info channel carries
+    [any t]. *)
+module Replicated : sig
+  type one = [ `One ]
+  type any = [ `Any ]
+
+  type _ t =
+    | Insert : Cache.Meta.t -> 'k t
+    | Delete : { node : int; key : string } -> 'k t
+    | Batch : one t list -> any t
+
+  (** [bytes u] is the approximate wire size. A [Batch] pays one envelope
+      plus a 12-byte sub-header per update, so batching amortizes the
+      fixed per-message cost. *)
+  val bytes : _ t -> int
+
+  (** [updates u] is how many updates [u] carries: 1, or a batch's
+      length. *)
+  val updates : _ t -> int
+end
+
+(** Sharded-plane updates: point-to-point announcements on the info
+    channel. [Insert]/[Delete] travel only to the key's shard home, and
+    [Promote]/[Demote] are the hotspot-replication control messages a
+    home sends its replica set — [Promote] pushes a hot key's entry to a
+    ring successor, [Demote] retracts it once the key cools. *)
+module Sharded : sig
+  type t =
+    | Insert of Cache.Meta.t
+    | Delete of { node : int; key : string }
+    | Promote of Cache.Meta.t
+    | Demote of { key : string }
+
+  (** [bytes u] is the approximate wire size, priced like the replicated
+      plane's bare updates. *)
+  val bytes : t -> int
+
+  (** [key u] is the cache key the update is about. *)
+  val key : t -> string
+end
 
 (** Reply to a remote-cache fetch. [Miss] is the protocol's "false hit"
     outcome: the entry was deleted at the owner after the requester looked
@@ -103,10 +135,7 @@ type sync_request = {
   span : int;  (** originating span id for causal tracing; [0] = untraced *)
 }
 
-(** Approximate wire sizes, used to charge the network model. A [Batch]
-    pays one envelope plus a 12-byte sub-header per update, so batching
-    amortizes the fixed per-message cost. *)
-val info_bytes : info -> int
+(** Approximate wire sizes, used to charge the network model. *)
 
 (** [fetch_request_bytes r] is the request's approximate wire size. *)
 val fetch_request_bytes : fetch_request -> int
@@ -128,5 +157,5 @@ val fetch_reply_bytes : fetch_reply -> int
 val sync_request_bytes : sync_request -> int
 
 (** [sync_reply_bytes r] is the pull reply's size: each shipped meta costs
-    its key plus a fixed record, mirroring [info_bytes]. *)
+    its key plus a fixed record, mirroring {!Replicated.bytes}. *)
 val sync_reply_bytes : sync_reply -> int

@@ -197,15 +197,12 @@ let run_with cfg ~trace ~n_streams ?warmup ?(assign = fun s -> s mod cfg.Config.
      runs with hints on report them alongside everything else (absent
      when zero, keeping hint-less counter sets unchanged). Same for the
      sharded plane's lookup-cache outcomes. *)
-  Server.record_hint_stats cluster;
-  Server.record_shard_stats cluster;
+  Server.record_plane_stats cluster;
   (* Per-node metadata footprint at run end: replica size (replicated)
      or shard partition + lookup cache (sharded) — the memory metric and
      load-balance diagnostic of the dirmode ablation. *)
   let dir_entries =
-    Array.init (Server.n_nodes cluster) (fun i ->
-        Cache.Metadata_plane.entries
-          (Server.node_plane (Server.node cluster i)))
+    Array.init (Server.n_nodes cluster) (Server.dir_entries cluster)
   in
   let shard_imbalance =
     let h =
@@ -263,10 +260,7 @@ let run_with cfg ~trace ~n_streams ?warmup ?(assign = fun s -> s mod cfg.Config.
     dir_locks =
       (let rd = ref 0 and wr = ref 0 in
        for i = 0 to Server.n_nodes cluster - 1 do
-         let r, w =
-           Cache.Metadata_plane.lock_acquisitions
-             (Server.node_plane (Server.node cluster i))
-         in
+         let r, w = Server.dir_lock_acquisitions cluster i in
          rd := !rd + r;
          wr := !wr + w
        done;

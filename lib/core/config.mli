@@ -31,7 +31,8 @@ val consistency_to_string : consistency -> string
     ring: each key has one home node, updates are point-to-point
     announcements to the home, and lookups from other nodes are forwarded
     over the network (with a small positive/negative lookup cache in
-    front). See [Cache.Metadata_plane] and docs/METADATA_PLANE.md. *)
+    front). See {!Replicated_plane}, {!Sharded_plane} and
+    docs/METADATA_PLANE.md. *)
 type dir_mode = Replicated | Sharded
 
 val dir_mode_to_string : dir_mode -> string

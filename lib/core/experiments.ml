@@ -230,7 +230,11 @@ let table4_run ~seed ~ups ~n_requests =
         trace;
       done_ := true;
       Server.stop cluster);
-  if ups > 0 then
+  (* The pseudo-server injects the replicated plane's updates, the plane
+     the configuration above selects. *)
+  (match Server.plane cluster with
+  | Server.Replicated plane when ups > 0 ->
+    let inbox = Replicated_plane.info_mailbox plane 0 in
     Sim.Engine.spawn engine (fun () ->
         let period = 1. /. float_of_int ups in
         let k = ref 0 in
@@ -246,13 +250,17 @@ let table4_run ~seed ~ups ~n_requests =
                 ~expires:None
             in
             Sim.Net.post (Server.net cluster) ~src:(1 + (!k mod 7)) ~dst:0
-              ~bytes:128
-              (Server.node_info_mailbox (Server.node cluster 0))
-              { Cluster.Msg.info = Cluster.Msg.Insert meta; ack = None; span = 0 };
+              ~bytes:128 inbox
+              {
+                Cluster.Msg.info = Cluster.Msg.Replicated.Insert meta;
+                ack = None;
+                span = 0;
+              };
             loop ()
           end
         in
-        loop ());
+        loop ())
+  | Server.Replicated _ | Server.Local | Server.Sharded _ -> ());
   Sim.Engine.run engine;
   let counters = Server.node_counters (Server.node cluster 0) in
   ( Metrics.Sample.mean sample,

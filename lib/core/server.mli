@@ -6,9 +6,12 @@
     - the {b HTTP module}: a pool of request threads taking turns on the
       node's listen mailbox, each owning a request from parse to completion
       (Figure 2's control flow);
-    - the {b cacher module}: an info receiver applying broadcast directory
-      updates, a data server answering remote fetches (one thread spawned
-      per fetch), and a purge thread deleting expired entries.
+    - the {b cacher module}: an info receiver applying directory updates,
+      a data server answering remote fetches (one thread spawned per
+      fetch), and a purge thread deleting expired entries.
+
+    Who caches what is the business of the metadata plane ({!Plane.S})
+    that {!create_cluster} chooses once per cluster (see {!plane}).
 
     The same machinery runs the baselines: [Config.cache_mode = Disabled]
     is the no-cache server, [Standalone] caches without any inter-node
@@ -105,22 +108,27 @@ val node : cluster -> int -> t
 
 val node_counters : t -> Metrics.Counter.t
 val node_store : t -> Cache.Store.t
-
-(** [node_directory nd] is the node's full directory replica. Only
-    meaningful under [Config.dir_mode = Replicated]; raises
-    [Invalid_argument] on a sharded node (use {!node_plane} there). *)
-val node_directory : t -> Cache.Directory.t
-
-(** [node_plane nd] is the node's metadata-plane state in either mode —
-    unpack it with [Cache.Metadata_plane.directory]/[shard], or use the
-    mode-agnostic [entries]/[lock_acquisitions] accessors. *)
-val node_plane : t -> Cache.Metadata_plane.t
-
 val node_cpu : t -> Sim.Cpu.t
 
-(** [node_info_mailbox nd] is the mailbox the node's info receiver consumes;
-    exposed so the Table-4 pseudo-server can inject directory updates. *)
-val node_info_mailbox : t -> Cluster.Msg.info_envelope Sim.Mailbox.t
+(** The metadata plane {!create_cluster} chose: [Local] for no-cache and
+    standalone clusters, otherwise the [Config.dir_mode] plane. *)
+type plane =
+  | Local
+  | Replicated of Replicated_plane.t
+  | Sharded of Sharded_plane.t
+
+(** [plane cluster] is the cluster's metadata plane, for tests and
+    experiments that inspect or feed it directly. *)
+val plane : cluster -> plane
+
+(** [dir_entries cluster i] is node [i]'s metadata footprint in entries:
+    its whole replica (replicated), its shard partition plus lookup cache
+    (sharded), or [0] (no directory). *)
+val dir_entries : cluster -> int -> int
+
+(** [dir_lock_acquisitions cluster i] is node [i]'s cumulative (read,
+    write) directory lock acquisitions; [(0, 0)] without a directory. *)
+val dir_lock_acquisitions : cluster -> int -> int * int
 
 (** [tracer cluster] is the causal tracer when [Config.trace] is set.
     Request-thread, daemon and client spans land here; export it with
@@ -210,7 +218,7 @@ module K : sig
       metadata message count in either mode; [dir_lookup_timeouts] are
       forwards abandoned because the home was down or partitioned away.
       [lcache_*] are the lookup cache's outcomes, folded in by
-      {!record_shard_stats}. *)
+      {!record_plane_stats}. *)
   val shard_local_lookups : string
   val shard_fwd_lookups : string
   val shard_replica_hits : string
@@ -248,17 +256,12 @@ module K : sig
   val stale_served : string
 end
 
-(** [record_hint_stats cluster] folds each node's directory hint
-    statistics into its counters ({!K.hint_probes_saved}/{!K.hint_false},
-    only when nonzero). Call once, after the run, before reading
-    counters; the cluster runner does this. No-op on the sharded plane. *)
-val record_hint_stats : cluster -> unit
-
-(** [record_shard_stats cluster] folds each node's lookup-cache outcomes
-    into its counters ({!K.lcache_pos_hits} etc., only when nonzero).
-    Call once, after the run, like {!record_hint_stats}; no-op on the
-    replicated plane. *)
-val record_shard_stats : cluster -> unit
+(** [record_plane_stats cluster] folds the plane's host-side statistics
+    into the node counters: directory hint outcomes
+    ({!K.hint_probes_saved}/{!K.hint_false}) or lookup-cache outcomes
+    ({!K.lcache_pos_hits} etc.), each only when nonzero. Call once, after
+    the run, before reading counters; the cluster runner does this. *)
+val record_plane_stats : cluster -> unit
 
 (** [hit_latency cluster] is the sample of cooperative cache-hit service
     times (seconds from directory-lookup start to response sent), across

@@ -30,19 +30,19 @@ let meta ?(owner = 0) ?(size = 100) ?(created = 0.) ?expires key =
 (* Wire accounting: a batch shares one envelope *)
 
 let test_batch_bytes () =
-  let u1 = Cluster.Msg.Insert (meta "GET /cgi-bin/a")
-  and u2 = Cluster.Msg.Delete { node = 1; key = "GET /cgi-bin/b" }
-  and u3 = Cluster.Msg.Insert (meta ~owner:2 "GET /cgi-bin/c") in
+  let u1 = Cluster.Msg.Replicated.Insert (meta "GET /cgi-bin/a")
+  and u2 = Cluster.Msg.Replicated.Delete { node = 1; key = "GET /cgi-bin/b" }
+  and u3 = Cluster.Msg.Replicated.Insert (meta ~owner:2 "GET /cgi-bin/c") in
   let separately =
     List.fold_left
-      (fun acc u -> acc + Cluster.Msg.info_bytes u)
+      (fun acc u -> acc + Cluster.Msg.Replicated.bytes u)
       0 [ u1; u2; u3 ]
   in
-  let batched = Cluster.Msg.info_bytes (Cluster.Msg.Batch [ u1; u2; u3 ]) in
+  let batched = Cluster.Msg.Replicated.bytes (Cluster.Msg.Replicated.Batch [ u1; u2; u3 ]) in
   check_bool "one shared envelope beats three" true (batched < separately);
   (* Exactly: the batch replaces two of the three envelopes with a
      12-byte sub-header per carried update. *)
-  let envelope = Cluster.Msg.info_bytes (Cluster.Msg.Batch []) in
+  let envelope = Cluster.Msg.Replicated.bytes (Cluster.Msg.Replicated.Batch []) in
   check_int "batch = envelope + per-update sub-headers + bodies"
     (separately - (2 * envelope) + (3 * 12))
     batched
@@ -246,12 +246,13 @@ let test_hint_bitmask_capacity () =
 let test_batch_fanout_interruptible () =
   let engine = Sim.Engine.create () in
   let net = Sim.Net.create engine ~n_endpoints:5 in
-  let endpoints = Array.init 5 (fun node -> Cluster.Endpoint.make ~node) in
+  let inboxes = Array.init 5 (fun _ -> Sim.Mailbox.create ()) in
   let batch =
-    Cluster.Msg.Batch
-      [ Cluster.Msg.Insert (meta "GET /cgi-bin/a");
-        Cluster.Msg.Insert (meta "GET /cgi-bin/b") ]
+    Cluster.Msg.Replicated.Batch
+      [ Cluster.Msg.Replicated.Insert (meta "GET /cgi-bin/a");
+        Cluster.Msg.Replicated.Insert (meta "GET /cgi-bin/b") ]
   in
+  let bytes = Cluster.Msg.Replicated.bytes batch in
   let calls = ref 0 in
   let sent_partial = ref (-1) in
   let sent_full = ref (-1) in
@@ -264,12 +265,12 @@ let test_batch_fanout_interruptible () =
           ~should_abort:(fun () ->
             Stdlib.incr calls;
             !calls > 3)
-          net endpoints ~src:0 batch;
-      sent_full := Cluster.Broadcast.info net endpoints ~src:0 batch);
+          net inboxes ~src:0 ~bytes batch;
+      sent_full := Cluster.Broadcast.info net inboxes ~src:0 ~bytes batch);
   Sim.Engine.run engine;
   check_int "aborted flush reached two peers" 2 !sent_partial;
   check_int "unaborted flush reaches all four" 4 !sent_full;
-  let queued i = Sim.Mailbox.length endpoints.(i).Cluster.Endpoint.info_mb in
+  let queued i = Sim.Mailbox.length inboxes.(i) in
   check_int "peer 1 heard both envelopes" 2 (queued 1);
   check_int "peer 2 heard both envelopes" 2 (queued 2);
   check_int "peer 3 heard only the full one" 1 (queued 3);
@@ -401,20 +402,22 @@ let test_batch_apply_last_write_wins () =
   in
   let (_ : Swala.Server.cluster) =
     run_cluster_script ~cfg ~registry (fun cluster ->
-        let nd1 = Swala.Server.node cluster 1 in
         let stale = meta ~owner:0 ~size:10 ~created:1. "k"
         and fresh = meta ~owner:0 ~size:20 ~created:2. "k" in
         Sim.Mailbox.send
-          (Swala.Server.node_info_mailbox nd1)
+          (Swala.Replicated_plane.info_mailbox (Planes.replicated cluster) 1)
           {
             Cluster.Msg.info =
-              Cluster.Msg.Batch
-                [ Cluster.Msg.Insert stale; Cluster.Msg.Insert fresh ];
+              Cluster.Msg.Replicated.Batch
+                [
+                  Cluster.Msg.Replicated.Insert stale;
+                  Cluster.Msg.Replicated.Insert fresh;
+                ];
             ack = None;
             span = 0;
           };
         Sim.Engine.delay 1.0;
-        let dir1 = Swala.Server.node_directory nd1 in
+        let dir1 = Planes.directory cluster 1 in
         match Cache.Directory.find dir1 ~node:0 "k" with
         | Some m ->
             check_int "the later update won" 20 m.Cache.Meta.size;
@@ -440,7 +443,7 @@ let test_flush_daemon_and_coalescing () =
         Swala.Server.preload cluster ~node:0 (query "c") ~exec_time:0.3;
         (* A newer insert of "a" overtakes the buffered one. *)
         Swala.Server.preload cluster ~node:0 (query "a") ~exec_time:0.4;
-        let dir1 = Swala.Server.node_directory (Swala.Server.node cluster 1) in
+        let dir1 = Planes.directory cluster 1 in
         before := Cache.Directory.table_size dir1 ~node:0;
         Sim.Engine.delay 1.0;
         check_int "the flush delivered the three distinct keys" 3
@@ -453,7 +456,7 @@ let test_flush_daemon_and_coalescing () =
               m.Cache.Meta.exec_time
         | None -> Alcotest.fail "coalesced key never arrived");
         (* Replicas agree element-wise once the flusher has run. *)
-        let dir0 = Swala.Server.node_directory (Swala.Server.node cluster 0) in
+        let dir0 = Planes.directory cluster 0 in
         check_digest_pair "replica digests agree after the flush"
           (Cache.Directory.digest dir0 ~node:0)
           (Cache.Directory.digest dir1 ~node:0))

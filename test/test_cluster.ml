@@ -9,9 +9,12 @@ let meta key =
 
 let test_msg_sizes_positive () =
   let m = meta "GET /cgi?x=1" in
-  check_bool "insert" true (Cluster.Msg.info_bytes (Cluster.Msg.Insert m) > 0);
+  check_bool "insert" true
+    (Cluster.Msg.Replicated.bytes (Cluster.Msg.Replicated.Insert m) > 0);
   check_bool "delete" true
-    (Cluster.Msg.info_bytes (Cluster.Msg.Delete { node = 0; key = "k" }) > 0);
+    (Cluster.Msg.Replicated.bytes
+       (Cluster.Msg.Replicated.Delete { node = 0; key = "k" })
+    > 0);
   let req =
     { Cluster.Msg.key = "k"; requester = 1; reply = Sim.Mailbox.create (); span = 0 }
   in
@@ -28,16 +31,16 @@ let test_msg_reply_size_includes_body () =
     > Cluster.Msg.fetch_reply_bytes miss + 900)
 
 let test_msg_size_grows_with_key () =
-  let small = Cluster.Msg.Insert (meta "k") in
-  let large = Cluster.Msg.Insert (meta (String.make 200 'q')) in
+  let small = Cluster.Msg.Replicated.Insert (meta "k") in
+  let large = Cluster.Msg.Replicated.Insert (meta (String.make 200 'q')) in
   check_bool "longer key larger" true
-    (Cluster.Msg.info_bytes large > Cluster.Msg.info_bytes small)
+    (Cluster.Msg.Replicated.bytes large > Cluster.Msg.Replicated.bytes small)
 
 let test_endpoint_make () =
   let ep = Cluster.Endpoint.make ~node:3 in
   check_int "node id" 3 ep.Cluster.Endpoint.node;
-  check_int "empty info" 0 (Sim.Mailbox.length ep.Cluster.Endpoint.info_mb);
-  check_int "empty data" 0 (Sim.Mailbox.length ep.Cluster.Endpoint.data_mb)
+  check_int "empty data" 0 (Sim.Mailbox.length ep.Cluster.Endpoint.data_mb);
+  check_int "empty backlog" 0 (Cluster.Endpoint.backlog ep)
 
 let with_net n f =
   let eng = Sim.Engine.create () in
@@ -47,35 +50,42 @@ let with_net n f =
   Sim.Engine.run eng;
   endpoints
 
+(* [n] nodes' info inboxes on a fresh network; [f] runs in a process. *)
+let with_inboxes n f =
+  let eng = Sim.Engine.create () in
+  let net = Sim.Net.create eng ~n_endpoints:n in
+  let inboxes = Array.init n (fun _ -> Sim.Mailbox.create ()) in
+  Sim.Engine.spawn eng (fun () -> f net inboxes);
+  Sim.Engine.run eng;
+  inboxes
+
 let test_broadcast_reaches_all_peers () =
-  let endpoints =
-    with_net 4 (fun net endpoints ->
+  let inboxes =
+    with_inboxes 4 (fun net inboxes ->
         let sent =
-          Cluster.Broadcast.info net endpoints ~src:1
-            (Cluster.Msg.Delete { node = 1; key = "k" })
+          Cluster.Broadcast.info net inboxes ~src:1 ~bytes:64
+            (Cluster.Msg.Replicated.Delete { node = 1; key = "k" })
         in
         check_int "three peers" 3 sent)
   in
   Array.iteri
-    (fun i ep ->
+    (fun i inbox ->
       let expected = if i = 1 then 0 else 1 in
       check_int
         (Printf.sprintf "node %d inbox" i)
-        expected
-        (Sim.Mailbox.length ep.Cluster.Endpoint.info_mb))
-    endpoints
+        expected (Sim.Mailbox.length inbox))
+    inboxes
 
 let test_broadcast_single_node_noop () =
-  let endpoints =
-    with_net 1 (fun net endpoints ->
+  let inboxes =
+    with_inboxes 1 (fun net inboxes ->
         let sent =
-          Cluster.Broadcast.info net endpoints ~src:0
-            (Cluster.Msg.Insert (meta "k"))
+          Cluster.Broadcast.info net inboxes ~src:0 ~bytes:64
+            (Cluster.Msg.Replicated.Insert (meta "k"))
         in
         check_int "no peers" 0 sent)
   in
-  check_int "own inbox empty" 0
-    (Sim.Mailbox.length endpoints.(0).Cluster.Endpoint.info_mb)
+  check_int "own inbox empty" 0 (Sim.Mailbox.length inboxes.(0))
 
 let test_fetch_routes_to_owner () =
   let reply = Sim.Mailbox.create () in
@@ -107,15 +117,16 @@ let test_broadcast_delivery_is_delayed () =
      time and fill once the simulation drains. *)
   let eng = Sim.Engine.create () in
   let net = Sim.Net.create ~latency:0.5 ~bandwidth:1e9 eng ~n_endpoints:2 in
-  let endpoints = Array.init 2 (fun node -> Cluster.Endpoint.make ~node) in
+  let inboxes = Array.init 2 (fun _ -> Sim.Mailbox.create ()) in
   let at_send = ref (-1) in
   let arrival = ref (-1.) in
   Sim.Engine.spawn eng (fun () ->
       ignore
-        (Cluster.Broadcast.info net endpoints ~src:0 (Cluster.Msg.Insert (meta "k")));
-      at_send := Sim.Mailbox.length endpoints.(1).Cluster.Endpoint.info_mb);
+        (Cluster.Broadcast.info net inboxes ~src:0 ~bytes:64
+           (Cluster.Msg.Replicated.Insert (meta "k")));
+      at_send := Sim.Mailbox.length inboxes.(1));
   Sim.Engine.spawn eng (fun () ->
-      ignore (Sim.Mailbox.recv endpoints.(1).Cluster.Endpoint.info_mb);
+      ignore (Sim.Mailbox.recv inboxes.(1));
       arrival := Sim.Engine.now ());
   Sim.Engine.run eng;
   check_int "not yet delivered at send" 0 !at_send;

@@ -298,8 +298,8 @@ let test_strong_consistency_visible_on_reply () =
           (Swala.Server.submit cluster ~client:3 ~node:0
              (Http.Request.get "/cgi-bin/query?q=a&xd=0.5"));
         (* Immediately after the reply, every replica must already know. *)
-        let dir1 = Swala.Server.node_directory (Swala.Server.node cluster 1) in
-        let dir2 = Swala.Server.node_directory (Swala.Server.node cluster 2) in
+        let dir1 = Planes.directory cluster 1 in
+        let dir2 = Planes.directory cluster 2 in
         check_int "replica 1 consistent" 1 (Cache.Directory.table_size dir1 ~node:0);
         check_int "replica 2 consistent" 1 (Cache.Directory.table_size dir2 ~node:0))
   in
@@ -316,7 +316,7 @@ let test_weak_consistency_lags () =
         ignore
           (Swala.Server.submit cluster ~client:2 ~node:0
              (Http.Request.get "/cgi-bin/query?q=a&xd=0.5"));
-        let dir1 = Swala.Server.node_directory (Swala.Server.node cluster 1) in
+        let dir1 = Planes.directory cluster 1 in
         (* At the instant the client is answered, the async broadcast is
            still in flight. *)
         if Cache.Directory.table_size dir1 ~node:0 = 0 then saw_lag := true;
@@ -512,7 +512,7 @@ let test_fetch_timeout_fallback () =
           ~exec_time:0.3;
         (* The insert broadcast is lost, so seed node 1's directory replica
            by hand to force it down the remote-fetch path. *)
-        let dir1 = Swala.Server.node_directory (Swala.Server.node cluster 1) in
+        let dir1 = Planes.directory cluster 1 in
         Cache.Directory.insert dir1 ~node:0
           (Cache.Meta.make ~key:"GET /cgi-bin/query?q=a&xd=0.3" ~owner:0
              ~size:100 ~exec_time:0.3 ~created:0. ~expires:None);

@@ -253,7 +253,7 @@ let test_retries_then_fallback () =
         (* The insert broadcast is dropped, so seed node 1's replica by
            hand to force it down the remote-fetch path. *)
         Cache.Directory.insert
-          (Swala.Server.node_directory (Swala.Server.node cluster 1))
+          (Planes.directory cluster 1)
           ~node:0
           (Cache.Meta.make
              ~key:(Http.Request.cache_key (query "a"))

@@ -166,7 +166,7 @@ let test_partition_composes_with_links () =
 let test_broadcast_interruptible () =
   let engine = Sim.Engine.create () in
   let net = Sim.Net.create engine ~n_endpoints:5 in
-  let endpoints = Array.init 5 (fun node -> Cluster.Endpoint.make ~node) in
+  let inboxes = Array.init 5 (fun _ -> Sim.Mailbox.create ()) in
   let meta =
     Cache.Meta.make ~key:"GET /cgi-bin/q?x=1" ~owner:0 ~size:100 ~exec_time:0.5
       ~created:0. ~expires:None
@@ -184,14 +184,15 @@ let test_broadcast_interruptible () =
           ~should_abort:(fun () ->
             Stdlib.incr calls;
             !calls > 3)
-          net endpoints ~src:0 (Cluster.Msg.Insert meta);
+          net inboxes ~src:0 ~bytes:100 (Cluster.Msg.Replicated.Insert meta);
       sent_full :=
-        Cluster.Broadcast.info net endpoints ~src:0 (Cluster.Msg.Insert meta));
+        Cluster.Broadcast.info net inboxes ~src:0 ~bytes:100
+          (Cluster.Msg.Replicated.Insert meta));
   Sim.Engine.run engine;
   check_int "aborted fan-out reached two peers" 2 !sent_partial;
   check_int "unaborted fan-out reaches all four" 4 !sent_full;
   let queued i =
-    Sim.Mailbox.length endpoints.(i).Cluster.Endpoint.info_mb
+    Sim.Mailbox.length inboxes.(i)
   in
   check_int "peer 1 heard both" 2 (queued 1);
   check_int "peer 2 heard both" 2 (queued 2);
@@ -304,7 +305,7 @@ let test_partition_divergence_then_convergence () =
   let diverged = ref false in
   let cluster =
     run_cluster_script ~cfg ~registry (fun cluster ->
-        let dir i = Swala.Server.node_directory (Swala.Server.node cluster i) in
+        let dir i = Planes.directory cluster i in
         (* Both halves cache results while split: "a"/"b" on the 0-1 side,
            and node 2 independently executes "a" (a duplicate, since the
            split hid node 0's insert) plus its own "c". *)
@@ -356,7 +357,7 @@ let test_no_anti_entropy_stays_diverged () =
   let still_diverged = ref false in
   let (_ : Swala.Server.cluster) =
     run_cluster_script ~cfg ~registry (fun cluster ->
-        let dir i = Swala.Server.node_directory (Swala.Server.node cluster i) in
+        let dir i = Planes.directory cluster i in
         Swala.Server.preload cluster ~node:0 (query "a") ~exec_time:0.3;
         Swala.Server.preload cluster ~node:3 (query "c") ~exec_time:0.3;
         Sim.Engine.delay 24.0;

@@ -281,25 +281,6 @@ let test_replicated_untouched () =
        (fun n -> n = r.Swala.Cluster_runner.dir_entries.(0))
        r.Swala.Cluster_runner.dir_entries)
 
-let test_node_directory_raises_on_sharded () =
-  let registry = Cgi.Registry.create () in
-  Workload.Synthetic.register_scripts registry;
-  let cfg =
-    Swala.Config.make ~n_nodes:2 ~cache_mode:Swala.Config.Cooperative
-      ~dir_mode:Swala.Config.Sharded ~seed:1 ()
-  in
-  let (_ : Swala.Server.cluster) =
-    run_cluster_script ~cfg ~registry (fun cluster ->
-        let nd = Swala.Server.node cluster 0 in
-        expect_invalid "node_directory on a sharded node" (fun () ->
-            ignore (Swala.Server.node_directory nd : Cache.Directory.t));
-        check_bool "node_plane unpacks as sharded" true
-          (Cache.Metadata_plane.shard (Swala.Server.node_plane nd) <> None);
-        Alcotest.(check string) "plane mode name" "sharded"
-          (Cache.Metadata_plane.mode_name (Swala.Server.node_plane nd)))
-  in
-  ()
-
 (* Same seed, same sharded+hotspot config: two runs agree on every
    counter — the new plane does not perturb determinism. *)
 let test_sharded_replay_deterministic () =
@@ -363,17 +344,10 @@ let test_shard_handoff_crash_restart () =
       ~fault:(Some (Sim.Fault.make ~node_schedules:[ (1, [ (2., 4.) ]) ] ()))
       ~fetch_timeout:(Some 0.5) ~seed:5 ()
   in
-  let shard_of cluster i =
-    match
-      Cache.Metadata_plane.shard
-        (Swala.Server.node_plane (Swala.Server.node cluster i))
-    with
-    | Some st -> st
-    | None -> Alcotest.fail "expected a sharded plane"
-  in
+  let table cluster i = Swala.Sharded_plane.table (Planes.sharded cluster) i in
   let check_converged cluster msg =
     let up i = Swala.Server.node_up (Swala.Server.node cluster i) in
-    let ring = (shard_of cluster 0).Cache.Metadata_plane.Sharded.ring in
+    let ring = Swala.Sharded_plane.ring (Planes.sharded cluster) in
     for i = 0 to 3 do
       if up i then begin
         let nd = Swala.Server.node cluster i in
@@ -383,10 +357,7 @@ let test_shard_handoff_crash_restart () =
             match Cache.Ring.acting_owner ring ~up key with
             | None -> Alcotest.fail "live node but no acting owner"
             | Some home -> (
-                let table =
-                  (shard_of cluster home).Cache.Metadata_plane.Sharded.table
-                in
-                match Cache.Shard_table.find table key with
+                match Cache.Shard_table.find (table cluster home) key with
                 | Some _ -> ()
                 | None ->
                     Alcotest.failf
@@ -405,8 +376,7 @@ let test_shard_handoff_crash_restart () =
                   "%s: node %d's table holds %s, homed at %d" msg i
                   m.Cache.Meta.key home
             | None -> Alcotest.fail "live node but no acting owner")
-          (Cache.Shard_table.entries
-             (shard_of cluster i).Cache.Metadata_plane.Sharded.table)
+          (Cache.Shard_table.entries (table cluster i))
       end
     done
   in
@@ -461,25 +431,16 @@ let test_shard_partition_heal_convergence () =
       ~fault:(Some (Sim.Fault.make ~partitions:[ halves ] ()))
       ~fetch_timeout:(Some 0.5) ~seed:11 ()
   in
-  let shard_of cluster i =
-    match
-      Cache.Metadata_plane.shard
-        (Swala.Server.node_plane (Swala.Server.node cluster i))
-    with
-    | Some st -> st
-    | None -> Alcotest.fail "expected a sharded plane"
-  in
+  let table cluster i = Swala.Sharded_plane.table (Planes.sharded cluster) i in
   let missing_at_home cluster =
-    let ring = (shard_of cluster 0).Cache.Metadata_plane.Sharded.ring in
+    let ring = Swala.Sharded_plane.ring (Planes.sharded cluster) in
     let missing = ref 0 in
     for i = 0 to 3 do
       List.iter
         (fun key ->
           let home = Cache.Ring.owner ring key in
-          let table =
-            (shard_of cluster home).Cache.Metadata_plane.Sharded.table
-          in
-          if Cache.Shard_table.find table key = None then incr missing)
+          if Cache.Shard_table.find (table cluster home) key = None then
+            incr missing)
         (Cache.Store.keys
            (Swala.Server.node_store (Swala.Server.node cluster i)))
     done;
@@ -573,8 +534,6 @@ let () =
         [
           Alcotest.test_case "replicated default is untouched" `Quick
             test_replicated_untouched;
-          Alcotest.test_case "node_directory raises on sharded" `Quick
-            test_node_directory_raises_on_sharded;
           Alcotest.test_case "sharded replay deterministic" `Quick
             test_sharded_replay_deterministic;
           Alcotest.test_case "lookup-path conservation" `Quick

@@ -347,7 +347,7 @@ let test_engine_determinism () =
   check_bool "deterministic" true (run () = run ())
 
 (* ------------------------------------------------------------------ *)
-(* Mutex / Rwlock / Semaphore / Condvar / Latch *)
+(* Mutex / Rwlock / Latch *)
 
 let test_mutex_exclusion () =
   let eng = Sim.Engine.create () in
@@ -457,63 +457,6 @@ let test_rwlock_counters () =
   Sim.Engine.run eng;
   check_int "rd count" 2 (Sim.Rwlock.rd_acquisitions l);
   check_int "wr count" 1 (Sim.Rwlock.wr_acquisitions l)
-
-let test_semaphore_limits () =
-  let eng = Sim.Engine.create () in
-  let s = Sim.Semaphore.create 2 in
-  let inside = ref 0 and max_inside = ref 0 in
-  for _ = 1 to 6 do
-    Sim.Engine.spawn eng (fun () ->
-        Sim.Semaphore.with_permit s (fun () ->
-            incr inside;
-            if !inside > !max_inside then max_inside := !inside;
-            Sim.Engine.delay 1.0;
-            decr inside))
-  done;
-  Sim.Engine.run eng;
-  check_int "at most 2" 2 !max_inside;
-  check_float "three waves" 3.0 (Sim.Engine.current_time eng)
-
-let test_semaphore_try () =
-  let s = Sim.Semaphore.create 1 in
-  check_bool "take" true (Sim.Semaphore.try_acquire s);
-  check_bool "exhausted" false (Sim.Semaphore.try_acquire s);
-  Sim.Semaphore.release s;
-  check_int "back to one" 1 (Sim.Semaphore.available s)
-
-let test_condvar_signal () =
-  let eng = Sim.Engine.create () in
-  let m = Sim.Mutex.create () in
-  let c = Sim.Condvar.create () in
-  let woken = ref (-1.) in
-  Sim.Engine.spawn eng (fun () ->
-      Sim.Mutex.lock m;
-      Sim.Condvar.wait c m;
-      woken := Sim.Engine.now ();
-      Sim.Mutex.unlock m);
-  Sim.Engine.spawn eng (fun () ->
-      Sim.Engine.delay 2.0;
-      Sim.Condvar.signal c);
-  Sim.Engine.run eng;
-  check_float "woken at signal" 2.0 !woken
-
-let test_condvar_broadcast () =
-  let eng = Sim.Engine.create () in
-  let m = Sim.Mutex.create () in
-  let c = Sim.Condvar.create () in
-  let woken = ref 0 in
-  for _ = 1 to 4 do
-    Sim.Engine.spawn eng (fun () ->
-        Sim.Mutex.lock m;
-        Sim.Condvar.wait c m;
-        incr woken;
-        Sim.Mutex.unlock m)
-  done;
-  Sim.Engine.spawn eng (fun () ->
-      Sim.Engine.delay 1.0;
-      Sim.Condvar.broadcast c);
-  Sim.Engine.run eng;
-  check_int "all woken" 4 !woken
 
 let test_latch () =
   let eng = Sim.Engine.create () in
@@ -993,16 +936,6 @@ let () =
           Alcotest.test_case "writer excludes" `Quick test_rwlock_writer_excludes;
           Alcotest.test_case "FIFO fairness" `Quick test_rwlock_fifo_no_starvation;
           Alcotest.test_case "acquisition counters" `Quick test_rwlock_counters;
-        ] );
-      ( "semaphore",
-        [
-          Alcotest.test_case "limits concurrency" `Quick test_semaphore_limits;
-          Alcotest.test_case "try_acquire" `Quick test_semaphore_try;
-        ] );
-      ( "condvar",
-        [
-          Alcotest.test_case "signal wakes one" `Quick test_condvar_signal;
-          Alcotest.test_case "broadcast wakes all" `Quick test_condvar_broadcast;
         ] );
       ( "latch",
         [

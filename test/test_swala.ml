@@ -262,8 +262,8 @@ let test_server_broadcast_updates_peer_directory () =
     with_cluster ~cfg:(coop_cfg 3) (fun cluster ->
         ignore (submit0 cluster "/cgi-bin/fast?q=1");
         Sim.Engine.delay 0.1;
-        let dir1 = Swala.Server.node_directory (Swala.Server.node cluster 1) in
-        let dir2 = Swala.Server.node_directory (Swala.Server.node cluster 2) in
+        let dir1 = Planes.directory cluster 1 in
+        let dir2 = Planes.directory cluster 2 in
         check_int "peer 1 learned" 1 (Cache.Directory.table_size dir1 ~node:0);
         check_int "peer 2 learned" 1 (Cache.Directory.table_size dir2 ~node:0))
   in
@@ -330,7 +330,7 @@ let test_server_eviction_broadcasts_delete () =
         ignore (submit0 cluster "/cgi-bin/fast?q=2");
         Sim.Engine.delay 0.1;
         (* Node 1's replica must no longer list q=1 for node 0. *)
-        let dir1 = Swala.Server.node_directory (Swala.Server.node cluster 1) in
+        let dir1 = Planes.directory cluster 1 in
         check_int "only one entry listed" 1 (Cache.Directory.table_size dir1 ~node:0))
   in
   check_bool "delete broadcast sent" true
