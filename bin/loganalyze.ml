@@ -58,31 +58,21 @@ let analyze_impl path thresholds format =
         s.Workload.Analyzer.mean_file_time s.Workload.Analyzer.mean_cgi_time
         (100. *. s.Workload.Analyzer.cgi_time_fraction)
         s.Workload.Analyzer.longest;
-      let t =
-        Metrics.Table.create ~title:"Potential time saving by caching CGI"
-          ~columns:
-            [
-              ("Threshold", Metrics.Table.Left);
-              ("#long", Metrics.Table.Right);
-              ("Repeats", Metrics.Table.Right);
-              ("Uniq. repeats", Metrics.Table.Right);
-              ("Time saved", Metrics.Table.Right);
-              ("Saved %", Metrics.Table.Right);
-            ]
-      in
-      List.iter
-        (fun (r : Workload.Analyzer.row) ->
-          Metrics.Table.add_row t
-            [
-              Printf.sprintf "%.1f s" r.Workload.Analyzer.threshold;
-              Metrics.Table.fmt_i r.Workload.Analyzer.n_long;
-              Metrics.Table.fmt_i r.Workload.Analyzer.total_repeats;
-              Metrics.Table.fmt_i r.Workload.Analyzer.unique_repeats;
-              Printf.sprintf "%.0f s" r.Workload.Analyzer.time_saved;
-              Metrics.Table.fmt_pct r.Workload.Analyzer.saved_fraction;
-            ])
-        (Workload.Analyzer.table1 trace ~thresholds);
-      Metrics.Table.print t;
+      let module A = Workload.Analyzer in
+      Metrics.Table.(
+        print
+          (of_rows ~title:"Potential time saving by caching CGI"
+             [
+               left "Threshold" (fun r ->
+                   Printf.sprintf "%.1f s" r.A.threshold);
+               right "#long" (fun r -> fmt_i r.A.n_long);
+               right "Repeats" (fun r -> fmt_i r.A.total_repeats);
+               right "Uniq. repeats" (fun r -> fmt_i r.A.unique_repeats);
+               right "Time saved" (fun r ->
+                   Printf.sprintf "%.0f s" r.A.time_saved);
+               right "Saved %" (fun r -> fmt_pct r.A.saved_fraction);
+             ]
+             (A.table1 trace ~thresholds)));
       Printf.printf "Upper bound on cache hits (infinite cache): %d\n"
         (Workload.Analyzer.upper_bound_hits trace)
 

@@ -16,62 +16,39 @@
    gate becomes baseline/current >= min-ratio.
 
    Defaults: min-ratio 0.5, keys [events_per_sec_wall].
-   Exit status: 0 pass, 1 regression, 2 usage or parse error.
+   Exit status: 0 pass, 1 regression, 2 usage or parse error. A file that
+   cannot be read or parsed as JSON, a missing key and a non-numeric
+   value each end the gate with one line on stderr and status 2. *)
 
-   The JSON "parser" below only needs to pull one numeric field out of
-   the flat object bench emits, so it scans for the quoted key and reads
-   the number after the colon — no JSON library in the repo, and none
-   needed for this. *)
+module J = Metrics.Json
 
-let read_file path =
-  let ic =
-    try open_in_bin path
-    with Sys_error e ->
-      Printf.eprintf "perf_gate: %s\n" e;
-      exit 2
+let fail fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("perf_gate: " ^ msg);
+      exit 2)
+    fmt
+
+let read_json path =
+  let text =
+    try
+      let ic = open_in_bin path in
+      let s = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      s
+    with Sys_error e -> fail "%s" e
   in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+  match J.of_string text with Ok v -> v | Error e -> fail "%s: %s" path e
 
 let number_field ~path json key =
-  let pat = Printf.sprintf "\"%s\"" key in
-  let plen = String.length pat and n = String.length json in
-  let fail () =
-    Printf.eprintf "perf_gate: %s: no numeric field %S\n" path key;
-    exit 2
-  in
-  (* Position just past the first occurrence of the quoted key. *)
-  let rec find i =
-    if i + plen > n then fail ()
-    else if String.sub json i plen = pat then i + plen
-    else find (i + 1)
-  in
-  let i = find 0 in
-  let rec skip i =
-    if i < n && (json.[i] = ' ' || json.[i] = ':' || json.[i] = '\n') then
-      skip (i + 1)
-    else i
-  in
-  let start = skip i in
-  let rec stop i =
-    if
-      i < n
-      && (match json.[i] with
-         | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-         | _ -> false)
-    then stop (i + 1)
-    else i
-  in
-  let stop = stop start in
-  if stop = start then fail ()
-  else
-    match float_of_string_opt (String.sub json start (stop - start)) with
-    | Some v -> v
-    | None -> fail ()
+  match J.member key json with
+  | None -> fail "%s: no field %S" path key
+  | Some v -> (
+      match J.to_float_opt v with
+      | Some x -> x
+      | None -> fail "%s: field %S is not a number" path key)
 
-(* "p95_ms:lower" -> ("p95_ms", lower-is-better). *)
+(* "gc_minor_words_per_event:lower" -> (that key, lower-is-better). *)
 let parse_key spec =
   match String.index_opt spec ':' with
   | None -> (spec, false)
@@ -81,11 +58,8 @@ let parse_key spec =
       | "lower" -> (name, true)
       | "higher" -> (name, false)
       | dir ->
-          Printf.eprintf
-            "perf_gate: --key %s: unknown direction %S (expected lower or \
-             higher)\n"
-            spec dir;
-          exit 2)
+          fail "--key %s: unknown direction %S (expected lower or higher)" spec
+            dir)
 
 let () =
   let baseline = ref "" and current = ref "" in
@@ -96,9 +70,7 @@ let () =
     | "--min-ratio" :: v :: rest -> (
         match float_of_string_opt v with
         | Some r when r > 0. -> min_ratio := r; parse rest
-        | _ ->
-            Printf.eprintf "perf_gate: --min-ratio: bad value %S\n" v;
-            exit 2)
+        | _ -> fail "--min-ratio: bad value %S" v)
     | "--key" :: v :: rest -> keys := parse_key v :: !keys; parse rest
     | [] -> ()
     | arg :: _ ->
@@ -121,19 +93,17 @@ let () =
     | [] -> [ ("events_per_sec_wall", false) ]
     | ks -> ks
   in
-  let bjson = read_file !baseline and cjson = read_file !current in
+  let bjson = read_json !baseline and cjson = read_json !current in
   let failed = ref false in
   List.iter
     (fun (key, lower_better) ->
       let b = number_field ~path:!baseline bjson key in
       let c = number_field ~path:!current cjson key in
       let num, den = if lower_better then (b, c) else (c, b) in
-      if den <= 0. then begin
-        Printf.eprintf "perf_gate: %s %s is %g; nothing to gate on\n"
+      if den <= 0. then
+        fail "%s %s is %g; nothing to gate on"
           (if lower_better then "current" else "baseline")
           key den;
-        exit 2
-      end;
       let ratio = num /. den in
       Printf.printf
         "perf_gate: %s baseline %g, current %g, ratio %.3f (min %.3f%s)\n" key

@@ -1015,17 +1015,17 @@ let run_cmd_impl seed nodes mode policy capacity streams requests workload
         (fun name -> Printf.printf "  %-24s %d\n" name (Metrics.Counter.get c name))
         (Metrics.Counter.names c);
       (* Flight-recorder report: only when telemetry was on, keeping
-         telemetry-off stdout identical to older builds. *)
-      (match result.Swala.Cluster_runner.timelines with
-      | None -> ()
-      | Some reg ->
-          print_newline ();
-          Metrics.Table.print (Swala.Telemetry_report.timelines_table reg));
-      (match result.Swala.Cluster_runner.health with
-      | None -> ()
-      | Some h ->
-          Metrics.Table.print
-            (Swala.Telemetry_report.incidents_table (Metrics.Health.incidents h)));
+         telemetry-off stdout identical to older builds. It is rendered
+         from the run's own metrics JSON, as `swala_sim report` does. *)
+      (if result.Swala.Cluster_runner.timelines <> None then
+         Option.iter
+           (fun text ->
+             print_newline ();
+             print_string text)
+           (Swala.Telemetry_report.render_json_report
+              (Result.get_ok
+                 (Metrics.Json.of_string
+                    (Swala.Cluster_runner.result_to_json result)))));
       (if trace_breakdown then
          match result.Swala.Cluster_runner.tracer with
          | None -> ()
@@ -1195,45 +1195,15 @@ let report_cmd =
 
 let list_cmd =
   let doc = "List the paper-experiment targets (run them via bench/main.exe)." in
-  Cmd.v
-    (Cmd.info "list" ~doc)
-    Term.(
-      const (fun () ->
-          print_endline
-            "Paper experiments (run with `dune exec bench/main.exe -- \
-             <target>`):";
-          List.iter print_endline
-            [
-              "  table1                potential saving from CGI caching";
-              "  table2                file-fetch response times by server";
-              "  figure3               null-CGI response times";
-              "  figure4               multi-node scaling, cache on/off";
-              "  table3                insert+broadcast overhead";
-              "  table4                directory maintenance overhead";
-              "  table5                hit ratios, cache size 2000";
-              "  table6                hit ratios, cache size 20";
-              "  ablation-policy       replacement policies under overflow";
-              "  ablation-locking      directory locking granularity";
-              "  ablation-consistency  anomalies vs update delay";
-              "  ablation-protocol     weak vs strong consistency cost";
-              "  ablation-routing      routing policy x cache mode";
-              "  ablation-threshold    caching threshold x capacity";
-              "  ablation-loss         message loss + timeout recovery";
-              "  ablation-faults       drop-rate x crash-frequency degradation";
-              "  ablation-partition    partition duration x anti-entropy period";
-              "  ablation-batching     directory-update batching: flush x nodes";
-              "  ablation-dirmode      metadata plane: replicated vs batched vs \
-               sharded (+hotspot)";
-              "  ablation-scenario     flash crowd + rolling churn: replicated \
-               vs sharded, per phase";
-              "  ablation-freshness    fixed vs adaptive TTL (+refresh) under \
-               a flash crowd";
-              "  breakdown             traced replay: latency breakdown + \
-               contention histograms";
-              "  micro                 Bechamel micro-benchmarks + wall-clock \
-               e2e (BENCH_perf.json)";
-            ])
-      $ const ())
+  let list () =
+    print_endline
+      "Paper experiments (run with `dune exec bench/main.exe -- <target>`):";
+    List.iter
+      (fun (e : Swala.Experiments.target) ->
+        Printf.printf "  %-20s  %s\n" e.name e.doc)
+      Swala.Experiments.targets
+  in
+  Cmd.v (Cmd.info "list" ~doc) Term.(const list $ const ())
 
 let () =
   let doc = "Swala cooperative-caching web-server simulator (HPDC 1998)." in

@@ -22,40 +22,32 @@ let () =
     let cfg = Swala.Config.make ~n_nodes:4 ~cache_mode:mode ~seed () in
     Swala.Cluster_runner.run cfg ~trace ~n_streams:16 ()
   in
-  let t =
-    Metrics.Table.create ~title:"4-node cluster, 16 client threads"
-      ~columns:
-        [
-          ("Mode", Metrics.Table.Left);
-          ("Mean response (s)", Metrics.Table.Right);
-          ("p95 (s)", Metrics.Table.Right);
-          ("Cache hits", Metrics.Table.Right);
-          ("CGI execs", Metrics.Table.Right);
-        ]
+  let results =
+    List.map
+      (fun mode -> (mode, run mode))
+      Swala.Config.[ Disabled; Standalone; Cooperative ]
   in
-  let baseline = ref 0. in
-  List.iter
-    (fun mode ->
-      let r = run mode in
-      let mean = Swala.Cluster_runner.mean_response r in
-      if mode = Swala.Config.Disabled then baseline := mean;
-      Metrics.Table.add_row t
-        [
-          Swala.Config.cache_mode_to_string mode;
-          Metrics.Table.fmt_f mean;
-          Metrics.Table.fmt_f
-            (Metrics.Sample.quantile r.Swala.Cluster_runner.response 0.95);
-          Metrics.Table.fmt_i r.Swala.Cluster_runner.hits;
-          Metrics.Table.fmt_i
-            (Metrics.Counter.get r.Swala.Cluster_runner.counters
-               Swala.Server.K.cgi_execs);
-        ])
-    [ Swala.Config.Disabled; Swala.Config.Standalone; Swala.Config.Cooperative ];
-  Metrics.Table.print t;
+  let module R = Swala.Cluster_runner in
+  Metrics.Table.(
+    print
+      (of_rows ~title:"4-node cluster, 16 client threads"
+         [
+           left "Mode" (fun (mode, _) ->
+               Swala.Config.cache_mode_to_string mode);
+           right "Mean response (s)" (fun (_, r) -> fmt_f (R.mean_response r));
+           right "p95 (s)" (fun (_, r) ->
+               fmt_f (Metrics.Sample.quantile r.R.response 0.95));
+           right "Cache hits" (fun (_, r) -> fmt_i r.R.hits);
+           right "CGI execs" (fun (_, r) ->
+               fmt_i
+                 (Metrics.Counter.get r.R.counters Swala.Server.K.cgi_execs));
+         ]
+         results));
+  let baseline = R.mean_response (List.assoc Swala.Config.Disabled results) in
 
   let coop = run Swala.Config.Cooperative in
   Printf.printf
     "Cooperative caching cuts mean response time by %.0f%% versus no \
      caching on this trace.\n"
     (100.
-    *. ((!baseline -. Swala.Cluster_runner.mean_response coop) /. !baseline))
+    *. ((baseline -. Swala.Cluster_runner.mean_response coop) /. baseline))

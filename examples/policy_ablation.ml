@@ -18,35 +18,32 @@ let () =
      hits are possible.\nPer-node cache: 20 entries on a 4-node cooperative \
      cluster (aggregate 80 << 1122).\n\n"
     upper;
-  let t =
-    Metrics.Table.create ~title:"Replacement policy vs achieved hits"
-      ~columns:
-        [
-          ("Policy", Metrics.Table.Left);
-          ("Hits", Metrics.Table.Right);
-          ("% of possible", Metrics.Table.Right);
-          ("Mean response (s)", Metrics.Table.Right);
-        ]
+  let module R = Swala.Cluster_runner in
+  let results =
+    List.map
+      (fun policy ->
+        let cfg =
+          Swala.Config.make ~n_nodes:4 ~cache_capacity:20 ~policy ~seed ()
+        in
+        (policy, R.run cfg ~trace ~n_streams:16 ()))
+      Cache.Policy.all
   in
+  Metrics.Table.(
+    print
+      (of_rows ~title:"Replacement policy vs achieved hits"
+         [
+           left "Policy" (fun (policy, _) -> Cache.Policy.to_string policy);
+           right "Hits" (fun (_, r) -> fmt_i r.R.hits);
+           right "% of possible" (fun (_, r) ->
+               fmt_pct (float_of_int r.R.hits /. float_of_int upper));
+           right "Mean response (s)" (fun (_, r) -> fmt_f (R.mean_response r));
+         ]
+         results));
   let best = ref (Cache.Policy.Lru, 0) in
   List.iter
-    (fun policy ->
-      let cfg =
-        Swala.Config.make ~n_nodes:4 ~cache_capacity:20 ~policy ~seed ()
-      in
-      let r = Swala.Cluster_runner.run cfg ~trace ~n_streams:16 () in
-      if r.Swala.Cluster_runner.hits > snd !best then
-        best := (policy, r.Swala.Cluster_runner.hits);
-      Metrics.Table.add_row t
-        [
-          Cache.Policy.to_string policy;
-          Metrics.Table.fmt_i r.Swala.Cluster_runner.hits;
-          Metrics.Table.fmt_pct
-            (float_of_int r.Swala.Cluster_runner.hits /. float_of_int upper);
-          Metrics.Table.fmt_f (Swala.Cluster_runner.mean_response r);
-        ])
-    Cache.Policy.all;
-  Metrics.Table.print t;
+    (fun (policy, r) ->
+      if r.R.hits > snd !best then best := (policy, r.R.hits))
+    results;
   Printf.printf
     "Best policy on this workload: %s. Frequency+cost aware policies keep \
      hot, expensive results;\nsize-based eviction throws them away.\n"

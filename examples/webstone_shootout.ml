@@ -7,37 +7,27 @@
 let () =
   let seed = 7 in
   let client_counts = [ 8; 32; 96 ] in
-  let t =
-    Metrics.Table.create
-      ~title:"WebStone file mix: mean response time (s) by server model"
-      ~columns:
-        [
-          ("# clients", Metrics.Table.Right);
-          ("HTTPd", Metrics.Table.Right);
-          ("Enterprise", Metrics.Table.Right);
-          ("Swala", Metrics.Table.Right);
-        ]
+  let run clients model =
+    let trace = Workload.Webstone.file_trace ~seed ~n:(clients * 30) in
+    let cfg =
+      Swala.Config.make ~cache_mode:Swala.Config.Disabled ~model
+        ~threads_per_node:(Stdlib.max 16 clients) ~seed ()
+    in
+    Swala.Cluster_runner.mean_response
+      (Swala.Cluster_runner.run cfg ~trace ~n_streams:clients ())
   in
-  List.iter
-    (fun clients ->
-      let run model =
-        let trace = Workload.Webstone.file_trace ~seed ~n:(clients * 30) in
-        let cfg =
-          Swala.Config.make ~cache_mode:Swala.Config.Disabled ~model
-            ~threads_per_node:(Stdlib.max 16 clients) ~seed ()
-        in
-        Swala.Cluster_runner.mean_response
-          (Swala.Cluster_runner.run cfg ~trace ~n_streams:clients ())
-      in
-      Metrics.Table.add_row t
-        [
-          Metrics.Table.fmt_i clients;
-          Metrics.Table.fmt_f (run Swala.Config.httpd_model);
-          Metrics.Table.fmt_f (run Swala.Config.enterprise_model);
-          Metrics.Table.fmt_f (run Swala.Config.swala_model);
-        ])
-    client_counts;
-  Metrics.Table.print t;
+  Metrics.Table.(
+    print
+      (of_rows
+         ~title:"WebStone file mix: mean response time (s) by server model"
+         [
+           right "# clients" fmt_i;
+           right "HTTPd" (fun c -> fmt_f (run c Swala.Config.httpd_model));
+           right "Enterprise" (fun c ->
+               fmt_f (run c Swala.Config.enterprise_model));
+           right "Swala" (fun c -> fmt_f (run c Swala.Config.swala_model));
+         ]
+         client_counts));
   print_endline
     "The process-per-request model (HTTPd) trails the threaded servers; \
      Enterprise wins at low\nclient counts and loses at high ones - the \
@@ -46,17 +36,14 @@ let () =
 
   (* The null-CGI comparison (paper Figure 3): invocation overhead only. *)
   let f = Swala.Experiments.figure3 ~seed ~requests_per_client:20 () in
-  let t2 =
-    Metrics.Table.create ~title:"Null CGI, 24 concurrent clients (s)"
-      ~columns:[ ("Configuration", Metrics.Table.Left); ("Mean", Metrics.Table.Right) ]
-  in
-  List.iter
-    (fun (name, v) -> Metrics.Table.add_row t2 [ name; Metrics.Table.fmt_f v ])
-    [
-      ("Enterprise", f.Swala.Experiments.enterprise_f3);
-      ("HTTPd", f.Swala.Experiments.httpd_f3);
-      ("Swala (no cache)", f.Swala.Experiments.swala_no_cache);
-      ("Swala (remote cache hit)", f.Swala.Experiments.swala_remote);
-      ("Swala (local cache hit)", f.Swala.Experiments.swala_local);
-    ];
-  Metrics.Table.print t2
+  Metrics.Table.(
+    print
+      (of_rows ~title:"Null CGI, 24 concurrent clients (s)"
+         [ left "Configuration" fst; right "Mean" (fun (_, v) -> fmt_f v) ]
+         [
+           ("Enterprise", f.Swala.Experiments.enterprise_f3);
+           ("HTTPd", f.Swala.Experiments.httpd_f3);
+           ("Swala (no cache)", f.Swala.Experiments.swala_no_cache);
+           ("Swala (remote cache hit)", f.Swala.Experiments.swala_remote);
+           ("Swala (local cache hit)", f.Swala.Experiments.swala_local);
+         ]))

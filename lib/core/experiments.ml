@@ -5,6 +5,32 @@
 
 let default_seed = 42
 
+(* The catalogue: each target's name, its one-line description and what
+   it prints are declared next to its driver below; [targets] at the end
+   lists them in run order. *)
+
+type block = Table of Metrics.Table.t | Text of string
+type target = { name : string; doc : string; output : jobs:int -> block list }
+
+let table ~title columns rows =
+  Table (Metrics.Table.of_rows ~title columns rows)
+
+(* A target that prints one table: a row per element of [rows ~jobs]. *)
+let one_table name ~doc ~title columns rows =
+  { name; doc; output = (fun ~jobs -> [ table ~title columns (rows ~jobs) ]) }
+
+let sec = Metrics.Table.fmt_f ~decimals:3
+let f4 = Metrics.Table.fmt_f ~decimals:4
+let kb bytes = Printf.sprintf "%.1f" (float_of_int bytes /. 1024.)
+
+(* Hits as a share of the offline upper bound. *)
+let of_upper hits upper =
+  Metrics.Table.fmt_pct
+    (float_of_int hits /. float_of_int (Stdlib.max 1 upper))
+
+(* A swept float whose zero point means "off" or "none". *)
+let swept ~zero v = if v = 0. then zero else Printf.sprintf "%g" v
+
 (* ------------------------------------------------------------------ *)
 (* E1 — Table 1 *)
 
@@ -13,6 +39,36 @@ let table1 ?(seed = default_seed) ?params ?(thresholds = [ 0.5; 1.0; 2.0; 4.0 ])
   let trace = Workload.Synthetic.adl ~seed ?params () in
   ( Workload.Analyzer.summarize trace,
     Workload.Analyzer.table1 trace ~thresholds )
+
+let table1_target =
+  let module A = Workload.Analyzer in
+  let output ~jobs:_ =
+    let s, rows = table1 () in
+    [
+      Text
+        (Printf.sprintf
+           "Workload: %d requests, %d CGI (%.1f%%); total service %.0f s; \
+            mean response %.2f s; mean file %.3f s; mean CGI %.2f s; CGI \
+            share of time %.1f%%; longest %.1f s"
+           s.A.n_total s.A.n_cgi (100. *. s.A.cgi_fraction) s.A.total_service
+           s.A.mean_response s.A.mean_file_time s.A.mean_cgi_time
+           (100. *. s.A.cgi_time_fraction) s.A.longest);
+      table ~title:"Table 1. Potential time saving by caching CGI."
+        Metrics.Table.
+          [
+            left "Time threshold" (fun r ->
+                Printf.sprintf "%.1f sec" r.A.threshold);
+            right "#long requests" (fun r -> fmt_i r.A.n_long);
+            right "Total # repeats" (fun r -> fmt_i r.A.total_repeats);
+            right "# uniq. repeats" (fun r -> fmt_i r.A.unique_repeats);
+            right "Time saved" (fun r ->
+                Printf.sprintf "%.0f s" r.A.time_saved);
+            right "Saved %" (fun r -> fmt_pct r.A.saved_fraction);
+          ]
+        rows;
+    ]
+  in
+  { name = "table1"; doc = "potential saving from CGI caching"; output }
 
 (* ------------------------------------------------------------------ *)
 (* E2 — Table 2 *)
@@ -52,6 +108,21 @@ let table2 ?(seed = default_seed) ?(clients = [ 4; 8; 16; 32; 64; 128 ])
             ~requests_per_client;
       })
     clients
+
+let table2_target =
+  one_table "table2" ~doc:"file-fetch response times by server"
+    ~title:
+      "Table 2. File fetch average response time in seconds (WebStone mix)."
+    Metrics.Table.
+      [
+        right "# clients" (fun r -> fmt_i r.clients);
+        right "HTTPd" (fun r -> sec r.httpd);
+        right "Enterprise" (fun r -> sec r.enterprise);
+        right "Swala" (fun r -> sec r.swala);
+        right "HTTPd/Swala" (fun r ->
+            Printf.sprintf "%.1fx" (r.httpd /. r.swala));
+      ]
+    (fun ~jobs:_ -> table2 ())
 
 (* ------------------------------------------------------------------ *)
 (* E3 — Figure 3 *)
@@ -113,6 +184,29 @@ let figure3 ?(seed = default_seed) ?(clients = 24) ?(requests_per_client = 40)
     swala_local = local;
   }
 
+let figure3_target =
+  let output ~jobs:_ =
+    let f = figure3 () in
+    [
+      table
+        ~title:"Figure 3. Null-CGI request response time (24 clients, seconds)."
+        Metrics.Table.
+          [ left "Configuration" fst; right "Response" (fun (_, v) -> sec v) ]
+        [
+          ("Enterprise", f.enterprise_f3);
+          ("HTTPd", f.httpd_f3);
+          ("Swala no cache", f.swala_no_cache);
+          ("Swala remote cache", f.swala_remote);
+          ("Swala local cache", f.swala_local);
+        ];
+      Text
+        (Printf.sprintf
+           "Remote-fetch overhead over local fetch under load: %.3f s"
+           (f.swala_remote -. f.swala_local));
+    ]
+  in
+  { name = "figure3"; doc = "null-CGI response times"; output }
+
 (* ------------------------------------------------------------------ *)
 (* E4 — Figure 4 *)
 
@@ -161,6 +255,22 @@ let figure4 ?(seed = default_seed) ?(node_counts = [ 1; 2; 3; 4; 5; 6; 7; 8 ])
       })
     rows
 
+let figure4_target =
+  one_table "figure4" ~doc:"multi-node scaling, cache on/off"
+    ~title:
+      "Figure 4. Multi-node mean response time (s), ADL-like replay, 16 \
+       client threads."
+    Metrics.Table.
+      [
+        right "# servers" (fun r -> fmt_i r.nodes);
+        right "No Cache" (fun r -> fmt_f ~decimals:2 r.no_cache);
+        right "Coop. Cache" (fun r -> fmt_f ~decimals:2 r.coop);
+        right "Speedup (NC)" (fun r ->
+            Printf.sprintf "%.2fx" r.speedup_no_cache);
+        right "Improvement" (fun r -> fmt_pct r.improvement);
+      ]
+    (fun ~jobs:_ -> figure4 ~n_requests:12_000 ())
+
 (* ------------------------------------------------------------------ *)
 (* E5 — Table 3 *)
 
@@ -191,6 +301,20 @@ let table3 ?(seed = default_seed) ?(node_counts = [ 2; 3; 4; 5; 6; 7; 8 ])
         increase_t3 = coop -. no_cache;
       })
     node_counts
+
+let table3_target =
+  one_table "table3" ~doc:"insert+broadcast overhead"
+    ~title:
+      "Table 3. Response time overhead of insertion and information \
+       broadcast (180 unique 1 s requests)."
+    Metrics.Table.
+      [
+        right "# nodes" (fun r -> fmt_i r.nodes_t3);
+        right "No Cache (s)" (fun r -> sec r.no_cache_t3);
+        right "Coop. Cache (s)" (fun r -> sec r.coop_t3);
+        right "Increase (s)" (fun r -> sec r.increase_t3);
+      ]
+    (fun ~jobs:_ -> table3 ())
 
 (* ------------------------------------------------------------------ *)
 (* E6 — Table 4 *)
@@ -286,6 +410,20 @@ let table4 ?(seed = default_seed) ?(ups_list = [ 0; 5; 10; 20; 40; 80 ])
       })
     rows
 
+let table4_target =
+  one_table "table4" ~doc:"directory maintenance overhead"
+    ~title:
+      "Table 4. Response time overhead of replicated directory maintenance \
+       (180 uncacheable 1 s requests)."
+    Metrics.Table.
+      [
+        right "UPS" (fun r -> fmt_i r.ups);
+        right "Avg. response (s)" (fun r -> f4 r.mean_response_t4);
+        right "Increase (s)" (fun r -> f4 r.increase_t4);
+        right "Updates applied" (fun r -> fmt_i r.updates_applied);
+      ]
+    (fun ~jobs:_ -> table4 ())
+
 (* ------------------------------------------------------------------ *)
 (* E7/E8 — Tables 5-6 *)
 
@@ -332,6 +470,41 @@ let hit_ratio_table ?(seed = default_seed) ?(node_counts = [ 1; 2; 4; 6; 8 ])
       })
     node_counts
 
+let hit_ratio_target number ~cache_size =
+  let output ~jobs:_ =
+    let rows = hit_ratio_table ~cache_size () in
+    let upper = List.fold_left (fun _ r -> r.upper_bound) 0 rows in
+    [
+      table
+        ~title:
+          (Printf.sprintf
+             "Table %d. Cache hit ratios, stand-alone and cooperative \
+              caching, cache size %d."
+             number cache_size)
+        Metrics.Table.
+          [
+            right "# nodes" (fun r -> fmt_i r.nodes_h);
+            right "Stand. hits" (fun r -> fmt_i r.standalone_hits);
+            right "Coop. hits" (fun r -> fmt_i r.coop_hits);
+            right "Stand. %UB" (fun r -> fmt_pct r.standalone_pct);
+            right "Coop. %UB" (fun r -> fmt_pct r.coop_pct);
+            right "False misses" (fun r -> fmt_i r.coop_false_misses);
+          ]
+        rows;
+      Text
+        (Printf.sprintf "Upper bound on hits: %d (1600 requests, 1122 unique)"
+           upper);
+    ]
+  in
+  {
+    name = Printf.sprintf "table%d" number;
+    doc = Printf.sprintf "hit ratios, cache size %d" cache_size;
+    output;
+  }
+
+let table5_target = hit_ratio_target 5 ~cache_size:2000
+let table6_target = hit_ratio_target 6 ~cache_size:20
+
 (* ------------------------------------------------------------------ *)
 (* A1 — replacement policies *)
 
@@ -359,6 +532,20 @@ let ablation_policy ?(seed = default_seed) ?(cache_size = 20) ?(nodes = 4) () =
         mean_response_p = Cluster_runner.mean_response r;
       })
     Cache.Policy.all
+
+let policy_target =
+  one_table "ablation-policy" ~doc:"replacement policies under overflow"
+    ~title:
+      "Ablation A1. Replacement policy under overflow (cache size 20, 4 \
+       nodes, cooperative)."
+    Metrics.Table.
+      [
+        left "Policy" (fun r -> Cache.Policy.to_string r.policy);
+        right "Hits" (fun r -> fmt_i r.hits_p);
+        right "% of UB" (fun r -> of_upper r.hits_p r.upper_p);
+        right "Mean response (s)" (fun r -> sec r.mean_response_p);
+      ]
+    (fun ~jobs:_ -> ablation_policy ())
 
 (* ------------------------------------------------------------------ *)
 (* A2 — locking granularity *)
@@ -401,6 +588,18 @@ let ablation_locking ?(seed = default_seed) ?(nodes = 4) () =
       })
     [ Cache.Directory.Global; Cache.Directory.Per_table; Cache.Directory.Per_entry ]
 
+let locking_target =
+  one_table "ablation-locking" ~doc:"directory locking granularity"
+    ~title:"Ablation A2. Directory locking granularity (4 nodes, cooperative)."
+    Metrics.Table.
+      [
+        left "Granularity" (fun r -> granularity_name r.granularity);
+        right "Mean response (s)" (fun r -> f4 r.mean_response_l);
+        right "Read locks" (fun r -> fmt_i r.rd_locks);
+        right "Write locks" (fun r -> fmt_i r.wr_locks);
+      ]
+    (fun ~jobs:_ -> ablation_locking ())
+
 (* ------------------------------------------------------------------ *)
 (* A3 — consistency anomalies vs latency *)
 
@@ -432,6 +631,21 @@ let ablation_protocol ?(seed = default_seed) ?(nodes = 8)
       let strong = run latency Config.Strong in
       { latency_pr = latency; weak; strong; penalty = strong -. weak })
     latencies
+
+let protocol_target =
+  one_table "ablation-protocol" ~doc:"weak vs strong consistency cost"
+    ~title:
+      "Ablation A4. Weak vs strong directory consistency (8 nodes, all-miss \
+       0.2 s CGIs, 16 streams)."
+    Metrics.Table.
+      [
+        right "One-way latency (s)" (fun r -> f4 r.latency_pr);
+        right "Weak (s)" (fun r -> f4 r.weak);
+        right "Strong (s)" (fun r -> f4 r.strong);
+        right "Penalty (s)" (fun r -> f4 r.penalty);
+        right "Penalty %" (fun r -> fmt_pct (r.penalty /. r.weak));
+      ]
+    (fun ~jobs:_ -> ablation_protocol ())
 
 (* ------------------------------------------------------------------ *)
 (* A5 — routing policy *)
@@ -471,6 +685,21 @@ let ablation_routing ?(seed = default_seed) ?(nodes = 4) ?(cache_size = 2000)
         [ Config.Standalone; Config.Cooperative ])
     Router.all_policies
 
+let routing_target =
+  one_table "ablation-routing" ~doc:"routing policy x cache mode"
+    ~title:
+      "Ablation A5. Request routing x cache mode (4 nodes, Table-5 workload, \
+       cache size 2000)."
+    Metrics.Table.
+      [
+        left "Routing" (fun r -> Router.policy_name r.routing);
+        left "Cache mode" (fun r -> Config.cache_mode_to_string r.mode_r);
+        right "Hits" (fun r -> fmt_i r.hits_r);
+        right "% of UB" (fun r -> of_upper r.hits_r r.upper_r);
+        right "Mean response (s)" (fun r -> sec r.mean_response_r);
+      ]
+    (fun ~jobs:_ -> ablation_routing ())
+
 (* ------------------------------------------------------------------ *)
 (* A6 — caching threshold sweep *)
 
@@ -508,6 +737,22 @@ let ablation_threshold ?(seed = default_seed)
         thresholds)
     capacities
 
+let threshold_target =
+  one_table "ablation-threshold" ~doc:"caching threshold x capacity"
+    ~title:
+      "Ablation A6. Caching threshold x cache capacity (ADL replay, 4 nodes, \
+       cooperative)."
+    Metrics.Table.
+      [
+        right "Capacity" (fun r -> fmt_i r.capacity_t);
+        right "Threshold (s)" (fun r -> fmt_f ~decimals:1 r.threshold_t);
+        right "Mean response (s)" (fun r -> sec r.mean_response_thr);
+        right "Hits" (fun r -> fmt_i r.hits_thr);
+        right "Inserts" (fun r -> fmt_i r.inserts_thr);
+        right "Evictions" (fun r -> fmt_i r.evictions_thr);
+      ]
+    (fun ~jobs:_ -> ablation_threshold ())
+
 (* ------------------------------------------------------------------ *)
 (* A7 — protocol-message loss *)
 
@@ -541,6 +786,21 @@ let ablation_loss ?(seed = default_seed) ?(losses = [ 0.0; 0.05; 0.2; 0.5 ])
         mean_response_loss = Cluster_runner.mean_response r;
       })
     losses
+
+let loss_target =
+  one_table "ablation-loss" ~doc:"message loss + timeout recovery"
+    ~title:
+      "Ablation A7. Protocol-message loss with 0.5 s fetch timeout (4 nodes, \
+       Table-5 workload)."
+    Metrics.Table.
+      [
+        right "Loss" (fun r -> fmt_pct r.loss);
+        right "Hits" (fun r -> fmt_i r.hits_l);
+        right "% of UB" (fun r -> of_upper r.hits_l r.upper_l);
+        right "Fetch timeouts" (fun r -> fmt_i r.fetch_timeouts_l);
+        right "Mean response (s)" (fun r -> sec r.mean_response_loss);
+      ]
+    (fun ~jobs:_ -> ablation_loss ())
 
 type consistency_row = {
   latency : float;
@@ -578,6 +838,21 @@ let ablation_consistency ?(seed = default_seed)
         hits_c = r.Cluster_runner.hits;
       })
     latencies
+
+let consistency_target =
+  one_table "ablation-consistency" ~doc:"anomalies vs update delay"
+    ~title:
+      "Ablation A3. Consistency anomalies vs directory-update delay (8 \
+       nodes, 50 ms CGIs, cache size 40)."
+    Metrics.Table.
+      [
+        right "Update delay (s)" (fun r -> f4 r.latency);
+        right "False hits" (fun r -> fmt_i r.false_hits);
+        right "FM concurrent" (fun r -> fmt_i r.false_miss_concurrent_c);
+        right "FM duplicate" (fun r -> fmt_i r.false_miss_duplicate_c);
+        right "Hits" (fun r -> fmt_i r.hits_c);
+      ]
+    (fun ~jobs:_ -> ablation_consistency ())
 
 type fault_row = {
   drop_f : float;
@@ -636,6 +911,27 @@ let ablation_faults ?(seed = default_seed) ?(drops = [ 0.0; 0.05; 0.2 ])
           })
         mtbfs)
     drops
+
+let faults_target =
+  one_table "ablation-faults" ~doc:"drop-rate x crash-frequency degradation"
+    ~title:
+      "Ablation A8. Injected faults: drop-rate x crash-frequency with 0.5 s \
+       fetch timeout, 2 retries (4 nodes, Table-5 workload)."
+    Metrics.Table.
+      [
+        right "Drop" (fun r -> fmt_pct r.drop_f);
+        right "MTBF (s)" (fun r -> swept ~zero:"-" r.mtbf_f);
+        right "Hits" (fun r -> fmt_i r.hits_f);
+        right "% of UB" (fun r -> of_upper r.hits_f r.upper_f);
+        right "Timeouts" (fun r -> fmt_i r.timeouts_f);
+        right "Retries" (fun r -> fmt_i r.retries_f);
+        right "Crashes" (fun r -> fmt_i r.crashes_f);
+        right "503s" (fun r -> fmt_i r.rejected_f);
+        right "Purges" (fun r -> fmt_i r.purged_f);
+        right "Msgs lost" (fun r -> fmt_i r.net_lost_f);
+        right "Mean response (s)" (fun r -> sec r.mean_response_f);
+      ]
+    (fun ~jobs:_ -> ablation_faults ())
 
 type partition_row = {
   duration_pt : float;
@@ -705,6 +1001,26 @@ let ablation_partition ?(seed = default_seed)
         periods)
     durations
 
+let partition_target =
+  one_table "ablation-partition" ~doc:"partition duration x anti-entropy period"
+    ~title:
+      "Ablation A9. Network partition (halves of a 4-node cluster, cut at \
+       t=1 s) x anti-entropy period (Table-5 workload)."
+    Metrics.Table.
+      [
+        right "Partition (s)" (fun r -> swept ~zero:"-" r.duration_pt);
+        right "AE period (s)" (fun r -> swept ~zero:"off" r.period_pt);
+        right "Hits" (fun r -> fmt_i r.hits_pt);
+        right "False hits" (fun r -> fmt_i r.false_hits_pt);
+        right "Dup execs" (fun r -> fmt_i r.false_miss_dup_pt);
+        right "AE rounds" (fun r -> fmt_i r.ae_rounds_pt);
+        right "AE pulled" (fun r -> fmt_i r.ae_pulled_pt);
+        right "Healed" (fun r -> fmt_i r.healed_pt);
+        right "Msgs cut" (fun r -> fmt_i r.drops_partition_pt);
+        right "Mean response (s)" (fun r -> sec r.mean_response_pt);
+      ]
+    (fun ~jobs:_ -> ablation_partition ())
+
 (* ------------------------------------------------------------------ *)
 (* A10 — directory-update batching *)
 
@@ -759,6 +1075,26 @@ let ablation_batching ?(seed = default_seed) ?(node_counts = [ 2; 4; 8; 16 ])
           })
         intervals)
     node_counts
+
+let batching_target =
+  one_table "ablation-batching" ~doc:"directory-update batching: flush x nodes"
+    ~title:
+      "Ablation A10. Directory-update batching: flush interval x cluster \
+       size (all-insert 5 ms CGIs, batch_max 64, 4 streams/node)."
+    Metrics.Table.
+      [
+        right "# nodes" (fun r -> fmt_i r.nodes_bt);
+        right "Flush (s)" (fun r -> swept ~zero:"off" r.interval_bt);
+        right "Updates" (fun r -> fmt_i r.updates_bt);
+        right "Msgs" (fun r -> fmt_i r.msgs_bt);
+        right "KB" (fun r -> kb r.bytes_bt);
+        right "Batches" (fun r -> fmt_i r.batches_bt);
+        right "Batched upd" (fun r -> fmt_i r.batched_updates_bt);
+        right "Coalesced" (fun r -> fmt_i r.coalesced_bt);
+        right "Hits" (fun r -> fmt_i r.hits_bt);
+        right "Mean response (s)" (fun r -> sec r.mean_response_bt);
+      ]
+    (fun ~jobs:_ -> ablation_batching ())
 
 (* ------------------------------------------------------------------ *)
 (* A11 — metadata plane: replicated vs batched vs sharded (+hotspot) *)
@@ -858,6 +1194,31 @@ let ablation_dirmode ?jobs ?(seed = default_seed)
             mean_response_dm = Cluster_runner.mean_response r;
           })
     points
+
+let dirmode_target =
+  one_table "ablation-dirmode"
+    ~doc:"metadata plane: replicated vs batched vs sharded (+hotspot)"
+    ~title:
+      "Ablation A11. Metadata plane x cluster size (hot-headed coop mix, \
+       24-key Zipf 1.1 head, 5 ms CGIs): replicated broadcast vs batched \
+       broadcast vs consistent-hash sharding (+hotspot replication)."
+    Metrics.Table.
+      [
+        right "# nodes" (fun r -> fmt_i r.nodes_dm);
+        left "Plane" (fun r -> r.variant_dm);
+        right "Dir msgs" (fun r -> fmt_i r.dir_msgs_dm);
+        right "Dir KB" (fun r -> kb r.dir_bytes_dm);
+        right "Mem mean" (fun r -> Printf.sprintf "%.1f" r.mem_mean_dm);
+        right "Mem max" (fun r -> fmt_i r.mem_max_dm);
+        right "Fwd" (fun r -> fmt_i r.fwd_dm);
+        right "LC hits" (fun r -> fmt_i r.lcache_hits_dm);
+        right "Promoted" (fun r -> fmt_i r.promotions_dm);
+        right "Hits" (fun r -> fmt_i r.hits_dm);
+        right "Hit lat (ms)" (fun r ->
+            Printf.sprintf "%.2f" (1000. *. r.hit_latency_dm));
+        right "Mean response (s)" (fun r -> sec r.mean_response_dm);
+      ]
+    (fun ~jobs -> ablation_dirmode ~jobs ())
 
 (* ------------------------------------------------------------------ *)
 (* A12 — time-varying scenario: flash crowd + rolling churn *)
@@ -973,6 +1334,34 @@ let ablation_scenario ?jobs ?(seed = default_seed) ?(n_nodes = 8)
            phase_samples)
     variants
 
+let scenario_target =
+  (* Run-wide columns are filled on each variant's "all" row only. *)
+  let run_wide cell r = if r.phase_sc = "all" then cell r else "" in
+  one_table "ablation-scenario"
+    ~doc:"flash crowd + rolling churn: replicated vs sharded, per phase"
+    ~title:
+      "Ablation A12. Time-varying scenario (flash crowd onto an 8-key head \
+       for the middle of the run + rolling churn, one leave per ~3 s): \
+       replicated vs sharded+hotspot metadata plane, per phase."
+    Metrics.Table.
+      [
+        left "Plane" (fun r -> r.variant_sc);
+        left "Phase" (fun r -> r.phase_sc);
+        right "N" (fun r -> fmt_i r.n_sc);
+        right "Mean (s)" (fun r -> sec r.mean_sc);
+        right "p50 (s)" (fun r -> sec r.p50_sc);
+        right "p99 (s)" (fun r -> sec r.p99_sc);
+        right "Hits" (run_wide (fun r -> fmt_i r.hits_sc));
+        right "Hit ratio"
+          (run_wide (fun r ->
+               Printf.sprintf "%.1f%%" (100. *. r.hit_ratio_sc)));
+        right "Dir msgs" (run_wide (fun r -> fmt_i r.dir_msgs_sc));
+        right "Crashes" (run_wide (fun r -> fmt_i r.crashes_sc));
+        right "Redirects" (run_wide (fun r -> fmt_i r.redirects_sc));
+        right "Lost" (run_wide (fun r -> fmt_i r.net_lost_sc));
+      ]
+    (fun ~jobs -> ablation_scenario ~jobs ())
+
 (* ------------------------------------------------------------------ *)
 (* A13 — freshness: fixed vs adaptive TTL under a flash crowd *)
 
@@ -1067,3 +1456,82 @@ let ablation_freshness ?jobs ?(seed = default_seed) ?(n_nodes = 4)
             mean_response_fr = Cluster_runner.mean_response r;
           })
     points
+
+let freshness_target =
+  one_table "ablation-freshness"
+    ~doc:"fixed vs adaptive TTL (+refresh) under a flash crowd"
+    ~title:
+      "Ablation A13. Freshness policy x metadata plane under the A12 flash \
+       crowd (no churn): fixed whole-cache TTLs (2/8/32 s) vs the per-key \
+       adaptive controller vs adaptive + proactive refresh (4 \
+       re-execs/s/node)."
+    Metrics.Table.
+      [
+        left "Plane" (fun r -> r.dirmode_fr);
+        left "Policy" (fun r -> r.variant_fr);
+        right "Stale mean (s)" (fun r -> Printf.sprintf "%.3f" r.stale_mean_fr);
+        right "Stale p99 (s)" (fun r -> Printf.sprintf "%.3f" r.stale_p99_fr);
+        right "Hit ratio" (fun r ->
+            Printf.sprintf "%.1f%%" (100. *. r.hit_ratio_fr));
+        right "CGI execs" (fun r -> fmt_i r.cgi_execs_fr);
+        right "Refreshes" (fun r -> fmt_i r.refreshes_fr);
+        right "Saved (ms)" (fun r -> fmt_i r.refresh_saved_ms_fr);
+        right "Stale>8s" (fun r -> fmt_i r.stale_served_fr);
+        right "Dir KB" (fun r -> kb r.dir_bytes_fr);
+        right "Mean response (s)" (fun r -> sec r.mean_response_fr);
+      ]
+    (fun ~jobs -> ablation_freshness ~jobs ())
+
+(* ------------------------------------------------------------------ *)
+(* Traced replay: where a request's time goes, and contention profiles *)
+
+let breakdown_target =
+  (* The cooperative 4-node coop-mix replay that [bench/main.exe micro]
+     times, with tracing on. *)
+  let output ~jobs:_ =
+    let seed = default_seed in
+    let trace =
+      Workload.Synthetic.coop ~seed ~n:2_000 ~n_unique:1400 ~locality:0.08 ()
+    in
+    let cfg =
+      Config.make ~n_nodes:4 ~cache_mode:Config.Cooperative ~trace:true ~seed ()
+    in
+    let r = Cluster_runner.run cfg ~trace ~n_streams:16 () in
+    (match r.Cluster_runner.tracer with
+    | None -> []
+    | Some tr -> [ Table (Trace_report.breakdown_table tr ~root:"request") ])
+    @ [ Table (Trace_report.histogram_table r.Cluster_runner.wait_histograms) ]
+  in
+  {
+    name = "breakdown";
+    doc = "traced replay: latency breakdown + contention histograms";
+    output;
+  }
+
+(* ------------------------------------------------------------------ *)
+
+let targets =
+  [
+    table1_target;
+    table2_target;
+    figure3_target;
+    figure4_target;
+    table3_target;
+    table4_target;
+    table5_target;
+    table6_target;
+    policy_target;
+    locking_target;
+    consistency_target;
+    protocol_target;
+    routing_target;
+    threshold_target;
+    loss_target;
+    faults_target;
+    partition_target;
+    batching_target;
+    dirmode_target;
+    scenario_target;
+    freshness_target;
+    breakdown_target;
+  ]

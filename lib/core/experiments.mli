@@ -1,9 +1,30 @@
 (** Drivers for every table and figure in the paper's evaluation (§3, §5),
     plus the ablations called out in DESIGN.md. Each driver returns typed
-    rows; the bench harness renders them in the paper's layout and
+    rows; {!targets} renders them in the paper's layout, and
     EXPERIMENTS.md records paper-vs-measured.
 
     All drivers are deterministic in [seed]. *)
+
+(** {1 Catalogue} *)
+
+(** One piece of a target's printed output. The bench harness prints
+    each block followed by a blank line. *)
+type block =
+  | Table of Metrics.Table.t
+  | Text of string  (** one line between tables, e.g. a derived figure *)
+
+type target = {
+  name : string;  (** the [bench/main.exe] target, e.g. ["table5"] *)
+  doc : string;  (** the one-line description [swala_sim list] prints *)
+  output : jobs:int -> block list;
+      (** runs the experiment at the default seed and renders it; [jobs]
+          is the domain count of the sweep-parallel ablations (A11-A13),
+          and every other target ignores it *)
+}
+
+(** Every paper table and figure (Tables 1-6, Figures 3-4), the
+    ablations A1-A13 and the traced-replay breakdown, in run order. *)
+val targets : target list
 
 (** {1 E1 — Table 1: potential saving from CGI caching (§3)} *)
 
@@ -142,8 +163,6 @@ type consistency_row = {
 val ablation_consistency :
   ?seed:int -> ?latencies:float list -> ?nodes:int -> unit ->
   consistency_row list
-
-val granularity_name : Cache.Directory.granularity -> string
 
 (** {1 A4 — ablation: weak vs strong directory consistency (§4.2)} *)
 

@@ -1,12 +1,12 @@
-(* Plain-text rendering of the flight recorder's output, shared by the
-   [swala_sim] CLI (post-run printing and the [report] subcommand) and
-   anything else that holds either the live registry/health monitor or a
-   metrics-JSON payload containing their exported sections. *)
+(* Plain-text rendering of the flight recorder's output from a
+   metrics-JSON payload containing its exported sections. The [swala_sim]
+   CLI prints it after a telemetry run (from the run's own payload) and
+   from a saved file in the [report] subcommand, so both print the same
+   tables. *)
 
 module J = Metrics.Json
 
-(* One rendered probe, decoupled from where it came from (live registry
-   or parsed JSON) so both paths share the table/sparkline code. *)
+(* One probe as read back from the payload. *)
 type series_view = {
   sv_name : string;
   sv_kind : string;
@@ -50,19 +50,10 @@ let sparkline values =
 
 let fmt_v v = if Float.is_finite v then Printf.sprintf "%.4g" v else "-"
 
-let timeline_columns =
-  [
-    ("series", Metrics.Table.Left);
-    ("kind", Metrics.Table.Left);
-    ("n", Metrics.Table.Right);
-    ("mean", Metrics.Table.Right);
-    ("min", Metrics.Table.Right);
-    ("max", Metrics.Table.Right);
-    ("last", Metrics.Table.Right);
-    ("timeline", Metrics.Table.Left);
-  ]
+(* Statistics over a probe's non-empty buckets; nan when it has none. *)
+type summary = { n : int; mean : float; lo : float; hi : float; last : float }
 
-let add_series_row tbl sv =
+let summarize values =
   let n = ref 0
   and sum = ref 0.
   and lo = ref infinity
@@ -77,82 +68,43 @@ let add_series_row tbl sv =
         if v > !hi then hi := v;
         last := v
       end)
-    sv.sv_values;
-  let mean = if !n = 0 then Float.nan else !sum /. float_of_int !n in
-  Metrics.Table.add_row tbl
-    [
-      sv.sv_name;
-      sv.sv_kind;
-      string_of_int !n;
-      fmt_v mean;
-      fmt_v (if !n = 0 then Float.nan else !lo);
-      fmt_v (if !n = 0 then Float.nan else !hi);
-      fmt_v !last;
-      sparkline sv.sv_values;
-    ]
+    values;
+  if !n = 0 then
+    { n = 0; mean = Float.nan; lo = Float.nan; hi = Float.nan; last = !last }
+  else
+    { n = !n; mean = !sum /. float_of_int !n; lo = !lo; hi = !hi; last = !last }
 
-let timelines_table_of ~title views =
-  let tbl = Metrics.Table.create ~title ~columns:timeline_columns in
-  List.iter (add_series_row tbl) views;
-  tbl
-
-let kind_label = function
-  | Metrics.Registry.Gauge -> "gauge"
-  | Metrics.Registry.Rate -> "rate"
-  | Metrics.Registry.Wmean -> "mean"
-
-let views_of_registry reg =
-  List.map
-    (fun (s : Metrics.Registry.series) ->
-      {
-        sv_name = s.Metrics.Registry.name;
-        sv_kind = kind_label s.Metrics.Registry.kind;
-        sv_width = s.Metrics.Registry.width;
-        sv_values = Array.map snd s.Metrics.Registry.points;
-      })
-    (Metrics.Registry.series reg)
-
-let timelines_table reg =
-  let width =
-    match views_of_registry reg with [] -> 0. | sv :: _ -> sv.sv_width
-  in
-  timelines_table_of
-    ~title:
-      (Printf.sprintf "Timelines (%d samples, bucket %gs)"
-         (Metrics.Registry.n_samples reg)
-         width)
-    (views_of_registry reg)
-
-let incident_columns =
-  [
-    ("t", Metrics.Table.Right);
-    ("detector", Metrics.Table.Left);
-    ("value", Metrics.Table.Right);
-    ("threshold", Metrics.Table.Right);
-    ("message", Metrics.Table.Left);
-  ]
+let timelines_table ~title views =
+  Metrics.Table.(
+    of_rows ~title
+      [
+        left "series" (fun (sv, _) -> sv.sv_name);
+        left "kind" (fun (sv, _) -> sv.sv_kind);
+        right "n" (fun (_, st) -> fmt_i st.n);
+        right "mean" (fun (_, st) -> fmt_v st.mean);
+        right "min" (fun (_, st) -> fmt_v st.lo);
+        right "max" (fun (_, st) -> fmt_v st.hi);
+        right "last" (fun (_, st) -> fmt_v st.last);
+        left "timeline" (fun (sv, _) -> sparkline sv.sv_values);
+      ]
+      (List.map (fun sv -> (sv, summarize sv.sv_values)) views))
 
 let incidents_table incidents =
-  let tbl =
-    Metrics.Table.create
+  let module H = Metrics.Health in
+  Metrics.Table.(
+    of_rows
       ~title:(Printf.sprintf "Incidents (%d)" (List.length incidents))
-      ~columns:incident_columns
-  in
-  List.iter
-    (fun (i : Metrics.Health.incident) ->
-      Metrics.Table.add_row tbl
-        [
-          Printf.sprintf "%.3fs" i.Metrics.Health.at;
-          i.Metrics.Health.detector;
-          fmt_v i.Metrics.Health.value;
-          fmt_v i.Metrics.Health.threshold;
-          i.Metrics.Health.message;
-        ])
-    incidents;
-  tbl
+      [
+        right "t" (fun i -> Printf.sprintf "%.3fs" i.H.at);
+        left "detector" (fun i -> i.H.detector);
+        right "value" (fun i -> fmt_v i.H.value);
+        right "threshold" (fun i -> fmt_v i.H.threshold);
+        left "message" (fun i -> i.H.message);
+      ]
+      incidents)
 
 (* ------------------------------------------------------------------ *)
-(* Rendering from a parsed metrics-JSON payload ([swala_sim report]) *)
+(* Reading the payload back *)
 
 let float_of_json v = Option.value ~default:Float.nan (J.to_float_opt v)
 
@@ -235,12 +187,11 @@ let render_json_report payload =
         Printf.sprintf "Timelines (%d samples, bucket %gs)" samples width
       in
       Buffer.add_string buf
-        (Metrics.Table.render (timelines_table_of ~title views));
+        (Metrics.Table.render (timelines_table ~title views));
       Buffer.add_char buf '\n');
   (match incidents_of_json payload with
   | None -> ()
   | Some incidents ->
-      if Buffer.length buf > 0 then Buffer.add_char buf '\n';
       Buffer.add_string buf (Metrics.Table.render (incidents_table incidents));
       Buffer.add_char buf '\n');
   if Buffer.length buf = 0 then None else Some (Buffer.contents buf)

@@ -5,54 +5,25 @@
 let fmt_ms v = Metrics.Table.fmt_f ~decimals:3 (v *. 1000.)
 
 let breakdown_table tr ~root =
-  let b = Metrics.Trace.breakdown tr ~root in
-  let table =
-    Metrics.Table.create
-      ~title:
-        (Printf.sprintf "Latency breakdown (%d %s trees)"
-           b.Metrics.Trace.n_roots root)
-      ~columns:
-        [
-          ("phase", Metrics.Table.Left);
-          ("reqs", Metrics.Table.Right);
-          ("occur", Metrics.Table.Right);
-          ("total ms", Metrics.Table.Right);
-          ("mean ms", Metrics.Table.Right);
-          ("p50 ms", Metrics.Table.Right);
-          ("p99 ms", Metrics.Table.Right);
-          ("share", Metrics.Table.Right);
-        ]
-  in
-  List.iter
-    (fun p ->
-      Metrics.Table.add_row table
-        [
-          p.Metrics.Trace.phase;
-          Metrics.Table.fmt_i p.Metrics.Trace.requests;
-          Metrics.Table.fmt_i p.Metrics.Trace.occurrences;
-          fmt_ms p.Metrics.Trace.total;
-          fmt_ms p.Metrics.Trace.mean;
-          fmt_ms p.Metrics.Trace.p50;
-          fmt_ms p.Metrics.Trace.p99;
-          Metrics.Table.fmt_pct ~decimals:1 p.Metrics.Trace.share;
-        ])
-    b.Metrics.Trace.phases;
-  table
+  let module T = Metrics.Trace in
+  let b = T.breakdown tr ~root in
+  Metrics.Table.(
+    of_rows
+      ~title:(Printf.sprintf "Latency breakdown (%d %s trees)" b.T.n_roots root)
+      [
+        left "phase" (fun p -> p.T.phase);
+        right "reqs" (fun p -> fmt_i p.T.requests);
+        right "occur" (fun p -> fmt_i p.T.occurrences);
+        right "total ms" (fun p -> fmt_ms p.T.total);
+        right "mean ms" (fun p -> fmt_ms p.T.mean);
+        right "p50 ms" (fun p -> fmt_ms p.T.p50);
+        right "p99 ms" (fun p -> fmt_ms p.T.p99);
+        right "share" (fun p -> fmt_pct ~decimals:1 p.T.share);
+      ]
+      b.T.phases)
 
 let histogram_table hists =
   let module H = Metrics.Histogram in
-  let table =
-    Metrics.Table.create ~title:"Contention (acquire waits and queue depths)"
-      ~columns:
-        [
-          ("histogram", Metrics.Table.Left);
-          ("n", Metrics.Table.Right);
-          ("mean", Metrics.Table.Right);
-          ("p50", Metrics.Table.Right);
-          ("p99", Metrics.Table.Right);
-          ("max", Metrics.Table.Right);
-        ]
-  in
   (* Waits are times (report in ms); depth/queue histograms are counts. *)
   let fmt name v =
     let is_depth =
@@ -62,17 +33,16 @@ let histogram_table hists =
     in
     if is_depth then Metrics.Table.fmt_f ~decimals:1 v else fmt_ms v
   in
-  let fmt_opt name = function None -> "-" | Some v -> fmt name v in
-  List.iter
-    (fun (name, h) ->
-      Metrics.Table.add_row table
-        [
-          name;
-          Metrics.Table.fmt_i (H.count h);
-          (if H.count h = 0 then "-" else fmt name (H.mean h));
-          fmt_opt name (H.quantile_opt h 0.5);
-          fmt_opt name (H.quantile_opt h 0.99);
-          fmt_opt name (H.max_opt h);
-        ])
-    hists;
-  table
+  let stat f (name, h) = match f h with None -> "-" | Some v -> fmt name v in
+  Metrics.Table.(
+    of_rows ~title:"Contention (acquire waits and queue depths)"
+      [
+        left "histogram" fst;
+        right "n" (fun (_, h) -> fmt_i (H.count h));
+        right "mean"
+          (stat (fun h -> if H.count h = 0 then None else Some (H.mean h)));
+        right "p50" (stat (fun h -> H.quantile_opt h 0.5));
+        right "p99" (stat (fun h -> H.quantile_opt h 0.99));
+        right "max" (stat H.max_opt);
+      ]
+      hists)

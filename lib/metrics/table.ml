@@ -4,26 +4,28 @@ type t = {
   title : string;
   headers : string array;
   aligns : align array;
-  mutable rows : string array list; (* reversed *)
+  rows : string array list;
 }
 
-let create ~title ~columns =
-  let headers = Array.of_list (List.map fst columns) in
-  let aligns = Array.of_list (List.map snd columns) in
-  { title; headers; aligns; rows = [] }
+type 'r column = { header : string; align : align; cell : 'r -> string }
 
-let add_row t cells =
-  let row = Array.of_list cells in
-  if Array.length row <> Array.length t.headers then
-    invalid_arg "Table.add_row: wrong number of cells";
-  t.rows <- row :: t.rows
+let left header cell = { header; align = Left; cell }
+let right header cell = { header; align = Right; cell }
+
+let of_rows ~title columns rows =
+  let columns = Array.of_list columns in
+  {
+    title;
+    headers = Array.map (fun c -> c.header) columns;
+    aligns = Array.map (fun c -> c.align) columns;
+    rows = List.map (fun r -> Array.map (fun c -> c.cell r) columns) rows;
+  }
 
 let fmt_f ?(decimals = 3) x = Printf.sprintf "%.*f" decimals x
 let fmt_pct ?(decimals = 1) x = Printf.sprintf "%.*f%%" decimals (100. *. x)
 let fmt_i n = string_of_int n
 
 let render t =
-  let rows = List.rev t.rows in
   let ncols = Array.length t.headers in
   let width = Array.make ncols 0 in
   let measure row =
@@ -32,7 +34,7 @@ let render t =
       row
   in
   measure t.headers;
-  List.iter measure rows;
+  List.iter measure t.rows;
   let buf = Buffer.create 256 in
   let pad i cell =
     let w = width.(i) in
@@ -59,7 +61,7 @@ let render t =
   emit_row t.headers;
   Buffer.add_string buf (String.make total_width '-');
   Buffer.add_char buf '\n';
-  List.iter emit_row rows;
+  List.iter emit_row t.rows;
   Buffer.contents buf
 
 let print t =
@@ -90,5 +92,5 @@ let to_csv t =
     Buffer.add_char buf '\n'
   in
   emit t.headers;
-  List.iter emit (List.rev t.rows);
+  List.iter emit t.rows;
   Buffer.contents buf

@@ -1,15 +1,18 @@
 (** Aligned plain-text tables, used by the bench harness to print each paper
     table/figure in the same row/column layout the paper reports. *)
 
-type align = Left | Right
-
 type t
 
-(** [create ~title ~columns] where each column is (header, alignment). *)
-val create : title:string -> columns:(string * align) list -> t
+(** A column of a table whose rows are ['r] values: its header, its
+    alignment and the function rendering a row's cell, declared together. *)
+type 'r column
 
-(** [add_row t cells] appends a row; must match the column count. *)
-val add_row : t -> string list -> unit
+val left : string -> ('r -> string) -> 'r column
+val right : string -> ('r -> string) -> 'r column
+
+(** [of_rows ~title columns rows] is a table with one row per element of
+    [rows], in order. *)
+val of_rows : title:string -> 'r column list -> 'r list -> t
 
 (** Cell formatting helpers. *)
 val fmt_f : ?decimals:int -> float -> string

@@ -1,9 +1,14 @@
-(* The command line's usage errors: a bad count or an output path that
-   cannot be written ends [swala_sim] with one line on stderr and exit
-   status 2, before any simulation runs (so nothing reaches stdout). The
-   binary under test is the first argument. *)
+(* The command-line binaries, run as built:
+   - [swala_sim]'s usage errors: a bad count or an output path that
+     cannot be written ends it with one line on stderr and exit status 2,
+     before any simulation runs (so nothing reaches stdout);
+   - [swala_sim run] with telemetry prints the same flight-recorder
+     tables as [swala_sim report] on the run's metrics JSON;
+   - [perf_gate]'s verdicts and input errors.
+   The two binaries are the first and second arguments. *)
 
 let exe = ref ""
+let perf_gate = ref ""
 
 (* Scratch space: a regular file, so no path below it can be opened, and
    a directory for paths that can. In the directory, a subdirectory sits
@@ -43,8 +48,9 @@ let read_lines path =
   in
   loop []
 
-(* Run the binary; return its exit status, stdout and stderr lines. *)
-let run args =
+(* Run a binary ([swala_sim] by default); return its exit status, stdout
+   and stderr lines. *)
+let run ?(exe = exe) args =
   let out = Filename.temp_file "swala_cli" ".out"
   and err = Filename.temp_file "swala_cli" ".err" in
   let status = Sys.command (Filename.quote_command !exe ~stdout:out ~stderr:err args) in
@@ -52,6 +58,14 @@ let run args =
   Sys.remove out;
   Sys.remove err;
   (status, o, e)
+
+(* A temporary file holding [contents], removed after [f] returns. *)
+let with_file contents f =
+  let path = Filename.temp_file "swala_cli" ".json" in
+  let oc = open_out_bin path in
+  output_string oc contents;
+  close_out oc;
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
 
 let usage_error args expected () =
   let status, out, err = run args in
@@ -109,9 +123,86 @@ let test_probes_leave_no_files () =
     "only the blocking directories" (List.sort compare blocked)
     (List.sort compare (Array.to_list (Sys.readdir scratch_dir)))
 
+(* A telemetry run prints its flight-recorder tables from its own
+   metrics JSON: exactly what [report] prints from the saved file. *)
+let test_report_matches_run () =
+  let path = Filename.temp_file "swala_cli" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let status, run_out, _ =
+    run
+      [ "run"; "--requests"; "400"; "--seed"; "7"; "--scenario-duration";
+        "30"; "--flash-crowd"; "5:10:0.8:8"; "--churn-rate"; "0.3";
+        "--churn-downtime"; "1"; "--fetch-timeout"; "0.5";
+        "--telemetry-interval"; "0.5"; "--slo-target"; "2.5";
+        "--metrics-out"; path ]
+  in
+  Alcotest.(check int) "run exit status" 0 status;
+  let status, report_out, err = run [ "report"; path ] in
+  Alcotest.(check int) "report exit status" 0 status;
+  Alcotest.(check (list string)) "report stderr" [] err;
+  Alcotest.(check bool) "report has both tables" true
+    (List.exists (String.starts_with ~prefix:"Timelines (") report_out
+    && List.exists (String.starts_with ~prefix:"Incidents (") report_out);
+  let report = String.concat "\n" report_out in
+  let rec contained = function
+    | [] -> false
+    | _ :: rest as lines ->
+        String.starts_with ~prefix:report (String.concat "\n" lines)
+        || contained rest
+  in
+  Alcotest.(check bool) "report output appears verbatim in the run's" true
+    (contained run_out)
+
+(* perf_gate on hand-written baseline/current files. *)
+let gate ?(key = []) baseline current =
+  with_file baseline @@ fun b ->
+  with_file current @@ fun c ->
+  let status, out, err =
+    run ~exe:perf_gate ([ "--baseline"; b; "--current"; c ] @ key)
+  in
+  (status, out, err, c)
+
+let baseline = {|{"events_per_sec_wall":100.0,"gc_minor_words_per_event":40.0}|}
+
+let gate_error current expected () =
+  let status, out, err, path = gate baseline current in
+  Alcotest.(check int) "exit status" 2 status;
+  Alcotest.(check (list string)) "nothing on stdout" [] out;
+  Alcotest.(check (list string)) "one line on stderr"
+    [ Printf.sprintf "perf_gate: %s: %s" path expected ] err
+
+let gate_verdict ?key current expected_status () =
+  let status, out, err, _ = gate ?key baseline current in
+  Alcotest.(check int) "exit status" expected_status status;
+  Alcotest.(check (list string)) "nothing on stderr" [] err;
+  Alcotest.(check bool) "a verdict on stdout" true
+    (List.exists (String.starts_with ~prefix:"perf_gate: ") out)
+
+let gate_cases =
+  [
+    Alcotest.test_case "truncated file" `Quick
+      (gate_error {|{"events_per_sec_wall":2271517.1, "oops|}
+         "at byte 39: unterminated string");
+    Alcotest.test_case "missing key" `Quick
+      (gate_error {|{"requests_per_sec_wall":90.0}|}
+         {|no field "events_per_sec_wall"|});
+    Alcotest.test_case "non-numeric value" `Quick
+      (gate_error {|{"events_per_sec_wall":"fast"}|}
+         {|field "events_per_sec_wall" is not a number|});
+    Alcotest.test_case "passing ratio" `Quick
+      (gate_verdict {|{"events_per_sec_wall":60.0}|} 0);
+    Alcotest.test_case "regression" `Quick
+      (gate_verdict {|{"events_per_sec_wall":40.0}|} 1);
+    Alcotest.test_case "lower-is-better regression" `Quick
+      (gate_verdict
+         ~key:[ "--key"; "gc_minor_words_per_event:lower" ]
+         {|{"gc_minor_words_per_event":100.0}|} 1);
+  ]
+
 let () =
   exe := Sys.argv.(1);
-  let argv = Array.append [| Sys.argv.(0) |] (Array.sub Sys.argv 2 (Array.length Sys.argv - 2)) in
+  perf_gate := Sys.argv.(2);
+  let argv = Array.append [| Sys.argv.(0) |] (Array.sub Sys.argv 3 (Array.length Sys.argv - 3)) in
   Alcotest.run ~argv "cli"
     [
       ( "usage-errors",
@@ -120,4 +211,10 @@ let () =
             Alcotest.test_case name `Quick (usage_error args expected))
           cases
         @ [ Alcotest.test_case "probes leave no files" `Quick test_probes_leave_no_files ] );
+      ( "telemetry",
+        [
+          Alcotest.test_case "report matches the run" `Quick
+            test_report_matches_run;
+        ] );
+      ("perf-gate", gate_cases);
     ]

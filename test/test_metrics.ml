@@ -164,28 +164,18 @@ let test_counter_negative_add () =
 (* ------------------------------------------------------------------ *)
 (* Table *)
 
+(* A two-column table of (name, value) string pairs. *)
+let pairs rows =
+  Metrics.Table.(of_rows ~title:"T" [ left "name" fst; right "v" snd ] rows)
+
 let test_table_render () =
-  let t =
-    Metrics.Table.create ~title:"T"
-      ~columns:[ ("name", Metrics.Table.Left); ("v", Metrics.Table.Right) ]
-  in
-  Metrics.Table.add_row t [ "alpha"; "1" ];
-  Metrics.Table.add_row t [ "b"; "22" ];
-  let out = Metrics.Table.render t in
+  let out = Metrics.Table.render (pairs [ ("alpha", "1"); ("b", "22") ]) in
   check_bool "has title" true (String.length out > 0 && String.sub out 0 1 = "T");
   (* Right-aligned numbers line up: " 1" and "22" both two wide. *)
   check_bool "right align" true
     (let lines = String.split_on_char '\n' out in
      List.exists (fun l -> l = "alpha   1") lines
      && List.exists (fun l -> l = "b      22") lines)
-
-let test_table_row_arity () =
-  let t =
-    Metrics.Table.create ~title:"T" ~columns:[ ("a", Metrics.Table.Left) ]
-  in
-  Alcotest.check_raises "arity"
-    (Invalid_argument "Table.add_row: wrong number of cells") (fun () ->
-      Metrics.Table.add_row t [ "x"; "y" ])
 
 let test_table_formatters () =
   Alcotest.(check string) "float" "1.500" (Metrics.Table.fmt_f 1.5);
@@ -194,12 +184,10 @@ let test_table_formatters () =
   Alcotest.(check string) "int" "42" (Metrics.Table.fmt_i 42)
 
 let test_table_rows_in_order () =
-  let t =
-    Metrics.Table.create ~title:"T" ~columns:[ ("a", Metrics.Table.Left) ]
+  let out =
+    Metrics.Table.(
+      render (of_rows ~title:"T" [ left "a" Fun.id ] [ "first"; "second" ]))
   in
-  Metrics.Table.add_row t [ "first" ];
-  Metrics.Table.add_row t [ "second" ];
-  let out = Metrics.Table.render t in
   let find sub =
     let n = String.length sub in
     let rec go i =
@@ -246,25 +234,15 @@ let test_timeseries_empty () =
 (* CSV *)
 
 let test_table_to_csv () =
-  let t =
-    Metrics.Table.create ~title:"T"
-      ~columns:[ ("name", Metrics.Table.Left); ("v", Metrics.Table.Right) ]
-  in
-  Metrics.Table.add_row t [ "plain"; "1" ];
-  Metrics.Table.add_row t [ "with,comma"; "quote\"inside" ];
   Alcotest.(check string) "csv"
     "name,v\nplain,1\n\"with,comma\",\"quote\"\"inside\"\n"
-    (Metrics.Table.to_csv t)
+    (Metrics.Table.to_csv
+       (pairs [ ("plain", "1"); ("with,comma", "quote\"inside") ]))
 
 let test_table_csv_newline () =
-  let t =
-    Metrics.Table.create ~title:"T"
-      ~columns:[ ("name", Metrics.Table.Left); ("v", Metrics.Table.Right) ]
-  in
-  Metrics.Table.add_row t [ "line1\nline2"; "ok" ];
   Alcotest.(check string) "embedded newline quoted"
     "name,v\n\"line1\nline2\",ok\n"
-    (Metrics.Table.to_csv t)
+    (Metrics.Table.to_csv (pairs [ ("line1\nline2", "ok") ]))
 
 (* ------------------------------------------------------------------ *)
 (* Timeseries gaps: a long stretch of empty windows must yield NaN means
@@ -432,7 +410,6 @@ let () =
       ( "table",
         [
           Alcotest.test_case "render and alignment" `Quick test_table_render;
-          Alcotest.test_case "row arity checked" `Quick test_table_row_arity;
           Alcotest.test_case "formatters" `Quick test_table_formatters;
           Alcotest.test_case "row order" `Quick test_table_rows_in_order;
           Alcotest.test_case "csv export" `Quick test_table_to_csv;

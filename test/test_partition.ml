@@ -450,22 +450,24 @@ let test_partition_replay_deterministic () =
     b.Swala.Cluster_runner.counters;
   (* Byte-identical rendered metrics: the per-node counter tables agree. *)
   let render (r : Swala.Cluster_runner.result) =
-    let t =
-      Metrics.Table.create ~title:"per-node"
-        ~columns:
-          [ ("counter", Metrics.Table.Left); ("node", Metrics.Table.Right);
-            ("value", Metrics.Table.Right) ]
+    let cells =
+      List.concat
+        (List.mapi
+           (fun i c ->
+             List.map
+               (fun name -> (name, i, Metrics.Counter.get c name))
+               (Metrics.Counter.names c))
+           (Array.to_list r.Swala.Cluster_runner.per_node_counters))
     in
-    Array.iteri
-      (fun i c ->
-        List.iter
-          (fun name ->
-            Metrics.Table.add_row t
-              [ name; string_of_int i;
-                string_of_int (Metrics.Counter.get c name) ])
-          (Metrics.Counter.names c))
-      r.Swala.Cluster_runner.per_node_counters;
-    Metrics.Table.to_csv t
+    Metrics.Table.(
+      to_csv
+        (of_rows ~title:"per-node"
+           [
+             left "counter" (fun (name, _, _) -> name);
+             right "node" (fun (_, i, _) -> string_of_int i);
+             right "value" (fun (_, _, v) -> string_of_int v);
+           ]
+           cells))
   in
   Alcotest.(check string) "byte-identical per-node tables" (render a) (render b);
   check_bool "the run was non-trivial" true
