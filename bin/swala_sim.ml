@@ -679,39 +679,28 @@ let trace_of_workload ~workload ~seed ~requests =
 let resolve_scenario ~preset ~duration ~flash ~diurnal ~geo ~churn_rate
     ~churn_downtime ~churn_fixed =
   let module S = Workload.Scenario in
+  (* The presets' overlays; [mixed] stacks all four. *)
+  let crowd =
+    Some (S.flash_crowd ~at:(duration /. 4.) ~duration:(duration /. 4.) ())
+  in
+  let wave = Some (S.Sinusoid { period = duration; trough = 0.2 }) in
+  let tiers =
+    Some
+      [
+        S.tier ~name:"metro" ~rtt:0.002 ~weight:6.;
+        S.tier ~name:"regional" ~rtt:0.03 ~weight:3.;
+        S.tier ~name:"far" ~rtt:0.12 ~weight:1.;
+      ]
+  in
+  let leave_rate = Some 0.2 in
   let preset_flash, preset_diurnal, preset_geo, preset_churn =
     match preset with
     | None -> (None, None, None, None)
-    | Some "flash" ->
-        ( Some
-            (S.flash_crowd ~at:(duration /. 4.) ~duration:(duration /. 4.) ()),
-          None,
-          None,
-          None )
-    | Some "diurnal" ->
-        (None, Some (S.Sinusoid { period = duration; trough = 0.2 }), None, None)
-    | Some "geo" ->
-        ( None,
-          None,
-          Some
-            [
-              S.tier ~name:"metro" ~rtt:0.002 ~weight:6.;
-              S.tier ~name:"regional" ~rtt:0.03 ~weight:3.;
-              S.tier ~name:"far" ~rtt:0.12 ~weight:1.;
-            ],
-          None )
-    | Some "churn" -> (None, None, None, Some 0.2)
-    | Some "mixed" ->
-        ( Some
-            (S.flash_crowd ~at:(duration /. 4.) ~duration:(duration /. 4.) ()),
-          Some (S.Sinusoid { period = duration; trough = 0.2 }),
-          Some
-            [
-              S.tier ~name:"metro" ~rtt:0.002 ~weight:6.;
-              S.tier ~name:"regional" ~rtt:0.03 ~weight:3.;
-              S.tier ~name:"far" ~rtt:0.12 ~weight:1.;
-            ],
-          Some 0.2 )
+    | Some "flash" -> (crowd, None, None, None)
+    | Some "diurnal" -> (None, wave, None, None)
+    | Some "geo" -> (None, None, tiers, None)
+    | Some "churn" -> (None, None, None, leave_rate)
+    | Some "mixed" -> (crowd, wave, tiers, leave_rate)
     | Some other ->
         prerr_endline
           (Printf.sprintf
@@ -727,11 +716,7 @@ let resolve_scenario ~preset ~duration ~flash ~diurnal ~geo ~churn_rate
   let churn_rate = first churn_rate preset_churn in
   let scenario =
     if flash = None && diurnal = None && geo = None then None
-    else
-      Some
-        (S.make ~duration ?flash ?diurnal
-           ?tiers:(Option.map (fun t -> t) geo)
-           ())
+    else Some (S.make ~duration ?flash ?diurnal ?tiers:geo ())
   in
   let churn =
     Option.map

@@ -15,7 +15,6 @@ type t = {
   charge_fn : float -> unit;
   entries : (string, Meta.t) Hashtbl.t;
   by_owner : (int, (string, unit) Hashtbl.t) Hashtbl.t;
-  mutable dup_announces : int;
 }
 
 let create ?(lock_overhead = 2e-6) ?(charge = Sim.Engine.delay) ?lock_observe
@@ -28,7 +27,6 @@ let create ?(lock_overhead = 2e-6) ?(charge = Sim.Engine.delay) ?lock_observe
     charge_fn = charge;
     entries = Hashtbl.create 64;
     by_owner = Hashtbl.create 8;
-    dup_announces = 0;
   }
 
 let charge t = if t.lock_overhead > 0. then t.charge_fn t.lock_overhead
@@ -57,8 +55,6 @@ let insert_unlocked t (meta : Meta.t) =
          raced a handoff re-announcement); keep it. *)
       `Stale
   | Some old ->
-      if old.Meta.owner <> meta.Meta.owner then
-        t.dup_announces <- t.dup_announces + 1;
       index_remove t old;
       Hashtbl.replace t.entries meta.Meta.key meta;
       index_add t meta;
@@ -133,7 +129,6 @@ let find t key = Hashtbl.find_opt t.entries key
 
 let entries t = Hashtbl.fold (fun _ m acc -> m :: acc) t.entries []
 let length t = Hashtbl.length t.entries
-let dup_announces t = t.dup_announces
 
 let lock_acquisitions t =
   (Sim.Rwlock.rd_acquisitions t.lock, Sim.Rwlock.wr_acquisitions t.lock)

@@ -39,9 +39,9 @@ val probe : t -> now:float -> string -> Meta.t option
     Announcements are reconciled newest-wins on [Meta.created] (a handoff
     re-announcement must not clobber a fresher execution):
     [`Inserted] — the key was absent; [`Replaced old] — [meta] superseded
-    [old] (when the cache owners differ this also counts a duplicate
-    execution, see {!dup_announces}); [`Stale] — a newer entry was kept
-    and [meta] was discarded. *)
+    [old] (when the cache owners differ, a duplicate execution of the same
+    key on two nodes); [`Stale] — a newer entry was kept and [meta] was
+    discarded. *)
 val insert : t -> Meta.t -> [ `Inserted | `Replaced of Meta.t | `Stale ]
 
 (** [delete t ?owner key] removes [key] under the write lock; [true] if
@@ -77,12 +77,6 @@ val entries : t -> Meta.t list
 (** [length t] is the number of stored entries — this node's share of
     the directory, the sharded plane's memory metric. *)
 val length : t -> int
-
-(** [dup_announces t] counts inserts that replaced an entry announced by
-    a {e different} cache owner — duplicate executions of the same key
-    on two nodes, the sharded observation point for the paper's second
-    kind of false miss. *)
-val dup_announces : t -> int
 
 (** [lock_acquisitions t] is the cumulative (read, write) acquisition
     count, comparable with {!Directory.lock_acquisitions}. *)

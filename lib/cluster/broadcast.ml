@@ -37,14 +37,11 @@ let info_sync ?(span = 0) net inboxes ~src ~bytes msg =
   !sent
 
 let fetch net endpoints ~src ~owner req =
-  match
-    Array.find_opt (fun (ep : Endpoint.t) -> ep.Endpoint.node = owner) endpoints
-  with
-  | None -> invalid_arg "Broadcast.fetch: unknown owner endpoint"
-  | Some ep ->
-      Sim.Net.send net ~src ~dst:owner
-        ~bytes:(Msg.fetch_request_bytes req)
-        ep.Endpoint.data_mb req
+  if owner < 0 || owner >= Array.length endpoints then
+    invalid_arg "Broadcast.fetch: unknown owner endpoint";
+  Sim.Net.send net ~src ~dst:owner
+    ~bytes:(Msg.fetch_request_bytes req)
+    endpoints.(owner).Endpoint.data_mb req
 
 let fetch_sync ?(span = 0) net endpoints ~src ~owner ~timeout ~retries ~backoff
     key =

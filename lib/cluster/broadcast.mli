@@ -46,7 +46,8 @@ val info_sync :
   int
 
 (** [fetch net endpoints ~src ~owner req] sends a data-fetch request to
-    [owner]'s data server. *)
+    [owner]'s data server. [endpoints.(i)] is node [i]'s endpoints; an
+    [owner] outside the array raises [Invalid_argument]. *)
 val fetch :
   Sim.Net.t -> Endpoint.t array -> src:int -> owner:int ->
   Msg.fetch_request -> unit

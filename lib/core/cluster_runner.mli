@@ -91,7 +91,7 @@ val result_to_json : result -> string
     [assign] when given.
 
     [observe] is called after every completed request with the completion
-    time (simulated) and the response time — hook a [Metrics.Timeseries]
+    time (simulated) and the response time — hook a [Metrics.Timeline]
     in to study transients such as cache warm-up (or bucket latencies per
     scenario phase).
 

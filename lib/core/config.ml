@@ -7,8 +7,6 @@ let cache_mode_to_string = function
 
 type consistency = Weak | Strong
 
-let consistency_to_string = function Weak -> "weak" | Strong -> "strong"
-
 type dir_mode = Replicated | Sharded
 
 let dir_mode_to_string = function

@@ -22,8 +22,6 @@ val cache_mode_to_string : cache_mode -> string
     rejects; it exists to measure what that rejection saves. *)
 type consistency = Weak | Strong
 
-val consistency_to_string : consistency -> string
-
 (** Which metadata plane keeps track of who caches what. [Replicated] is
     the paper's design: every node holds a full copy of the directory and
     every update is broadcast — O(n) memory per node, O(n) messages per

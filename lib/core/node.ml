@@ -3,6 +3,7 @@
     the plane modules ({!Plane.S}) read and charge the same nodes,
     counters and spans, and start the receivers below. *)
 
+(** Counter names. *)
 module K = struct
   let requests = "requests"
   let file_fetches = "file_fetches"
@@ -30,36 +31,47 @@ module K = struct
   let restarts = "restarts"
   let rejected_down = "rejected_down"
   let dir_suspect_purged = "dir_suspect_purged"
+
+  (** [partitions_healed] counts partition heal instants observed (on node
+      0); [anti_entropy_rounds]/[anti_entropy_pulled] count digest-exchange
+      rounds initiated and entries pulled by the anti-entropy daemon;
+      [router_retries] counts client requests that a router re-submitted to
+      a survivor after a [503] from a down node. *)
   let partitions_healed = "partitions_healed"
   let anti_entropy_rounds = "anti_entropy_rounds"
   let anti_entropy_pulled = "anti_entropy_pulled"
   let router_retries = "router_retries"
 
-  (* Batching layer: batches_sent counts Batch envelopes transmitted (only
-     buffers of >= 2 updates are wrapped), batch_updates the updates they
-     carried, batch_coalesced buffered updates overwritten by a newer
-     update to the same key before transmission. info_msgs/info_bytes
-     count actual directory-update unicasts (envelopes, not updates) and
-     their wire bytes — the quantity batching is meant to shrink. *)
+  (** Update batching: [batches_sent] counts [Msg.Batch] envelopes
+      transmitted (only buffers of two or more updates are wrapped),
+      [batch_updates] the updates those envelopes carried, and
+      [batch_coalesced] buffered updates overwritten by a newer update to
+      the same key before transmission. [info_msgs]/[info_bytes] count
+      directory-update unicasts actually sent (envelopes, not updates) and
+      their wire bytes — the quantity batching is meant to shrink. *)
   let batches_sent = "batches_sent"
   let batch_updates = "batch_updates"
   let batch_coalesced = "batch_coalesced"
   let info_msgs = "info_msgs"
   let info_bytes = "info_bytes"
 
-  (* Hint index: probes skipped thanks to hints, and lookups where every
-     hinted probe missed (the false-hint fallback ran). *)
+  (** Hint index: [hint_probes_saved] is table probes skipped thanks to
+      the key→owner hints, [hint_false] lookups where every hinted probe
+      missed and the full-scan fallback ran. *)
   let hint_probes_saved = "hint_probes_saved"
   let hint_false = "hint_false"
 
-  (* Sharded metadata plane. Lookups split by how they were answered:
-     at the key's home without a message, from a hotspot replica copy,
-     or forwarded across the network. dir_lookup_msgs/bytes count the
-     forwarded round trip's wire traffic (requests at the requester,
-     replies at the home) so that info_msgs + dir_lookup_msgs is the
-     plane's total metadata message count in either mode. Lookup-cache
-     outcomes are folded in after the run (record_plane_stats), like
-     hint stats. *)
+  (** Sharded metadata plane. Directory lookups split by how they were
+      answered: [shard_local_lookups] at the key's own home without a
+      message, [shard_replica_hits] from a hotspot-replicated copy, and
+      [shard_fwd_lookups] forwarded to the home over the network.
+      [dir_lookup_msgs]/[dir_lookup_bytes] count the forwarded round
+      trip's wire traffic — requests at the requester, replies at the
+      home — so [info_msgs + dir_lookup_msgs] is the plane's total
+      metadata message count in either mode; [dir_lookup_timeouts] are
+      forwards abandoned because the home was down or partitioned away.
+      [lcache_*] are the lookup cache's outcomes, folded in after the run
+      by [Server.record_plane_stats]. *)
   let shard_local_lookups = "shard_local_lookups"
   let shard_fwd_lookups = "shard_fwd_lookups"
   let shard_replica_hits = "shard_replica_hits"
@@ -70,25 +82,28 @@ module K = struct
   let lcache_neg_hits = "lcache_neg_hits"
   let lcache_evictions = "lcache_evictions"
 
-  (* Hotspot replication: promotions/demotions decided at shard homes,
-     replica_pushes the Promote unicasts those decisions sent. *)
+  (** Hotspot replication: [hotspot_promotions]/[hotspot_demotions] are
+      decisions taken at shard homes, [hotspot_replica_pushes] the
+      [Promote] unicasts those decisions sent to ring successors. *)
   let hotspot_promotions = "hotspot_promotions"
   let hotspot_demotions = "hotspot_demotions"
   let hotspot_replica_pushes = "hotspot_replica_pushes"
 
-  (* Shard handoff after a liveness change: entries re-announced to their
-     new acting homes, and entries pruned because the ring moved them
-     elsewhere. *)
+  (** Shard handoff after a crash, restart or partition heal:
+      [shard_handoff_reannounced] entries re-announced to their acting
+      homes, [shard_pruned] entries dropped because the ring moved their
+      home elsewhere. *)
   let shard_handoff_reannounced = "shard_handoff_reannounced"
   let shard_pruned = "shard_pruned"
 
-  (* Freshness plane: refreshes counts proactive re-executions performed
-     by the refresh daemon; refresh_saved_ms sums (in milliseconds) the
-     execution time of refreshes that went on to serve at least one
-     subsequent hit — the client-visible recomputation they displaced.
-     stale_served counts hits (under the adaptive controller) whose age
-     exceeded the fixed default_ttl anchor — the staleness the adaptive
-     TTLs admitted that the fixed baseline would not have. *)
+  (** Adaptive freshness / proactive refresh: [refreshes] counts entries
+      re-executed and re-inserted by the refresh daemon;
+      [refresh_saved_ms] accumulates, in integer milliseconds, the
+      refresh execution time that displaced a client-visible recompute
+      (credited on the first hit after each refresh, at the owner);
+      [stale_served] counts adaptive-mode hits whose content age exceeded
+      the configured [default_ttl] anchor — results a fixed-TTL cache
+      would have refused to serve. *)
   let refreshes = "refreshes"
   let refresh_saved_ms = "refresh_saved_ms"
   let stale_served = "stale_served"

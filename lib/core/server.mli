@@ -151,110 +151,8 @@ val merged_counters : cluster -> Metrics.Counter.t
 (** [total_hits cluster] is local + remote cache hits served to clients. *)
 val total_hits : cluster -> int
 
-(** Counter names (see the per-name docs in the implementation). *)
-module K : sig
-  val requests : string
-  val file_fetches : string
-  val cgi_execs : string
-  val hit_local : string
-  val hit_remote : string
-  val uncacheable : string
-  val false_hit : string
-  val false_miss_concurrent : string
-  val false_miss_duplicate : string
-  val inserts : string
-  val below_threshold : string
-  val broadcast_insert : string
-  val broadcast_delete : string
-  val info_applied : string
-  val purged : string
-  val not_found : string
-  val cgi_failures : string
-  val dir_stale_self : string
-  val invalidations : string
-  val acks_sent : string
-  val fetch_timeouts : string
-  val fetch_retries : string
-  val crashes : string
-  val restarts : string
-  val rejected_down : string
-  val dir_suspect_purged : string
-
-  (** [partitions_healed] counts partition heal instants observed (on node
-      0); [anti_entropy_rounds]/[anti_entropy_pulled] count digest-exchange
-      rounds initiated and entries pulled by the anti-entropy daemon;
-      [router_retries] counts client requests that a router re-submitted to
-      a survivor after a [503] from a down node. *)
-  val partitions_healed : string
-  val anti_entropy_rounds : string
-  val anti_entropy_pulled : string
-  val router_retries : string
-
-  (** Update batching: [batches_sent] counts [Msg.Batch] envelopes
-      transmitted (only buffers of two or more updates are wrapped),
-      [batch_updates] the updates those envelopes carried, and
-      [batch_coalesced] buffered updates overwritten by a newer update to
-      the same key before transmission. [info_msgs]/[info_bytes] count
-      directory-update unicasts actually sent and their wire bytes. *)
-  val batches_sent : string
-  val batch_updates : string
-  val batch_coalesced : string
-  val info_msgs : string
-  val info_bytes : string
-
-  (** Hint index: [hint_probes_saved] is table probes skipped thanks to
-      the key→owner hints, [hint_false] lookups where every hinted probe
-      missed and the full-scan fallback ran. *)
-  val hint_probes_saved : string
-  val hint_false : string
-
-  (** Sharded metadata plane. Directory lookups split by how they were
-      answered: [shard_local_lookups] at the key's own home without a
-      message, [shard_replica_hits] from a hotspot-replicated copy, and
-      [shard_fwd_lookups] forwarded to the home over the network.
-      [dir_lookup_msgs]/[dir_lookup_bytes] count the forwarded round
-      trip's wire traffic — requests at the requester, replies at the
-      home — so [info_msgs + dir_lookup_msgs] is the plane's total
-      metadata message count in either mode; [dir_lookup_timeouts] are
-      forwards abandoned because the home was down or partitioned away.
-      [lcache_*] are the lookup cache's outcomes, folded in by
-      {!record_plane_stats}. *)
-  val shard_local_lookups : string
-  val shard_fwd_lookups : string
-  val shard_replica_hits : string
-  val dir_lookup_msgs : string
-  val dir_lookup_bytes : string
-  val dir_lookup_timeouts : string
-  val lcache_pos_hits : string
-  val lcache_neg_hits : string
-  val lcache_evictions : string
-
-  (** Hotspot replication: [hotspot_promotions]/[hotspot_demotions] are
-      decisions taken at shard homes, [hotspot_replica_pushes] the
-      [Promote] unicasts those decisions sent to ring successors. *)
-  val hotspot_promotions : string
-  val hotspot_demotions : string
-  val hotspot_replica_pushes : string
-
-  (** Shard handoff after a crash, restart or partition heal:
-      [shard_handoff_reannounced] entries re-announced to their acting
-      homes, [shard_pruned] entries dropped because the ring moved their
-      home elsewhere. *)
-  val shard_handoff_reannounced : string
-  val shard_pruned : string
-
-  (** Adaptive freshness / proactive refresh: [refreshes] counts entries
-      re-executed and re-inserted by the refresh daemon;
-      [refresh_saved_ms] accumulates, in integer milliseconds, the
-      refresh execution time that displaced a client-visible recompute
-      (credited on the first hit after each refresh, at the owner);
-      [stale_served] counts adaptive-mode hits whose content age exceeded
-      the configured [default_ttl] anchor — results a fixed-TTL cache
-      would have refused to serve. *)
-  val refreshes : string
-  val refresh_saved_ms : string
-  val stale_served : string
-end
+(** Counter names, documented at {!Node.K}. *)
+module K = Node.K
 
 (** [record_plane_stats cluster] folds the plane's host-side statistics
     into the node counters: directory hint outcomes

@@ -21,11 +21,8 @@ let of_uri ?(headers = Headers.empty) ?(body = "") meth (uri : Uri.t) =
 
 let get target = make Meth.Get target
 
-let split_head = Wire.split_head
-let parse_header_line = Wire.parse_header_line
-
 let parse s =
-  match split_head s with
+  match Wire.split_head s with
   | [], _ -> Error "empty request"
   | request_line :: header_lines, body_off -> (
       match String.split_on_char ' ' request_line with
@@ -36,24 +33,9 @@ let parse s =
               match Uri.parse target with
               | Error e -> Error e
               | Ok uri ->
-                  let rec headers acc = function
-                    | [] -> Ok (Headers.of_list (List.rev acc))
-                    | line :: rest -> (
-                        match parse_header_line line with
-                        | Ok kv -> headers (kv :: acc) rest
-                        | Error e -> Error e)
-                  in
-                  (match headers [] header_lines with
-                  | Error e -> Error e
-                  | Ok hs ->
-                      let avail = String.length s - body_off in
-                      let want =
-                        match Headers.content_length hs with
-                        | Some n -> Stdlib.min n avail
-                        | None -> avail
-                      in
-                      let body = String.sub s body_off (Stdlib.max 0 want) in
-                      Ok { meth; uri; version; headers = hs; body })))
+                  Wire.parse_fields s header_lines ~body_off
+                  |> Result.map (fun (headers, body) ->
+                         { meth; uri; version; headers; body })))
       | _ -> Error (Printf.sprintf "malformed request line %S" request_line))
 
 let to_wire t =
@@ -71,14 +53,7 @@ let to_wire t =
         (string_of_int (String.length t.body))
     else t.headers
   in
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_string buf k;
-      Buffer.add_string buf ": ";
-      Buffer.add_string buf v;
-      Buffer.add_string buf "\r\n")
-    (Headers.to_list headers);
-  Buffer.add_string buf "\r\n";
+  Wire.add_fields buf headers;
   Buffer.add_string buf t.body;
   Buffer.contents buf
 

@@ -37,11 +37,8 @@ let error status message =
   in
   make ~headers:html ~body:(Body.of_string body) status
 
-let split_head = Wire.split_head
-let parse_header_line = Wire.parse_header_line
-
 let parse s =
-  match split_head s with
+  match Wire.split_head s with
   | [], _ -> Error "empty response"
   | status_line :: header_lines, body_off -> (
       match String.split_on_char ' ' status_line with
@@ -52,30 +49,10 @@ let parse s =
               match Status.of_code n with
               | Error e -> Error e
               | Ok status ->
-                  let rec headers acc = function
-                    | [] -> Ok (Headers.of_list (List.rev acc))
-                    | line :: rest -> (
-                        match parse_header_line line with
-                        | Ok kv -> headers (kv :: acc) rest
-                        | Error e -> Error e)
-                  in
-                  (match headers [] header_lines with
-                  | Error e -> Error e
-                  | Ok hs ->
-                      let avail = String.length s - body_off in
-                      let want =
-                        match Headers.content_length hs with
-                        | Some n -> Stdlib.min n avail
-                        | None -> avail
-                      in
-                      let body = String.sub s body_off (Stdlib.max 0 want) in
-                      Ok
-                        {
-                          status;
-                          version;
-                          headers = hs;
-                          body = Body.of_string body;
-                        })))
+                  Wire.parse_fields s header_lines ~body_off
+                  |> Result.map (fun (headers, body) ->
+                         let body = Body.of_string body in
+                         { status; version; headers; body })))
       | [] | [ _ ] -> Error "malformed status line")
 
 let to_wire t =
@@ -93,14 +70,7 @@ let to_wire t =
         (string_of_int (String.length body))
     else t.headers
   in
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_string buf k;
-      Buffer.add_string buf ": ";
-      Buffer.add_string buf v;
-      Buffer.add_string buf "\r\n")
-    (Headers.to_list headers);
-  Buffer.add_string buf "\r\n";
+  Wire.add_fields buf headers;
   Buffer.add_string buf body;
   Buffer.contents buf
 

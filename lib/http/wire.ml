@@ -24,6 +24,35 @@ let parse_header_line line =
       if String.equal (String.trim name) "" then Error "empty header name"
       else Ok (String.trim name, value)
 
+let parse_fields s header_lines ~body_off =
+  let rec headers acc = function
+    | [] -> Ok (Headers.of_list (List.rev acc))
+    | line :: rest -> (
+        match parse_header_line line with
+        | Ok kv -> headers (kv :: acc) rest
+        | Error e -> Error e)
+  in
+  match headers [] header_lines with
+  | Error e -> Error e
+  | Ok hs ->
+      let avail = String.length s - body_off in
+      let want =
+        match Headers.content_length hs with
+        | Some n -> Stdlib.min n avail
+        | None -> avail
+      in
+      Ok (hs, String.sub s body_off (Stdlib.max 0 want))
+
+let add_fields buf hs =
+  List.iter
+    (fun (k, v) ->
+      Buffer.add_string buf k;
+      Buffer.add_string buf ": ";
+      Buffer.add_string buf v;
+      Buffer.add_string buf "\r\n")
+    (Headers.to_list hs);
+  Buffer.add_string buf "\r\n"
+
 let rec decimal_length n = if n < 10 then 1 else 1 + decimal_length (n / 10)
 
 let headers_size hs =

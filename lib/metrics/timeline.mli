@@ -2,8 +2,8 @@
     time into a bounded array, with adjacent-bucket merging (doubling the
     bucket width) whenever a sample lands past the end. Memory is bounded
     by [capacity] at any run length; resolution halves each time the
-    recorded horizon doubles. Unlike {!Timeseries} (exact windows, grows
-    with the run) this is safe to leave on for arbitrarily long runs. *)
+    recorded horizon doubles, so it is safe to leave on for arbitrarily
+    long runs. *)
 
 type t
 

@@ -3,8 +3,6 @@ type t = {
   bandwidth : float;
   mem_bandwidth : float;
   arm : Mutex.t;
-  mutable n_reads : int;
-  mutable n_writes : int;
 }
 
 let create ?(seek = 0.008) ?(bandwidth = 8e6) ?(mem_bandwidth = 80e6) ?observe
@@ -16,13 +14,10 @@ let create ?(seek = 0.008) ?(bandwidth = 8e6) ?(mem_bandwidth = 80e6) ?observe
     bandwidth;
     mem_bandwidth;
     arm = Mutex.create ?observe ();
-    n_reads = 0;
-    n_writes = 0;
   }
 
 let read t ~bytes ~cached =
   if bytes < 0 then invalid_arg "Disk.read: negative size";
-  t.n_reads <- t.n_reads + 1;
   if cached then Engine.delay (float_of_int bytes /. t.mem_bandwidth)
   else
     Mutex.with_lock t.arm (fun () ->
@@ -30,9 +25,5 @@ let read t ~bytes ~cached =
 
 let write t ~bytes =
   if bytes < 0 then invalid_arg "Disk.write: negative size";
-  t.n_writes <- t.n_writes + 1;
   Mutex.with_lock t.arm (fun () ->
       Engine.delay (t.seek +. (float_of_int bytes /. t.bandwidth)))
-
-let reads t = t.n_reads
-let writes t = t.n_writes

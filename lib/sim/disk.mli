@@ -24,9 +24,3 @@ val read : t -> bytes:int -> cached:bool -> unit
 
 (** [write d ~bytes] blocks for a (serialised) write of [bytes]. *)
 val write : t -> bytes:int -> unit
-
-(** [reads d] counts completed read requests (cached and uncached). *)
-val reads : t -> int
-
-(** [writes d] counts completed write requests. *)
-val writes : t -> int

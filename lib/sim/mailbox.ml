@@ -87,6 +87,3 @@ let recv_timeout t ~timeout =
 
 let try_recv t = Queue.take_opt t.items
 let length t = Queue.length t.items
-
-let receivers t =
-  Queue.fold (fun acc w -> if w.active then acc + 1 else acc) 0 t.waiting

@@ -35,6 +35,3 @@ val try_recv : 'a t -> 'a option
 
 (** [length mb] is the number of queued (unconsumed) messages. *)
 val length : 'a t -> int
-
-(** [receivers mb] is the number of processes blocked in {!recv}. *)
-val receivers : 'a t -> int

@@ -30,8 +30,6 @@ let int t bound =
   let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
   v mod bound
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
-
 let range t lo hi =
   if lo > hi then invalid_arg "Rng.range: lo > hi";
   lo +. ((hi -. lo) *. float t)

@@ -24,9 +24,6 @@ val float : t -> float
 (** [int t bound] draws uniformly from [\[0, bound)]. Requires [bound > 0]. *)
 val int : t -> int -> int
 
-(** [bool t] draws a fair boolean. *)
-val bool : t -> bool
-
 (** [range t lo hi] draws uniformly from [\[lo, hi)] as a float.
     Requires [lo <= hi]. *)
 val range : t -> float -> float -> float

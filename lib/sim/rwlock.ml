@@ -106,8 +106,6 @@ let with_wr t f =
       wr_unlock t;
       raise e
 
-let readers t = t.active_readers
-let writer_held t = t.writer
 let waiters t = Queue.length t.queue
 let rd_acquisitions t = t.rd_count
 let wr_acquisitions t = t.wr_count

@@ -40,12 +40,6 @@ val with_rd : t -> (unit -> 'a) -> 'a
 (** [with_wr l f] runs [f ()] under the write lock, exception-safe. *)
 val with_wr : t -> (unit -> 'a) -> 'a
 
-(** [readers l] is the number of processes currently holding read access. *)
-val readers : t -> int
-
-(** [writer_held l] is [true] while a writer holds the lock. *)
-val writer_held : t -> bool
-
 (** [waiters l] is the number of processes queued for either access. *)
 val waiters : t -> int
 

@@ -107,9 +107,3 @@ let upper_bound_hits trace =
       end)
     trace;
   !hits
-
-let pp_row ppf r =
-  Format.fprintf ppf
-    "threshold=%.1fs long=%d repeats=%d unique=%d saved=%.0fs (%.1f%%)"
-    r.threshold r.n_long r.total_repeats r.unique_repeats r.time_saved
-    (100. *. r.saved_fraction)

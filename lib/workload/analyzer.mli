@@ -37,5 +37,3 @@ val summarize : Trace.t -> summary
     an infinite cache: total CGI requests minus distinct CGI keys (paper
     §5.3's "upper bound"). *)
 val upper_bound_hits : Trace.t -> int
-
-val pp_row : Format.formatter -> row -> unit

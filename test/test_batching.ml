@@ -11,6 +11,13 @@ let check_int = Alcotest.(check int)
 let check_float = Alcotest.(check (float 1e-9))
 let check_digest_pair = Alcotest.(check (pair int int))
 
+(* QCheck_alcotest ignores QCHECK_COUNT, so the long-iteration CI job's
+   knob is honoured here by hand. *)
+let count =
+  match Option.bind (Sys.getenv_opt "QCHECK_COUNT") int_of_string_opt with
+  | Some n -> n
+  | None -> 500
+
 let expect_invalid what f =
   match f () with
   | exception Invalid_argument _ -> ()
@@ -142,7 +149,7 @@ let prop_digest_sees_every_field =
     Printf.sprintf "field %d of %s" field
       (Format.asprintf "%a" Cache.Meta.pp m)
   in
-  QCheck.Test.make ~name:"changing one field changes the digest" ~count:500
+  QCheck.Test.make ~name:"changing one field changes the digest" ~count
     (QCheck.make ~print gen) (fun (extra, (m : Cache.Meta.t), field) ->
       let extra = List.filter (fun (e : Cache.Meta.t) -> e.key <> m.key) extra in
       let changed =

@@ -11,6 +11,14 @@ let check_int = Alcotest.(check int)
 let check_string = Alcotest.(check string)
 let check_float_eps eps = Alcotest.(check (float eps))
 
+(* QCheck_alcotest ignores QCHECK_COUNT, so the long-iteration CI job's
+   knob is honoured here by hand: it replaces every property's count,
+   which otherwise stays at the default the property names. *)
+let count default =
+  match Option.bind (Sys.getenv_opt "QCHECK_COUNT") int_of_string_opt with
+  | Some n -> n
+  | None -> default
+
 let crowd ?(at = 10.) ?(duration = 10.) ?decay ?(fraction = 0.8) ?(keys = 8)
     () =
   Scenario.flash_crowd ~at ~duration ?decay ~fraction ~keys ()
@@ -102,7 +110,7 @@ let prop_phases_tile =
   (* Whatever the crowd geometry, phases are nonempty, ordered, gap-free
      and exactly cover [0, duration]. *)
   QCheck.Test.make ~name:"phases tile [0,duration] with no gap/overlap"
-    ~count:200
+    ~count:(count 200)
     QCheck.(
       quad (float_range 1. 100.) (float_range 0. 0.99) (float_range 0.1 60.)
         (float_range 0. 60.))
@@ -132,7 +140,8 @@ let prop_flash_decays_to_baseline =
   (* Intensity is the peak fraction inside the window, nonincreasing across
      the decay tail, and exactly zero once the decay completes — the
      distribution returns to baseline. *)
-  QCheck.Test.make ~name:"flash intensity decays back to baseline" ~count:200
+  QCheck.Test.make ~name:"flash intensity decays back to baseline"
+    ~count:(count 200)
     QCheck.(
       pair (float_range 0.1 1.) (pair (float_range 0.5 20.) (float_range 0. 20.)))
     (fun (fraction, (cd, decay)) ->
@@ -201,7 +210,7 @@ let prop_arrivals_shape =
   (* n nondecreasing release times inside [0, duration), for both envelope
      families. *)
   QCheck.Test.make ~name:"arrival times nondecreasing in [0,duration)"
-    ~count:100
+    ~count:(count 100)
     QCheck.(pair (int_range 1 400) (pair (float_range 5. 100.) (float_range 0. 1.)))
     (fun (n, (duration, trough)) ->
       let sc =
@@ -223,7 +232,7 @@ let prop_envelope_integrates_to_count =
   (* Quantile inversion: the number of arrivals in any prefix [0,t] matches
      the integral of the normalised envelope up to t, within one request. *)
   QCheck.Test.make ~name:"envelope integrates to request count (+-1)"
-    ~count:50
+    ~count:(count 50)
     QCheck.(pair (int_range 50 500) (float_range 0.05 1.))
     (fun (n, trough) ->
       let duration = 50. in

@@ -6,6 +6,14 @@ let check_float_eps eps = Alcotest.(check (float eps))
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
+(* QCheck_alcotest ignores QCHECK_COUNT, so the long-iteration CI job's
+   knob is honoured here by hand: it replaces every property's count,
+   which otherwise stays at the default the property names. *)
+let count default =
+  match Option.bind (Sys.getenv_opt "QCHECK_COUNT") int_of_string_opt with
+  | Some n -> n
+  | None -> default
+
 (* ------------------------------------------------------------------ *)
 (* Pqueue *)
 
@@ -36,7 +44,8 @@ let test_pqueue_clear () =
   check_int "cleared" 0 (Sim.Pqueue.length h)
 
 let prop_pqueue_sorts =
-  QCheck.Test.make ~name:"pqueue drains any list in sorted order" ~count:200
+  QCheck.Test.make ~name:"pqueue drains any list in sorted order"
+    ~count:(count 200)
     QCheck.(list int)
     (fun xs ->
       let h = Sim.Pqueue.create ~cmp:Int.compare in
@@ -98,7 +107,8 @@ let test_rng_shuffle_permutes () =
   check_bool "actually permuted" true (arr <> orig)
 
 let prop_rng_float_range =
-  QCheck.Test.make ~name:"rng float in [0,1)" ~count:100 QCheck.small_int
+  QCheck.Test.make ~name:"rng float in [0,1)" ~count:(count 100)
+    QCheck.small_int
     (fun seed ->
       let rng = Sim.Rng.create seed in
       let ok = ref true in
@@ -689,7 +699,7 @@ let test_cpu_busy_time () =
   check_int "completed" 2 (Sim.Cpu.completed cpu)
 
 let prop_cpu_work_conservation =
-  QCheck.Test.make ~name:"PS cpu conserves work" ~count:50
+  QCheck.Test.make ~name:"PS cpu conserves work" ~count:(count 50)
     QCheck.(list_of_size Gen.(1 -- 8) (pair (float_bound_exclusive 2.0) (float_bound_exclusive 3.0)))
     (fun jobs ->
       QCheck.assume (jobs <> []);
@@ -708,7 +718,8 @@ let prop_cpu_work_conservation =
       && Sim.Cpu.completed cpu = List.length jobs)
 
 let prop_cpu_finish_not_before_demand =
-  QCheck.Test.make ~name:"PS job never finishes before its solo time" ~count:50
+  QCheck.Test.make ~name:"PS job never finishes before its solo time"
+    ~count:(count 50)
     QCheck.(list_of_size Gen.(1 -- 6) (float_bound_exclusive 2.0))
     (fun demands ->
       QCheck.assume (demands <> []);

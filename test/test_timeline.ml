@@ -1,8 +1,8 @@
 (* Tests for the flight recorder's storage plane: Timeline ring buffers
    (the bucket-merge conservation law, as QCheck properties), the probe
-   Registry (probe kinds, width alignment, JSON/CSV export), the
-   Timeseries export helpers, and the metrics-JSON schema golden test
-   that gives bin/metrics_diff a stable key set to diff against.
+   Registry (probe kinds, width alignment, JSON/CSV export) and the
+   metrics-JSON schema golden test that gives bin/metrics_diff a stable
+   key set to diff against.
 
    QCheck_alcotest ignores QCHECK_COUNT, so the long-iteration CI job's
    knob is honoured here by hand. *)
@@ -252,46 +252,6 @@ let test_registry_json_null () =
   | None -> Alcotest.fail "no series object")
 
 (* ------------------------------------------------------------------ *)
-(* Timeseries export helpers *)
-
-let test_timeseries_json_null () =
-  let ts = Metrics.Timeseries.create ~window:1.0 in
-  Metrics.Timeseries.add ts ~time:0.5 1.0;
-  Metrics.Timeseries.add ts ~time:2.5 3.0;
-  check_bool "empty window mean is nan" true
-    (Float.is_nan (Metrics.Timeseries.bucket_means ts).(1));
-  let j =
-    match J.of_string (J.to_string (Metrics.Timeseries.to_json ts)) with
-    | Ok v -> v
-    | Error e -> Alcotest.failf "timeseries JSON does not parse: %s" e
-  in
-  match (J.member "means" j, J.member "counts" j) with
-  | Some (J.List means), Some (J.List counts) ->
-      check_int "three windows" 3 (List.length means);
-      check_bool "empty window serializes as null" true
-        (List.nth means 1 = J.Null);
-      check_bool "counts mark it empty" true (List.nth counts 1 = J.Int 0)
-  | _ -> Alcotest.fail "expected means and counts arrays"
-
-let test_rate_of_counter () =
-  let r =
-    Metrics.Timeseries.rate_of_counter ~window:2.
-      [| Float.nan; 10.; 10.; 30. |]
-  in
-  check_bool "empty window stays nan" true (Float.is_nan r.(0));
-  check_bool "first reading has no delta" true (Float.is_nan r.(1));
-  check_float "flat counter is a zero rate" 0. r.(2);
-  check_float "delta over elapsed seconds" 10. r.(3);
-  (* a reading below its predecessor is a counter reset *)
-  let r = Metrics.Timeseries.rate_of_counter ~window:1. [| 5.; 2. |] in
-  check_float "reset restarts from the new reading" 2. r.(1);
-  (* gaps spread the delta over the elapsed windows *)
-  let r =
-    Metrics.Timeseries.rate_of_counter ~window:1. [| 0.; Float.nan; 6. |]
-  in
-  check_float "gap amortised" 3. r.(2)
-
-(* ------------------------------------------------------------------ *)
 (* Metrics-JSON schema: the golden key set metrics_diff diffs against *)
 
 let base_keys =
@@ -380,12 +340,6 @@ let () =
           Alcotest.test_case "CSV rows stay aligned" `Quick test_csv_aligned;
           Alcotest.test_case "JSON nulls for empty windows" `Quick
             test_registry_json_null;
-        ] );
-      ( "timeseries",
-        [
-          Alcotest.test_case "to_json nulls empty windows" `Quick
-            test_timeseries_json_null;
-          Alcotest.test_case "rate_of_counter" `Quick test_rate_of_counter;
         ] );
       ( "schema",
         [
