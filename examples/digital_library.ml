@@ -43,11 +43,9 @@ let () =
                  (Metrics.Counter.get r.R.counters Swala.Server.K.cgi_execs));
          ]
          results));
-  let baseline = R.mean_response (List.assoc Swala.Config.Disabled results) in
-
-  let coop = run Swala.Config.Cooperative in
+  let mean mode = R.mean_response (List.assoc mode results) in
+  let baseline = mean Swala.Config.Disabled in
   Printf.printf
     "Cooperative caching cuts mean response time by %.0f%% versus no \
      caching on this trace.\n"
-    (100.
-    *. ((baseline -. Swala.Cluster_runner.mean_response coop) /. baseline))
+    (100. *. ((baseline -. mean Swala.Config.Cooperative) /. baseline))

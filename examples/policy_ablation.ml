@@ -1,33 +1,21 @@
 (* Replacement-policy comparison under cache overflow.
 
    The paper's §3 notes the threshold/cache-size trade-off and defers its five
-   replacement methods to a tech report; this example runs the whole policy
-   family on the Table-6 workload (per-node cache far smaller than the
-   working set) and shows which policies keep the valuable entries.
+   replacement methods to a tech report; this example runs ablation A1
+   ([Swala.Experiments.ablation_policy]), the whole policy family on the
+   Table-6 workload (per-node cache far smaller than the working set), and
+   shows which policies keep the valuable entries.
 
    Run with:  dune exec examples/policy_ablation.exe *)
 
 let () =
-  let seed = 123 in
-  let trace =
-    Workload.Synthetic.coop ~seed ~n:1600 ~n_unique:1122 ~locality:0.08 ()
-  in
-  let upper = Workload.Analyzer.upper_bound_hits trace in
+  let upper, results = Swala.Experiments.ablation_policy ~seed:123 () in
   Printf.printf
     "Workload: 1600 CGI requests over 1122 distinct queries; at most %d \
      hits are possible.\nPer-node cache: 20 entries on a 4-node cooperative \
      cluster (aggregate 80 << 1122).\n\n"
     upper;
   let module R = Swala.Cluster_runner in
-  let results =
-    List.map
-      (fun policy ->
-        let cfg =
-          Swala.Config.make ~n_nodes:4 ~cache_capacity:20 ~policy ~seed ()
-        in
-        (policy, R.run cfg ~trace ~n_streams:16 ()))
-      Cache.Policy.all
-  in
   Metrics.Table.(
     print
       (of_rows ~title:"Replacement policy vs achieved hits"

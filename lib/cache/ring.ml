@@ -12,7 +12,6 @@
 type t = {
   points : (int * int) array;  (* (hash, node), sorted by hash *)
   nodes : int;
-  vnodes : int;
 }
 
 (* FNV-1a, folded to 62 bits so the arithmetic stays in OCaml's tagged
@@ -38,10 +37,7 @@ let create ~nodes ~vnodes =
   (* Ties between points are broken by node id so the sort — and hence
      every ownership decision — is deterministic. *)
   Array.sort compare points;
-  { points; nodes; vnodes }
-
-let nodes t = t.nodes
-let vnodes t = t.vnodes
+  { points; nodes }
 
 (* Index of the first point with hash >= h, wrapping to 0 past the end. *)
 let first_at_or_after t h =

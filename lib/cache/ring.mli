@@ -16,12 +16,6 @@ type t
     unless both are [>= 1]. O(nodes·vnodes·log) once per cluster. *)
 val create : nodes:int -> vnodes:int -> t
 
-(** [nodes t] is the physical node count the ring was built for. *)
-val nodes : t -> int
-
-(** [vnodes t] is the points-per-node parameter. *)
-val vnodes : t -> int
-
 (** [owner t key] is the key's home node — the physical node owning the
     first ring point at or clockwise after [hash key]. O(log points). *)
 val owner : t -> string -> int

@@ -30,8 +30,3 @@ let merge a b =
     expirations = a.expirations + b.expirations;
     bytes_stored = a.bytes_stored + b.bytes_stored;
   }
-
-let pp ppf t =
-  Format.fprintf ppf
-    "hits=%d misses=%d (ratio %.3f) inserts=%d evictions=%d expirations=%d"
-    t.hits t.misses (hit_ratio t) t.inserts t.evictions t.expirations

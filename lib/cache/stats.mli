@@ -15,4 +15,3 @@ val create : unit -> t
 val hit_ratio : t -> float
 
 val merge : t -> t -> t
-val pp : Format.formatter -> t -> unit

@@ -13,7 +13,6 @@ type heap_item = { priority : float; h_version : int; h_key : string }
 
 type t = {
   capacity : int;
-  capacity_bytes : int option;
   pol : Policy.t;
   clock : unit -> float;
   rng : Sim.Rng.t option;
@@ -39,19 +38,14 @@ let cmp_item a b =
   let c = Float.compare a.priority b.priority in
   if c <> 0 then c else Int.compare a.h_version b.h_version
 
-let create ~capacity ?capacity_bytes ~policy ~clock ?rng () =
+let create ~capacity ~policy ~clock ?rng () =
   if capacity < 1 then invalid_arg "Store.create: capacity must be >= 1";
-  (match capacity_bytes with
-  | Some b when b < 1 ->
-      invalid_arg "Store.create: capacity_bytes must be >= 1"
-  | Some _ | None -> ());
   (match (policy, rng) with
   | Policy.Random, None ->
       invalid_arg "Store.create: Random policy needs an rng"
   | _ -> ());
   {
     capacity;
-    capacity_bytes;
     pol = policy;
     clock;
     rng;
@@ -211,14 +205,7 @@ let insert_body t meta body =
   (* Replacing an existing entry never needs eviction. *)
   ignore (remove t key : bool);
   let evicted = ref [] in
-  let over_bytes () =
-    match t.capacity_bytes with
-    | Some cap ->
-        Hashtbl.length t.table > 0
-        && t.stats.Stats.bytes_stored + meta.Meta.size > cap
-    | None -> false
-  in
-  while Hashtbl.length t.table >= t.capacity || over_bytes () do
+  while Hashtbl.length t.table >= t.capacity do
     match evict_one t with
     | Some m -> evicted := m :: !evicted
     | None -> assert false (* table non-empty implies a victim exists *)
@@ -283,8 +270,6 @@ let clear t =
 
 let mem t key = match peek t key with Some _ -> true | None -> false
 let length t = Hashtbl.length t.table
-let capacity t = t.capacity
-let capacity_bytes t = t.capacity_bytes
 let bytes t = t.stats.Stats.bytes_stored
 
 let keys t =
@@ -323,4 +308,3 @@ let expiring t ~now ~horizon =
            String.compare a.c_entry.meta.Meta.key b.c_entry.meta.Meta.key)
 
 let stats t = t.stats
-let policy t = t.pol

@@ -17,13 +17,10 @@ type t
 type entry = { meta : Meta.t; body : Http.Body.t }
 
 val create :
-  capacity:int -> ?capacity_bytes:int -> policy:Policy.t ->
-  clock:(unit -> float) -> ?rng:Sim.Rng.t -> unit -> t
-(** [capacity] is the maximum number of entries ([>= 1]);
-    [capacity_bytes] optionally also bounds the total body bytes (entries
-    are evicted until both bounds hold; a single entry larger than the
-    byte bound still resides alone). [rng] is required for [Policy.Random]
-    and ignored otherwise. *)
+  capacity:int -> policy:Policy.t -> clock:(unit -> float) ->
+  ?rng:Sim.Rng.t -> unit -> t
+(** [capacity] is the maximum number of entries ([>= 1]). [rng] is
+    required for [Policy.Random] and ignored otherwise. *)
 
 (** [lookup t key] returns the entry and updates recency/frequency, or
     [None] (counting a miss). An entry past its expiry is dropped and
@@ -83,9 +80,6 @@ val expiring : t -> now:float -> horizon:float -> candidate list
 
 val mem : t -> string -> bool
 val length : t -> int
-val capacity : t -> int
-val capacity_bytes : t -> int option
 val bytes : t -> int
 val keys : t -> string list
 val stats : t -> Stats.t
-val policy : t -> Policy.t

@@ -45,9 +45,17 @@ let split_streams trace n_streams =
     trace;
   Array.map List.rev streams
 
-let run_with cfg ~trace ~n_streams ?warmup ?(assign = fun s -> s mod cfg.Config.n_nodes)
-    ?router ?(observe = fun ~time:_ _ -> ()) ~registry () =
+let default_registry trace =
+  let registry = Cgi.Registry.create () in
+  Workload.Synthetic.register_scripts registry;
+  Workload.Webstone.register_files registry;
+  Workload.Synthetic.register_trace_files registry trace;
+  registry
+
+let run cfg ~trace ~n_streams ?warmup ?(assign = fun s -> s mod cfg.Config.n_nodes)
+    ?router ?(observe = fun ~time:_ _ -> ()) () =
   if n_streams < 1 then invalid_arg "Cluster_runner.run: n_streams must be >= 1";
+  let registry = default_registry trace in
   let scenario = cfg.Config.scenario in
   (* Scenario state, all created only when one is configured. Per-stream
      generators are split from the salted root in stream order, so a
@@ -411,14 +419,3 @@ let result_to_json r =
     match r.health with
     | None -> []
     | Some h -> [ ("incidents", Metrics.Health.to_json h) ]))
-
-let default_registry trace =
-  let registry = Cgi.Registry.create () in
-  Workload.Synthetic.register_scripts registry;
-  Workload.Webstone.register_files registry;
-  Workload.Synthetic.register_trace_files registry trace;
-  registry
-
-let run cfg ~trace ~n_streams ?warmup ?assign ?router ?observe () =
-  run_with cfg ~trace ~n_streams ?warmup ?assign ?router ?observe
-    ~registry:(default_registry trace) ()

@@ -83,6 +83,8 @@ val result_to_json : result -> string
 
 (** [run cfg ~trace ~n_streams ?warmup ?assign ?router ()] builds a fresh
     engine and cluster, replays [trace], and returns collected metrics.
+    The cluster serves the synthetic scripts, the WebStone documents and
+    the trace's own static files.
 
     [warmup] runs inside the simulation before any client starts (use it
     with [Server.preload] to warm caches). [assign] overrides the
@@ -113,21 +115,5 @@ val run :
   ?assign:(int -> int) ->
   ?router:Router.policy ->
   ?observe:(time:float -> float -> unit) ->
-  unit ->
-  result
-
-(** [run_with cfg ~trace ~n_streams ?warmup ?assign ?router ~registry ()]
-    is {!run} with a caller-prepared script/file registry (the default
-    registers the synthetic scripts, the WebStone files and the trace's
-    static files). *)
-val run_with :
-  Config.t ->
-  trace:Workload.Trace.t ->
-  n_streams:int ->
-  ?warmup:(Server.cluster -> unit) ->
-  ?assign:(int -> int) ->
-  ?router:Router.policy ->
-  ?observe:(time:float -> float -> unit) ->
-  registry:Cgi.Registry.t ->
   unit ->
   result

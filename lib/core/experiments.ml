@@ -19,17 +19,33 @@ let table ~title columns rows =
 let one_table name ~doc ~title columns rows =
   { name; doc; output = (fun ~jobs -> [ table ~title columns (rows ~jobs) ]) }
 
+(* A one-table target whose driver also returns the trace's upper bound
+   on hits, which its [columns] read. *)
+let bounded_table name ~doc ~title columns driver =
+  let output ~jobs:_ =
+    let upper, rows = driver () in
+    [ table ~title (columns upper) rows ]
+  in
+  { name; doc; output }
+
 let sec = Metrics.Table.fmt_f ~decimals:3
 let f4 = Metrics.Table.fmt_f ~decimals:4
 let kb bytes = Printf.sprintf "%.1f" (float_of_int bytes /. 1024.)
 
-(* Hits as a share of the offline upper bound. *)
-let of_upper hits upper =
-  Metrics.Table.fmt_pct
-    (float_of_int hits /. float_of_int (Stdlib.max 1 upper))
-
 (* A swept float whose zero point means "off" or "none". *)
 let swept ~zero v = if v = 0. then zero else Printf.sprintf "%g" v
+
+(* An ablation row pairs a swept point with the run it produced; these
+   read the run. *)
+let count r key = Metrics.Counter.get r.Cluster_runner.counters key
+let counter_cell key (_, r) = Metrics.Table.fmt_i (count r key)
+let hits_cell (_, r) = Metrics.Table.fmt_i r.Cluster_runner.hits
+let mean_cell (_, r) = sec (Cluster_runner.mean_response r)
+
+(* Hits as a share of the offline upper bound. *)
+let of_upper upper (_, r) =
+  Metrics.Table.fmt_pct
+    (float_of_int r.Cluster_runner.hits /. float_of_int (Stdlib.max 1 upper))
 
 (* ------------------------------------------------------------------ *)
 (* E1 — Table 1 *)
@@ -437,11 +453,14 @@ type hit_row = {
   coop_false_misses : int;
 }
 
+(* The Table-5 workload, which most ablations replay too: 1,600 CGI
+   requests over 1,122 distinct queries. *)
+let table5_trace ?(n = 1600) ?(n_unique = 1122) ?demand seed =
+  Workload.Synthetic.coop ~seed ~n ~n_unique ~locality:0.08 ?demand ()
+
 let hit_ratio_table ?(seed = default_seed) ?(node_counts = [ 1; 2; 4; 6; 8 ])
-    ?(n = 1600) ?(n_unique = 1122) ~cache_size () =
-  let trace =
-    Workload.Synthetic.coop ~seed ~n ~n_unique ~locality:0.08 ()
-  in
+    ?n ?n_unique ~cache_size () =
+  let trace = table5_trace ?n ?n_unique seed in
   let upper = Workload.Analyzer.upper_bound_hits trace in
   let run nodes mode =
     let cfg =
@@ -508,54 +527,36 @@ let table6_target = hit_ratio_target 6 ~cache_size:20
 (* ------------------------------------------------------------------ *)
 (* A1 — replacement policies *)
 
-type policy_row = {
-  policy : Cache.Policy.t;
-  hits_p : int;
-  upper_p : int;
-  mean_response_p : float;
-}
-
 let ablation_policy ?(seed = default_seed) ?(cache_size = 20) ?(nodes = 4) () =
-  let trace = Workload.Synthetic.coop ~seed ~n:1600 ~n_unique:1122 ~locality:0.08 () in
+  let trace = table5_trace seed in
   let upper = Workload.Analyzer.upper_bound_hits trace in
-  List.map
-    (fun policy ->
-      let cfg =
-        Config.make ~n_nodes:nodes ~cache_mode:Config.Cooperative
-          ~cache_capacity:cache_size ~policy ~seed ()
-      in
-      let r = Cluster_runner.run cfg ~trace ~n_streams:16 () in
-      {
-        policy;
-        hits_p = r.Cluster_runner.hits;
-        upper_p = upper;
-        mean_response_p = Cluster_runner.mean_response r;
-      })
-    Cache.Policy.all
+  ( upper,
+    List.map
+      (fun policy ->
+        let cfg =
+          Config.make ~n_nodes:nodes ~cache_mode:Config.Cooperative
+            ~cache_capacity:cache_size ~policy ~seed ()
+        in
+        (policy, Cluster_runner.run cfg ~trace ~n_streams:16 ()))
+      Cache.Policy.all )
 
 let policy_target =
-  one_table "ablation-policy" ~doc:"replacement policies under overflow"
+  bounded_table "ablation-policy" ~doc:"replacement policies under overflow"
     ~title:
       "Ablation A1. Replacement policy under overflow (cache size 20, 4 \
        nodes, cooperative)."
-    Metrics.Table.
-      [
-        left "Policy" (fun r -> Cache.Policy.to_string r.policy);
-        right "Hits" (fun r -> fmt_i r.hits_p);
-        right "% of UB" (fun r -> of_upper r.hits_p r.upper_p);
-        right "Mean response (s)" (fun r -> sec r.mean_response_p);
-      ]
-    (fun ~jobs:_ -> ablation_policy ())
+    (fun upper ->
+      Metrics.Table.
+        [
+          left "Policy" (fun (policy, _) -> Cache.Policy.to_string policy);
+          right "Hits" hits_cell;
+          right "% of UB" (of_upper upper);
+          right "Mean response (s)" mean_cell;
+        ])
+    (fun () -> ablation_policy ())
 
 (* ------------------------------------------------------------------ *)
 (* A2 — locking granularity *)
-
-type locking_row = {
-  granularity : Cache.Directory.granularity;
-  mean_response_l : float;
-  rd_locks : int;
-  wr_locks : int;
-}
 
 let granularity_name = function
   | Cache.Directory.Global -> "global"
@@ -578,14 +579,7 @@ let ablation_locking ?(seed = default_seed) ?(nodes = 4) () =
           ~dir_granularity:granularity ~dir_scan_cost:2e-6
           ~cache_threshold:0.001 ~seed ()
       in
-      let r = Cluster_runner.run cfg ~trace ~n_streams:(12 * nodes) () in
-      let rd, wr = r.Cluster_runner.dir_locks in
-      {
-        granularity;
-        mean_response_l = Cluster_runner.mean_response r;
-        rd_locks = rd;
-        wr_locks = wr;
-      })
+      (granularity, Cluster_runner.run cfg ~trace ~n_streams:(12 * nodes) ()))
     [ Cache.Directory.Global; Cache.Directory.Per_table; Cache.Directory.Per_entry ]
 
 let locking_target =
@@ -593,15 +587,52 @@ let locking_target =
     ~title:"Ablation A2. Directory locking granularity (4 nodes, cooperative)."
     Metrics.Table.
       [
-        left "Granularity" (fun r -> granularity_name r.granularity);
-        right "Mean response (s)" (fun r -> f4 r.mean_response_l);
-        right "Read locks" (fun r -> fmt_i r.rd_locks);
-        right "Write locks" (fun r -> fmt_i r.wr_locks);
+        left "Granularity" (fun (granularity, _) ->
+            granularity_name granularity);
+        right "Mean response (s)" (fun (_, r) ->
+            f4 (Cluster_runner.mean_response r));
+        right "Read locks" (fun (_, r) ->
+            fmt_i (fst r.Cluster_runner.dir_locks));
+        right "Write locks" (fun (_, r) ->
+            fmt_i (snd r.Cluster_runner.dir_locks));
       ]
     (fun ~jobs:_ -> ablation_locking ())
 
 (* ------------------------------------------------------------------ *)
 (* A3 — consistency anomalies vs latency *)
+
+let ablation_consistency ?(seed = default_seed)
+    ?(latencies = [ 0.0002; 0.005; 0.05; 0.5 ]) ?(nodes = 8) () =
+  (* Short executions (50 ms) make the inconsistency window latency-bound:
+     a peer stays ignorant of an insert for [latency] seconds, so higher
+     latency means more duplicate executions of the same hot query. *)
+  let trace = table5_trace ~demand:0.05 seed in
+  List.map
+    (fun latency ->
+      (* A small cache keeps replacement active, so delete broadcasts race
+         with remote fetches — the false-hit window of §4.2. *)
+      let cfg =
+        Config.make ~n_nodes:nodes ~cache_mode:Config.Cooperative
+          ~broadcast_latency:(Some latency) ~cache_threshold:0.01
+          ~cache_capacity:40 ~seed ()
+      in
+      (latency, Cluster_runner.run cfg ~trace ~n_streams:16 ()))
+    latencies
+
+let consistency_target =
+  one_table "ablation-consistency" ~doc:"anomalies vs update delay"
+    ~title:
+      "Ablation A3. Consistency anomalies vs directory-update delay (8 \
+       nodes, 50 ms CGIs, cache size 40)."
+    Metrics.Table.
+      [
+        right "Update delay (s)" (fun (latency, _) -> f4 latency);
+        right "False hits" (counter_cell Server.K.false_hit);
+        right "FM concurrent" (counter_cell Server.K.false_miss_concurrent);
+        right "FM duplicate" (counter_cell Server.K.false_miss_duplicate);
+        right "Hits" hits_cell;
+      ]
+    (fun ~jobs:_ -> ablation_consistency ())
 
 (* ------------------------------------------------------------------ *)
 (* A4 — weak vs strong consistency protocol *)
@@ -650,67 +681,43 @@ let protocol_target =
 (* ------------------------------------------------------------------ *)
 (* A5 — routing policy *)
 
-type routing_row = {
-  routing : Router.policy;
-  mode_r : Config.cache_mode;
-  hits_r : int;
-  upper_r : int;
-  mean_response_r : float;
-}
-
 let ablation_routing ?(seed = default_seed) ?(nodes = 4) ?(cache_size = 2000)
     () =
-  let trace =
-    Workload.Synthetic.coop ~seed ~n:1600 ~n_unique:1122 ~locality:0.08 ()
-  in
+  let trace = table5_trace seed in
   let upper = Workload.Analyzer.upper_bound_hits trace in
-  List.concat_map
-    (fun routing ->
-      List.map
-        (fun mode ->
-          let cfg =
-            Config.make ~n_nodes:nodes ~cache_mode:mode
-              ~cache_capacity:cache_size ~seed ()
-          in
-          let r =
-            Cluster_runner.run cfg ~trace ~n_streams:16 ~router:routing ()
-          in
-          {
-            routing;
-            mode_r = mode;
-            hits_r = r.Cluster_runner.hits;
-            upper_r = upper;
-            mean_response_r = Cluster_runner.mean_response r;
-          })
-        [ Config.Standalone; Config.Cooperative ])
-    Router.all_policies
+  ( upper,
+    List.concat_map
+      (fun routing ->
+        List.map
+          (fun mode ->
+            let cfg =
+              Config.make ~n_nodes:nodes ~cache_mode:mode
+                ~cache_capacity:cache_size ~seed ()
+            in
+            ( (routing, mode),
+              Cluster_runner.run cfg ~trace ~n_streams:16 ~router:routing () ))
+          [ Config.Standalone; Config.Cooperative ])
+      Router.all_policies )
 
 let routing_target =
-  one_table "ablation-routing" ~doc:"routing policy x cache mode"
+  bounded_table "ablation-routing" ~doc:"routing policy x cache mode"
     ~title:
       "Ablation A5. Request routing x cache mode (4 nodes, Table-5 workload, \
        cache size 2000)."
-    Metrics.Table.
-      [
-        left "Routing" (fun r -> Router.policy_name r.routing);
-        left "Cache mode" (fun r -> Config.cache_mode_to_string r.mode_r);
-        right "Hits" (fun r -> fmt_i r.hits_r);
-        right "% of UB" (fun r -> of_upper r.hits_r r.upper_r);
-        right "Mean response (s)" (fun r -> sec r.mean_response_r);
-      ]
-    (fun ~jobs:_ -> ablation_routing ())
+    (fun upper ->
+      Metrics.Table.
+        [
+          left "Routing" (fun ((routing, _), _) -> Router.policy_name routing);
+          left "Cache mode" (fun ((_, mode), _) ->
+              Config.cache_mode_to_string mode);
+          right "Hits" hits_cell;
+          right "% of UB" (of_upper upper);
+          right "Mean response (s)" mean_cell;
+        ])
+    (fun () -> ablation_routing ())
 
 (* ------------------------------------------------------------------ *)
 (* A6 — caching threshold sweep *)
-
-type threshold_row = {
-  threshold_t : float;
-  capacity_t : int;
-  mean_response_thr : float;
-  hits_thr : int;
-  inserts_thr : int;
-  evictions_thr : int;
-}
 
 let ablation_threshold ?(seed = default_seed)
     ?(thresholds = [ 0.0; 0.5; 1.0; 2.0; 4.0 ]) ?(capacities = [ 2000; 50 ])
@@ -724,16 +731,8 @@ let ablation_threshold ?(seed = default_seed)
             Config.make ~n_nodes:4 ~cache_mode:Config.Cooperative
               ~cache_capacity:capacity ~cache_threshold:threshold ~seed ()
           in
-          let r = Cluster_runner.run cfg ~trace ~n_streams:16 () in
-          {
-            threshold_t = threshold;
-            capacity_t = capacity;
-            mean_response_thr = Cluster_runner.mean_response r;
-            hits_thr = r.Cluster_runner.hits;
-            inserts_thr =
-              Metrics.Counter.get r.Cluster_runner.counters Server.K.inserts;
-            evictions_thr = r.Cluster_runner.store_stats.Cache.Stats.evictions;
-          })
+          ( (capacity, threshold),
+            Cluster_runner.run cfg ~trace ~n_streams:16 () ))
         thresholds)
     capacities
 
@@ -744,216 +743,112 @@ let threshold_target =
        cooperative)."
     Metrics.Table.
       [
-        right "Capacity" (fun r -> fmt_i r.capacity_t);
-        right "Threshold (s)" (fun r -> fmt_f ~decimals:1 r.threshold_t);
-        right "Mean response (s)" (fun r -> sec r.mean_response_thr);
-        right "Hits" (fun r -> fmt_i r.hits_thr);
-        right "Inserts" (fun r -> fmt_i r.inserts_thr);
-        right "Evictions" (fun r -> fmt_i r.evictions_thr);
+        right "Capacity" (fun ((capacity, _), _) -> fmt_i capacity);
+        right "Threshold (s)" (fun ((_, threshold), _) ->
+            fmt_f ~decimals:1 threshold);
+        right "Mean response (s)" mean_cell;
+        right "Hits" hits_cell;
+        right "Inserts" (counter_cell Server.K.inserts);
+        right "Evictions" (fun (_, r) ->
+            fmt_i r.Cluster_runner.store_stats.Cache.Stats.evictions);
       ]
     (fun ~jobs:_ -> ablation_threshold ())
 
 (* ------------------------------------------------------------------ *)
 (* A7 — protocol-message loss *)
 
-type loss_row = {
-  loss : float;
-  hits_l : int;
-  upper_l : int;
-  fetch_timeouts_l : int;
-  mean_response_loss : float;
-}
-
 let ablation_loss ?(seed = default_seed) ?(losses = [ 0.0; 0.05; 0.2; 0.5 ])
     ?(nodes = 4) () =
-  let trace =
-    Workload.Synthetic.coop ~seed ~n:1600 ~n_unique:1122 ~locality:0.08 ()
-  in
+  let trace = table5_trace seed in
   let upper = Workload.Analyzer.upper_bound_hits trace in
-  List.map
-    (fun loss ->
-      let cfg =
-        Config.make ~n_nodes:nodes ~cache_mode:Config.Cooperative
-          ~net_loss:loss ~fetch_timeout:(Some 0.5) ~seed ()
-      in
-      let r = Cluster_runner.run cfg ~trace ~n_streams:16 () in
-      {
-        loss;
-        hits_l = r.Cluster_runner.hits;
-        upper_l = upper;
-        fetch_timeouts_l =
-          Metrics.Counter.get r.Cluster_runner.counters Server.K.fetch_timeouts;
-        mean_response_loss = Cluster_runner.mean_response r;
-      })
-    losses
+  ( upper,
+    List.map
+      (fun loss ->
+        let cfg =
+          Config.make ~n_nodes:nodes ~cache_mode:Config.Cooperative
+            ~net_loss:loss ~fetch_timeout:(Some 0.5) ~seed ()
+        in
+        (loss, Cluster_runner.run cfg ~trace ~n_streams:16 ()))
+      losses )
 
 let loss_target =
-  one_table "ablation-loss" ~doc:"message loss + timeout recovery"
+  bounded_table "ablation-loss" ~doc:"message loss + timeout recovery"
     ~title:
       "Ablation A7. Protocol-message loss with 0.5 s fetch timeout (4 nodes, \
        Table-5 workload)."
-    Metrics.Table.
-      [
-        right "Loss" (fun r -> fmt_pct r.loss);
-        right "Hits" (fun r -> fmt_i r.hits_l);
-        right "% of UB" (fun r -> of_upper r.hits_l r.upper_l);
-        right "Fetch timeouts" (fun r -> fmt_i r.fetch_timeouts_l);
-        right "Mean response (s)" (fun r -> sec r.mean_response_loss);
-      ]
-    (fun ~jobs:_ -> ablation_loss ())
+    (fun upper ->
+      Metrics.Table.
+        [
+          right "Loss" (fun (loss, _) -> fmt_pct loss);
+          right "Hits" hits_cell;
+          right "% of UB" (of_upper upper);
+          right "Fetch timeouts" (counter_cell Server.K.fetch_timeouts);
+          right "Mean response (s)" mean_cell;
+        ])
+    (fun () -> ablation_loss ())
 
-type consistency_row = {
-  latency : float;
-  false_hits : int;
-  false_miss_concurrent_c : int;
-  false_miss_duplicate_c : int;
-  hits_c : int;
-}
-
-let ablation_consistency ?(seed = default_seed)
-    ?(latencies = [ 0.0002; 0.005; 0.05; 0.5 ]) ?(nodes = 8) () =
-  (* Short executions (50 ms) make the inconsistency window latency-bound:
-     a peer stays ignorant of an insert for [latency] seconds, so higher
-     latency means more duplicate executions of the same hot query. *)
-  let trace =
-    Workload.Synthetic.coop ~seed ~n:1600 ~n_unique:1122 ~locality:0.08
-      ~demand:0.05 ()
-  in
-  List.map
-    (fun latency ->
-      (* A small cache keeps replacement active, so delete broadcasts race
-         with remote fetches — the false-hit window of §4.2. *)
-      let cfg =
-        Config.make ~n_nodes:nodes ~cache_mode:Config.Cooperative
-          ~broadcast_latency:(Some latency) ~cache_threshold:0.01
-          ~cache_capacity:40 ~seed ()
-      in
-      let r = Cluster_runner.run cfg ~trace ~n_streams:16 () in
-      let get = Metrics.Counter.get r.Cluster_runner.counters in
-      {
-        latency;
-        false_hits = get Server.K.false_hit;
-        false_miss_concurrent_c = get Server.K.false_miss_concurrent;
-        false_miss_duplicate_c = get Server.K.false_miss_duplicate;
-        hits_c = r.Cluster_runner.hits;
-      })
-    latencies
-
-let consistency_target =
-  one_table "ablation-consistency" ~doc:"anomalies vs update delay"
-    ~title:
-      "Ablation A3. Consistency anomalies vs directory-update delay (8 \
-       nodes, 50 ms CGIs, cache size 40)."
-    Metrics.Table.
-      [
-        right "Update delay (s)" (fun r -> f4 r.latency);
-        right "False hits" (fun r -> fmt_i r.false_hits);
-        right "FM concurrent" (fun r -> fmt_i r.false_miss_concurrent_c);
-        right "FM duplicate" (fun r -> fmt_i r.false_miss_duplicate_c);
-        right "Hits" (fun r -> fmt_i r.hits_c);
-      ]
-    (fun ~jobs:_ -> ablation_consistency ())
-
-type fault_row = {
-  drop_f : float;
-  mtbf_f : float;
-  hits_f : int;
-  upper_f : int;
-  timeouts_f : int;
-  retries_f : int;
-  crashes_f : int;
-  rejected_f : int;
-  purged_f : int;
-  net_lost_f : int;
-  mean_response_f : float;
-}
+(* ------------------------------------------------------------------ *)
+(* A8 — injected faults *)
 
 let ablation_faults ?(seed = default_seed) ?(drops = [ 0.0; 0.05; 0.2 ])
     ?(mtbfs = [ 0.; 60.; 15. ]) ?(nodes = 4) () =
-  let trace =
-    Workload.Synthetic.coop ~seed ~n:1600 ~n_unique:1122 ~locality:0.08 ()
-  in
+  let trace = table5_trace seed in
   let upper = Workload.Analyzer.upper_bound_hits trace in
-  List.concat_map
-    (fun drop ->
-      List.map
-        (fun mtbf ->
-          (* mtbf = 0 means "no crashes"; a 2 s repair keeps churn high
-             enough that restarts also happen within the run. *)
-          let node =
-            if mtbf > 0. then Some { Sim.Fault.mtbf; mttr = 2.0 } else None
-          in
-          let fault = Sim.Fault.make ~drop ?node ~horizon:600. () in
-          let cfg =
-            Config.make ~n_nodes:nodes ~cache_mode:Config.Cooperative
-              ~fault:(Some fault) ~fetch_timeout:(Some 0.5) ~fetch_retries:2
-              ~fetch_backoff:2.0 ~seed ()
-          in
-          (* Route via the front-end so requests fail over around down
-             nodes (Per_stream keeps the paper's pinning while healthy). *)
-          let r =
-            Cluster_runner.run cfg ~trace ~n_streams:16
-              ~router:Router.Per_stream ()
-          in
-          let get = Metrics.Counter.get r.Cluster_runner.counters in
-          {
-            drop_f = drop;
-            mtbf_f = mtbf;
-            hits_f = r.Cluster_runner.hits;
-            upper_f = upper;
-            timeouts_f = get Server.K.fetch_timeouts;
-            retries_f = get Server.K.fetch_retries;
-            crashes_f = get Server.K.crashes;
-            rejected_f = get Server.K.rejected_down;
-            purged_f = get Server.K.dir_suspect_purged;
-            net_lost_f = r.Cluster_runner.net_lost;
-            mean_response_f = Cluster_runner.mean_response r;
-          })
-        mtbfs)
-    drops
+  ( upper,
+    List.concat_map
+      (fun drop ->
+        List.map
+          (fun mtbf ->
+            (* mtbf = 0 means "no crashes"; a 2 s repair keeps churn high
+               enough that restarts also happen within the run. *)
+            let node =
+              if mtbf > 0. then Some { Sim.Fault.mtbf; mttr = 2.0 } else None
+            in
+            let fault = Sim.Fault.make ~drop ?node ~horizon:600. () in
+            let cfg =
+              Config.make ~n_nodes:nodes ~cache_mode:Config.Cooperative
+                ~fault:(Some fault) ~fetch_timeout:(Some 0.5) ~fetch_retries:2
+                ~fetch_backoff:2.0 ~seed ()
+            in
+            (* Route via the front-end so requests fail over around down
+               nodes (Per_stream keeps the paper's pinning while healthy). *)
+            ( (drop, mtbf),
+              Cluster_runner.run cfg ~trace ~n_streams:16
+                ~router:Router.Per_stream () ))
+          mtbfs)
+      drops )
 
 let faults_target =
-  one_table "ablation-faults" ~doc:"drop-rate x crash-frequency degradation"
+  bounded_table "ablation-faults" ~doc:"drop-rate x crash-frequency degradation"
     ~title:
       "Ablation A8. Injected faults: drop-rate x crash-frequency with 0.5 s \
        fetch timeout, 2 retries (4 nodes, Table-5 workload)."
-    Metrics.Table.
-      [
-        right "Drop" (fun r -> fmt_pct r.drop_f);
-        right "MTBF (s)" (fun r -> swept ~zero:"-" r.mtbf_f);
-        right "Hits" (fun r -> fmt_i r.hits_f);
-        right "% of UB" (fun r -> of_upper r.hits_f r.upper_f);
-        right "Timeouts" (fun r -> fmt_i r.timeouts_f);
-        right "Retries" (fun r -> fmt_i r.retries_f);
-        right "Crashes" (fun r -> fmt_i r.crashes_f);
-        right "503s" (fun r -> fmt_i r.rejected_f);
-        right "Purges" (fun r -> fmt_i r.purged_f);
-        right "Msgs lost" (fun r -> fmt_i r.net_lost_f);
-        right "Mean response (s)" (fun r -> sec r.mean_response_f);
-      ]
-    (fun ~jobs:_ -> ablation_faults ())
+    (fun upper ->
+      Metrics.Table.
+        [
+          right "Drop" (fun ((drop, _), _) -> fmt_pct drop);
+          right "MTBF (s)" (fun ((_, mtbf), _) -> swept ~zero:"-" mtbf);
+          right "Hits" hits_cell;
+          right "% of UB" (of_upper upper);
+          right "Timeouts" (counter_cell Server.K.fetch_timeouts);
+          right "Retries" (counter_cell Server.K.fetch_retries);
+          right "Crashes" (counter_cell Server.K.crashes);
+          right "503s" (counter_cell Server.K.rejected_down);
+          right "Purges" (counter_cell Server.K.dir_suspect_purged);
+          (* Messages the fault plan discarded. *)
+          right "Msgs lost" (fun (_, r) -> fmt_i r.Cluster_runner.net_lost);
+          right "Mean response (s)" mean_cell;
+        ])
+    (fun () -> ablation_faults ())
 
-type partition_row = {
-  duration_pt : float;
-  period_pt : float;
-  hits_pt : int;
-  false_hits_pt : int;
-  false_miss_dup_pt : int;
-  ae_rounds_pt : int;
-  ae_pulled_pt : int;
-  healed_pt : int;
-  drops_partition_pt : int;
-  mean_response_pt : float;
-}
+(* ------------------------------------------------------------------ *)
+(* A9 — network partitions x anti-entropy repair *)
 
 let ablation_partition ?(seed = default_seed)
     ?(durations = [ 0.; 10.; 20. ]) ?(periods = [ 0.; 2.; 10. ]) () =
   (* Short executions and a pinch of locality keep the two halves working
      the same hot keys, so a split produces divergence worth repairing. *)
-  let trace =
-    Workload.Synthetic.coop ~seed ~n:1600 ~n_unique:1122 ~locality:0.08
-      ~demand:0.05 ()
-  in
+  let trace = table5_trace ~demand:0.05 seed in
   List.concat_map
     (fun duration ->
       List.map
@@ -981,23 +876,9 @@ let ablation_partition ?(seed = default_seed)
               ~anti_entropy_period:(if period > 0. then Some period else None)
               ~seed ()
           in
-          let r =
+          ( (duration, period),
             Cluster_runner.run cfg ~trace ~n_streams:16
-              ~router:Router.Per_stream ()
-          in
-          let get = Metrics.Counter.get r.Cluster_runner.counters in
-          {
-            duration_pt = duration;
-            period_pt = period;
-            hits_pt = r.Cluster_runner.hits;
-            false_hits_pt = get Server.K.false_hit;
-            false_miss_dup_pt = get Server.K.false_miss_duplicate;
-            ae_rounds_pt = get Server.K.anti_entropy_rounds;
-            ae_pulled_pt = get Server.K.anti_entropy_pulled;
-            healed_pt = get Server.K.partitions_healed;
-            drops_partition_pt = r.Cluster_runner.net_lost_partition;
-            mean_response_pt = Cluster_runner.mean_response r;
-          })
+              ~router:Router.Per_stream () ))
         periods)
     durations
 
@@ -1008,34 +889,28 @@ let partition_target =
        t=1 s) x anti-entropy period (Table-5 workload)."
     Metrics.Table.
       [
-        right "Partition (s)" (fun r -> swept ~zero:"-" r.duration_pt);
-        right "AE period (s)" (fun r -> swept ~zero:"off" r.period_pt);
-        right "Hits" (fun r -> fmt_i r.hits_pt);
-        right "False hits" (fun r -> fmt_i r.false_hits_pt);
-        right "Dup execs" (fun r -> fmt_i r.false_miss_dup_pt);
-        right "AE rounds" (fun r -> fmt_i r.ae_rounds_pt);
-        right "AE pulled" (fun r -> fmt_i r.ae_pulled_pt);
-        right "Healed" (fun r -> fmt_i r.healed_pt);
-        right "Msgs cut" (fun r -> fmt_i r.drops_partition_pt);
-        right "Mean response (s)" (fun r -> sec r.mean_response_pt);
+        right "Partition (s)" (fun ((duration, _), _) ->
+            swept ~zero:"-" duration);
+        right "AE period (s)" (fun ((_, period), _) ->
+            swept ~zero:"off" period);
+        right "Hits" hits_cell;
+        right "False hits" (counter_cell Server.K.false_hit);
+        (* Duplicate executions of the same key: at insert time while
+           divided, or discovered by the anti-entropy merge after the
+           heal. *)
+        right "Dup execs" (counter_cell Server.K.false_miss_duplicate);
+        right "AE rounds" (counter_cell Server.K.anti_entropy_rounds);
+        right "AE pulled" (counter_cell Server.K.anti_entropy_pulled);
+        right "Healed" (counter_cell Server.K.partitions_healed);
+        (* Protocol messages cut by the split. *)
+        right "Msgs cut" (fun (_, r) ->
+            fmt_i r.Cluster_runner.net_lost_partition);
+        right "Mean response (s)" mean_cell;
       ]
     (fun ~jobs:_ -> ablation_partition ())
 
 (* ------------------------------------------------------------------ *)
 (* A10 — directory-update batching *)
-
-type batching_row = {
-  nodes_bt : int;
-  interval_bt : float;  (* 0. = batching off (batch_max 1) *)
-  updates_bt : int;  (* directory updates originated *)
-  msgs_bt : int;  (* unicast messages actually sent *)
-  bytes_bt : int;  (* wire bytes of those messages *)
-  batches_bt : int;  (* Batch envelopes among them *)
-  batched_updates_bt : int;  (* updates those envelopes carried *)
-  coalesced_bt : int;  (* buffered updates overwritten before sending *)
-  hits_bt : int;
-  mean_response_bt : float;
-}
 
 let ablation_batching ?(seed = default_seed) ?(node_counts = [ 2; 4; 8; 16 ])
     ?(intervals = [ 0.; 0.005; 0.02; 0.05 ]) ?(n_requests = 4000) () =
@@ -1058,21 +933,8 @@ let ablation_batching ?(seed = default_seed) ?(node_counts = [ 2; 4; 8; 16 ])
               ~batch_flush_interval:(if batching then Some interval else None)
               ~seed ()
           in
-          let r = Cluster_runner.run cfg ~trace ~n_streams:(4 * nodes) () in
-          let get = Metrics.Counter.get r.Cluster_runner.counters in
-          {
-            nodes_bt = nodes;
-            interval_bt = interval;
-            updates_bt =
-              get Server.K.broadcast_insert + get Server.K.broadcast_delete;
-            msgs_bt = get Server.K.info_msgs;
-            bytes_bt = get Server.K.info_bytes;
-            batches_bt = get Server.K.batches_sent;
-            batched_updates_bt = get Server.K.batch_updates;
-            coalesced_bt = get Server.K.batch_coalesced;
-            hits_bt = r.Cluster_runner.hits;
-            mean_response_bt = Cluster_runner.mean_response r;
-          })
+          ( (nodes, interval),
+            Cluster_runner.run cfg ~trace ~n_streams:(4 * nodes) () ))
         intervals)
     node_counts
 
@@ -1083,36 +945,31 @@ let batching_target =
        size (all-insert 5 ms CGIs, batch_max 64, 4 streams/node)."
     Metrics.Table.
       [
-        right "# nodes" (fun r -> fmt_i r.nodes_bt);
-        right "Flush (s)" (fun r -> swept ~zero:"off" r.interval_bt);
-        right "Updates" (fun r -> fmt_i r.updates_bt);
-        right "Msgs" (fun r -> fmt_i r.msgs_bt);
-        right "KB" (fun r -> kb r.bytes_bt);
-        right "Batches" (fun r -> fmt_i r.batches_bt);
-        right "Batched upd" (fun r -> fmt_i r.batched_updates_bt);
-        right "Coalesced" (fun r -> fmt_i r.coalesced_bt);
-        right "Hits" (fun r -> fmt_i r.hits_bt);
-        right "Mean response (s)" (fun r -> sec r.mean_response_bt);
+        right "# nodes" (fun ((nodes, _), _) -> fmt_i nodes);
+        right "Flush (s)" (fun ((_, interval), _) ->
+            swept ~zero:"off" interval);
+        (* Directory updates originated: inserts + deletes. *)
+        right "Updates" (fun (_, r) ->
+            fmt_i
+              (count r Server.K.broadcast_insert
+              + count r Server.K.broadcast_delete));
+        (* Directory-update unicasts actually sent, and their wire bytes. *)
+        right "Msgs" (counter_cell Server.K.info_msgs);
+        right "KB" (fun (_, r) -> kb (count r Server.K.info_bytes));
+        (* [Msg.Batch] envelopes among the unicasts, and the updates they
+           carried. *)
+        right "Batches" (counter_cell Server.K.batches_sent);
+        right "Batched upd" (counter_cell Server.K.batch_updates);
+        (* Buffered updates overwritten by a newer same-key update before
+           transmission. *)
+        right "Coalesced" (counter_cell Server.K.batch_coalesced);
+        right "Hits" hits_cell;
+        right "Mean response (s)" mean_cell;
       ]
     (fun ~jobs:_ -> ablation_batching ())
 
 (* ------------------------------------------------------------------ *)
 (* A11 — metadata plane: replicated vs batched vs sharded (+hotspot) *)
-
-type dirmode_row = {
-  nodes_dm : int;
-  variant_dm : string;
-  dir_msgs_dm : int;  (* info_msgs + dir_lookup_msgs *)
-  dir_bytes_dm : int;  (* info_bytes + dir_lookup_bytes *)
-  mem_mean_dm : float;  (* mean per-node directory entries at run end *)
-  mem_max_dm : int;  (* the most loaded node *)
-  fwd_dm : int;  (* forwarded directory lookups *)
-  lcache_hits_dm : int;  (* positive + negative lookup-cache hits *)
-  promotions_dm : int;  (* hotspot promotions at shard homes *)
-  hits_dm : int;
-  hit_latency_dm : float;  (* mean cache-hit service time, seconds *)
-  mean_response_dm : float;
-}
 
 let ablation_dirmode ?jobs ?(seed = default_seed)
     ?(node_counts = [ 8; 64; 256; 512 ]) ?(n_requests = 3000) () =
@@ -1144,7 +1001,7 @@ let ablation_dirmode ?jobs ?(seed = default_seed)
       node_counts
   in
   Sim.Sweep.map_list ?jobs
-    (fun (nodes, variant) ->
+    (fun ((nodes, variant) as point) ->
           let cfg =
             match variant with
             | "replicated" ->
@@ -1169,31 +1026,13 @@ let ablation_dirmode ?jobs ?(seed = default_seed)
           let n_streams =
             Stdlib.max nodes (Stdlib.min (4 * nodes) 256)
           in
-          let r = Cluster_runner.run cfg ~trace ~n_streams () in
-          let get = Metrics.Counter.get r.Cluster_runner.counters in
-          let entries = r.Cluster_runner.dir_entries in
-          {
-            nodes_dm = nodes;
-            variant_dm = variant;
-            dir_msgs_dm = get Server.K.info_msgs + get Server.K.dir_lookup_msgs;
-            dir_bytes_dm =
-              get Server.K.info_bytes + get Server.K.dir_lookup_bytes;
-            mem_mean_dm =
-              (if Array.length entries = 0 then 0.
-               else
-                 float_of_int (Array.fold_left ( + ) 0 entries)
-                 /. float_of_int (Array.length entries));
-            mem_max_dm = Array.fold_left Stdlib.max 0 entries;
-            fwd_dm = get Server.K.shard_fwd_lookups;
-            lcache_hits_dm =
-              get Server.K.lcache_pos_hits + get Server.K.lcache_neg_hits;
-            promotions_dm = get Server.K.hotspot_promotions;
-            hits_dm = r.Cluster_runner.hits;
-            hit_latency_dm =
-              Metrics.Sample.mean r.Cluster_runner.hit_latency;
-            mean_response_dm = Cluster_runner.mean_response r;
-          })
+          (point, Cluster_runner.run cfg ~trace ~n_streams ()))
     points
+
+(* Metadata wire bytes: directory-update unicasts plus forwarded-lookup
+   requests and replies. *)
+let dir_kb (_, r) =
+  kb (count r Server.K.info_bytes + count r Server.K.dir_lookup_bytes)
 
 let dirmode_target =
   one_table "ablation-dirmode"
@@ -1204,19 +1043,39 @@ let dirmode_target =
        broadcast vs consistent-hash sharding (+hotspot replication)."
     Metrics.Table.
       [
-        right "# nodes" (fun r -> fmt_i r.nodes_dm);
-        left "Plane" (fun r -> r.variant_dm);
-        right "Dir msgs" (fun r -> fmt_i r.dir_msgs_dm);
-        right "Dir KB" (fun r -> kb r.dir_bytes_dm);
-        right "Mem mean" (fun r -> Printf.sprintf "%.1f" r.mem_mean_dm);
-        right "Mem max" (fun r -> fmt_i r.mem_max_dm);
-        right "Fwd" (fun r -> fmt_i r.fwd_dm);
-        right "LC hits" (fun r -> fmt_i r.lcache_hits_dm);
-        right "Promoted" (fun r -> fmt_i r.promotions_dm);
-        right "Hits" (fun r -> fmt_i r.hits_dm);
-        right "Hit lat (ms)" (fun r ->
-            Printf.sprintf "%.2f" (1000. *. r.hit_latency_dm));
-        right "Mean response (s)" (fun r -> sec r.mean_response_dm);
+        right "# nodes" (fun ((nodes, _), _) -> fmt_i nodes);
+        left "Plane" (fun ((_, variant), _) -> variant);
+        (* Total metadata messages: directory-update unicasts plus
+           forwarded-lookup requests and replies. *)
+        right "Dir msgs" (fun (_, r) ->
+            fmt_i
+              (count r Server.K.info_msgs + count r Server.K.dir_lookup_msgs));
+        right "Dir KB" dir_kb;
+        (* Mean per-node metadata footprint at run end, in directory
+           entries (full replica, or shard partition + lookup cache). *)
+        right "Mem mean" (fun (_, r) ->
+            let entries = r.Cluster_runner.dir_entries in
+            Printf.sprintf "%.1f"
+              (if Array.length entries = 0 then 0.
+               else
+                 float_of_int (Array.fold_left ( + ) 0 entries)
+                 /. float_of_int (Array.length entries)));
+        (* The most loaded node's footprint. *)
+        right "Mem max" (fun (_, r) ->
+            fmt_i (Array.fold_left Stdlib.max 0 r.Cluster_runner.dir_entries));
+        right "Fwd" (counter_cell Server.K.shard_fwd_lookups);
+        (* Lookup-cache hits, positive + negative. *)
+        right "LC hits" (fun (_, r) ->
+            fmt_i
+              (count r Server.K.lcache_pos_hits
+              + count r Server.K.lcache_neg_hits));
+        right "Promoted" (counter_cell Server.K.hotspot_promotions);
+        right "Hits" hits_cell;
+        (* Mean cache-hit service time. *)
+        right "Hit lat (ms)" (fun (_, r) ->
+            Printf.sprintf "%.2f"
+              (1000. *. Metrics.Sample.mean r.Cluster_runner.hit_latency));
+        right "Mean response (s)" mean_cell;
       ]
     (fun ~jobs -> ablation_dirmode ~jobs ())
 
@@ -1365,20 +1224,6 @@ let scenario_target =
 (* ------------------------------------------------------------------ *)
 (* A13 — freshness: fixed vs adaptive TTL under a flash crowd *)
 
-type freshness_row = {
-  dirmode_fr : string;
-  variant_fr : string;
-  stale_mean_fr : float;
-  stale_p99_fr : float;
-  hit_ratio_fr : float;
-  cgi_execs_fr : int;
-  refreshes_fr : int;
-  refresh_saved_ms_fr : int;
-  stale_served_fr : int;
-  dir_bytes_fr : int;
-  mean_response_fr : float;
-}
-
 let ablation_freshness ?jobs ?(seed = default_seed) ?(n_nodes = 4)
     ?(n_requests = 4000) () =
   (* The staleness x recompute-cost x bytes-moved sweep: the A12 flash
@@ -1413,7 +1258,7 @@ let ablation_freshness ?jobs ?(seed = default_seed) ?(n_nodes = 4)
       [ Config.Replicated; Config.Sharded ]
   in
   Sim.Sweep.map_list ?jobs
-    (fun (dir_mode, variant) ->
+    (fun ((dir_mode, variant) as point) ->
           let make ?default_ttl ?freshness ?refresh_budget () =
             Config.make ~n_nodes ~cache_mode:Config.Cooperative
               ~cache_threshold:0.001 ~dir_mode ?default_ttl ?freshness
@@ -1433,28 +1278,7 @@ let ablation_freshness ?jobs ?(seed = default_seed) ?(n_nodes = 4)
                   ~freshness:Cache.Freshness.Adaptive ~refresh_budget:4. ()
             | _ -> assert false
           in
-          let r =
-            Cluster_runner.run cfg ~trace ~n_streams:(4 * n_nodes) ()
-          in
-          let get = Metrics.Counter.get r.Cluster_runner.counters in
-          let st = r.Cluster_runner.staleness in
-          {
-            dirmode_fr = Config.dir_mode_to_string dir_mode;
-            variant_fr = variant;
-            stale_mean_fr = Metrics.Histogram.mean st;
-            stale_p99_fr =
-              (match Metrics.Histogram.quantile_opt st 0.99 with
-              | Some v -> v
-              | None -> 0.);
-            hit_ratio_fr = r.Cluster_runner.hit_ratio;
-            cgi_execs_fr = get Server.K.cgi_execs;
-            refreshes_fr = get Server.K.refreshes;
-            refresh_saved_ms_fr = get Server.K.refresh_saved_ms;
-            stale_served_fr = get Server.K.stale_served;
-            dir_bytes_fr =
-              get Server.K.info_bytes + get Server.K.dir_lookup_bytes;
-            mean_response_fr = Cluster_runner.mean_response r;
-          })
+          (point, Cluster_runner.run cfg ~trace ~n_streams:(4 * n_nodes) ()))
     points
 
 let freshness_target =
@@ -1467,18 +1291,32 @@ let freshness_target =
        re-execs/s/node)."
     Metrics.Table.
       [
-        left "Plane" (fun r -> r.dirmode_fr);
-        left "Policy" (fun r -> r.variant_fr);
-        right "Stale mean (s)" (fun r -> Printf.sprintf "%.3f" r.stale_mean_fr);
-        right "Stale p99 (s)" (fun r -> Printf.sprintf "%.3f" r.stale_p99_fr);
-        right "Hit ratio" (fun r ->
-            Printf.sprintf "%.1f%%" (100. *. r.hit_ratio_fr));
-        right "CGI execs" (fun r -> fmt_i r.cgi_execs_fr);
-        right "Refreshes" (fun r -> fmt_i r.refreshes_fr);
-        right "Saved (ms)" (fun r -> fmt_i r.refresh_saved_ms_fr);
-        right "Stale>8s" (fun r -> fmt_i r.stale_served_fr);
-        right "Dir KB" (fun r -> kb r.dir_bytes_fr);
-        right "Mean response (s)" (fun r -> sec r.mean_response_fr);
+        left "Plane" (fun ((dir_mode, _), _) ->
+            Config.dir_mode_to_string dir_mode);
+        left "Policy" (fun ((_, variant), _) -> variant);
+        (* Mean content age at cache hits. *)
+        right "Stale mean (s)" (fun (_, r) ->
+            Printf.sprintf "%.3f"
+              (Metrics.Histogram.mean r.Cluster_runner.staleness));
+        right "Stale p99 (s)" (fun (_, r) ->
+            Printf.sprintf "%.3f"
+              (match
+                 Metrics.Histogram.quantile_opt r.Cluster_runner.staleness 0.99
+               with
+              | Some v -> v
+              | None -> 0.));
+        right "Hit ratio" (fun (_, r) ->
+            Printf.sprintf "%.1f%%" (100. *. r.Cluster_runner.hit_ratio));
+        (* The recompute-cost axis. *)
+        right "CGI execs" (counter_cell Server.K.cgi_execs);
+        right "Refreshes" (counter_cell Server.K.refreshes);
+        right "Saved (ms)" (counter_cell Server.K.refresh_saved_ms);
+        (* Adaptive hits older than the fixed-8 anchor: what a fixed-8
+           cache would have refused to serve. *)
+        right "Stale>8s" (counter_cell Server.K.stale_served);
+        (* The wire axis. *)
+        right "Dir KB" dir_kb;
+        right "Mean response (s)" mean_cell;
       ]
     (fun ~jobs -> ablation_freshness ~jobs ())
 

@@ -1,7 +1,9 @@
 (** Drivers for every table and figure in the paper's evaluation (§3, §5),
-    plus the ablations called out in DESIGN.md. Each driver returns typed
-    rows; {!targets} renders them in the paper's layout, and
-    EXPERIMENTS.md records paper-vs-measured.
+    plus the ablations called out in DESIGN.md. A driver whose rows each
+    compare several runs returns typed rows; a driver that runs once per
+    swept point returns the points with their {!Cluster_runner.result}s.
+    {!targets} renders either in the paper's layout, and EXPERIMENTS.md
+    records paper-vs-measured.
 
     All drivers are deterministic in [seed]. *)
 
@@ -127,42 +129,40 @@ val hit_ratio_table :
   unit ->
   hit_row list
 
+(** {1 Ablations}
+
+    A4 and A12 compare several runs per row and return typed rows. Every
+    other ablation runs once per swept point and returns each point with
+    that run's {!Cluster_runner.result}, in sweep order (a two-parameter
+    point [(a, b)] varies [b] fastest). The drivers whose tables print
+    hits as a share of the offline upper bound (A1, A5, A7, A8) also
+    return that bound, {!Workload.Analyzer.upper_bound_hits} of their
+    trace. *)
+
 (** {1 A1 — ablation: replacement policies under overflow} *)
 
-type policy_row = {
-  policy : Cache.Policy.t;
-  hits_p : int;
-  upper_p : int;
-  mean_response_p : float;
-}
-
+(** [ablation_policy ()] runs the Table-5 workload once per policy of
+    {!Cache.Policy.all}, with [cache_size] entries per node. *)
 val ablation_policy :
-  ?seed:int -> ?cache_size:int -> ?nodes:int -> unit -> policy_row list
+  ?seed:int -> ?cache_size:int -> ?nodes:int -> unit ->
+  int * (Cache.Policy.t * Cluster_runner.result) list
 
 (** {1 A2 — ablation: directory locking granularity (§4.2's argument)} *)
 
-type locking_row = {
-  granularity : Cache.Directory.granularity;
-  mean_response_l : float;
-  rd_locks : int;
-  wr_locks : int;
-}
-
-val ablation_locking : ?seed:int -> ?nodes:int -> unit -> locking_row list
+(** [ablation_locking ()] runs an all-insert 5 ms CGI mix once per
+    granularity (global, per-table, per-entry); the result's [dir_locks]
+    counts the lock work. *)
+val ablation_locking :
+  ?seed:int -> ?nodes:int -> unit ->
+  (Cache.Directory.granularity * Cluster_runner.result) list
 
 (** {1 A3 — ablation: consistency anomalies vs network latency (§4.2)} *)
 
-type consistency_row = {
-  latency : float;
-  false_hits : int;
-  false_miss_concurrent_c : int;
-  false_miss_duplicate_c : int;
-  hits_c : int;
-}
-
+(** [ablation_consistency ()] runs the Table-5 workload with 50 ms CGIs
+    once per directory-update delay in [latencies] (seconds). *)
 val ablation_consistency :
   ?seed:int -> ?latencies:float list -> ?nodes:int -> unit ->
-  consistency_row list
+  (float * Cluster_runner.result) list
 
 (** {1 A4 — ablation: weak vs strong directory consistency (§4.2)} *)
 
@@ -183,98 +183,49 @@ val ablation_protocol :
 
 (** {1 A5 — ablation: request routing policy} *)
 
-type routing_row = {
-  routing : Router.policy;
-  mode_r : Config.cache_mode;
-  hits_r : int;
-  upper_r : int;
-  mean_response_r : float;
-}
-
 (** [ablation_routing ()] crosses routing policies with stand-alone vs
     cooperative caching on the Table-5 workload: cache-affinity routing
     recovers most of cooperation's hit-ratio benefit without any
-    inter-node protocol. *)
+    inter-node protocol. Points are [(routing, cache mode)]. *)
 val ablation_routing :
-  ?seed:int -> ?nodes:int -> ?cache_size:int -> unit -> routing_row list
+  ?seed:int -> ?nodes:int -> ?cache_size:int -> unit ->
+  int * ((Router.policy * Config.cache_mode) * Cluster_runner.result) list
 
 (** {1 A6 — ablation: caching threshold (§3's trade-off, end to end)} *)
-
-type threshold_row = {
-  threshold_t : float;
-  capacity_t : int;
-  mean_response_thr : float;
-  hits_thr : int;
-  inserts_thr : int;
-  evictions_thr : int;
-}
 
 (** [ablation_threshold ()] sweeps the runtime caching threshold at a
     large and a small cache on the ADL-like replay: caching everything
     thrashes a small cache, caching only the longest requests leaves
-    savings unrealised. *)
+    savings unrealised. Points are [(capacity, threshold)]. *)
 val ablation_threshold :
   ?seed:int -> ?thresholds:float list -> ?capacities:int list ->
-  ?n_requests:int -> unit -> threshold_row list
+  ?n_requests:int -> unit -> ((int * float) * Cluster_runner.result) list
 
 (** {1 A7 — ablation: protocol-message loss (failure injection)} *)
-
-type loss_row = {
-  loss : float;  (** per-message drop probability *)
-  hits_l : int;
-  upper_l : int;
-  fetch_timeouts_l : int;
-  mean_response_loss : float;
-}
 
 (** [ablation_loss ()] injects message loss into the cooperative protocol
     (directory updates and fetch traffic) with a fetch timeout as the
     recovery mechanism: the cache degrades gracefully — requests always
-    complete, hits erode as replicas diverge. *)
+    complete, hits erode as replicas diverge. Points are per-message drop
+    probabilities. *)
 val ablation_loss :
-  ?seed:int -> ?losses:float list -> ?nodes:int -> unit -> loss_row list
+  ?seed:int -> ?losses:float list -> ?nodes:int -> unit ->
+  int * (float * Cluster_runner.result) list
 
 (** {1 A8 — ablation: injected faults (drop-rate × crash-frequency)} *)
-
-type fault_row = {
-  drop_f : float;  (** per-link message drop probability *)
-  mtbf_f : float;  (** mean time between node failures (s); [0.] = none *)
-  hits_f : int;
-  upper_f : int;  (** offline upper bound on hits for this trace *)
-  timeouts_f : int;  (** fetches that exhausted their retries *)
-  retries_f : int;  (** fetch retransmissions performed *)
-  crashes_f : int;
-  rejected_f : int;  (** requests refused with 503 by a down node *)
-  purged_f : int;  (** suspect directory-table purges *)
-  net_lost_f : int;  (** messages the fault plan discarded *)
-  mean_response_f : float;
-}
 
 (** [ablation_faults ()] sweeps the drop-rate × crash-frequency grid of
     the fault-injection plan over the cooperative protocol (bounded fetch
     retries, local-execution fallback, suspect-table purge on timeout).
     The degradation is graceful: every request completes, the hit ratio
-    erodes towards local-only as faults intensify. *)
+    erodes towards local-only as faults intensify. Points are
+    [(drop, mtbf)]: the per-link message drop probability and the mean
+    time between node failures in seconds, [0.] meaning no crashes. *)
 val ablation_faults :
   ?seed:int -> ?drops:float list -> ?mtbfs:float list -> ?nodes:int ->
-  unit -> fault_row list
+  unit -> int * ((float * float) * Cluster_runner.result) list
 
 (** {1 A9 — ablation: network partitions × anti-entropy repair} *)
-
-type partition_row = {
-  duration_pt : float;  (** partition length (s); [0.] = no partition *)
-  period_pt : float;  (** anti-entropy period (s); [0.] = daemon disabled *)
-  hits_pt : int;
-  false_hits_pt : int;
-  false_miss_dup_pt : int;
-      (** duplicate executions of the same key — at insert time while
-          divided, or discovered by the anti-entropy merge after the heal *)
-  ae_rounds_pt : int;  (** digest exchanges initiated *)
-  ae_pulled_pt : int;  (** directory entries pulled by the merges *)
-  healed_pt : int;  (** partitions whose heal instant fired in the run *)
-  drops_partition_pt : int;  (** protocol messages cut by the split *)
-  mean_response_pt : float;
-}
 
 (** [ablation_partition ()] sweeps partition duration × anti-entropy
     period on a 4-node cluster split down the middle ([[0;1]] vs
@@ -282,63 +233,27 @@ type partition_row = {
     their directories diverge; after the heal, anti-entropy pulls the
     missing entries back at a rate set by its period, while a period of
     [0.] (daemon off) leaves divergence to be repaired only by lazy
-    per-request discovery. *)
+    per-request discovery. Points are [(duration, period)] in seconds; a
+    duration of [0.] means no partition. *)
 val ablation_partition :
   ?seed:int -> ?durations:float list -> ?periods:float list ->
-  unit -> partition_row list
+  unit -> ((float * float) * Cluster_runner.result) list
 
 (** {1 A10 — ablation: directory-update batching} *)
-
-type batching_row = {
-  nodes_bt : int;
-  interval_bt : float;
-      (** batch flush interval (s); [0.] = batching off ([batch_max 1],
-          the exact pre-batching transmit path) *)
-  updates_bt : int;  (** directory updates originated (inserts + deletes) *)
-  msgs_bt : int;  (** directory-update unicasts actually sent *)
-  bytes_bt : int;  (** wire bytes of those unicasts *)
-  batches_bt : int;  (** [Msg.Batch] envelopes among the unicasts *)
-  batched_updates_bt : int;  (** updates carried inside batch envelopes *)
-  coalesced_bt : int;
-      (** buffered updates overwritten by a newer same-key update before
-          transmission *)
-  hits_bt : int;
-  mean_response_bt : float;
-}
 
 (** [ablation_batching ()] sweeps the Nagle-style flush interval across
     cluster sizes on the write-heavy unique-cacheable mix (every request
     broadcasts one insert — the metadata-traffic worst case batching
     targets). Message and byte counts fall as the interval grows, while
     hit behaviour and request conservation are unchanged: batching delays
-    metadata, it never loses or reorders it. *)
+    metadata, it never loses or reorders it. Points are
+    [(nodes, interval)]; an interval of [0.] means batching off
+    ([batch_max 1], the exact pre-batching transmit path). *)
 val ablation_batching :
   ?seed:int -> ?node_counts:int list -> ?intervals:float list ->
-  ?n_requests:int -> unit -> batching_row list
+  ?n_requests:int -> unit -> ((int * float) * Cluster_runner.result) list
 
 (** {1 A11 — ablation: metadata plane (directory mode)} *)
-
-type dirmode_row = {
-  nodes_dm : int;
-  variant_dm : string;
-      (** ["replicated"], ["batched"] (flush 5 ms, [batch_max 8]),
-          ["sharded"], or ["sharded+hotspot"] (threshold 1/s, 3 replicas) *)
-  dir_msgs_dm : int;
-      (** total metadata messages: directory-update unicasts plus
-          forwarded-lookup requests and replies
-          ([info_msgs + dir_lookup_msgs]) *)
-  dir_bytes_dm : int;  (** wire bytes of those messages *)
-  mem_mean_dm : float;
-      (** mean per-node metadata footprint at run end, in directory
-          entries (full replica, or shard partition + lookup cache) *)
-  mem_max_dm : int;  (** the most loaded node's footprint *)
-  fwd_dm : int;  (** directory lookups forwarded to a remote shard home *)
-  lcache_hits_dm : int;  (** lookup-cache hits (positive + negative) *)
-  promotions_dm : int;  (** hotspot promotions decided at shard homes *)
-  hits_dm : int;
-  hit_latency_dm : float;  (** mean cache-hit service time (s) *)
-  mean_response_dm : float;
-}
 
 (** [ablation_dirmode ()] compares the two metadata planes (and update
     batching on the replicated one) across cluster sizes on a hot-headed
@@ -349,6 +264,9 @@ type dirmode_row = {
     with [n] and per-node memory drops to the partition plus a bounded
     lookup cache — at the price of a forwarding round trip on lookup
     misses, which hotspot replication then claws back for the hot head.
+    Points are [(nodes, variant)], the variant one of ["replicated"],
+    ["batched"] (flush 5 ms, [batch_max 8]), ["sharded"] or
+    ["sharded+hotspot"] (threshold 1/s, 3 replicas).
 
     [jobs] spreads the (cluster size, variant) grid over that many
     domains via {!Sim.Sweep}; every point is an independent seeded run,
@@ -356,7 +274,7 @@ type dirmode_row = {
     {!ablation_scenario} and {!ablation_freshness}. *)
 val ablation_dirmode :
   ?jobs:int -> ?seed:int -> ?node_counts:int list -> ?n_requests:int ->
-  unit -> dirmode_row list
+  unit -> ((int * string) * Cluster_runner.result) list
 
 (** {1 A12 — time-varying scenario: flash crowd + rolling churn} *)
 
@@ -394,32 +312,14 @@ val ablation_scenario :
 
 (** {1 A13 — freshness: fixed vs adaptive TTL under a flash crowd} *)
 
-(** One row of {!ablation_freshness}: one (metadata plane, TTL policy)
-    cell of the staleness x recompute-cost x bytes-moved sweep. *)
-type freshness_row = {
-  dirmode_fr : string;  (** ["replicated"] or ["sharded"] *)
-  variant_fr : string;
-      (** ["fixed-2"], ["fixed-8"], ["fixed-32"], ["adaptive"] or
-          ["adaptive+refresh"] *)
-  stale_mean_fr : float;  (** mean content age at cache hits, s *)
-  stale_p99_fr : float;
-  hit_ratio_fr : float;
-  cgi_execs_fr : int;  (** recompute cost axis *)
-  refreshes_fr : int;
-  refresh_saved_ms_fr : int;
-  stale_served_fr : int;
-      (** adaptive hits older than the fixed-8 anchor — what a fixed-8
-          cache would have refused to serve *)
-  dir_bytes_fr : int;  (** info + forwarded-lookup bytes: the wire axis *)
-  mean_response_fr : float;
-}
-
 (** [ablation_freshness ()] replays the A12 flash-crowd mix (no churn)
     under three fixed TTLs bracketing the regime (2/8/32 s), the adaptive
     per-key controller, and adaptive plus a 4-per-second proactive
     refresh budget, on both metadata planes — the §A13 experiment: does
     a per-key TTL beat every single whole-cache TTL somewhere on the
-    staleness/recompute/bytes frontier? *)
+    staleness/recompute/bytes frontier? Points are [(plane, variant)],
+    the variant one of ["fixed-2"], ["fixed-8"], ["fixed-32"],
+    ["adaptive"] or ["adaptive+refresh"]. *)
 val ablation_freshness :
   ?jobs:int -> ?seed:int -> ?n_nodes:int -> ?n_requests:int ->
-  unit -> freshness_row list
+  unit -> ((Config.dir_mode * string) * Cluster_runner.result) list

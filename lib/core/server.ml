@@ -62,9 +62,7 @@ type cluster = {
   plane : plane;  (* the same plane, by name, for introspection *)
 }
 
-let engine c = c.ctx.engine
 let net c = c.ctx.net
-let config c = c.ctx.cfg
 let n_nodes c = Array.length c.ctx.nodes
 
 let node c i =

@@ -92,9 +92,7 @@ val node_active : t -> int
     the network drops its traffic. Always [true] without a fault plan. *)
 val node_up : t -> bool
 
-val engine : cluster -> Sim.Engine.t
 val net : cluster -> Sim.Net.t
-val config : cluster -> Config.t
 
 (** [fault cluster] is the instantiated fault plan, when the configuration
     carries a fault profile — the source of truth for injected drop/delay

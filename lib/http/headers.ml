@@ -22,8 +22,3 @@ let content_length t =
   match get t "Content-Length" with
   | None -> None
   | Some v -> int_of_string_opt (String.trim v)
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  List.iter (fun (k, v) -> Format.fprintf ppf "%s: %s@ " k v) t;
-  Format.fprintf ppf "@]"

@@ -27,4 +27,3 @@ val length : t -> int
     well-formed. *)
 val content_length : t -> int option
 
-val pp : Format.formatter -> t -> unit

@@ -12,5 +12,3 @@ let equal a b =
   match (a, b) with
   | Get, Get | Head, Head | Post, Post -> true
   | (Get | Head | Post), _ -> false
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -74,6 +74,3 @@ let wire_size t =
   + 4 (* two spaces and the CRLF ending the request line *)
   + Wire.headers_size (Headers.to_list t.headers)
   + content_length + 2 + body
-
-let pp ppf t =
-  Format.fprintf ppf "%a %a %s" Meth.pp t.meth Uri.pp t.uri t.version

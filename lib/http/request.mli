@@ -38,4 +38,3 @@ val cache_key : t -> string
     serialising (used to charge the network model). *)
 val wire_size : t -> int
 
-val pp : Format.formatter -> t -> unit

@@ -90,7 +90,3 @@ let wire_size t =
   + content_length + 2 + body
 
 let body_size t = Body.length t.body
-
-let pp ppf t =
-  Format.fprintf ppf "%s %a (%d bytes)" t.version Status.pp t.status
-    (body_size t)

@@ -30,4 +30,3 @@ val wire_size : t -> int
 (** [body_size t] is [Body.length t.body]. *)
 val body_size : t -> int
 
-val pp : Format.formatter -> t -> unit

@@ -40,5 +40,3 @@ let is_success = function
   | Bad_request | Forbidden | Not_found | Internal_server_error
   | Not_implemented | Service_unavailable ->
       false
-
-let pp ppf t = Format.fprintf ppf "%d %s" (code t) (reason t)

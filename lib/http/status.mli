@@ -16,4 +16,3 @@ val reason : t -> string
 val of_code : int -> (t, string) result
 
 val is_success : t -> bool
-val pp : Format.formatter -> t -> unit

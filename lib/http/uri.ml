@@ -166,5 +166,3 @@ let equal a b =
   && List.for_all2
        (fun (k1, v1) (k2, v2) -> String.equal k1 k2 && String.equal v1 v2)
        a.query b.query
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -37,4 +37,3 @@ val percent_encode : string -> string
 
 val query_get : t -> string -> string option
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -4,15 +4,7 @@ let create () = Hashtbl.create 16
 
 (* Counter bumps sit on the per-request fast path; [Hashtbl.find] with
    the exception fallback avoids the [Some] allocation of [find_opt] on
-   every hit. [cell] lets steady callers hoist the lookup entirely. *)
-let cell t name =
-  match Hashtbl.find t name with
-  | r -> r
-  | exception Not_found ->
-      let r = ref 0 in
-      Hashtbl.add t name r;
-      r
-
+   every hit. *)
 let add t name k =
   match Hashtbl.find t name with
   | r -> r := !r + k
@@ -33,9 +25,3 @@ let merge a b =
 
 let equal a b =
   names a = names b && List.for_all (fun k -> get a k = get b k) (names a)
-
-let pp ppf t =
-  let items = names t in
-  Format.fprintf ppf "@[<v>";
-  List.iter (fun k -> Format.fprintf ppf "%s=%d@ " k (get t k)) items;
-  Format.fprintf ppf "@]"

@@ -8,11 +8,6 @@ val create : unit -> t
 (** [incr t name] adds 1 to [name] (creating it at 0). *)
 val incr : t -> string -> unit
 
-(** [cell t name] is the mutable cell behind [name] (creating it at 0).
-    Callers on hot paths can hoist the name lookup out of their loop and
-    bump the returned ref directly. *)
-val cell : t -> string -> int ref
-
 (** [add t name k] adds [k]. *)
 val add : t -> string -> int -> unit
 
@@ -28,5 +23,3 @@ val merge : t -> t -> t
 (** [equal a b] is [true] when both hold exactly the same names with the
     same values — the determinism-replay tests' comparison. *)
 val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -57,7 +57,6 @@ type t = {
   (* current-window response stats *)
   mutable resp_n : int;
   mutable resp_bad : int;  (* responses over the SLO target *)
-  mutable resp_sum : float;
   mutable resp_max : float;
   (* previous tick's cumulative signals *)
   mutable prev : signals;
@@ -86,7 +85,6 @@ let create ?(config = default_config) ~interval () =
     n_windows = 0;
     resp_n = 0;
     resp_bad = 0;
-    resp_sum = 0.;
     resp_max = 0.;
     prev = zero_signals;
     prev_depth = 0.;
@@ -100,7 +98,6 @@ let create ?(config = default_config) ~interval () =
 
 let observe_response t dt =
   t.resp_n <- t.resp_n + 1;
-  t.resp_sum <- t.resp_sum +. dt;
   if dt > t.resp_max then t.resp_max <- dt;
   match t.cfg.slo_target with
   | Some target when dt > target -> t.resp_bad <- t.resp_bad + 1
@@ -194,7 +191,6 @@ let tick t ~now s =
   t.n_windows <- t.n_windows + 1;
   t.resp_n <- 0;
   t.resp_bad <- 0;
-  t.resp_sum <- 0.;
   t.resp_max <- 0.
 
 let incidents t = List.rev t.incidents

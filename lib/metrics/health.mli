@@ -72,7 +72,6 @@ val tick : t -> now:float -> signals -> unit
 val incidents : t -> incident list
 
 val n_incidents : t -> int
-val incident_to_json : incident -> Json.t
 
 (** The metrics-JSON [incidents] section: a list of incident objects
     ({i at_s}, {i detector}, {i value}, {i threshold}, {i message}). *)

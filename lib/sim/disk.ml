@@ -22,8 +22,3 @@ let read t ~bytes ~cached =
   else
     Mutex.with_lock t.arm (fun () ->
         Engine.delay (t.seek +. (float_of_int bytes /. t.bandwidth)))
-
-let write t ~bytes =
-  if bytes < 0 then invalid_arg "Disk.write: negative size";
-  Mutex.with_lock t.arm (fun () ->
-      Engine.delay (t.seek +. (float_of_int bytes /. t.bandwidth)))

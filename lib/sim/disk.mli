@@ -21,6 +21,3 @@ val create :
 (** [read d ~bytes ~cached] blocks the calling process for the transfer.
     Uncached reads serialise through the disk; buffer-cache reads do not. *)
 val read : t -> bytes:int -> cached:bool -> unit
-
-(** [write d ~bytes] blocks for a (serialised) write of [bytes]. *)
-val write : t -> bytes:int -> unit

@@ -27,9 +27,6 @@ type link_profile = {
   delay_mean : float;  (** mean extra delay (s), [>= 0] *)
 }
 
-(** [reliable] is the zero link: never drops, never delays. *)
-val reliable : link_profile
-
 (** Stochastic crash behaviour of one node: up-times are exponential with
     mean [mtbf], downtimes exponential with mean [mttr] (both [> 0]). *)
 type node_profile = {

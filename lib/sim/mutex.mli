@@ -24,6 +24,3 @@ val with_lock : t -> (unit -> 'a) -> 'a
 
 (** [locked m] is [true] while some process holds the lock. *)
 val locked : t -> bool
-
-(** [waiters m] is the number of processes queued in {!lock}. *)
-val waiters : t -> int

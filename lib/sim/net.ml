@@ -129,7 +129,6 @@ let transfer t ~src ~dst ~bytes =
     Engine.delay (one_way t ~src ~dst)
   end
 
-let latency t = t.lat
 let messages_sent t = t.n_messages
 let bytes_sent t = t.n_bytes
 let messages_lost t = t.n_lost

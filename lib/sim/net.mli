@@ -60,9 +60,6 @@ val post : t -> src:int -> dst:int -> bytes:int -> 'a Mailbox.t -> 'a -> unit
     transfer of [bytes] from [src] to [dst] (transmission + latency). *)
 val transfer : t -> src:int -> dst:int -> bytes:int -> unit
 
-(** [latency t] is the configured one-way latency in seconds. *)
-val latency : t -> float
-
 (** [messages_sent t] counts every {!send}/{!post}/{!transfer}, including
     loopback and dropped messages. *)
 val messages_sent : t -> int

@@ -106,6 +106,5 @@ let with_wr t f =
       wr_unlock t;
       raise e
 
-let waiters t = Queue.length t.queue
 let rd_acquisitions t = t.rd_count
 let wr_acquisitions t = t.wr_count

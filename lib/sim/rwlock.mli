@@ -40,9 +40,6 @@ val with_rd : t -> (unit -> 'a) -> 'a
 (** [with_wr l f] runs [f ()] under the write lock, exception-safe. *)
 val with_wr : t -> (unit -> 'a) -> 'a
 
-(** [waiters l] is the number of processes queued for either access. *)
-val waiters : t -> int
-
 (** Cumulative read-acquisition count, for the locking-granularity
     ablation. *)
 val rd_acquisitions : t -> int

@@ -77,12 +77,3 @@ let of_lines lines =
   go [] 1 lines
 
 let of_string s = of_lines (String.split_on_char '\n' s)
-
-let read ic =
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> ());
-  of_lines (List.rev !lines)

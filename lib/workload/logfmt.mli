@@ -9,12 +9,7 @@
     ['#'] and blank lines are skipped on input. This is the on-disk format
     consumed by [bin/loganalyze]. *)
 
-val item_to_line : Trace.item -> string
-val item_of_line : string -> (Trace.item option, string) result
-(** [Ok None] for comments/blank lines. *)
-
 val write : out_channel -> Trace.t -> unit
-val read : in_channel -> (Trace.t, string) result
 
 val to_string : Trace.t -> string
 val of_string : string -> (Trace.t, string) result

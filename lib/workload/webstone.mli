@@ -11,10 +11,6 @@ val file_mix : (string * int * float) list
 (** [register_files registry] declares the five documents. *)
 val register_files : Cgi.Registry.t -> unit
 
-(** [sample_file rng] picks one document per the mix, as a trace item with
-    the given id. *)
-val sample_file : Sim.Rng.t -> id:int -> Trace.item
-
 (** [file_trace ~seed ~n] generates [n] file fetches. *)
 val file_trace : seed:int -> n:int -> Trace.t
 

@@ -4,11 +4,13 @@
      before any simulation runs (so nothing reaches stdout);
    - [swala_sim run] with telemetry prints the same flight-recorder
      tables as [swala_sim report] on the run's metrics JSON;
-   - [perf_gate]'s verdicts and input errors.
-   The two binaries are the first and second arguments. *)
+   - [perf_gate]'s verdicts and input errors;
+   - [loganalyze] on a trace [swala_sim gen] wrote, and on a malformed one.
+   The three binaries are the first three arguments. *)
 
 let exe = ref ""
 let perf_gate = ref ""
+let loganalyze = ref ""
 
 (* Scratch space: a regular file, so no path below it can be opened, and
    a directory for paths that can. In the directory, a subdirectory sits
@@ -199,10 +201,34 @@ let gate_cases =
          {|{"gc_minor_words_per_event":100.0}|} 1);
   ]
 
+(* loganalyze reads what [swala_sim gen] writes, and names the file and
+   line of input it cannot parse. *)
+let test_loganalyze_gen_trace () =
+  with_file "" @@ fun path ->
+  let status, _, _ = run [ "gen"; "--requests"; "200"; "--output"; path ] in
+  Alcotest.(check int) "gen exit status" 0 status;
+  let status, out, err = run ~exe:loganalyze [ path ] in
+  Alcotest.(check int) "exit status" 0 status;
+  Alcotest.(check (list string)) "nothing on stderr" [] err;
+  Alcotest.(check bool) "the upper bound on hits is printed" true
+    (List.exists
+       (String.starts_with ~prefix:"Upper bound on cache hits")
+       out)
+
+let test_loganalyze_malformed () =
+  with_file "garbage\n" @@ fun path ->
+  let status, out, err = run ~exe:loganalyze [ path ] in
+  Alcotest.(check int) "exit status" 1 status;
+  Alcotest.(check (list string)) "nothing on stdout" [] out;
+  Alcotest.(check (list string)) "one line on stderr"
+    [ Printf.sprintf "%s: line 1: unrecognised line \"garbage\"" path ]
+    err
+
 let () =
   exe := Sys.argv.(1);
   perf_gate := Sys.argv.(2);
-  let argv = Array.append [| Sys.argv.(0) |] (Array.sub Sys.argv 3 (Array.length Sys.argv - 3)) in
+  loganalyze := Sys.argv.(3);
+  let argv = Array.append [| Sys.argv.(0) |] (Array.sub Sys.argv 4 (Array.length Sys.argv - 4)) in
   Alcotest.run ~argv "cli"
     [
       ( "usage-errors",
@@ -217,4 +243,10 @@ let () =
             test_report_matches_run;
         ] );
       ("perf-gate", gate_cases);
+      ( "loganalyze",
+        [
+          Alcotest.test_case "gen trace analysed" `Quick
+            test_loganalyze_gen_trace;
+          Alcotest.test_case "malformed line" `Quick test_loganalyze_malformed;
+        ] );
     ]

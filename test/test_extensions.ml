@@ -1,6 +1,6 @@
-(* Tests for the extension features: administrator rules, byte-bounded
-   stores, invalidation (push and file-monitoring), strong consistency,
-   request routing, CLF import. *)
+(* Tests for the extension features: administrator rules, the store's
+   [remove_matching], invalidation (push and file-monitoring), strong
+   consistency, request routing, CLF import. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -130,33 +130,11 @@ let test_rules_ttl_override () =
     (Metrics.Counter.get c Swala.Server.K.cgi_execs)
 
 (* ------------------------------------------------------------------ *)
-(* Store: byte capacity + remove_matching *)
+(* Store: remove_matching *)
 
-let meta ?(size = 100) key =
-  Cache.Meta.make ~key ~owner:0 ~size ~exec_time:1.0 ~created:0. ~expires:None
-
-let byte_store cap_bytes =
-  Cache.Store.create ~capacity:100 ~capacity_bytes:cap_bytes
-    ~policy:Cache.Policy.Lru
-    ~clock:(fun () -> 0.)
-    ()
-
-let test_store_byte_capacity () =
-  let s = byte_store 250 in
-  ignore (Cache.Store.insert s (meta ~size:100 "a") "");
-  ignore (Cache.Store.insert s (meta ~size:100 "b") "");
-  let evicted = Cache.Store.insert s (meta ~size:100 "c") "" in
-  check_int "one evicted to fit" 1 (List.length evicted);
-  check_bool "bytes bounded" true (Cache.Store.bytes s <= 250);
-  Alcotest.(check (option int)) "accessor" (Some 250) (Cache.Store.capacity_bytes s)
-
-let test_store_byte_capacity_oversized_entry () =
-  let s = byte_store 100 in
-  ignore (Cache.Store.insert s (meta ~size:500 "huge") "");
-  check_int "resides alone" 1 (Cache.Store.length s);
-  (* The next insert evicts it. *)
-  ignore (Cache.Store.insert s (meta ~size:50 "small") "");
-  check_bool "huge evicted" false (Cache.Store.mem s "huge")
+let meta key =
+  Cache.Meta.make ~key ~owner:0 ~size:100 ~exec_time:1.0 ~created:0.
+    ~expires:None
 
 let test_store_remove_matching () =
   let s =
@@ -689,36 +667,31 @@ let test_ablation_protocol_shape () =
   | _ -> Alcotest.fail "two rows"
 
 let test_ablation_routing_shape () =
-  let rows = Swala.Experiments.ablation_routing ~nodes:4 () in
+  let _, rows = Swala.Experiments.ablation_routing ~nodes:4 () in
   check_int "8 combinations" 8 (List.length rows);
-  let find p m =
-    List.find
-      (fun r ->
-        r.Swala.Experiments.routing = p && r.Swala.Experiments.mode_r = m)
-      rows
-  in
-  let scattered = find Swala.Router.Per_stream Swala.Config.Standalone in
-  let affine = find Swala.Router.Key_affinity Swala.Config.Standalone in
-  let coop = find Swala.Router.Per_stream Swala.Config.Cooperative in
-  check_bool "affinity rescues standalone" true
-    (affine.Swala.Experiments.hits_r
-    > scattered.Swala.Experiments.hits_r + 50);
+  Invariants.check_rows "routing ablation" rows;
+  let hits p m = (List.assoc (p, m) rows).Swala.Cluster_runner.hits in
+  let scattered = hits Swala.Router.Per_stream Swala.Config.Standalone in
+  let affine = hits Swala.Router.Key_affinity Swala.Config.Standalone in
+  let coop = hits Swala.Router.Per_stream Swala.Config.Cooperative in
+  check_bool "affinity rescues standalone" true (affine > scattered + 50);
   check_bool "affine standalone ~ coop" true
-    (float_of_int affine.Swala.Experiments.hits_r
-    > 0.9 *. float_of_int coop.Swala.Experiments.hits_r)
+    (float_of_int affine > 0.9 *. float_of_int coop)
 
 let test_ablation_threshold_shape () =
   let rows =
     Swala.Experiments.ablation_threshold ~thresholds:[ 0.0; 4.0 ]
       ~capacities:[ 2000 ] ~n_requests:1_500 ()
   in
+  Invariants.check_rows "threshold ablation" rows;
   match rows with
-  | [ all; strict ] ->
+  | [ (_, all); (_, strict) ] ->
+      let module R = Swala.Cluster_runner in
+      let inserts r = Metrics.Counter.get r.R.counters Swala.Server.K.inserts in
       check_bool "caching everything beats caching almost nothing" true
-        (all.Swala.Experiments.mean_response_thr
-        < strict.Swala.Experiments.mean_response_thr);
+        (R.mean_response all < R.mean_response strict);
       check_bool "higher threshold, fewer inserts" true
-        (strict.Swala.Experiments.inserts_thr < all.Swala.Experiments.inserts_thr)
+        (inserts strict < inserts all)
   | _ -> Alcotest.fail "two rows"
 
 (* ------------------------------------------------------------------ *)
@@ -740,9 +713,6 @@ let () =
         ] );
       ( "store-bytes",
         [
-          Alcotest.test_case "byte capacity enforced" `Quick test_store_byte_capacity;
-          Alcotest.test_case "oversized entry resides alone" `Quick
-            test_store_byte_capacity_oversized_entry;
           Alcotest.test_case "remove_matching" `Quick test_store_remove_matching;
         ] );
       ( "invalidation",

@@ -365,21 +365,20 @@ let test_strong_consistency_rejects_faults () =
 let test_ablation_faults_shape () =
   (* Graceful degradation end to end: hits erode as faults intensify, but
      every cell of the sweep still answers everything. *)
-  let rows =
+  let _, rows =
     Swala.Experiments.ablation_faults ~seed:3 ~drops:[ 0.; 0.2 ]
       ~mtbfs:[ 0.; 30. ] ()
   in
   check_int "grid size" 4 (List.length rows);
-  let healthy = List.hd rows in
+  Invariants.check_rows "faults ablation" rows;
+  let healthy = snd (List.hd rows) in
   check_int "healthy cell sees no faults" 0
-    healthy.Swala.Experiments.net_lost_f;
+    healthy.Swala.Cluster_runner.net_lost;
   List.iter
-    (fun (r : Swala.Experiments.fault_row) ->
-      check_bool "hits bounded by healthy" true
-        (r.Swala.Experiments.hits_f <= healthy.Swala.Experiments.hits_f);
-      if r.Swala.Experiments.drop_f > 0. || r.Swala.Experiments.mtbf_f > 0.
-      then
-        check_bool "faults fired" true (r.Swala.Experiments.net_lost_f > 0))
+    (fun ((drop, mtbf), (r : Swala.Cluster_runner.result)) ->
+      check_bool "hits bounded by healthy" true (r.hits <= healthy.hits);
+      if drop > 0. || mtbf > 0. then
+        check_bool "faults fired" true (r.net_lost > 0))
     rows
 
 let () =

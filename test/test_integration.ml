@@ -251,34 +251,35 @@ let test_exp_hit_ratio_small_cache () =
   | _ -> Alcotest.fail "two rows"
 
 let test_exp_ablation_policy_ranks () =
-  let rows = Swala.Experiments.ablation_policy ~cache_size:8 ~nodes:2 () in
+  let upper, rows =
+    Swala.Experiments.ablation_policy ~cache_size:8 ~nodes:2 ()
+  in
   check_int "all policies" (List.length Cache.Policy.all) (List.length rows);
+  Invariants.check_rows "policy ablation" rows;
   List.iter
-    (fun r ->
-      check_bool "hits bounded" true
-        (r.Swala.Experiments.hits_p <= r.Swala.Experiments.upper_p))
+    (fun (_, r) ->
+      check_bool "hits bounded" true (r.Swala.Cluster_runner.hits <= upper))
     rows
 
 let test_exp_ablation_locking () =
   let rows = Swala.Experiments.ablation_locking ~nodes:2 () in
   check_int "three granularities" 3 (List.length rows);
-  let find g =
-    List.find (fun r -> r.Swala.Experiments.granularity = g) rows
-  in
-  let per_entry = find Cache.Directory.Per_entry in
-  let per_table = find Cache.Directory.Per_table in
+  Invariants.check_rows "locking ablation" rows;
+  let rd_locks g = fst (List.assoc g rows).Swala.Cluster_runner.dir_locks in
   check_bool "per-entry does more lock work" true
-    (per_entry.Swala.Experiments.rd_locks > per_table.Swala.Experiments.rd_locks)
+    (rd_locks Cache.Directory.Per_entry > rd_locks Cache.Directory.Per_table)
 
 let test_exp_ablation_consistency () =
   let rows =
     Swala.Experiments.ablation_consistency ~latencies:[ 0.0002; 0.1 ] ~nodes:4 ()
   in
+  Invariants.check_rows "consistency ablation" rows;
   match rows with
-  | [ fast; slow ] ->
+  | [ (_, fast); (_, slow) ] ->
       (* Wider inconsistency window => at least as many anomalies. *)
       let anomalies r =
-        r.Swala.Experiments.false_miss_duplicate_c + r.Swala.Experiments.false_hits
+        let get = Metrics.Counter.get r.Swala.Cluster_runner.counters in
+        get Swala.Server.K.false_miss_duplicate + get Swala.Server.K.false_hit
       in
       check_bool "latency widens anomaly window" true
         (anomalies slow >= anomalies fast);

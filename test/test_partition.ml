@@ -508,29 +508,29 @@ let test_ablation_partition_shape () =
       ~periods:[ 0.; 2. ] ()
   in
   check_int "grid size" 4 (List.length rows);
+  Invariants.check_rows "partition ablation" rows;
   List.iter
-    (fun (r : Swala.Experiments.partition_row) ->
-      if r.Swala.Experiments.duration_pt = 0. then begin
-        check_int "no partition, nothing cut" 0
-          r.Swala.Experiments.drops_partition_pt;
+    (fun ((duration, period), (r : Swala.Cluster_runner.result)) ->
+      let get = Metrics.Counter.get r.counters in
+      let module K = Swala.Server.K in
+      if duration = 0. then begin
+        check_int "no partition, nothing cut" 0 r.net_lost_partition;
         (* Healthy halves may still pull a handful of in-flight entries
            (digests race broadcasts) — benign and deterministic, so only the
            partition-specific counters are asserted to be zero. *)
-        check_int "no partition, nothing healed" 0 r.Swala.Experiments.healed_pt
+        check_int "no partition, nothing healed" 0 (get K.partitions_healed)
       end
       else begin
-        check_bool "the split cut traffic" true
-          (r.Swala.Experiments.drops_partition_pt > 0);
-        check_int "the heal fired" 1 r.Swala.Experiments.healed_pt;
-        if r.Swala.Experiments.period_pt > 0. then
+        check_bool "the split cut traffic" true (r.net_lost_partition > 0);
+        check_int "the heal fired" 1 (get K.partitions_healed);
+        if period > 0. then
           check_bool "anti-entropy repaired entries" true
-            (r.Swala.Experiments.ae_pulled_pt > 0)
+            (get K.anti_entropy_pulled > 0)
       end;
-      if r.Swala.Experiments.period_pt = 0. then
-        check_int "daemon off, no rounds" 0 r.Swala.Experiments.ae_rounds_pt
+      if period = 0. then
+        check_int "daemon off, no rounds" 0 (get K.anti_entropy_rounds)
       else
-        check_bool "daemon on, rounds ran" true
-          (r.Swala.Experiments.ae_rounds_pt > 0))
+        check_bool "daemon on, rounds ran" true (get K.anti_entropy_rounds > 0))
     rows
 
 let () =

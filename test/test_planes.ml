@@ -1,7 +1,7 @@
 (* Invariants every metadata plane keeps, with and without a crash plan:
-   each request is answered and accounted for exactly once, a replay is
-   byte-identical, and a cluster without a directory takes no directory
-   locks. *)
+   each request is answered and accounted for exactly once (the shared
+   [Invariants.check_run]), a replay is byte-identical, and a cluster
+   without a directory takes no directory locks. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -53,15 +53,7 @@ let test_plane_invariants () =
           let cfg = config ~cache_mode ~dir_mode ~crash in
           let r, cluster = run cfg trace in
           let module R = Swala.Cluster_runner in
-          let module K = Swala.Server.K in
-          let g = Metrics.Counter.get r.R.counters in
-          check_int (what ^ ": every request answered") r.R.n_requests
-            (Metrics.Sample.count r.R.response);
-          check_int
-            (what ^ ": each request ends exactly one way")
-            (g K.requests)
-            (g K.rejected_down + g K.not_found + g K.file_fetches
-           + g K.hit_local + g K.hit_remote + g K.cgi_execs);
+          Invariants.check_run what r;
           let r2, _ = run cfg trace in
           Alcotest.(check string)
             (what ^ ": replay is byte-identical")
@@ -79,7 +71,8 @@ let test_plane_invariants () =
             check_int (what ^ ": no write locks") 0 wr
           end;
           if crash then
-            check_bool (what ^ ": the crash happened") true (g K.crashes > 0))
+            check_bool (what ^ ": the crash happened") true
+              (Metrics.Counter.get r.R.counters Swala.Server.K.crashes > 0))
         [ false; true ])
     modes
 
