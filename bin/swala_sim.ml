@@ -33,41 +33,14 @@ let check_writable cmd flag path =
 (* Shared options *)
 
 let seed_t =
-  Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Random seed.")
-
-let nodes_t =
-  Arg.(
-    value & opt int 1
-    & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Number of server nodes.")
-
-let mode_t =
-  let parse = function
-    | "no-cache" -> Ok Swala.Config.Disabled
-    | "standalone" -> Ok Swala.Config.Standalone
-    | "cooperative" -> Ok Swala.Config.Cooperative
-    | s -> Error (`Msg (Printf.sprintf "unknown mode %S" s))
-  in
-  let print ppf m =
-    Format.pp_print_string ppf (Swala.Config.cache_mode_to_string m)
-  in
   Arg.(
     value
-    & opt (conv (parse, print)) Swala.Config.Cooperative
-    & info [ "mode" ] ~docv:"MODE"
-        ~doc:"Cache mode: no-cache, standalone or cooperative.")
+    & opt int Swala.Config.default.seed
+    & info [ "seed" ] ~docv:"N" ~doc:"Random seed.")
 
-let policy_t =
-  let parse s = Result.map_error (fun e -> `Msg e) (Cache.Policy.of_string s) in
-  Arg.(
-    value
-    & opt (conv (parse, Cache.Policy.pp)) Cache.Policy.Lru
-    & info [ "policy" ] ~docv:"P"
-        ~doc:"Replacement policy: lru, fifo, lfu, size, exec-time, gdsf, random.")
-
-let capacity_t =
-  Arg.(
-    value & opt int 2000
-    & info [ "capacity" ] ~docv:"N" ~doc:"Cache entries per node.")
+(* The converter of an enumerated flag: the names are the ones [name]
+   prints, so output and parser cannot disagree. *)
+let enum_of name values = Arg.enum (List.map (fun v -> (name v, v)) values)
 
 let streams_t =
   Arg.(
@@ -79,26 +52,41 @@ let requests_t =
     value & opt int 2000
     & info [ "requests" ] ~docv:"N" ~doc:"Requests to generate.")
 
+(* The workloads [--workload] names, each with the trace it generates. *)
+let workloads =
+  [
+    ( "adl",
+      fun ~seed ~requests -> Workload.Synthetic.adl_scaled ~seed ~n:requests );
+    ( "coop",
+      fun ~seed ~requests ->
+        let n_unique = Stdlib.max 1 (requests * 7 / 10) in
+        Workload.Synthetic.coop ~seed ~n:requests ~n_unique ~locality:0.08 () );
+    ( "webstone",
+      fun ~seed ~requests -> Workload.Webstone.file_trace ~seed ~n:requests );
+    ( "nullcgi",
+      fun ~seed:_ ~requests -> Workload.Webstone.null_cgi_trace ~n:requests );
+    ( "unique",
+      fun ~seed:_ ~requests ->
+        Workload.Synthetic.unique_cacheable ~n:requests ~demand:1.0 );
+  ]
+
+let trace_of_workload workload = List.assoc workload workloads
+
 let workload_t =
   Arg.(
-    value & opt string "adl"
+    value
+    & opt (enum_of Fun.id (List.map fst workloads)) "adl"
     & info [ "workload" ] ~docv:"W"
         ~doc:
           "Workload: adl (digital-library replay), coop (hit-ratio mix), \
            webstone (file mix), nullcgi, or unique (all-miss CGIs).")
 
 let router_t =
-  let parse = function
-    | "per-stream" -> Ok Swala.Router.Per_stream
-    | "round-robin" -> Ok Swala.Router.Round_robin
-    | "least-active" -> Ok Swala.Router.Least_active
-    | "key-affinity" -> Ok Swala.Router.Key_affinity
-    | s -> Error (`Msg (Printf.sprintf "unknown routing policy %S" s))
-  in
-  let print ppf p = Format.pp_print_string ppf (Swala.Router.policy_name p) in
   Arg.(
     value
-    & opt (conv (parse, print)) Swala.Router.Per_stream
+    & opt
+        (enum_of Swala.Router.policy_name Swala.Router.all_policies)
+        Swala.Router.Per_stream
     & info [ "router" ] ~docv:"R"
         ~doc:
           "Request routing: per-stream, round-robin, least-active or \
@@ -109,6 +97,194 @@ let rules_t =
     value & opt (some file) None
     & info [ "rules" ] ~docv:"FILE"
         ~doc:"Administrator cacheability rules file (see Swala.Rules).")
+
+(* ------------------------------------------------------------------ *)
+(* run: the options that set a Config field *)
+
+(* One row per flag that sets a [Config] field: the flag's names, docv,
+   doc and converter, the field's value in [Config.default] (the default
+   --help shows) and the field's setter. *)
+let row names ~docv ~doc converter default set =
+  Term.(const set $ Arg.(value & opt converter default & info names ~docv ~doc))
+
+(* The rows folded over [Config.default]: the run's configuration before
+   the run-level flags (rules, faults, scenario, tracing, seed) fill it in. *)
+let config_t =
+  let open Swala.Config in
+  let d = default in
+  List.fold_left
+    (fun cfg row -> Term.(const ( |> ) $ cfg $ row))
+    (Term.const d)
+    [
+      row [ "n"; "nodes" ] ~docv:"N" ~doc:"Number of server nodes." Arg.int
+        d.n_nodes (fun n_nodes c -> { c with n_nodes });
+      row [ "mode" ] ~docv:"MODE"
+        ~doc:"Cache mode: no-cache, standalone or cooperative."
+        (enum_of cache_mode_to_string [ Disabled; Standalone; Cooperative ])
+        d.cache_mode (fun cache_mode c -> { c with cache_mode });
+      row [ "policy" ] ~docv:"P"
+        ~doc:
+          "Replacement policy: lru, fifo, lfu, size, exec-time, gdsf, random."
+        (enum_of Cache.Policy.to_string Cache.Policy.all)
+        d.policy (fun policy c -> { c with policy });
+      row [ "capacity" ] ~docv:"N" ~doc:"Cache entries per node." Arg.int
+        d.cache_capacity (fun cache_capacity c -> { c with cache_capacity });
+      row [ "anti-entropy-period" ] ~docv:"SEC"
+        ~doc:
+          "Run the anti-entropy directory-repair daemon with this period \
+           (cooperative mode): each node periodically exchanges directory \
+           digests with a random peer and pulls missing or stale entries, \
+           so replicas reconverge after partitions heal."
+        Arg.(some float) d.anti_entropy_period
+        (fun anti_entropy_period c -> { c with anti_entropy_period });
+      row [ "fetch-timeout" ] ~docv:"SEC"
+        ~doc:
+          "Remote-fetch timeout; on expiry the node retries then falls \
+           back to local CGI execution."
+        Arg.(some float) d.fetch_timeout
+        (fun fetch_timeout c -> { c with fetch_timeout });
+      row [ "fetch-retries" ] ~docv:"N"
+        ~doc:"Remote-fetch retransmissions before falling back locally."
+        Arg.int d.fetch_retries
+        (fun fetch_retries c -> { c with fetch_retries });
+      row [ "fetch-backoff" ] ~docv:"F"
+        ~doc:"Multiplier applied to the fetch timeout on each retry."
+        Arg.float d.fetch_backoff
+        (fun fetch_backoff c -> { c with fetch_backoff });
+      row [ "batch-flush-interval" ] ~docv:"SEC"
+        ~doc:
+          "Nagle-style timer for directory-update batching: each node \
+           buffers outbound directory updates and flushes the buffer at \
+           least this often (cooperative mode, weak consistency). \
+           Requires $(b,--batch-max) > 1 to have any effect."
+        Arg.(some float) d.batch_flush_interval
+        (fun batch_flush_interval c -> { c with batch_flush_interval });
+      row [ "batch-max" ] ~docv:"N"
+        ~doc:
+          "Flush the directory-update buffer once it holds N updates; \
+           same-key updates coalesce to the newest. 1 (default) disables \
+           batching; > 1 requires $(b,--batch-flush-interval)."
+        Arg.int d.batch_max (fun batch_max c -> { c with batch_max });
+      Term.(
+        const (fun on c -> if on then { c with dir_hints = true } else c)
+        $ Arg.(
+            value & flag
+            & info [ "dir-hints" ]
+                ~doc:
+                  "Maintain a key-to-owner hint index in each directory \
+                   replica so lookups probe only hinted tables (stale hints \
+                   fall back to the full scan)."));
+      row [ "dir-mode" ] ~docv:"MODE"
+        ~doc:
+          "Metadata plane: replicated (every node holds the full \
+           directory, updates broadcast — the paper's design) or sharded \
+           (each key has one consistent-hash home, updates are unicast \
+           to the home and remote lookups are forwarded to it). Sharded \
+           mode requires weak consistency and is incompatible with \
+           $(b,--batch-max) > 1, $(b,--dir-hints) and \
+           $(b,--anti-entropy-period)."
+        (enum_of dir_mode_to_string [ Replicated; Sharded ])
+        d.dir_mode (fun dir_mode c -> { c with dir_mode });
+      row [ "shard-vnodes" ] ~docv:"N"
+        ~doc:
+          "Virtual nodes per physical node on the consistent-hash ring \
+           (sharded mode); more vnodes smooth the key distribution."
+        Arg.int d.shard_vnodes (fun shard_vnodes c -> { c with shard_vnodes });
+      row [ "shard-lookup-cache" ] ~docv:"N"
+        ~doc:
+          "Capacity of the per-node positive/negative lookup cache in \
+           front of forwarded directory lookups (sharded mode); 0 \
+           disables it."
+        Arg.int d.shard_lookup_cache
+        (fun shard_lookup_cache c -> { c with shard_lookup_cache });
+      row [ "shard-pos-ttl" ] ~docv:"SEC"
+        ~doc:
+          "Seconds a positive lookup-cache entry is trusted (sharded \
+           mode) — the false-hit window."
+        Arg.float d.shard_pos_ttl
+        (fun shard_pos_ttl c -> { c with shard_pos_ttl });
+      row [ "shard-neg-ttl" ] ~docv:"SEC"
+        ~doc:
+          "Seconds a negative lookup-cache entry is trusted (sharded \
+           mode) — the false-miss window."
+        Arg.float d.shard_neg_ttl
+        (fun shard_neg_ttl c -> { c with shard_neg_ttl });
+      row [ "hotspot-threshold" ] ~docv:"RATE"
+        ~doc:
+          "Forwarded-lookup rate (lookups/s per key at the shard home) \
+           above which the key's directory entry is replicated to ring \
+           successors (sharded mode); 0 disables hotspot replication."
+        Arg.float d.hotspot_threshold
+        (fun hotspot_threshold c -> { c with hotspot_threshold });
+      row [ "hotspot-window" ] ~docv:"SEC"
+        ~doc:
+          "Sliding-window length of the hotspot rate estimator and \
+           period of the demotion sweep."
+        Arg.float d.hotspot_window
+        (fun hotspot_window c -> { c with hotspot_window });
+      row [ "hotspot-replicas" ] ~docv:"K"
+        ~doc:
+          "Ring successors a promoted hotspot key's directory entry is \
+           pushed to."
+        Arg.int d.hotspot_replicas
+        (fun hotspot_replicas c -> { c with hotspot_replicas });
+      row [ "freshness" ] ~docv:"MODE"
+        ~doc:
+          "TTL policy for cached CGI results: fixed (rule/script TTL, \
+           else $(b,--default-ttl) — the classic behaviour) or adaptive \
+           (a per-key controller balances staleness risk against \
+           recompute cost, giving cheap hot keys short TTLs and \
+           expensive stable keys long ones; explicit rule/script TTLs \
+           still win)."
+        (enum_of Cache.Freshness.mode_to_string
+           [ Cache.Freshness.Fixed; Adaptive ])
+        d.freshness (fun freshness c -> { c with freshness });
+      row [ "default-ttl" ] ~docv:"SEC"
+        ~doc:
+          "Fallback TTL for cacheable scripts that set none (fixed \
+           freshness). Unset (the default) means such entries never \
+           expire; under adaptive freshness it is only the staleness \
+           anchor for the stale_served counter."
+        Arg.(some float) d.default_ttl
+        (fun default_ttl c -> { c with default_ttl });
+      row [ "refresh-budget" ] ~docv:"R"
+        ~doc:
+          "Proactive-refresh budget, in re-executions per second per \
+           node: a daemon re-runs hot, expensive, near-expiry cache \
+           entries off the critical path so clients keep hitting instead \
+           of missing at expiry. 0 (default) disables the daemon \
+           entirely."
+        Arg.float d.refresh_budget
+        (fun refresh_budget c -> { c with refresh_budget });
+      row [ "refresh-interval" ] ~docv:"SEC"
+        ~doc:
+          "Scan period of the proactive-refresh daemon; entries expiring \
+           within two intervals are refresh candidates."
+        Arg.float d.refresh_interval
+        (fun refresh_interval c -> { c with refresh_interval });
+      row [ "telemetry-interval" ] ~docv:"SEC"
+        ~doc:
+          "Enable the flight recorder: sample cluster and engine probes \
+           into bounded timelines every SEC virtual seconds, run the \
+           online health monitor, print timeline/incident tables after \
+           the run, and add a ['timelines']/['incidents'] section to \
+           $(b,--metrics-out). Off by default; a run without it is \
+           byte-identical to one built without the plane."
+        Arg.(some float) d.telemetry_interval
+        (fun telemetry_interval c -> { c with telemetry_interval });
+      row [ "slo-target" ] ~docv:"SEC"
+        ~doc:
+          "Response-time SLO target driving the health monitor's \
+           burn-rate detector. Requires $(b,--telemetry-interval)."
+        Arg.(some float) d.slo_target
+        (fun slo_target c -> { c with slo_target });
+      row [ "slo-objective" ] ~docv:"FRAC"
+        ~doc:
+          "Fraction of requests that must meet $(b,--slo-target), in \
+           (0,1)."
+        Arg.float d.slo_objective
+        (fun slo_objective c -> { c with slo_objective });
+    ]
 
 (* Fault-profile options (see Sim.Fault). *)
 
@@ -205,196 +381,6 @@ let partitions_t =
            and t=25 s). Repeatable; overlapping partitions compose. \
            Requires $(b,--fetch-timeout).")
 
-let anti_entropy_t =
-  Arg.(
-    value & opt (some float) None
-    & info [ "anti-entropy-period" ] ~docv:"SEC"
-        ~doc:
-          "Run the anti-entropy directory-repair daemon with this period \
-           (cooperative mode): each node periodically exchanges directory \
-           digests with a random peer and pulls missing or stale entries, \
-           so replicas reconverge after partitions heal.")
-
-let batch_flush_t =
-  Arg.(
-    value & opt (some float) None
-    & info [ "batch-flush-interval" ] ~docv:"SEC"
-        ~doc:
-          "Nagle-style timer for directory-update batching: each node \
-           buffers outbound directory updates and flushes the buffer at \
-           least this often (cooperative mode, weak consistency). \
-           Requires $(b,--batch-max) > 1 to have any effect.")
-
-let batch_max_t =
-  Arg.(
-    value & opt int 1
-    & info [ "batch-max" ] ~docv:"N"
-        ~doc:
-          "Flush the directory-update buffer once it holds N updates; \
-           same-key updates coalesce to the newest. 1 (default) disables \
-           batching; > 1 requires $(b,--batch-flush-interval).")
-
-let dir_hints_t =
-  Arg.(
-    value & flag
-    & info [ "dir-hints" ]
-        ~doc:
-          "Maintain a key-to-owner hint index in each directory replica \
-           so lookups probe only hinted tables (stale hints fall back to \
-           the full scan).")
-
-(* Metadata-plane options (see docs/METADATA_PLANE.md). *)
-
-let dir_mode_t =
-  let parse = function
-    | "replicated" -> Ok Swala.Config.Replicated
-    | "sharded" -> Ok Swala.Config.Sharded
-    | s -> Error (`Msg (Printf.sprintf "unknown directory mode %S" s))
-  in
-  let print ppf m =
-    Format.pp_print_string ppf (Swala.Config.dir_mode_to_string m)
-  in
-  Arg.(
-    value
-    & opt (conv (parse, print)) Swala.Config.Replicated
-    & info [ "dir-mode" ] ~docv:"MODE"
-        ~doc:
-          "Metadata plane: replicated (every node holds the full \
-           directory, updates broadcast — the paper's design) or sharded \
-           (each key has one consistent-hash home, updates are unicast \
-           to the home and remote lookups are forwarded to it). Sharded \
-           mode requires weak consistency and is incompatible with \
-           $(b,--batch-max) > 1, $(b,--dir-hints) and \
-           $(b,--anti-entropy-period).")
-
-let shard_vnodes_t =
-  Arg.(
-    value & opt int 64
-    & info [ "shard-vnodes" ] ~docv:"N"
-        ~doc:
-          "Virtual nodes per physical node on the consistent-hash ring \
-           (sharded mode); more vnodes smooth the key distribution.")
-
-let shard_lookup_cache_t =
-  Arg.(
-    value & opt int 128
-    & info [ "shard-lookup-cache" ] ~docv:"N"
-        ~doc:
-          "Capacity of the per-node positive/negative lookup cache in \
-           front of forwarded directory lookups (sharded mode); 0 \
-           disables it.")
-
-let shard_pos_ttl_t =
-  Arg.(
-    value & opt float 5.
-    & info [ "shard-pos-ttl" ] ~docv:"SEC"
-        ~doc:
-          "Seconds a positive lookup-cache entry is trusted (sharded \
-           mode) — the false-hit window.")
-
-let shard_neg_ttl_t =
-  Arg.(
-    value & opt float 0.5
-    & info [ "shard-neg-ttl" ] ~docv:"SEC"
-        ~doc:
-          "Seconds a negative lookup-cache entry is trusted (sharded \
-           mode) — the false-miss window.")
-
-let hotspot_threshold_t =
-  Arg.(
-    value & opt float 0.
-    & info [ "hotspot-threshold" ] ~docv:"RATE"
-        ~doc:
-          "Forwarded-lookup rate (lookups/s per key at the shard home) \
-           above which the key's directory entry is replicated to ring \
-           successors (sharded mode); 0 disables hotspot replication.")
-
-let hotspot_window_t =
-  Arg.(
-    value & opt float 2.
-    & info [ "hotspot-window" ] ~docv:"SEC"
-        ~doc:
-          "Sliding-window length of the hotspot rate estimator and \
-           period of the demotion sweep.")
-
-let hotspot_replicas_t =
-  Arg.(
-    value & opt int 2
-    & info [ "hotspot-replicas" ] ~docv:"K"
-        ~doc:
-          "Ring successors a promoted hotspot key's directory entry is \
-           pushed to.")
-
-(* Freshness-plane options (per-key adaptive TTLs + proactive refresh). *)
-
-let freshness_t =
-  let parse s =
-    Result.map_error (fun e -> `Msg e) (Cache.Freshness.mode_of_string s)
-  in
-  let print ppf m =
-    Format.pp_print_string ppf (Cache.Freshness.mode_to_string m)
-  in
-  Arg.(
-    value
-    & opt (conv (parse, print)) Cache.Freshness.Fixed
-    & info [ "freshness" ] ~docv:"MODE"
-        ~doc:
-          "TTL policy for cached CGI results: fixed (rule/script TTL, \
-           else $(b,--default-ttl) — the classic behaviour) or adaptive \
-           (a per-key controller balances staleness risk against \
-           recompute cost, giving cheap hot keys short TTLs and \
-           expensive stable keys long ones; explicit rule/script TTLs \
-           still win).")
-
-let default_ttl_t =
-  Arg.(
-    value & opt (some float) None
-    & info [ "default-ttl" ] ~docv:"SEC"
-        ~doc:
-          "Fallback TTL for cacheable scripts that set none (fixed \
-           freshness). Unset (the default) means such entries never \
-           expire; under adaptive freshness it is only the staleness \
-           anchor for the stale_served counter.")
-
-let refresh_budget_t =
-  Arg.(
-    value & opt float 0.
-    & info [ "refresh-budget" ] ~docv:"R"
-        ~doc:
-          "Proactive-refresh budget, in re-executions per second per \
-           node: a daemon re-runs hot, expensive, near-expiry cache \
-           entries off the critical path so clients keep hitting instead \
-           of missing at expiry. 0 (default) disables the daemon \
-           entirely.")
-
-let refresh_interval_t =
-  Arg.(
-    value & opt float 0.5
-    & info [ "refresh-interval" ] ~docv:"SEC"
-        ~doc:
-          "Scan period of the proactive-refresh daemon; entries expiring \
-           within two intervals are refresh candidates.")
-
-let fetch_timeout_t =
-  Arg.(
-    value & opt (some float) None
-    & info [ "fetch-timeout" ] ~docv:"SEC"
-        ~doc:
-          "Remote-fetch timeout; on expiry the node retries then falls \
-           back to local CGI execution.")
-
-let fetch_retries_t =
-  Arg.(
-    value & opt int 0
-    & info [ "fetch-retries" ] ~docv:"N"
-        ~doc:"Remote-fetch retransmissions before falling back locally.")
-
-let fetch_backoff_t =
-  Arg.(
-    value & opt float 2.
-    & info [ "fetch-backoff" ] ~docv:"F"
-        ~doc:"Multiplier applied to the fetch timeout on each retry.")
-
 let trace_file_t =
   Arg.(
     value & opt (some string) None
@@ -426,18 +412,6 @@ let metrics_out_t =
 
 (* Flight-recorder options (see docs/OBSERVABILITY.md). *)
 
-let telemetry_interval_t =
-  Arg.(
-    value & opt (some float) None
-    & info [ "telemetry-interval" ] ~docv:"SEC"
-        ~doc:
-          "Enable the flight recorder: sample cluster and engine probes \
-           into bounded timelines every SEC virtual seconds, run the \
-           online health monitor, print timeline/incident tables after \
-           the run, and add a ['timelines']/['incidents'] section to \
-           $(b,--metrics-out). Off by default; a run without it is \
-           byte-identical to one built without the plane.")
-
 let telemetry_csv_t =
   Arg.(
     value & opt (some string) None
@@ -454,22 +428,6 @@ let incidents_out_t =
         ~doc:
           "Write the health monitor's incident log as plain text, one \
            line per incident. Requires $(b,--telemetry-interval).")
-
-let slo_target_t =
-  Arg.(
-    value & opt (some float) None
-    & info [ "slo-target" ] ~docv:"SEC"
-        ~doc:
-          "Response-time SLO target driving the health monitor's \
-           burn-rate detector. Requires $(b,--telemetry-interval).")
-
-let slo_objective_t =
-  Arg.(
-    value & opt float 0.95
-    & info [ "slo-objective" ] ~docv:"FRAC"
-        ~doc:
-          "Fraction of requests that must meet $(b,--slo-target), in \
-           (0,1).")
 
 let seeds_t =
   Arg.(
@@ -660,17 +618,6 @@ let churn_fixed_t =
           "Make churn strictly periodic (fixed gaps and downtimes) \
            instead of Poisson.")
 
-let trace_of_workload ~workload ~seed ~requests =
-  match workload with
-  | "adl" -> Ok (Workload.Synthetic.adl_scaled ~seed ~n:requests)
-  | "coop" ->
-      let n_unique = Stdlib.max 1 (requests * 7 / 10) in
-      Ok (Workload.Synthetic.coop ~seed ~n:requests ~n_unique ~locality:0.08 ())
-  | "webstone" -> Ok (Workload.Webstone.file_trace ~seed ~n:requests)
-  | "nullcgi" -> Ok (Workload.Webstone.null_cgi_trace ~n:requests)
-  | "unique" -> Ok (Workload.Synthetic.unique_cacheable ~n:requests ~demand:1.0)
-  | other -> Error (Printf.sprintf "unknown workload %S" other)
-
 (* ------------------------------------------------------------------ *)
 (* run *)
 
@@ -732,56 +679,50 @@ let resolve_scenario ~preset ~duration ~flash ~diurnal ~geo ~churn_rate
    lines (and metrics JSON payloads) and the main domain prints/writes
    them in seed order, so stdout and any --metrics-out files are
    byte-identical whatever the parallelism. *)
-let run_multi ~seeds ~jobs ~seed ~workload ~requests ~nodes ~mode ~policy
-    ~capacity ~streams ~router ~metrics_out ~cfg_of =
+let run_multi (cfg : Swala.Config.t) ~seeds ~jobs ~seed ~workload ~requests
+    ~streams ~router ~metrics_out =
   let jobs = if jobs = 0 then Sim.Sweep.default_jobs () else jobs in
   if jobs < 1 then usage_error "run" "--jobs must be >= 0";
   Printf.printf
     "workload=%s requests=%d nodes=%d mode=%s policy=%s capacity=%d \
      streams=%d seeds=%d..%d\n"
-    workload requests nodes
-    (Swala.Config.cache_mode_to_string mode)
-    (Cache.Policy.to_string policy)
-    capacity streams seed (seed + seeds - 1);
+    workload requests cfg.n_nodes
+    (Swala.Config.cache_mode_to_string cfg.cache_mode)
+    (Cache.Policy.to_string cfg.policy)
+    cfg.cache_capacity streams seed (seed + seeds - 1);
   let seed_list = Array.init seeds (fun i -> seed + i) in
   let results =
-    try
-      Sim.Sweep.map ~jobs
-        (fun sd ->
-          match trace_of_workload ~workload ~seed:sd ~requests with
-          | Error e -> failwith e
-          | Ok trace ->
-              let r =
-                Swala.Cluster_runner.run (cfg_of sd) ~trace ~n_streams:streams
-                  ~router ()
-              in
-              let fmt = function
-                | None -> "-"
-                | Some v -> Printf.sprintf "%.4f" v
-              in
-              let resp = r.Swala.Cluster_runner.response in
-              let line =
-                Printf.sprintf
-                  "seed %-5d makespan %8.2f s  mean %.4f s  p50/p95 %s/%s s  \
-                   hits %d (%.1f%% of CGI)  events %d\n"
-                  sd r.Swala.Cluster_runner.duration
-                  (Swala.Cluster_runner.mean_response r)
-                  (fmt (Metrics.Sample.median_opt resp))
-                  (fmt (Metrics.Sample.quantile_opt resp 0.95))
-                  r.Swala.Cluster_runner.hits
-                  (100. *. r.Swala.Cluster_runner.hit_ratio)
-                  r.Swala.Cluster_runner.n_events
-              in
-              let json =
-                match metrics_out with
-                | None -> None
-                | Some _ -> Some (Swala.Cluster_runner.result_to_json r)
-              in
-              (line, json))
-        seed_list
-    with Sim.Sweep.Worker (Failure e, _) ->
-      prerr_endline e;
-      exit 2
+    Sim.Sweep.map ~jobs
+      (fun sd ->
+        let trace = trace_of_workload workload ~seed:sd ~requests in
+        let r =
+          Swala.Cluster_runner.run { cfg with seed = sd } ~trace
+            ~n_streams:streams ~router ()
+        in
+        let fmt = function
+          | None -> "-"
+          | Some v -> Printf.sprintf "%.4f" v
+        in
+        let resp = r.Swala.Cluster_runner.response in
+        let line =
+          Printf.sprintf
+            "seed %-5d makespan %8.2f s  mean %.4f s  p50/p95 %s/%s s  \
+             hits %d (%.1f%% of CGI)  events %d\n"
+            sd r.Swala.Cluster_runner.duration
+            (Swala.Cluster_runner.mean_response r)
+            (fmt (Metrics.Sample.median_opt resp))
+            (fmt (Metrics.Sample.quantile_opt resp 0.95))
+            r.Swala.Cluster_runner.hits
+            (100. *. r.Swala.Cluster_runner.hit_ratio)
+            r.Swala.Cluster_runner.n_events
+        in
+        let json =
+          match metrics_out with
+          | None -> None
+          | Some _ -> Some (Swala.Cluster_runner.result_to_json r)
+        in
+        (line, json))
+      seed_list
   in
   Array.iteri
     (fun i (line, json) ->
@@ -808,16 +749,11 @@ let probe_node_id name =
     | _ -> None
   else None
 
-let run_cmd_impl seed nodes mode policy capacity streams requests workload
-    router rules_file drop_rate delay_rate delay_mean crash_mtbf crash_mttr
-    fault_horizon partitions anti_entropy_period fetch_timeout fetch_retries
-    fetch_backoff batch_flush_interval batch_max dir_hints dir_mode
-    shard_vnodes shard_lookup_cache shard_pos_ttl shard_neg_ttl
-    hotspot_threshold hotspot_window hotspot_replicas freshness default_ttl
-    refresh_budget refresh_interval scenario_name scenario_duration flash_crowd
-    diurnal geo_tiers churn_rate churn_downtime churn_fixed trace_file
-    trace_breakdown metrics_out telemetry_interval telemetry_csv incidents_out
-    slo_target slo_objective seeds jobs =
+let run_cmd_impl (cfg : Swala.Config.t) seed streams requests workload router
+    rules_file drop_rate delay_rate delay_mean crash_mtbf crash_mttr
+    fault_horizon partitions scenario_name scenario_duration flash_crowd diurnal
+    geo_tiers churn_rate churn_downtime churn_fixed trace_file trace_breakdown
+    metrics_out telemetry_csv incidents_out seeds jobs =
   check_positive "run" "--seeds" seeds;
   check_positive "run" "--streams" streams;
   check_positive "run" "--requests" requests;
@@ -829,7 +765,9 @@ let run_cmd_impl seed nodes mode policy capacity streams requests workload
     usage_error "run"
       "--telemetry-csv/--incidents-out are single-run reports; not \
        available with --seeds > 1";
-  if telemetry_interval = None && (telemetry_csv <> None || incidents_out <> None)
+  if
+    cfg.telemetry_interval = None
+    && (telemetry_csv <> None || incidents_out <> None)
   then
     usage_error "run"
       "--telemetry-csv/--incidents-out require --telemetry-interval";
@@ -866,22 +804,21 @@ let run_cmd_impl seed nodes mode policy capacity streams requests workload
                 crash_mtbf)
            ~partitions ?churn ~horizon:fault_horizon ())
   in
-  let cfg_of seed =
-    Swala.Config.make ~n_nodes:nodes ~cache_mode:mode ~policy
-      ~cache_capacity:capacity ~rules ~fault ~fetch_timeout ~fetch_retries
-      ~fetch_backoff ~anti_entropy_period ~batch_max
-      ~batch_flush_interval ~dir_hints ~dir_mode ~shard_vnodes
-      ~shard_lookup_cache ~shard_pos_ttl ~shard_neg_ttl
-      ~hotspot_threshold ~hotspot_window ~hotspot_replicas ~freshness
-      ?default_ttl:(Option.map Option.some default_ttl)
-      ~refresh_budget ~refresh_interval ~scenario
-      ~trace:(trace_file <> None || trace_breakdown)
-      ~telemetry_interval ~slo_target ~slo_objective ~seed ()
+  let cfg =
+    {
+      cfg with
+      rules;
+      fault;
+      scenario;
+      trace = trace_file <> None || trace_breakdown;
+      seed;
+    }
   in
+  let nodes = cfg.n_nodes in
   (* Validation otherwise happens inside the run; surface bad flag
      combinations (e.g. faults without --fetch-timeout) as a clean
      error instead of a backtrace. *)
-  (try Swala.Config.validate (cfg_of seed)
+  (try Swala.Config.validate cfg
    with Invalid_argument msg ->
      prerr_endline msg;
      exit 2);
@@ -904,208 +841,196 @@ let run_cmd_impl seed nodes mode policy capacity streams requests workload
     telemetry_csv;
   Option.iter (check_writable "--incidents-out") incidents_out;
   if seeds > 1 then
-    run_multi ~seeds ~jobs ~seed ~workload ~requests ~nodes ~mode ~policy
-      ~capacity ~streams ~router ~metrics_out ~cfg_of
+    run_multi cfg ~seeds ~jobs ~seed ~workload ~requests ~streams ~router
+      ~metrics_out
   else
-  match trace_of_workload ~workload ~seed ~requests with
-  | Error e ->
-      prerr_endline e;
-      exit 2
-  | Ok trace ->
-      let result =
-        Swala.Cluster_runner.run (cfg_of seed) ~trace ~n_streams:streams
-          ~router ()
-      in
-      let summary = Workload.Analyzer.summarize trace in
-      Printf.printf
-        "workload=%s requests=%d (%.1f%% CGI) nodes=%d mode=%s policy=%s \
-         capacity=%d streams=%d seed=%d\n"
-        workload summary.Workload.Analyzer.n_total
-        (100. *. summary.Workload.Analyzer.cgi_fraction)
-        nodes
-        (Swala.Config.cache_mode_to_string mode)
-        (Cache.Policy.to_string policy)
-        capacity streams seed;
-      (match fault with
-      | None -> ()
-      | Some _ ->
-          Printf.printf
-            "fault profile             drop=%.3f delay=%.3f/%.3fs mtbf=%s \
-             mttr=%.1fs horizon=%.0fs (messages lost: %d)\n"
-            drop_rate delay_rate delay_mean
-            (match crash_mtbf with
-            | None -> "-"
-            | Some m -> Printf.sprintf "%.1fs" m)
-            crash_mttr fault_horizon result.Swala.Cluster_runner.net_lost;
-          List.iter
-            (fun (p : Sim.Fault.partition) ->
-              Printf.printf "  partition               %s\n" p.Sim.Fault.pname)
-            partitions);
-      (match churn with
-      | None -> ()
-      | Some (c : Sim.Fault.churn) ->
-          Printf.printf
-            "rolling churn             %.3g leaves/s, downtime %.1fs (%s)\n"
-            c.Sim.Fault.churn_rate c.Sim.Fault.churn_downtime
-            (if c.Sim.Fault.churn_poisson then "poisson" else "fixed-period"));
-      (match scenario with
-      | None -> ()
-      | Some sc ->
-          Printf.printf "scenario phases           %s\n"
-            (String.concat ", "
-               (List.map
-                  (fun (name, a, b) -> Printf.sprintf "%s[%g,%g)" name a b)
-                  (Workload.Scenario.phases sc))));
-      Printf.printf "simulated makespan        %.2f s\n"
-        result.Swala.Cluster_runner.duration;
-      Printf.printf "mean response time        %.4f s\n"
-        (Swala.Cluster_runner.mean_response result);
-      (let r = result.Swala.Cluster_runner.response in
+    let trace = trace_of_workload workload ~seed ~requests in
+    let result =
+      Swala.Cluster_runner.run cfg ~trace ~n_streams:streams ~router ()
+    in
+    let summary = Workload.Analyzer.summarize trace in
+    Printf.printf
+      "workload=%s requests=%d (%.1f%% CGI) nodes=%d mode=%s policy=%s \
+       capacity=%d streams=%d seed=%d\n"
+      workload summary.Workload.Analyzer.n_total
+      (100. *. summary.Workload.Analyzer.cgi_fraction)
+      nodes
+      (Swala.Config.cache_mode_to_string cfg.cache_mode)
+      (Cache.Policy.to_string cfg.policy)
+      cfg.cache_capacity streams seed;
+    (match fault with
+    | None -> ()
+    | Some _ ->
+        Printf.printf
+          "fault profile             drop=%.3f delay=%.3f/%.3fs mtbf=%s \
+           mttr=%.1fs horizon=%.0fs (messages lost: %d)\n"
+          drop_rate delay_rate delay_mean
+          (match crash_mtbf with
+          | None -> "-"
+          | Some m -> Printf.sprintf "%.1fs" m)
+          crash_mttr fault_horizon result.Swala.Cluster_runner.net_lost;
+        List.iter
+          (fun (p : Sim.Fault.partition) ->
+            Printf.printf "  partition               %s\n" p.Sim.Fault.pname)
+          partitions);
+    (match churn with
+    | None -> ()
+    | Some (c : Sim.Fault.churn) ->
+        Printf.printf
+          "rolling churn             %.3g leaves/s, downtime %.1fs (%s)\n"
+          c.Sim.Fault.churn_rate c.Sim.Fault.churn_downtime
+          (if c.Sim.Fault.churn_poisson then "poisson" else "fixed-period"));
+    (match scenario with
+    | None -> ()
+    | Some sc ->
+        Printf.printf "scenario phases           %s\n"
+          (String.concat ", "
+             (List.map
+                (fun (name, a, b) -> Printf.sprintf "%s[%g,%g)" name a b)
+                (Workload.Scenario.phases sc))));
+    Printf.printf "simulated makespan        %.2f s\n"
+      result.Swala.Cluster_runner.duration;
+    Printf.printf "mean response time        %.4f s\n"
+      (Swala.Cluster_runner.mean_response result);
+    (let r = result.Swala.Cluster_runner.response in
+     let fmt = function
+       | None -> "-"
+       | Some v -> Printf.sprintf "%.4f" v
+     in
+     Printf.printf "median / p95 / max        %s / %s / %s s\n"
+       (fmt (Metrics.Sample.median_opt r))
+       (fmt (Metrics.Sample.quantile_opt r 0.95))
+       (fmt (Metrics.Sample.max_opt r)));
+    Printf.printf "cache hits (local+remote) %d (hit ratio %.1f%% of CGI)\n"
+      result.Swala.Cluster_runner.hits
+      (100. *. result.Swala.Cluster_runner.hit_ratio);
+    (* Freshness summary only when the plane is in play, keeping default
+       runs' stdout identical to older builds. *)
+    (if result.Swala.Cluster_runner.freshness_active then
+       let st = result.Swala.Cluster_runner.staleness in
        let fmt = function
          | None -> "-"
-         | Some v -> Printf.sprintf "%.4f" v
+         | Some v -> Printf.sprintf "%.3f" v
        in
-       Printf.printf "median / p95 / max        %s / %s / %s s\n"
-         (fmt (Metrics.Sample.median_opt r))
-         (fmt (Metrics.Sample.quantile_opt r 0.95))
-         (fmt (Metrics.Sample.max_opt r)));
-      Printf.printf "cache hits (local+remote) %d (hit ratio %.1f%% of CGI)\n"
-        result.Swala.Cluster_runner.hits
-        (100. *. result.Swala.Cluster_runner.hit_ratio);
-      (* Freshness summary only when the plane is in play, keeping default
-         runs' stdout identical to older builds. *)
-      (if result.Swala.Cluster_runner.freshness_active then
-         let st = result.Swala.Cluster_runner.staleness in
-         let fmt = function
-           | None -> "-"
-           | Some v -> Printf.sprintf "%.3f" v
-         in
-         Printf.printf
-           "freshness                 %s (hit age mean %.3f / p99 %s s over \
-            %d hits)\n"
-           result.Swala.Cluster_runner.freshness_mode
-           (Metrics.Histogram.mean st)
-           (fmt (Metrics.Histogram.quantile_opt st 0.99))
-           (Metrics.Histogram.count st));
-      Printf.printf "per-node CPU utilisation  %s\n"
-        (String.concat " "
-           (Array.to_list
-              (Array.map
-                 (fun u -> Printf.sprintf "%.0f%%" (100. *. u))
-                 result.Swala.Cluster_runner.utilisation)));
-      print_newline ();
-      print_string "counters:\n";
-      let c = result.Swala.Cluster_runner.counters in
-      List.iter
-        (fun name -> Printf.printf "  %-24s %d\n" name (Metrics.Counter.get c name))
-        (Metrics.Counter.names c);
-      (* Flight-recorder report: only when telemetry was on, keeping
-         telemetry-off stdout identical to older builds. It is rendered
-         from the run's own metrics JSON, as `swala_sim report` does. *)
-      (if result.Swala.Cluster_runner.timelines <> None then
-         Option.iter
-           (fun text ->
-             print_newline ();
-             print_string text)
-           (Swala.Telemetry_report.render_json_report
-              (Result.get_ok
-                 (Metrics.Json.of_string
-                    (Swala.Cluster_runner.result_to_json result)))));
-      (if trace_breakdown then
-         match result.Swala.Cluster_runner.tracer with
-         | None -> ()
-         | Some tr ->
-             print_newline ();
-             Metrics.Table.print (Swala.Trace_report.breakdown_table tr ~root:"request");
-             Metrics.Table.print
-               (Swala.Trace_report.histogram_table
-                  result.Swala.Cluster_runner.wait_histograms));
-      (match (trace_file, result.Swala.Cluster_runner.tracer) with
-      | Some path, Some tr ->
-          (* With telemetry on, the sampled timelines ride along as
-             Perfetto counter tracks: per-node probes on their node's
-             track, cluster-wide probes on a dedicated track. *)
-          let counters =
-            match result.Swala.Cluster_runner.timelines with
-            | None -> []
-            | Some reg ->
-                Metrics.Trace.set_track_name tr (nodes + 1) "cluster";
-                List.map
-                  (fun (s : Metrics.Registry.series) ->
-                    let pid =
-                      match probe_node_id s.Metrics.Registry.name with
-                      | Some i when i >= 0 && i < nodes -> i
-                      | _ -> nodes + 1
-                    in
-                    (pid, s.Metrics.Registry.name, s.Metrics.Registry.points))
-                  (Metrics.Registry.series reg)
-          in
+       Printf.printf
+         "freshness                 %s (hit age mean %.3f / p99 %s s over \
+          %d hits)\n"
+         result.Swala.Cluster_runner.freshness_mode
+         (Metrics.Histogram.mean st)
+         (fmt (Metrics.Histogram.quantile_opt st 0.99))
+         (Metrics.Histogram.count st));
+    Printf.printf "per-node CPU utilisation  %s\n"
+      (String.concat " "
+         (Array.to_list
+            (Array.map
+               (fun u -> Printf.sprintf "%.0f%%" (100. *. u))
+               result.Swala.Cluster_runner.utilisation)));
+    print_newline ();
+    print_string "counters:\n";
+    let c = result.Swala.Cluster_runner.counters in
+    List.iter
+      (fun name -> Printf.printf "  %-24s %d\n" name (Metrics.Counter.get c name))
+      (Metrics.Counter.names c);
+    (* Flight-recorder report: only when telemetry was on, keeping
+       telemetry-off stdout identical to older builds. It is rendered
+       from the run's own metrics JSON, as `swala_sim report` does. *)
+    (if result.Swala.Cluster_runner.timelines <> None then
+       Option.iter
+         (fun text ->
+           print_newline ();
+           print_string text)
+         (Swala.Telemetry_report.render_json_report
+            (Result.get_ok
+               (Metrics.Json.of_string
+                  (Swala.Cluster_runner.result_to_json result)))));
+    (if trace_breakdown then
+       match result.Swala.Cluster_runner.tracer with
+       | None -> ()
+       | Some tr ->
+           print_newline ();
+           Metrics.Table.print (Swala.Trace_report.breakdown_table tr ~root:"request");
+           Metrics.Table.print
+             (Swala.Trace_report.histogram_table
+                result.Swala.Cluster_runner.wait_histograms));
+    (match (trace_file, result.Swala.Cluster_runner.tracer) with
+    | Some path, Some tr ->
+        (* With telemetry on, the sampled timelines ride along as
+           Perfetto counter tracks: per-node probes on their node's
+           track, cluster-wide probes on a dedicated track. *)
+        let counters =
+          match result.Swala.Cluster_runner.timelines with
+          | None -> []
+          | Some reg ->
+              Metrics.Trace.set_track_name tr (nodes + 1) "cluster";
+              List.map
+                (fun (s : Metrics.Registry.series) ->
+                  let pid =
+                    match probe_node_id s.Metrics.Registry.name with
+                    | Some i when i >= 0 && i < nodes -> i
+                    | _ -> nodes + 1
+                  in
+                  (pid, s.Metrics.Registry.name, s.Metrics.Registry.points))
+                (Metrics.Registry.series reg)
+        in
+        let oc = open_out path in
+        output_string oc (Metrics.Trace.to_chrome_json ~counters tr);
+        output_char oc '\n';
+        close_out oc;
+        Printf.printf "wrote %d spans to %s (Perfetto / chrome://tracing)\n"
+          (Metrics.Trace.n_spans tr) path
+    | _ -> ());
+    (match metrics_out with
+    | None -> ()
+    | Some path ->
+        let oc = open_out path in
+        output_string oc (Swala.Cluster_runner.result_to_json result);
+        output_char oc '\n';
+        close_out oc;
+        Printf.printf "wrote metrics JSON to %s\n" path);
+    (match (telemetry_csv, result.Swala.Cluster_runner.timelines) with
+    | Some prefix, Some reg ->
+        let write path keep =
           let oc = open_out path in
-          output_string oc (Metrics.Trace.to_chrome_json ~counters tr);
-          output_char oc '\n';
-          close_out oc;
-          Printf.printf "wrote %d spans to %s (Perfetto / chrome://tracing)\n"
-            (Metrics.Trace.n_spans tr) path
-      | _ -> ());
-      (match metrics_out with
-      | None -> ()
-      | Some path ->
-          let oc = open_out path in
-          output_string oc (Swala.Cluster_runner.result_to_json result);
-          output_char oc '\n';
-          close_out oc;
-          Printf.printf "wrote metrics JSON to %s\n" path);
-      (match (telemetry_csv, result.Swala.Cluster_runner.timelines) with
-      | Some prefix, Some reg ->
-          let write path keep =
-            let oc = open_out path in
-            output_string oc (Metrics.Registry.to_csv ~keep reg);
-            close_out oc
-          in
+          output_string oc (Metrics.Registry.to_csv ~keep reg);
+          close_out oc
+        in
+        write
+          (prefix ^ ".cluster.csv")
+          (fun name -> probe_node_id name = None);
+        for i = 0 to nodes - 1 do
           write
-            (prefix ^ ".cluster.csv")
-            (fun name -> probe_node_id name = None);
-          for i = 0 to nodes - 1 do
-            write
-              (Printf.sprintf "%s.node%d.csv" prefix i)
-              (fun name -> probe_node_id name = Some i)
-          done;
-          Printf.printf "wrote telemetry CSVs to %s.{cluster,node*}.csv\n"
-            prefix
-      | _ -> ());
-      match (incidents_out, result.Swala.Cluster_runner.health) with
-      | Some path, Some h ->
-          let oc = open_out path in
-          let ppf = Format.formatter_of_out_channel oc in
-          List.iter
-            (fun i -> Format.fprintf ppf "%a@." Metrics.Health.pp_incident i)
-            (Metrics.Health.incidents h);
-          Format.pp_print_flush ppf ();
-          close_out oc;
-          Printf.printf "wrote %d incident(s) to %s\n"
-            (Metrics.Health.n_incidents h)
-            path
-      | _ -> ()
+            (Printf.sprintf "%s.node%d.csv" prefix i)
+            (fun name -> probe_node_id name = Some i)
+        done;
+        Printf.printf "wrote telemetry CSVs to %s.{cluster,node*}.csv\n"
+          prefix
+    | _ -> ());
+    match (incidents_out, result.Swala.Cluster_runner.health) with
+    | Some path, Some h ->
+        let oc = open_out path in
+        let ppf = Format.formatter_of_out_channel oc in
+        List.iter
+          (fun i -> Format.fprintf ppf "%a@." Metrics.Health.pp_incident i)
+          (Metrics.Health.incidents h);
+        Format.pp_print_flush ppf ();
+        close_out oc;
+        Printf.printf "wrote %d incident(s) to %s\n"
+          (Metrics.Health.n_incidents h)
+          path
+    | _ -> ()
 
 let run_cmd =
   let doc = "Run a cluster simulation and report response times and counters." in
   Cmd.v
     (Cmd.info "run" ~doc)
     Term.(
-      const run_cmd_impl $ seed_t $ nodes_t $ mode_t $ policy_t $ capacity_t
-      $ streams_t $ requests_t $ workload_t $ router_t $ rules_t $ drop_rate_t
-      $ delay_rate_t $ delay_mean_t $ crash_mtbf_t $ crash_mttr_t
-      $ fault_horizon_t $ partitions_t $ anti_entropy_t $ fetch_timeout_t
-      $ fetch_retries_t $ fetch_backoff_t $ batch_flush_t $ batch_max_t
-      $ dir_hints_t $ dir_mode_t $ shard_vnodes_t $ shard_lookup_cache_t
-      $ shard_pos_ttl_t $ shard_neg_ttl_t $ hotspot_threshold_t
-      $ hotspot_window_t $ hotspot_replicas_t $ freshness_t $ default_ttl_t
-      $ refresh_budget_t $ refresh_interval_t $ scenario_t
-      $ scenario_duration_t $ flash_crowd_t $ diurnal_t $ geo_tiers_t
-      $ churn_rate_t $ churn_downtime_t $ churn_fixed_t $ trace_file_t
-      $ trace_breakdown_t $ metrics_out_t $ telemetry_interval_t
-      $ telemetry_csv_t $ incidents_out_t $ slo_target_t $ slo_objective_t
-      $ seeds_t $ jobs_t)
+      const run_cmd_impl $ config_t $ seed_t $ streams_t $ requests_t
+      $ workload_t $ router_t $ rules_t $ drop_rate_t $ delay_rate_t
+      $ delay_mean_t $ crash_mtbf_t $ crash_mttr_t $ fault_horizon_t
+      $ partitions_t $ scenario_t $ scenario_duration_t $ flash_crowd_t
+      $ diurnal_t $ geo_tiers_t $ churn_rate_t $ churn_downtime_t
+      $ churn_fixed_t $ trace_file_t $ trace_breakdown_t $ metrics_out_t
+      $ telemetry_csv_t $ incidents_out_t $ seeds_t $ jobs_t)
 
 (* ------------------------------------------------------------------ *)
 (* gen *)
@@ -1118,18 +1043,14 @@ let output_t =
 let gen_cmd_impl seed requests workload output =
   check_positive "gen" "--requests" requests;
   Option.iter (check_writable "gen" "--output") output;
-  match trace_of_workload ~workload ~seed ~requests with
-  | Error e ->
-      prerr_endline e;
-      exit 2
-  | Ok trace -> (
-      match output with
-      | None -> print_string (Workload.Logfmt.to_string trace)
-      | Some path ->
-          let oc = open_out path in
-          Workload.Logfmt.write oc trace;
-          close_out oc;
-          Printf.printf "wrote %d requests to %s\n" (List.length trace) path)
+  let trace = trace_of_workload workload ~seed ~requests in
+  match output with
+  | None -> print_string (Workload.Logfmt.to_string trace)
+  | Some path ->
+      let oc = open_out path in
+      Workload.Logfmt.write oc trace;
+      close_out oc;
+      Printf.printf "wrote %d requests to %s\n" (List.length trace) path
 
 let gen_cmd =
   let doc = "Generate a workload trace in logfmt (see bin/loganalyze)." in

@@ -35,11 +35,6 @@ type mode = Fixed | Adaptive
 
 let mode_to_string = function Fixed -> "fixed" | Adaptive -> "adaptive"
 
-let mode_of_string = function
-  | "fixed" -> Ok Fixed
-  | "adaptive" -> Ok Adaptive
-  | s -> Error (Printf.sprintf "unknown freshness mode %S" s)
-
 (* EWMA weight for the per-key gap and cost trackers: heavy enough to
    smooth lognormal demand draws, light enough to track a regime change
    within a handful of recomputations. *)

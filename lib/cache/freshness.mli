@@ -20,7 +20,6 @@
 type mode = Fixed | Adaptive
 
 val mode_to_string : mode -> string
-val mode_of_string : string -> (mode, string) result
 
 type t
 

@@ -18,16 +18,6 @@ let to_string = function
   | Gdsf -> "gdsf"
   | Random -> "random"
 
-let of_string = function
-  | "lru" -> Ok Lru
-  | "fifo" -> Ok Fifo
-  | "lfu" -> Ok Lfu
-  | "size" -> Ok Largest_size
-  | "exec-time" -> Ok Cheapest_recompute
-  | "gdsf" -> Ok Gdsf
-  | "random" -> Ok Random
-  | s -> Error (Printf.sprintf "unknown policy %S" s)
-
 type access = { last_access : float; hits : int; inserted : float }
 
 let priority p ~clock ~meta ~access =
@@ -46,5 +36,3 @@ let priority p ~clock ~meta ~access =
 let uses_clock = function
   | Gdsf -> true
   | Lru | Fifo | Lfu | Largest_size | Cheapest_recompute | Random -> false
-
-let pp ppf t = Format.pp_print_string ppf (to_string t)

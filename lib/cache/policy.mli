@@ -22,7 +22,6 @@ type t =
 
 val all : t list
 val to_string : t -> string
-val of_string : string -> (t, string) result
 
 (** Access statistics a priority may depend on. *)
 type access = { last_access : float; hits : int; inserted : float }
@@ -35,5 +34,3 @@ val priority : t -> clock:float -> meta:Meta.t -> access:access -> float
 
 (** [uses_clock p] is [true] only for [Gdsf]. *)
 val uses_clock : t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -4,7 +4,6 @@ type t = {
   mutable inserts : int;
   mutable evictions : int;
   mutable expirations : int;
-  mutable bytes_stored : int;
 }
 
 let create () =
@@ -14,7 +13,6 @@ let create () =
     inserts = 0;
     evictions = 0;
     expirations = 0;
-    bytes_stored = 0;
   }
 
 let hit_ratio t =
@@ -28,5 +26,4 @@ let merge a b =
     inserts = a.inserts + b.inserts;
     evictions = a.evictions + b.evictions;
     expirations = a.expirations + b.expirations;
-    bytes_stored = a.bytes_stored + b.bytes_stored;
   }

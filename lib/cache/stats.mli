@@ -6,7 +6,6 @@ type t = {
   mutable inserts : int;
   mutable evictions : int;
   mutable expirations : int;
-  mutable bytes_stored : int;  (** current resident bytes *)
 }
 
 val create : unit -> t

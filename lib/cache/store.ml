@@ -106,8 +106,6 @@ let order_remove t idx =
 
 let delete_slot t slot =
   Hashtbl.remove t.table slot.entry.meta.Meta.key;
-  t.stats.Stats.bytes_stored <-
-    t.stats.Stats.bytes_stored - slot.entry.meta.Meta.size;
   order_remove t slot.index;
   slot.version <- next_version t (* invalidate heap items *)
 
@@ -228,7 +226,6 @@ let insert_body t meta body =
   | Some _ | None -> ());
   push_heap t slot;
   t.stats.Stats.inserts <- t.stats.Stats.inserts + 1;
-  t.stats.Stats.bytes_stored <- t.stats.Stats.bytes_stored + meta.Meta.size;
   List.rev !evicted
 
 let insert t meta body = insert_body t meta (Http.Body.of_string body)
@@ -270,7 +267,6 @@ let clear t =
 
 let mem t key = match peek t key with Some _ -> true | None -> false
 let length t = Hashtbl.length t.table
-let bytes t = t.stats.Stats.bytes_stored
 
 let keys t =
   Hashtbl.fold (fun k _ acc -> k :: acc) t.table [] |> List.sort String.compare

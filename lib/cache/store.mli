@@ -80,6 +80,5 @@ val expiring : t -> now:float -> horizon:float -> candidate list
 
 val mem : t -> string -> bool
 val length : t -> int
-val bytes : t -> int
 val keys : t -> string list
 val stats : t -> Stats.t

@@ -59,6 +59,14 @@ let enterprise_model =
     contention_coeff = 4e-5;
   }
 
+let local_fetch_cost = 0.004
+let remote_fetch_cost = 0.0055
+let data_server_cost = 0.002
+let insert_cost = 0.002
+let info_apply_cost = 0.0001
+let dir_lock_overhead = 2e-6
+let fs_cache_hit = 0.95
+
 type t = {
   n_nodes : int;
   threads_per_node : int;
@@ -73,13 +81,7 @@ type t = {
   cache_threshold : float;
   default_ttl : float option;
   purge_interval : float;
-  local_fetch_cost : float;
-  remote_fetch_cost : float;
-  data_server_cost : float;
-  insert_cost : float;
-  info_apply_cost : float;
   dir_granularity : Cache.Directory.granularity;
-  dir_lock_overhead : float;
   dir_scan_cost : float;
   net_latency : float;
   net_bandwidth : float;
@@ -108,7 +110,6 @@ type t = {
   freshness_window : float;
   refresh_budget : float;
   refresh_interval : float;
-  fs_cache_hit : float;
   scenario : Workload.Scenario.t option;
   trace : bool;
   telemetry_interval : float option;
@@ -132,13 +133,7 @@ let default =
     cache_threshold = 0.1;
     default_ttl = None;
     purge_interval = 5.0;
-    local_fetch_cost = 0.004;
-    remote_fetch_cost = 0.0055;
-    data_server_cost = 0.002;
-    insert_cost = 0.002;
-    info_apply_cost = 0.0001;
     dir_granularity = Cache.Directory.Per_table;
-    dir_lock_overhead = 2e-6;
     dir_scan_cost = 0.;
     net_latency = 0.0002;
     net_bandwidth = 12.5e6;
@@ -167,7 +162,6 @@ let default =
     freshness_window = 2.0;
     refresh_budget = 0.;
     refresh_interval = 0.5;
-    fs_cache_hit = 0.95;
     scenario = None;
     trace = false;
     telemetry_interval = None;
@@ -185,13 +179,7 @@ let make ?(n_nodes = default.n_nodes)
     ?(cache_threshold = default.cache_threshold)
     ?(default_ttl = default.default_ttl)
     ?(purge_interval = default.purge_interval)
-    ?(local_fetch_cost = default.local_fetch_cost)
-    ?(remote_fetch_cost = default.remote_fetch_cost)
-    ?(data_server_cost = default.data_server_cost)
-    ?(insert_cost = default.insert_cost)
-    ?(info_apply_cost = default.info_apply_cost)
     ?(dir_granularity = default.dir_granularity)
-    ?(dir_lock_overhead = default.dir_lock_overhead)
     ?(dir_scan_cost = default.dir_scan_cost)
     ?(net_latency = default.net_latency)
     ?(net_bandwidth = default.net_bandwidth) ?(net_loss = default.net_loss)
@@ -217,7 +205,7 @@ let make ?(n_nodes = default.n_nodes)
     ?(freshness_window = default.freshness_window)
     ?(refresh_budget = default.refresh_budget)
     ?(refresh_interval = default.refresh_interval)
-    ?(fs_cache_hit = default.fs_cache_hit) ?(scenario = default.scenario)
+    ?(scenario = default.scenario)
     ?(trace = default.trace)
     ?(telemetry_interval = default.telemetry_interval)
     ?(slo_target = default.slo_target)
@@ -236,13 +224,7 @@ let make ?(n_nodes = default.n_nodes)
     cache_threshold;
     default_ttl;
     purge_interval;
-    local_fetch_cost;
-    remote_fetch_cost;
-    data_server_cost;
-    insert_cost;
-    info_apply_cost;
     dir_granularity;
-    dir_lock_overhead;
     dir_scan_cost;
     net_latency;
     net_bandwidth;
@@ -271,7 +253,6 @@ let make ?(n_nodes = default.n_nodes)
     freshness_window;
     refresh_budget;
     refresh_interval;
-    fs_cache_hit;
     scenario;
     trace;
     telemetry_interval;
@@ -291,9 +272,6 @@ let validate t =
   check (t.purge_interval > 0.) "purge_interval must be positive";
   check (t.net_bandwidth > 0.) "net_bandwidth must be positive";
   check (t.net_latency >= 0.) "net_latency must be >= 0";
-  check
-    (t.fs_cache_hit >= 0. && t.fs_cache_hit <= 1.)
-    "fs_cache_hit must be in [0,1]";
   (match t.default_ttl with
   | Some ttl -> check (ttl > 0.) "default_ttl must be positive"
   | None -> ());
@@ -399,9 +377,4 @@ let validate t =
   check
     (t.slo_objective > 0. && t.slo_objective < 1.)
     "slo_objective must be in (0,1)";
-  check (t.dir_scan_cost >= 0.) "dir_scan_cost must be >= 0";
-  check (t.local_fetch_cost >= 0.) "local_fetch_cost must be >= 0";
-  check (t.remote_fetch_cost >= 0.) "remote_fetch_cost must be >= 0";
-  check (t.data_server_cost >= 0.) "data_server_cost must be >= 0";
-  check (t.insert_cost >= 0.) "insert_cost must be >= 0";
-  check (t.info_apply_cost >= 0.) "info_apply_cost must be >= 0"
+  check (t.dir_scan_cost >= 0.) "dir_scan_cost must be >= 0"

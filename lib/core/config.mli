@@ -55,6 +55,39 @@ val swala_model : server_model
 val httpd_model : server_model
 val enterprise_model : server_model
 
+(** {1 Calibrated constants}
+
+    The cacher's own costs and the file-system cache hit rate are
+    calibrated once, like the server models; no experiment varies them
+    (the paper's evaluation varies clients, nodes, cache size and the
+    execution-time threshold). [cores_per_node], [cpu_speed] and
+    [net_bandwidth] are never varied either, but they stay fields of {!t}
+    because the layer kernels of [bench/perf] read them from a
+    configuration. *)
+
+(** CPU s to open+map a cached result file *)
+val local_fetch_cost : float
+
+(** CPU s on the requester to run the remote-fetch protocol *)
+val remote_fetch_cost : float
+
+(** CPU s on the owner to serve one fetch *)
+val data_server_cost : float
+
+(** CPU s to create the entry + result file *)
+val insert_cost : float
+
+(** CPU s to apply one directory update *)
+val info_apply_cost : float
+
+(** s per directory lock acquisition *)
+val dir_lock_overhead : float
+
+(** P(static file is in the OS buffer cache) *)
+val fs_cache_hit : float
+
+(** {1 Configuration} *)
+
 type t = {
   n_nodes : int;
   threads_per_node : int;  (** request-thread pool size (HTTP module) *)
@@ -74,14 +107,7 @@ type t = {
           cached (the paper's runtime-defined limit) *)
   default_ttl : float option;  (** TTL for scripts that don't set one *)
   purge_interval : float;  (** purge-daemon wake-up period *)
-  local_fetch_cost : float;  (** CPU s to open+map a cached result file *)
-  remote_fetch_cost : float;
-      (** CPU s on the requester to run the remote-fetch protocol *)
-  data_server_cost : float;  (** CPU s on the owner to serve one fetch *)
-  insert_cost : float;  (** CPU s to create the entry + result file *)
-  info_apply_cost : float;  (** CPU s to apply one directory update *)
   dir_granularity : Cache.Directory.granularity;
-  dir_lock_overhead : float;  (** s per directory lock acquisition *)
   dir_scan_cost : float;
       (** s per table entry examined while holding the directory lock
           (default 0; raised by the locking ablation) *)
@@ -200,7 +226,6 @@ type t = {
   refresh_interval : float;
       (** refresh-daemon wake-up period (s); each tick scans entries
           expiring within twice this horizon. Default 0.5 s *)
-  fs_cache_hit : float;  (** P(static file is in the OS buffer cache) *)
   scenario : Workload.Scenario.t option;
       (** time-varying workload scenario (flash crowd, diurnal envelope,
           geo-tiered clients) the runner overlays on the replayed trace.
@@ -252,13 +277,7 @@ val make :
   ?cache_threshold:float ->
   ?default_ttl:float option ->
   ?purge_interval:float ->
-  ?local_fetch_cost:float ->
-  ?remote_fetch_cost:float ->
-  ?data_server_cost:float ->
-  ?insert_cost:float ->
-  ?info_apply_cost:float ->
   ?dir_granularity:Cache.Directory.granularity ->
-  ?dir_lock_overhead:float ->
   ?dir_scan_cost:float ->
   ?net_latency:float ->
   ?net_bandwidth:float ->
@@ -287,7 +306,6 @@ val make :
   ?freshness_window:float ->
   ?refresh_budget:float ->
   ?refresh_interval:float ->
-  ?fs_cache_hit:float ->
   ?scenario:Workload.Scenario.t option ->
   ?trace:bool ->
   ?telemetry_interval:float option ->

@@ -207,7 +207,7 @@ let with_span ?parent ?attrs ?async x nd name f =
    not the directory work at the receiver), then acknowledge it when the
    sender waits for acknowledgements (strong consistency). *)
 let info_receiver x nd inbox ~updates ~apply =
-  let cost = x.cfg.Config.info_apply_cost in
+  let cost = Config.info_apply_cost in
   let handle (envelope : _ Cluster.Msg.info_envelope) =
     Sim.Cpu.consume nd.cpu
       (float_of_int (updates envelope.Cluster.Msg.info) *. cost);
@@ -244,7 +244,7 @@ let data_server x nd =
         with_span x nd "fetch.serve" ~parent:fetch.Cluster.Msg.span
           ~async:true
         @@ fun () ->
-        Sim.Cpu.consume nd.cpu x.cfg.Config.data_server_cost;
+        Sim.Cpu.consume nd.cpu Config.data_server_cost;
         let reply_msg =
           match Cache.Store.lookup nd.store fetch.Cluster.Msg.key with
           | Some entry ->

@@ -40,7 +40,7 @@ let create (x : Node.ctx) ?lock_observe () =
                contends with request processing. *)
             dir =
               Cache.Directory.create ~granularity:cfg.Config.dir_granularity
-                ~lock_overhead:cfg.Config.dir_lock_overhead
+                ~lock_overhead:Config.dir_lock_overhead
                 ~scan_cost:cfg.Config.dir_scan_cost
                 ~charge:(fun s -> Sim.Cpu.consume cpu s)
                 ~hints:cfg.Config.dir_hints ?lock_observe
@@ -346,7 +346,7 @@ let anti_entropy_daemon p (nd : Node.t) ~period =
     if not nd.stop then begin
       Sim.Engine.delay period;
       if nd.up && (not nd.stop) && Array.length p.nodes > 1 then begin
-        Sim.Cpu.consume nd.cpu p.x.cfg.Config.info_apply_cost;
+        Sim.Cpu.consume nd.cpu Config.info_apply_cost;
         ae_round p nd ~period
       end;
       loop ()
@@ -363,7 +363,7 @@ let sync_responder p (nd : Node.t) =
     else begin
       with_span p.x nd "ae.respond" ~parent:req.Cluster.Msg.span ~async:true
         (fun () ->
-      Sim.Cpu.consume nd.cpu p.x.cfg.Config.info_apply_cost;
+      Sim.Cpu.consume nd.cpu Config.info_apply_cost;
       let dir = p.nodes.(nd.id).dir in
       let n = Array.length p.nodes in
       let tables = ref [] in

@@ -464,7 +464,7 @@ let cache_ctl_for c (script : Cgi.Script.t) meth =
    after returning the result). *)
 let insert_result c (nd : t) ~key ~body ~exec_time ttl =
   with_span c.ctx nd "insert" @@ fun () ->
-  Sim.Cpu.consume nd.cpu c.ctx.cfg.Config.insert_cost;
+  Sim.Cpu.consume nd.cpu Config.insert_cost;
   let created = now () in
   (* Feed the controller before asking it: this very recomputation is an
      observation of the key's cost and update gap. *)
@@ -593,7 +593,7 @@ let serve_local c (nd : t) env ~t0 (entry : Cache.Store.entry) =
   incr nd K.hit_local;
   note_hit_freshness c nd entry.Cache.Store.meta;
   with_span c.ctx nd "hit.local" (fun () ->
-      Sim.Cpu.consume nd.cpu c.ctx.cfg.Config.local_fetch_cost;
+      Sim.Cpu.consume nd.cpu Config.local_fetch_cost;
       (* The result file is recently used, hence in the OS buffer cache. *)
       Sim.Disk.read nd.disk ~bytes:entry.Cache.Store.meta.Cache.Meta.size
         ~cached:true;
@@ -609,7 +609,7 @@ let fetch_remote c (nd : t) env (script : Cgi.Script.t) key ~(ctl : cache_ctl)
     with_span c.ctx nd "fetch.remote"
       ~attrs:(fun () -> [ ("owner", string_of_int owner) ])
     @@ fun () ->
-    Sim.Cpu.consume nd.cpu c.ctx.cfg.Config.remote_fetch_cost;
+    Sim.Cpu.consume nd.cpu Config.remote_fetch_cost;
     let span = Node.span_of c.ctx in
     match c.ctx.cfg.Config.fetch_timeout with
     | None ->
@@ -714,7 +714,7 @@ let handle c (nd : t) (env : Node.env) =
            env.req.Http.Request.uri.Http.Uri.path)
   | Some (Cgi.Registry.Static_file { bytes; _ }) ->
       incr nd K.file_fetches;
-      let cached = Sim.Rng.float nd.rng < c.ctx.cfg.Config.fs_cache_hit in
+      let cached = Sim.Rng.float nd.rng < Config.fs_cache_hit in
       Sim.Disk.read nd.disk ~bytes ~cached;
       Sim.Cpu.consume nd.cpu
         (model.Config.per_byte_send *. float_of_int bytes);

@@ -47,7 +47,7 @@ let create (x : Node.ctx) ?lock_observe ~fwd_wait () =
                their cost constants. *)
             table =
               Cache.Shard_table.create
-                ~lock_overhead:cfg.Config.dir_lock_overhead
+                ~lock_overhead:Config.dir_lock_overhead
                 ~charge:(fun s -> Sim.Cpu.consume cpu s)
                 ?lock_observe ();
             lcache =
@@ -401,7 +401,7 @@ let lookup_server p (nd : Node.t) =
           with_span p.x nd "dir.serve" ~parent:req.Cluster.Msg.lspan
             ~async:true
           @@ fun () ->
-          Sim.Cpu.consume nd.cpu p.x.cfg.Config.info_apply_cost;
+          Sim.Cpu.consume nd.cpu Config.info_apply_cost;
           let st = p.nodes.(nd.id) in
           let found =
             Cache.Shard_table.probe st.table ~now:(now ())

@@ -15,7 +15,14 @@ exception Worker of exn * Printexc.raw_backtrace
 let map ?(jobs = 1) f items =
   let n = Array.length items in
   let jobs = Stdlib.min (Stdlib.max 1 jobs) (Stdlib.max 1 n) in
-  if jobs = 1 then Array.map f items
+  if jobs = 1 then
+    Array.map
+      (fun x ->
+        try f x
+        with e ->
+          let bt = Printexc.get_raw_backtrace () in
+          Printexc.raise_with_backtrace (Worker (e, bt)) bt)
+      items
   else begin
     let results = Array.make n None in
     let next = Atomic.make 0 in

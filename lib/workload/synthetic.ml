@@ -126,8 +126,8 @@ let adl_scaled ~seed ~n =
   in
   adl ~seed ~params ()
 
-let coop ~seed ~n ~n_unique ?(n_hot = 120) ?(zipf_s = 0.8) ?(demand = 1.0)
-    ?(out_bytes = 4096) ?(locality = 1.0) () =
+let coop ~seed ~n ~n_unique ?(n_hot = Stdlib.min 120 n_unique) ?(zipf_s = 0.8)
+    ?(demand = 1.0) ?(out_bytes = 4096) ?(locality = 1.0) () =
   if n_unique > n then invalid_arg "Synthetic.coop: n_unique > n";
   if n_hot > n_unique then invalid_arg "Synthetic.coop: n_hot > n_unique";
   if n_hot < 1 then invalid_arg "Synthetic.coop: n_hot must be >= 1";

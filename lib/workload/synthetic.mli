@@ -51,8 +51,9 @@ val adl_scaled : seed:int -> n:int -> Trace.t
 (** [coop ~seed ~n ~n_unique ()] builds a CGI-only trace with exactly [n]
     requests over exactly [n_unique] distinct queries.
 
-    - [n_hot] distinct queries (default 120) receive all the repeats,
-      distributed by a Zipf law with skew [zipf_s] (default 0.8);
+    - [n_hot] distinct queries (default 120, or [n_unique] if fewer)
+      receive all the repeats, distributed by a Zipf law with skew
+      [zipf_s] (default 0.8);
     - every request costs [demand] dedicated-CPU seconds (default 1.0) and
       produces [out_bytes] of output (default 4096);
     - [locality] in [(0, 1]] clusters repeats: it is the mean spacing

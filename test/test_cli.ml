@@ -1,7 +1,9 @@
 (* The command-line binaries, run as built:
    - [swala_sim]'s usage errors: a bad count or an output path that
      cannot be written ends it with one line on stderr and exit status 2,
-     before any simulation runs (so nothing reaches stdout);
+     before any simulation runs (so nothing reaches stdout); an unknown
+     enumerated value is cmdliner's usage error (exit 124);
+   - every [swala_sim run] flag that sets a [Config] field reaches it;
    - [swala_sim run] with telemetry prints the same flight-recorder
      tables as [swala_sim report] on the run's metrics JSON;
    - [perf_gate]'s verdicts and input errors;
@@ -113,6 +115,39 @@ let cases =
         (unwritable "g.log") );
   ]
 
+(* An unknown name for any enumerated flag stops the run before it
+   prints anything, even on the multi-seed path. *)
+let enum_cases =
+  List.map
+    (fun args ->
+      ( String.concat " " args,
+        fun () ->
+          let status, out, _ = run args in
+          Alcotest.(check int) "exit status" 124 status;
+          Alcotest.(check (list string)) "nothing on stdout" [] out ))
+    [
+      [ "run"; "--mode"; "bogus" ];
+      [ "run"; "--dir-mode"; "bogus" ];
+      [ "run"; "--policy"; "bogus" ];
+      [ "run"; "--freshness"; "bogus" ];
+      [ "run"; "--router"; "bogus" ];
+      [ "run"; "--workload"; "bogus" ];
+      [ "run"; "--seeds"; "2"; "--workload"; "bogus" ];
+      [ "gen"; "--workload"; "bogus" ];
+    ]
+
+(* Request counts too small for coop's default hot set of 120 keys. *)
+let test_small_coop () =
+  List.iter
+    (fun args ->
+      let status, _, err = run args in
+      Alcotest.(check int) (String.concat " " args) 0 status;
+      Alcotest.(check (list string)) "nothing on stderr" [] err)
+    [
+      [ "run"; "--workload"; "coop"; "--requests"; "100" ];
+      [ "gen"; "--workload"; "coop"; "--requests"; "1" ];
+    ]
+
 (* The probes leave nothing behind: files they had to create for the
    per-seed and per-node siblings of a blocked path are removed again. *)
 let test_probes_leave_no_files () =
@@ -154,6 +189,112 @@ let test_report_matches_run () =
   in
   Alcotest.(check bool) "report output appears verbatim in the run's" true
     (contained run_out)
+
+(* Each flag that sets a [Config] field reaches that field: the metrics
+   JSON of a run with the flag set equals that of an in-process run of
+   the trace [gen] writes for the same workload and seed, configured
+   field by field. Between them, the replicated, sharded and standalone
+   sets give every such flag a value other than its default, chosen so
+   that it shows in the JSON. The timelines are left out of the
+   comparison: their GC probe measures the host process. *)
+let config_cases =
+  let open Swala.Config in
+  let d = { default with seed = 5 } in
+  [
+    ("no Config flag", [], d, Swala.Router.Per_stream);
+    ( "replicated",
+      [ "--nodes"; "3"; "--drop-rate"; "0.1"; "--fetch-timeout"; "0.5";
+        "--fetch-retries"; "2"; "--fetch-backoff"; "3";
+        "--anti-entropy-period"; "1.5"; "--batch-max"; "4";
+        "--batch-flush-interval"; "0.05"; "--dir-hints"; "--freshness";
+        "adaptive"; "--default-ttl"; "4"; "--refresh-budget"; "2";
+        "--refresh-interval"; "0.25"; "--telemetry-interval"; "0.5";
+        "--slo-target"; "1"; "--slo-objective"; "0.9"; "--router";
+        "round-robin" ],
+      {
+        d with
+        n_nodes = 3;
+        fault =
+          Some
+            (Sim.Fault.make ~drop:0.1 ~delay:0. ~delay_mean:0.05
+               ~partitions:[] ~horizon:600. ());
+        fetch_timeout = Some 0.5;
+        fetch_retries = 2;
+        fetch_backoff = 3.;
+        anti_entropy_period = Some 1.5;
+        batch_max = 4;
+        batch_flush_interval = Some 0.05;
+        dir_hints = true;
+        freshness = Cache.Freshness.Adaptive;
+        default_ttl = Some 4.;
+        refresh_budget = 2.;
+        refresh_interval = 0.25;
+        telemetry_interval = Some 0.5;
+        slo_target = Some 1.;
+        slo_objective = 0.9;
+      },
+      Swala.Router.Round_robin );
+    ( "sharded",
+      [ "--nodes"; "4"; "--dir-mode"; "sharded"; "--shard-vnodes"; "16";
+        "--shard-lookup-cache"; "8"; "--shard-pos-ttl"; "2";
+        "--shard-neg-ttl"; "0.2"; "--hotspot-threshold"; "1";
+        "--hotspot-window"; "1"; "--hotspot-replicas"; "1"; "--router";
+        "least-active" ],
+      {
+        d with
+        n_nodes = 4;
+        dir_mode = Sharded;
+        shard_vnodes = 16;
+        shard_lookup_cache = 8;
+        shard_pos_ttl = 2.;
+        shard_neg_ttl = 0.2;
+        hotspot_threshold = 1.;
+        hotspot_window = 1.;
+        hotspot_replicas = 1;
+      },
+      Swala.Router.Least_active );
+    ( "standalone",
+      [ "--nodes"; "2"; "--mode"; "standalone"; "--policy"; "gdsf";
+        "--capacity"; "20" ],
+      {
+        d with
+        n_nodes = 2;
+        cache_mode = Standalone;
+        policy = Cache.Policy.Gdsf;
+        cache_capacity = 20;
+      },
+      Swala.Router.Per_stream );
+  ]
+
+let without_timelines json =
+  match Metrics.Json.of_string json with
+  | Ok (Metrics.Json.Obj fields) ->
+      Metrics.Json.to_string
+        (Metrics.Json.Obj (List.remove_assoc "timelines" fields))
+  | Ok _ | Error _ -> Alcotest.failf "not a JSON object: %s" json
+
+let test_flags_reach_config (flags, cfg, router) () =
+  let common = [ "--workload"; "coop"; "--requests"; "300"; "--seed"; "5" ] in
+  let trace =
+    with_file "" @@ fun path ->
+    let status, _, _ = run ([ "gen" ] @ common @ [ "--output"; path ]) in
+    Alcotest.(check int) "gen exit status" 0 status;
+    Result.get_ok
+      (Workload.Logfmt.of_string (String.concat "\n" (read_lines path)))
+  in
+  let expected =
+    Swala.Cluster_runner.result_to_json
+      (Swala.Cluster_runner.run cfg ~trace ~n_streams:16 ~router ())
+  in
+  with_file "" @@ fun path ->
+  let status, _, err =
+    run ([ "run" ] @ common @ flags @ [ "--metrics-out"; path ])
+  in
+  Alcotest.(check int) "run exit status" 0 status;
+  Alcotest.(check (list string)) "nothing on stderr" [] err;
+  Alcotest.(check string) "metrics JSON"
+    (without_timelines expected)
+    (without_timelines (String.concat "\n" (read_lines path)))
 
 (* perf_gate on hand-written baseline/current files. *)
 let gate ?(key = []) baseline current =
@@ -236,7 +377,17 @@ let () =
           (fun (name, args, expected) ->
             Alcotest.test_case name `Quick (usage_error args expected))
           cases
-        @ [ Alcotest.test_case "probes leave no files" `Quick test_probes_leave_no_files ] );
+        @ [ Alcotest.test_case "probes leave no files" `Quick test_probes_leave_no_files ]
+        @ List.map
+            (fun (name, f) -> Alcotest.test_case name `Quick f)
+            enum_cases
+        @ [ Alcotest.test_case "coop below 172 requests" `Quick test_small_coop ] );
+      ( "config-flags",
+        List.map
+          (fun (name, flags, cfg, router) ->
+            Alcotest.test_case name `Quick
+              (test_flags_reach_config (flags, cfg, router)))
+          config_cases );
       ( "telemetry",
         [
           Alcotest.test_case "report matches the run" `Quick

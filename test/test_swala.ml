@@ -24,8 +24,7 @@ let test_config_validation () =
   check_bool "threads" true (inv (Swala.Config.make ~threads_per_node:0 ()));
   check_bool "capacity" true (inv (Swala.Config.make ~cache_capacity:0 ()));
   check_bool "threshold" true (inv (Swala.Config.make ~cache_threshold:(-1.) ()));
-  check_bool "ttl" true (inv (Swala.Config.make ~default_ttl:(Some 0.) ()));
-  check_bool "fs cache" true (inv (Swala.Config.make ~fs_cache_hit:1.5 ()))
+  check_bool "ttl" true (inv (Swala.Config.make ~default_ttl:(Some 0.) ()))
 
 let test_config_mode_names () =
   check_string "disabled" "no-cache"

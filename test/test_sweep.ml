@@ -35,12 +35,19 @@ let test_map_list () =
 
 exception Boom
 
+(* Every path wraps the failure: domains, one domain ([~jobs:1]), and a
+   one-item array, which runs sequentially whatever [jobs] asks. *)
 let test_worker_exception () =
-  match Sim.Sweep.map ~jobs:2 (fun i -> if i = 5 then raise Boom else i)
-          (Array.init 10 (fun i -> i))
-  with
-  | _ -> Alcotest.fail "expected Sweep.Worker"
-  | exception Sim.Sweep.Worker (Boom, _) -> ()
+  List.iter
+    (fun (jobs, n) ->
+      match
+        Sim.Sweep.map ~jobs
+          (fun i -> if i = n / 2 then raise Boom else i)
+          (Array.init n (fun i -> i))
+      with
+      | _ -> Alcotest.failf "jobs %d, %d items: expected Sweep.Worker" jobs n
+      | exception Sim.Sweep.Worker (Boom, _) -> ())
+    [ (2, 10); (1, 10); (4, 1) ]
 
 (* One small cooperative-cache run per seed; JSON output on 2 and 4
    domains must be byte-identical to the sequential run. *)

@@ -280,6 +280,10 @@ let test_coop_validation () =
   check_bool "hot > unique" true
     (inv (fun () ->
          Workload.Synthetic.coop ~seed:1 ~n:30 ~n_unique:20 ~n_hot:25 ()));
+  (* The default hot set shrinks to a smaller universe instead. *)
+  check_int "default hot set fits one key" 1
+    (Workload.Trace.length
+       (Workload.Synthetic.coop ~seed:1 ~n:1 ~n_unique:1 ()));
   check_bool "bad locality" true
     (inv (fun () ->
          Workload.Synthetic.coop ~seed:1 ~n:30 ~n_unique:20 ~locality:0. ()))
