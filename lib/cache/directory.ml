@@ -309,21 +309,9 @@ let digest_slow t ~node =
   let hash = Hashtbl.fold (fun _ m acc -> acc lxor meta_hash m) tbl.entries 0 in
   (Hashtbl.length tbl.entries, hash)
 
-(* Debug path: recompute the digest from scratch and compare against the
-   incrementally maintained xor, catching any update path that forgot to
-   fold its delta in. Opt-in because it defeats the O(1) purpose. *)
-let verify_digests =
-  match Sys.getenv_opt "SWALA_VERIFY_DIGESTS" with
-  | Some ("1" | "true" | "yes") -> true
-  | Some _ | None -> false
-
 let digest t ~node =
   check_node t node;
   let tbl = t.tables.(node) in
-  if verify_digests then begin
-    let slow = digest_slow t ~node in
-    assert (slow = (Hashtbl.length tbl.entries, tbl.digest_xor))
-  end;
   (Hashtbl.length tbl.entries, tbl.digest_xor)
 
 let table_size t ~node =

@@ -112,9 +112,7 @@ val find : t -> node:int -> string -> Meta.t option
     caveat) their digests agree — the anti-entropy daemon's comparison.
     Pure: takes no locks and charges no simulated time (the daemon charges
     its own CPU cost per round). O(1): the XOR is maintained incrementally
-    by insert/delete/purge. Setting [SWALA_VERIFY_DIGESTS=1] in the
-    environment asserts the incremental value against {!digest_slow} on
-    every call. *)
+    by insert/delete/purge. *)
 val digest : t -> node:int -> int * int
 
 (** [digest_slow t ~node] recomputes the digest from scratch by hashing

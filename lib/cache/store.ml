@@ -9,15 +9,15 @@ type slot = {
   mutable index : int;  (* position in [order], for O(1) random eviction *)
 }
 
-type heap_item = { priority : float; h_version : int; h_key : string }
-
 type t = {
   capacity : int;
   pol : Policy.t;
   clock : unit -> float;
   rng : Sim.Rng.t option;
   table : (string, slot) Hashtbl.t;
-  heap : heap_item Sim.Pqueue.t;
+  heap : string Sim.Pqueue.Timed.t;
+      (* eviction order: keys by (priority, version); a popped item whose
+         version no longer matches its slot is stale and skipped *)
   mutable order : string array;  (* dense key array for Random *)
   mutable n_keys : int;
   mutable gdsf_clock : float;
@@ -32,12 +32,6 @@ type t = {
   stats : Stats.t;
 }
 
-(* Equal priorities (common under LFU) break towards the least recently
-   touched entry: versions are allocated monotonically per touch/insert. *)
-let cmp_item a b =
-  let c = Float.compare a.priority b.priority in
-  if c <> 0 then c else Int.compare a.h_version b.h_version
-
 let create ~capacity ~policy ~clock ?rng () =
   if capacity < 1 then invalid_arg "Store.create: capacity must be >= 1";
   (match (policy, rng) with
@@ -50,7 +44,7 @@ let create ~capacity ~policy ~clock ?rng () =
     clock;
     rng;
     table = Hashtbl.create (Stdlib.min capacity 4096);
-    heap = Sim.Pqueue.create ~cmp:cmp_item;
+    heap = Sim.Pqueue.Timed.create ~dummy:"" ();
     order = [||];
     n_keys = 0;
     gdsf_clock = 0.;
@@ -72,14 +66,13 @@ let slot_priority t slot =
         inserted = slot.inserted;
       }
 
+(* Equal priorities (common under LFU) break towards the least recently
+   touched entry: versions are allocated monotonically per touch/insert,
+   so every push carries a fresh one and the order is total. *)
 let push_heap t slot =
   if t.pol <> Policy.Random then
-    Sim.Pqueue.push t.heap
-      {
-        priority = slot_priority t slot;
-        h_version = slot.version;
-        h_key = slot.entry.meta.Meta.key;
-      }
+    Sim.Pqueue.Timed.push t.heap ~time:(slot_priority t slot)
+      ~seq:slot.version slot.entry.meta.Meta.key
 
 (* Dense key array bookkeeping (swap-remove). *)
 let order_add t key =
@@ -164,14 +157,24 @@ let lookup t key =
         Some slot.entry
       end
 
-(* Pop heap items until one still describes a live, untouched slot. *)
+(* Pop heap items until one still describes a live, untouched slot. Its
+   priority becomes GDSF's clock; other policies never read it, so their
+   pops box no float. *)
 let rec heap_victim t =
-  match Sim.Pqueue.pop t.heap with
-  | None -> None
-  | Some item -> (
-      match Hashtbl.find_opt t.table item.h_key with
-      | Some slot when slot.version = item.h_version -> Some (item, slot)
-      | Some _ | None -> heap_victim t)
+  let heap = t.heap in
+  if Sim.Pqueue.Timed.is_empty heap then None
+  else begin
+    let version = Sim.Pqueue.Timed.min_seq heap in
+    match Hashtbl.find_opt t.table (Sim.Pqueue.Timed.peek_min heap) with
+    | Some slot when slot.version = version ->
+        if Policy.uses_clock t.pol then
+          t.gdsf_clock <- Sim.Pqueue.Timed.min_time heap;
+        ignore (Sim.Pqueue.Timed.pop_min heap : string);
+        Some slot
+    | Some _ | None ->
+        ignore (Sim.Pqueue.Timed.pop_min heap : string);
+        heap_victim t
+  end
 
 let evict_one t =
   let victim =
@@ -184,12 +187,7 @@ let evict_one t =
             else
               let idx = Sim.Rng.int rng t.n_keys in
               Hashtbl.find_opt t.table t.order.(idx))
-    | _ -> (
-        match heap_victim t with
-        | None -> None
-        | Some (item, slot) ->
-            if Policy.uses_clock t.pol then t.gdsf_clock <- item.priority;
-            Some slot)
+    | _ -> heap_victim t
   in
   match victim with
   | None -> None
@@ -262,7 +260,7 @@ let clear t =
   let n = Hashtbl.length t.table in
   let victims = Hashtbl.fold (fun _ slot acc -> slot :: acc) t.table [] in
   List.iter (fun slot -> delete_slot t slot) victims;
-  Sim.Pqueue.clear t.heap;
+  Sim.Pqueue.Timed.clear t.heap;
   n
 
 let mem t key = match peek t key with Some _ -> true | None -> false

@@ -284,7 +284,24 @@ let validate t =
   check (t.net_loss >= 0. && t.net_loss <= 1.) "net_loss must be in [0,1]";
   check (t.fetch_retries >= 0) "fetch_retries must be >= 0";
   check (t.fetch_backoff >= 1.) "fetch_backoff must be >= 1";
-  (match t.fault with Some p -> Sim.Fault.validate p | None -> ());
+  (match t.fault with
+  | Some p ->
+      Sim.Fault.validate p;
+      (* The profile alone cannot tell a typo from a node id. *)
+      let check_id what id =
+        if id >= t.n_nodes then
+          invalid_arg
+            (Printf.sprintf "Config: %s %d must be < n_nodes (%d)" what id
+               t.n_nodes)
+      in
+      List.iter
+        (fun (id, _) -> check_id "scheduled node id" id)
+        p.Sim.Fault.node_schedules;
+      List.iter
+        (fun (part : Sim.Fault.partition) ->
+          List.iter (List.iter (check_id "partition node id")) part.groups)
+        p.Sim.Fault.partitions
+  | None -> ());
   (match t.scenario with
   | Some sc -> Workload.Scenario.validate sc
   | None -> ());

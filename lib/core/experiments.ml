@@ -392,7 +392,7 @@ let table4_run ~seed ~ups ~n_requests =
             Sim.Net.post (Server.net cluster) ~src:(1 + (!k mod 7)) ~dst:0
               ~bytes:128 inbox
               {
-                Cluster.Msg.info = Cluster.Msg.Replicated.Insert meta;
+                Node.info = Replicated_plane.Update.Insert meta;
                 ack = None;
                 span = 0;
               };
@@ -956,7 +956,7 @@ let batching_target =
         (* Directory-update unicasts actually sent, and their wire bytes. *)
         right "Msgs" (counter_cell Server.K.info_msgs);
         right "KB" (fun (_, r) -> kb (count r Server.K.info_bytes));
-        (* [Msg.Batch] envelopes among the unicasts, and the updates they
+        (* [Update.Batch] envelopes among the unicasts, and the updates they
            carried. *)
         right "Batches" (counter_cell Server.K.batches_sent);
         right "Batched upd" (counter_cell Server.K.batch_updates);

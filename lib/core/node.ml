@@ -1,7 +1,9 @@
 (** What a server node is apart from its metadata plane, and the context
     the planes run in. {!Server} builds both and owns the request path;
     the plane modules ({!Plane.S}) read and charge the same nodes,
-    counters and spans, and start the receivers below. *)
+    counters and spans, and start the receivers below. The messages every
+    cooperative plane shares live here too: the info channel's envelope
+    and the remote fetch. *)
 
 (** Counter names. *)
 module K = struct
@@ -42,8 +44,8 @@ module K = struct
   let anti_entropy_pulled = "anti_entropy_pulled"
   let router_retries = "router_retries"
 
-  (** Update batching: [batches_sent] counts [Msg.Batch] envelopes
-      transmitted (only buffers of two or more updates are wrapped),
+  (** Update batching: [batches_sent] counts [Replicated_plane]'s batch
+      envelopes transmitted (only buffers of two or more are wrapped),
       [batch_updates] the updates those envelopes carried, and
       [batch_coalesced] buffered updates overwritten by a newer update to
       the same key before transmission. [info_msgs]/[info_bytes] count
@@ -109,6 +111,56 @@ module K = struct
   let stale_served = "stale_served"
 end
 
+(* ------------------------------------------------------------------ *)
+(* Messages every cooperative plane shares (paper §4.1-4.2). Each plane
+   declares its own updates and requests beside its daemons. *)
+
+(** What actually travels on the info channel: one update of the
+    metadata plane's own type, so a receiver can only be handed updates
+    its plane sends. Under the paper's weak protocol [ack] is [None]
+    (fire-and-forget); the synchronous-consistency ablation sets it to
+    [(sender, mailbox)], and the receiver acknowledges over the network
+    after applying the update, letting the sender block until every
+    replica is consistent — the "variation of a two-phase commit" §4.2
+    rejects as too expensive. *)
+type 'u info_envelope = {
+  info : 'u;
+  ack : (int * unit Sim.Mailbox.t) option;  (** (sender endpoint, inbox) *)
+  span : int;
+      (** originating span id for causal tracing ([0] = untraced); carries
+          no simulated bytes — it models nothing the 1998 protocol sent *)
+}
+
+(** Reply to a remote-cache fetch. [Miss] is the protocol's "false hit"
+    outcome: the entry was deleted at the owner after the requester looked
+    it up; the requester then executes the CGI locally (Figure 2). *)
+type fetch_reply =
+  | Hit of { meta : Cache.Meta.t; body : Http.Body.t }
+  | Miss of { key : string }
+
+(** A remote-cache fetch, sent to the owner's data server. The reply
+    arrives in [reply]; under a fetch timeout the requester may abandon
+    the mailbox and retransmit with a fresh one. *)
+type fetch_request = {
+  key : string;
+  requester : int;  (** endpoint id awaiting the reply *)
+  reply : fetch_reply Sim.Mailbox.t;
+  span : int;  (** originating span id for causal tracing; [0] = untraced *)
+}
+
+(** Approximate wire sizes, used to charge the network model: key text
+    plus a fixed [envelope_bytes]. The planes price their own messages
+    the same way. *)
+let envelope_bytes = 64
+
+let fetch_request_bytes { key; _ } = envelope_bytes + String.length key
+
+(** [Hit] includes the cached body, by its {!Http.Body.length}. *)
+let fetch_reply_bytes = function
+  | Hit { meta; body } ->
+      envelope_bytes + String.length meta.Cache.Meta.key + Http.Body.length body
+  | Miss { key } -> envelope_bytes + String.length key
+
 (** A request waiting in a node's listen mailbox. *)
 type env = {
   req : Http.Request.t;
@@ -127,7 +179,7 @@ type t = {
       (* proactive-refresh demand/failure draws; own salted stream so the
          daemon never perturbs the request-path draws from [rng] *)
   listen : env Sim.Mailbox.t;
-  endpoint : Cluster.Endpoint.t;
+  data_mb : fetch_request Sim.Mailbox.t;  (* consumed by the data server *)
   store : Cache.Store.t;
   counters : Metrics.Counter.t;
   fresh : Cache.Freshness.t option;
@@ -142,14 +194,12 @@ type t = {
   mutable stop : bool;
 }
 
-(** The cluster a plane runs in: [nodes.(i)] and [endpoints.(i)] are
-    node [i]'s. *)
+(** The cluster a plane runs in: [nodes.(i)] is node [i]. *)
 type ctx = {
   engine : Sim.Engine.t;
   net : Sim.Net.t;
   cfg : Config.t;
   nodes : t array;
-  endpoints : Cluster.Endpoint.t array;
   tracer : Metrics.Trace.t option;
 }
 
@@ -208,24 +258,23 @@ let with_span ?parent ?attrs ?async x nd name f =
    sender waits for acknowledgements (strong consistency). *)
 let info_receiver x nd inbox ~updates ~apply =
   let cost = Config.info_apply_cost in
-  let handle (envelope : _ Cluster.Msg.info_envelope) =
-    Sim.Cpu.consume nd.cpu
-      (float_of_int (updates envelope.Cluster.Msg.info) *. cost);
-    apply envelope.Cluster.Msg.info;
-    match envelope.Cluster.Msg.ack with
+  let handle envelope =
+    Sim.Cpu.consume nd.cpu (float_of_int (updates envelope.info) *. cost);
+    apply envelope.info;
+    match envelope.ack with
     | Some (sender, ack) ->
         incr nd K.acks_sent;
         Sim.Net.send x.net ~src:nd.id ~dst:sender ~bytes:32 ack ()
     | None -> ()
   in
   let rec loop () =
-    let (envelope : _ Cluster.Msg.info_envelope) = Sim.Mailbox.recv inbox in
+    let (envelope : _ info_envelope) = Sim.Mailbox.recv inbox in
     if not nd.up then loop ()  (* in flight across the crash instant: lost *)
     else begin
       (* Causally a child of the originating request, but applied off its
          critical path — hence async. *)
-      with_span x nd "info.apply" ~parent:envelope.Cluster.Msg.span
-        ~async:true (fun () -> handle envelope);
+      with_span x nd "info.apply" ~parent:envelope.span ~async:true (fun () ->
+          handle envelope);
       loop ()
     end
   in
@@ -234,30 +283,66 @@ let info_receiver x nd inbox ~updates ~apply =
 (* The data server: answer remote fetches from this node's store. *)
 let data_server x nd =
   let rec loop () =
-    let fetch = Sim.Mailbox.recv nd.endpoint.Cluster.Endpoint.data_mb in
+    let (fetch : fetch_request) = Sim.Mailbox.recv nd.data_mb in
     if not nd.up then loop ()  (* crashed owner: requester's fetch times out *)
     else begin
     (* One thread per fetch, as in §4.1. Async: the serve runs on the
        owner concurrently with the requester's wait, so its time is
        already inside the requester's fetch.remote span. *)
     Sim.Engine.spawn_child (fun () ->
-        with_span x nd "fetch.serve" ~parent:fetch.Cluster.Msg.span
-          ~async:true
+        with_span x nd "fetch.serve" ~parent:fetch.span ~async:true
         @@ fun () ->
         Sim.Cpu.consume nd.cpu Config.data_server_cost;
         let reply_msg =
-          match Cache.Store.lookup nd.store fetch.Cluster.Msg.key with
+          match Cache.Store.lookup nd.store fetch.key with
           | Some entry ->
               Sim.Disk.read nd.disk
                 ~bytes:entry.Cache.Store.meta.Cache.Meta.size ~cached:true;
-              Cluster.Msg.Hit
+              Hit
                 { meta = entry.Cache.Store.meta; body = entry.Cache.Store.body }
-          | None -> Cluster.Msg.Miss { key = fetch.Cluster.Msg.key }
+          | None -> Miss { key = fetch.key }
         in
-        Sim.Net.send x.net ~src:nd.id ~dst:fetch.Cluster.Msg.requester
-          ~bytes:(Cluster.Msg.fetch_reply_bytes reply_msg)
-          fetch.Cluster.Msg.reply reply_msg);
+        Sim.Net.send x.net ~src:nd.id ~dst:fetch.requester
+          ~bytes:(fetch_reply_bytes reply_msg) fetch.reply reply_msg);
     loop ()
     end
   in
   loop ()
+
+(** [fetch net ~src ~owner data_mb req] sends a data-fetch request from
+    node [src] to node [owner], whose data server reads [data_mb]. *)
+let fetch net ~src ~owner data_mb req =
+  Sim.Net.send net ~src ~dst:owner ~bytes:(fetch_request_bytes req) data_mb req
+
+(** [fetch_sync ?span net ~src ~owner data_mb ~timeout ~retries ~backoff
+    key] is the blocking data-server round-trip with bounded retry: it
+    sends a fetch request and waits up to [timeout] simulated seconds for
+    the reply; on timeout it retries with the timeout multiplied by
+    [backoff] (exponential backoff), up to [retries] additional attempts.
+    Returns [(reply, n)] where [n] is the number of retries actually
+    performed; [reply] is [None] when every attempt timed out — the
+    caller's cue to fall back to local CGI execution (the paper's
+    false-hit path, §4.2, now also reachable through message loss or a
+    crashed owner).
+
+    Requires [timeout > 0], [retries >= 0], [backoff >= 1]. Each attempt
+    uses a fresh reply mailbox, so a straggling reply to an abandoned
+    attempt is ignored rather than mistaken for the current one. Must run
+    in a process. [span] (default [0] = untraced) is stamped into each
+    attempt's request. *)
+let fetch_sync ?(span = 0) net ~src ~owner data_mb ~timeout ~retries ~backoff
+    key =
+  if timeout <= 0. then invalid_arg "Node.fetch_sync: timeout must be > 0";
+  if retries < 0 then invalid_arg "Node.fetch_sync: retries must be >= 0";
+  if backoff < 1. then invalid_arg "Node.fetch_sync: backoff must be >= 1";
+  let rec attempt n timeout =
+    (* A fresh reply mailbox per attempt: a reply to an abandoned attempt
+       must not satisfy a later one out of order. *)
+    let reply = Sim.Mailbox.create () in
+    fetch net ~src ~owner data_mb { key; requester = src; reply; span };
+    match Sim.Mailbox.recv_timeout reply ~timeout with
+    | Some r -> (Some r, n)
+    | None -> if n < retries then attempt (n + 1) (timeout *. backoff)
+              else (None, n)
+  in
+  attempt 0 timeout

@@ -60,8 +60,8 @@ module type S = sig
   val start : t -> Node.t -> unit
 
   (** End-of-run and telemetry reads, per node: metadata footprint in
-      entries, cumulative (read, write) lock acquisitions, and updates
-      queued at the info receiver. *)
+      entries, cumulative (read, write) lock acquisitions, and messages
+      queued for the plane's daemons: info updates and its own requests. *)
   val entries : t -> int -> int
   val lock_acquisitions : t -> int -> int * int
   val backlog : t -> int -> int

@@ -2,13 +2,67 @@
    directory replica, one table per cluster node, kept consistent by
    broadcasting every insert and delete. *)
 
-module R = Cluster.Msg.Replicated
+module Update = struct
+  type one = [ `One ]
+  type any = [ `Any ]
+
+  type _ t =
+    | Insert : Cache.Meta.t -> 'k t
+    | Delete : { node : int; key : string } -> 'k t
+    | Batch : one t list -> any t
+
+  (* Per-update payload, without the envelope. A batch shares one
+     envelope across its updates; each update then costs a 12-byte
+     sub-header plus its body, so [bytes] amortizes the fixed cost. *)
+  let rec body : type k. k t -> int = function
+    | Insert meta -> String.length meta.Cache.Meta.key + 40
+    | Delete { key; _ } -> String.length key
+    | Batch updates ->
+        List.fold_left (fun acc u -> acc + 12 + body u) 0 updates
+
+  let bytes u = Node.envelope_bytes + body u
+
+  let updates : type k. k t -> int = function
+    | Insert _ | Delete _ -> 1
+    | Batch l -> List.length l
+end
+
+(* Anti-entropy messages (see the daemon below). A digest summarizes one
+   directory table: entry count plus an order-independent hash
+   (Cache.Directory.digest). The requester sends its per-table digests;
+   the responder answers with the full entry list of every table whose
+   digest differed. *)
+type digest = { n_entries : int; hash : int }
+type sync_reply = { tables : (int * Cache.Meta.t list) list }
+
+type sync_request = {
+  from_node : int;  (* requesting endpoint, for the reply's address *)
+  digests : digest array;  (* indexed by table/node id *)
+  sync_reply : sync_reply Sim.Mailbox.t;
+      (* like a fetch's, abandoned on timeout (peer down or partitioned) *)
+  span : int;  (* originating span id for causal tracing; 0 = untraced *)
+}
+
+(* 12 bytes per table digest plus the envelope. *)
+let sync_request_bytes { digests; _ } =
+  Node.envelope_bytes + (12 * Array.length digests)
+
+(* Each shipped meta costs its key plus a fixed record, like an Insert. *)
+let sync_reply_bytes { tables } =
+  List.fold_left
+    (fun acc (_, metas) ->
+      List.fold_left
+        (fun acc (m : Cache.Meta.t) ->
+          acc + 40 + String.length m.Cache.Meta.key)
+        (acc + 8) metas)
+    Node.envelope_bytes tables
 
 type node = {
   self : int;
   dir : Cache.Directory.t;
   ae_rng : Sim.Rng.t;  (* anti-entropy peer choice; own salted stream *)
-  mutable batch_buf : R.one R.t list;
+  sync_mb : sync_request Sim.Mailbox.t;  (* consumed by the responder *)
+  mutable batch_buf : Update.one Update.t list;
       (* outbound directory updates awaiting a batched flush, newest
          first; empty whenever Config.batch_max <= 1 *)
 }
@@ -16,7 +70,7 @@ type node = {
 type t = {
   x : Node.ctx;
   nodes : node array;
-  inboxes : R.any R.t Cluster.Msg.info_envelope Sim.Mailbox.t array;
+  inboxes : Update.any Update.t Node.info_envelope Sim.Mailbox.t array;
       (* inboxes.(i) is node i's info receiver *)
 }
 
@@ -46,6 +100,7 @@ let create (x : Node.ctx) ?lock_observe () =
                 ~hints:cfg.Config.dir_hints ?lock_observe
                 ~nodes:cfg.Config.n_nodes ();
             ae_rng = Sim.Rng.split ae_root;
+            sync_mb = Sim.Mailbox.create ();
             batch_buf = [];
           })
         x.nodes;
@@ -102,25 +157,62 @@ let insert p (nd : Node.t) (meta : Cache.Meta.t) body =
 (* ------------------------------------------------------------------ *)
 (* Announcements: broadcast, optionally batched *)
 
+let info ?(should_abort = fun () -> false) ?(span = 0) net inboxes ~src ~bytes
+    msg =
+  let sent = ref 0 in
+  (* The fan-out pays one NIC transmission per peer, so simulated time
+     passes between sends — a crash event can land mid-loop. Checking the
+     abort predicate before each send makes the broadcast genuinely
+     partial: peers already messaged keep the update, the rest never see
+     it (as opposed to the network dropping the remaining sends, which
+     would count as drops). *)
+  (try
+     Array.iteri
+       (fun dst inbox ->
+         if should_abort () then raise Exit;
+         if dst <> src then begin
+           Sim.Net.send net ~src ~dst ~bytes inbox
+             { Node.info = msg; ack = None; span };
+           Stdlib.incr sent
+         end)
+       inboxes
+   with Exit -> ());
+  !sent
+
+let info_sync ?(span = 0) net inboxes ~src ~bytes msg =
+  let ack = Sim.Mailbox.create () in
+  let sent = ref 0 in
+  Array.iteri
+    (fun dst inbox ->
+      if dst <> src then begin
+        Sim.Net.send net ~src ~dst ~bytes inbox
+          { Node.info = msg; ack = Some (src, ack); span };
+        Stdlib.incr sent
+      end)
+    inboxes;
+  for _ = 1 to !sent do
+    Sim.Mailbox.recv ack
+  done;
+  !sent
+
 (* Transmit one directory-update message (bare or batched) to every peer
    per the configured consistency protocol, counting the unicasts and
    wire bytes actually sent. *)
-let dispatch p (nd : Node.t) (msg : R.any R.t) =
+let dispatch p (nd : Node.t) (msg : Update.any Update.t) =
   with_span p.x nd "broadcast" @@ fun () ->
   let x = p.x in
   let span = Node.span_of x in
-  let bytes = R.bytes msg in
+  let bytes = Update.bytes msg in
   let sent =
     match (x.cfg.Config.consistency, x.cfg.Config.broadcast_latency) with
     | Config.Strong, _ ->
         (* Block until every replica has applied the update. *)
-        Cluster.Broadcast.info_sync ~span x.net p.inboxes ~src:nd.id ~bytes msg
+        info_sync ~span x.net p.inboxes ~src:nd.id ~bytes msg
     | Config.Weak, None ->
         (* Interruptible: a crash landing mid-fan-out stops the loop,
            leaving the replica update genuinely partial. *)
-        Cluster.Broadcast.info
-          ~should_abort:(fun () -> not nd.up)
-          ~span x.net p.inboxes ~src:nd.id ~bytes msg
+        info ~should_abort:(fun () -> not nd.up) ~span x.net p.inboxes
+          ~src:nd.id ~bytes msg
     | Config.Weak, Some delay ->
         (* Ablation knob: deliver directory updates after a fixed delay,
            bypassing the network model, to widen or narrow the weak-
@@ -133,7 +225,7 @@ let dispatch p (nd : Node.t) (msg : R.any R.t) =
               ignore
                 (Sim.Engine.schedule_after x.engine delay (fun () ->
                      Sim.Mailbox.send inbox
-                       { Cluster.Msg.info = msg; ack = None; span })
+                       { Node.info = msg; ack = None; span })
                   : Sim.Engine.handle)
             end)
           p.inboxes;
@@ -147,9 +239,9 @@ let dispatch p (nd : Node.t) (msg : R.any R.t) =
 (* The (table, key) a buffered update settles; two updates with the same
    target coalesce because the later one fully determines the key's final
    directory state. *)
-let update_target : R.one R.t -> int * string = function
-  | R.Insert m -> (m.Cache.Meta.owner, m.Cache.Meta.key)
-  | R.Delete { node; key } -> (node, key)
+let update_target : Update.one Update.t -> int * string = function
+  | Update.Insert m -> (m.Cache.Meta.owner, m.Cache.Meta.key)
+  | Update.Delete { node; key } -> (node, key)
 
 (* Transmit whatever the outbound buffer holds. A single buffered update
    goes out bare — byte-identical to the unbatched path — so the Batch
@@ -159,20 +251,21 @@ let flush p (nd : Node.t) st =
   st.batch_buf <- [];
   match buffered with
   | [] -> ()
-  | [ R.Insert m ] -> dispatch p nd (R.Insert m)
-  | [ R.Delete { node; key } ] -> dispatch p nd (R.Delete { node; key })
+  | [ Update.Insert m ] -> dispatch p nd (Update.Insert m)
+  | [ Update.Delete { node; key } ] ->
+      dispatch p nd (Update.Delete { node; key })
   | _ ->
       let updates = List.rev buffered in
       incr nd Node.K.batches_sent;
       Metrics.Counter.add nd.counters Node.K.batch_updates
         (List.length updates);
-      dispatch p nd (R.Batch updates)
+      dispatch p nd (Update.Batch updates)
 
 (* Buffer one update, coalescing against any pending update to the same
    key (last write wins, and the winner moves to the end so in-order
    application at the receiver is preserved), and flush when the buffer
    reaches [batch_max]; the per-node flusher daemon handles the timer. *)
-let buffer p nd st (u : R.one R.t) =
+let buffer p nd st (u : Update.one Update.t) =
   let target = update_target u in
   let rest = List.filter (fun v -> update_target v <> target) st.batch_buf in
   if List.compare_lengths rest st.batch_buf <> 0 then
@@ -185,14 +278,14 @@ let buffer p nd st (u : R.one R.t) =
    it is transmitted immediately, bare. *)
 let announce_insert p (nd : Node.t) meta =
   incr nd Node.K.broadcast_insert;
-  if p.x.cfg.Config.batch_max <= 1 then dispatch p nd (R.Insert meta)
-  else buffer p nd p.nodes.(nd.id) (R.Insert meta)
+  if p.x.cfg.Config.batch_max <= 1 then dispatch p nd (Update.Insert meta)
+  else buffer p nd p.nodes.(nd.id) (Update.Insert meta)
 
 let announce_delete p (nd : Node.t) key =
   incr nd Node.K.broadcast_delete;
   if p.x.cfg.Config.batch_max <= 1 then
-    dispatch p nd (R.Delete { node = nd.id; key })
-  else buffer p nd p.nodes.(nd.id) (R.Delete { node = nd.id; key })
+    dispatch p nd (Update.Delete { node = nd.id; key })
+  else buffer p nd p.nodes.(nd.id) (Update.Delete { node = nd.id; key })
 
 let announce p nd meta ~evicted =
   List.iter
@@ -207,15 +300,15 @@ let delete p (nd : Node.t) key =
 (* Apply a received directory update; a batch applies its updates in list
    order, so a later update to the same key wins. [info_applied] counts
    updates, not envelopes, keeping it comparable across batch settings. *)
-let rec apply : type k. node -> Node.t -> k R.t -> unit =
+let rec apply : type k. node -> Node.t -> k Update.t -> unit =
  fun st nd -> function
-  | R.Insert meta ->
+  | Update.Insert meta ->
       incr nd Node.K.info_applied;
       Cache.Directory.insert st.dir ~node:meta.Cache.Meta.owner meta
-  | R.Delete { node; key } ->
+  | Update.Delete { node; key } ->
       incr nd Node.K.info_applied;
       ignore (Cache.Directory.delete st.dir ~node key : bool)
-  | R.Batch updates -> List.iter (apply st nd) updates
+  | Update.Batch updates -> List.iter (apply st nd) updates
 
 (* ------------------------------------------------------------------ *)
 (* Failures *)
@@ -270,7 +363,7 @@ let handoff _ ?died:_ () = ()
    were divided — the paper's second kind of false miss, discovered at
    reconciliation time rather than at insert time. *)
 
-let ae_merge p (nd : Node.t) (reply : Cluster.Msg.sync_reply) ~peer =
+let ae_merge p (nd : Node.t) (reply : sync_reply) ~peer =
   let dir = p.nodes.(nd.id).dir in
   let pulled = ref 0 in
   (* Pull [m] into table [j] iff it is missing there or newer. *)
@@ -302,7 +395,7 @@ let ae_merge p (nd : Node.t) (reply : Cluster.Msg.sync_reply) ~peer =
         end;
         List.iter (pull j) metas
       end)
-    reply.Cluster.Msg.tables;
+    reply.tables;
   !pulled
 
 (* One anti-entropy round: digest everything, ask one seeded-random peer,
@@ -319,20 +412,19 @@ let ae_round p (nd : Node.t) ~period =
   let digests =
     Array.init n (fun j ->
         let n_entries, hash = Cache.Directory.digest st.dir ~node:j in
-        { Cluster.Msg.n_entries; hash })
+        { n_entries; hash })
   in
   let reply_mb = Sim.Mailbox.create () in
   let req =
     {
-      Cluster.Msg.from_node = nd.id;
+      from_node = nd.id;
       digests;
       sync_reply = reply_mb;
       span = Node.span_of p.x;
     }
   in
-  Sim.Net.send p.x.net ~src:nd.id ~dst:peer
-    ~bytes:(Cluster.Msg.sync_request_bytes req)
-    p.x.endpoints.(peer).Cluster.Endpoint.sync_mb req;
+  Sim.Net.send p.x.net ~src:nd.id ~dst:peer ~bytes:(sync_request_bytes req)
+    p.nodes.(peer).sync_mb req;
   let timeout = Option.value p.x.cfg.Config.fetch_timeout ~default:period in
   match Sim.Mailbox.recv_timeout reply_mb ~timeout with
   | None -> ()  (* peer down or partitioned away; next round, another peer *)
@@ -358,10 +450,10 @@ let anti_entropy_daemon p (nd : Node.t) ~period =
    differ. Runs forever on its mailbox, like the info receiver. *)
 let sync_responder p (nd : Node.t) =
   let rec loop () =
-    let req = Sim.Mailbox.recv nd.endpoint.Cluster.Endpoint.sync_mb in
+    let req = Sim.Mailbox.recv p.nodes.(nd.id).sync_mb in
     if not nd.up then loop ()  (* in flight across the crash instant: lost *)
     else begin
-      with_span p.x nd "ae.respond" ~parent:req.Cluster.Msg.span ~async:true
+      with_span p.x nd "ae.respond" ~parent:req.span ~async:true
         (fun () ->
       Sim.Cpu.consume nd.cpu Config.info_apply_cost;
       let dir = p.nodes.(nd.id).dir in
@@ -371,21 +463,18 @@ let sync_responder p (nd : Node.t) =
         let n_entries, hash = Cache.Directory.digest dir ~node:j in
         let differs =
           match
-            if j < Array.length req.Cluster.Msg.digests then
-              Some req.Cluster.Msg.digests.(j)
+            if j < Array.length req.digests then Some req.digests.(j)
             else None
           with
-          | Some d ->
-              d.Cluster.Msg.n_entries <> n_entries || d.Cluster.Msg.hash <> hash
+          | Some d -> d.n_entries <> n_entries || d.hash <> hash
           | None -> true
         in
         if differs then
           tables := (j, Cache.Directory.entries dir ~node:j) :: !tables
       done;
-      let reply = { Cluster.Msg.tables = !tables } in
-      Sim.Net.send p.x.net ~src:nd.id ~dst:req.Cluster.Msg.from_node
-        ~bytes:(Cluster.Msg.sync_reply_bytes reply)
-        req.Cluster.Msg.sync_reply reply);
+      let reply = { tables = !tables } in
+      Sim.Net.send p.x.net ~src:nd.id ~dst:req.from_node
+        ~bytes:(sync_reply_bytes reply) req.sync_reply reply);
       loop ()
     end
   in
@@ -416,7 +505,7 @@ let start p (nd : Node.t) =
   let cfg = x.cfg in
   let st = p.nodes.(nd.id) in
   Sim.Engine.spawn x.engine (fun () ->
-      Node.info_receiver x nd p.inboxes.(nd.id) ~updates:R.updates
+      Node.info_receiver x nd p.inboxes.(nd.id) ~updates:Update.updates
         ~apply:(apply st nd));
   Sim.Engine.spawn x.engine (fun () -> Node.data_server x nd);
   (match (cfg.Config.batch_max, cfg.Config.batch_flush_interval) with
@@ -431,7 +520,8 @@ let start p (nd : Node.t) =
 
 let entries p i = Cache.Directory.total_size p.nodes.(i).dir
 let lock_acquisitions p i = Cache.Directory.lock_acquisitions p.nodes.(i).dir
-let backlog p i = Sim.Mailbox.length p.inboxes.(i)
+let backlog p i =
+  Sim.Mailbox.length p.inboxes.(i) + Sim.Mailbox.length p.nodes.(i).sync_mb
 
 (* Hint statistics live in the directory; no-op counters stay absent when
    hints are off, so hint-less runs keep the pre-hint counter set. *)

@@ -191,7 +191,7 @@ let create_cluster ?client_extra_latency engine cfg ~registry
           listen =
             Sim.Mailbox.create ?on_wait:listen_on_wait
               ?on_depth:listen_on_depth ();
-          endpoint = Cluster.Endpoint.make ~node:id;
+          data_mb = Sim.Mailbox.create ();
           store =
             Cache.Store.create ~capacity:cfg.Config.cache_capacity
               ~policy:cfg.Config.policy ~clock ~rng:(Sim.Rng.split root) ();
@@ -213,8 +213,7 @@ let create_cluster ?client_extra_latency engine cfg ~registry
           stop = false;
         })
   in
-  let endpoints = Array.map (fun (nd : t) -> nd.endpoint) nodes in
-  let ctx = { Node.engine; net; cfg; nodes; endpoints; tracer } in
+  let ctx = { Node.engine; net; cfg; nodes; tracer } in
   let fwd_wait = Metrics.Histogram.create () in
   (* The one place the plane mode is read: no-cache and standalone nodes
      keep no directory. *)
@@ -305,7 +304,7 @@ let create_cluster ?client_extra_latency engine cfg ~registry
                 for i = 0 to cfg.Config.n_nodes - 1 do
                   total :=
                     !total
-                    + Cluster.Endpoint.backlog nodes.(i).endpoint
+                    + Sim.Mailbox.length nodes.(i).data_mb
                     + P.backlog p i
                 done;
                 float_of_int !total));
@@ -611,16 +610,17 @@ let fetch_remote c (nd : t) env (script : Cgi.Script.t) key ~(ctl : cache_ctl)
     @@ fun () ->
     Sim.Cpu.consume nd.cpu Config.remote_fetch_cost;
     let span = Node.span_of c.ctx in
+    let data_mb = c.ctx.nodes.(owner).data_mb in
     match c.ctx.cfg.Config.fetch_timeout with
     | None ->
         let reply = Sim.Mailbox.create () in
-        Cluster.Broadcast.fetch c.ctx.net c.ctx.endpoints ~src:nd.id ~owner
-          { Cluster.Msg.key; requester = nd.id; reply; span };
+        Node.fetch c.ctx.net ~src:nd.id ~owner data_mb
+          { Node.key; requester = nd.id; reply; span };
         Some (Sim.Mailbox.recv reply)
     | Some timeout ->
         let reply, retries =
-          Cluster.Broadcast.fetch_sync ~span c.ctx.net c.ctx.endpoints
-            ~src:nd.id ~owner ~timeout ~retries:c.ctx.cfg.Config.fetch_retries
+          Node.fetch_sync ~span c.ctx.net ~src:nd.id ~owner data_mb ~timeout
+            ~retries:c.ctx.cfg.Config.fetch_retries
             ~backoff:c.ctx.cfg.Config.fetch_backoff key
         in
         if retries > 0 then
@@ -640,7 +640,7 @@ let fetch_remote c (nd : t) env (script : Cgi.Script.t) key ~(ctl : cache_ctl)
           | Packed ((module P), p) -> P.unreachable p nd ~owner key)
       | None -> ());
       exec_and_respond c nd env script key ~ctl
-  | Some (Cluster.Msg.Hit { meta = served; body }) ->
+  | Some (Node.Hit { meta = served; body }) ->
       incr nd K.hit_remote;
       (* Use the owner's reply meta, not the directory's view: the entry
          may have been refreshed since the directory lookup. *)
@@ -650,7 +650,7 @@ let fetch_remote c (nd : t) env (script : Cgi.Script.t) key ~(ctl : cache_ctl)
         *. float_of_int (Http.Body.length body));
       respond c nd env (Http.Response.ok body);
       Metrics.Sample.add c.hit_latency (now () -. t0)
-  | Some (Cluster.Msg.Miss _) ->
+  | Some (Node.Miss _) ->
       (* False hit: the entry vanished at the owner after our directory
          lookup. Execute locally, as in Figure 2. *)
       incr nd K.false_hit;

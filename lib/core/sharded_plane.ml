@@ -5,10 +5,55 @@
    is forwarded there (behind a lookup cache and, for hot keys, pushed
    replica copies). *)
 
-module S = Cluster.Msg.Sharded
+(* Point-to-point announcements on the info channel. Insert and Delete
+   travel only to the key's shard home; Promote and Demote are the
+   hotspot-replication control messages a home sends its replica set —
+   Promote pushes a hot key's entry to a ring successor, Demote retracts
+   it once the key cools. Priced like the replicated plane's bare
+   updates. *)
+module Update = struct
+  type t =
+    | Insert of Cache.Meta.t
+    | Delete of { node : int; key : string }
+    | Promote of Cache.Meta.t
+    | Demote of { key : string }
+
+  let bytes = function
+    | Insert meta | Promote meta ->
+        Node.envelope_bytes + String.length meta.Cache.Meta.key + 40
+    | Delete { key; _ } | Demote { key } ->
+        Node.envelope_bytes + String.length key
+
+  let key = function
+    | Insert m | Promote m -> m.Cache.Meta.key
+    | Delete { key; _ } | Demote { key } -> key
+end
+
+(* A node that is not a key's shard home learns who caches the key by
+   asking the home: a blocking round trip answered by the home's lookup
+   server, with the live entry or proof of absence (the requester's cue
+   to execute locally and announce the result). Like a fetch, the
+   requester may abandon [lreply] on timeout (home crashed or
+   partitioned away). *)
+type lookup_reply = Found of Cache.Meta.t | Absent of { key : string }
+
+type lookup_request = {
+  lkey : string;  (* the cache key being resolved *)
+  lrequester : int;  (* endpoint id awaiting the reply *)
+  lreply : lookup_reply Sim.Mailbox.t;
+  lspan : int;  (* originating span id for causal tracing; 0 = untraced *)
+}
+
+let lookup_request_bytes { lkey; _ } = Node.envelope_bytes + String.length lkey
+
+(* Found carries a meta record like an Insert. *)
+let lookup_reply_bytes = function
+  | Found meta -> Node.envelope_bytes + String.length meta.Cache.Meta.key + 40
+  | Absent { key } -> Node.envelope_bytes + String.length key
 
 type node = {
   table : Cache.Shard_table.t;  (* this node's partition of the directory *)
+  lookup_mb : lookup_request Sim.Mailbox.t;  (* consumed by lookup_server *)
   lcache : Cache.Lookup_cache.t option;
       (* fronts forwarded lookups; [None] when disabled *)
   hotspot : Cache.Hotspot.t option;
@@ -23,7 +68,7 @@ type t = {
          rebuild it *)
   up : int -> bool;  (* node liveness, for the ring's acting owner *)
   nodes : node array;
-  inboxes : S.t Cluster.Msg.info_envelope Sim.Mailbox.t array;
+  inboxes : Update.t Node.info_envelope Sim.Mailbox.t array;
       (* inboxes.(i) is node i's info receiver *)
   fwd_wait : Metrics.Histogram.t;
 }
@@ -50,6 +95,7 @@ let create (x : Node.ctx) ?lock_observe ~fwd_wait () =
                 ~lock_overhead:Config.dir_lock_overhead
                 ~charge:(fun s -> Sim.Cpu.consume cpu s)
                 ?lock_observe ();
+            lookup_mb = Sim.Mailbox.create ();
             lcache =
               (if cfg.Config.shard_lookup_cache > 0 then
                  Some
@@ -86,9 +132,9 @@ let now = Node.now
    charging the same counters as the replicated broadcast so
    info_msgs/info_bytes compare directly across planes. *)
 let unicast_info p (nd : Node.t) ~dst msg =
-  let bytes = S.bytes msg in
+  let bytes = Update.bytes msg in
   Sim.Net.send p.x.net ~src:nd.id ~dst ~bytes p.inboxes.(dst)
-    { Cluster.Msg.info = msg; ack = None; span = Node.span_of p.x };
+    { Node.info = msg; ack = None; span = Node.span_of p.x };
   incr nd Node.K.info_msgs;
   Metrics.Counter.add nd.counters Node.K.info_bytes bytes
 
@@ -106,12 +152,12 @@ let push_promote p nd (meta : Cache.Meta.t) =
   List.iter
     (fun j ->
       incr nd Node.K.hotspot_replica_pushes;
-      unicast_info p nd ~dst:j (S.Promote meta))
+      unicast_info p nd ~dst:j (Update.Promote meta))
     (replica_set p nd meta.Cache.Meta.key)
 
 let push_demote p nd key =
   List.iter
-    (fun j -> unicast_info p nd ~dst:j (S.Demote { key }))
+    (fun j -> unicast_info p nd ~dst:j (Update.Demote { key }))
     (replica_set p nd key)
 
 (* Apply one announcement at its destination — the shard home for
@@ -121,7 +167,7 @@ let push_demote p nd key =
 let apply p (nd : Node.t) msg =
   let st = p.nodes.(nd.id) in
   match msg with
-  | S.Insert meta ->
+  | Update.Insert meta ->
       incr nd Node.K.info_applied;
       (match Cache.Shard_table.insert st.table meta with
       | `Replaced old when old.Cache.Meta.owner <> meta.Cache.Meta.owner ->
@@ -136,7 +182,7 @@ let apply p (nd : Node.t) msg =
       | Some h when Cache.Hotspot.is_hot h meta.Cache.Meta.key ->
           push_promote p nd meta
       | Some _ | None -> ())
-  | S.Delete { node; key } ->
+  | Update.Delete { node; key } ->
       incr nd Node.K.info_applied;
       ignore (Cache.Shard_table.delete st.table ~owner:node key : bool);
       (match st.hotspot with
@@ -144,12 +190,12 @@ let apply p (nd : Node.t) msg =
           incr nd Node.K.hotspot_demotions;
           push_demote p nd key
       | Some _ | None -> ())
-  | S.Promote meta ->
+  | Update.Promote meta ->
       incr nd Node.K.info_applied;
       ignore
         (Cache.Shard_table.insert st.table meta
           : [ `Inserted | `Replaced of Cache.Meta.t | `Stale ])
-  | S.Demote { key } ->
+  | Update.Demote { key } ->
       incr nd Node.K.info_applied;
       (* Retract the replica copy — unless the ring now makes this node
          the key's acting home (the primary crashed since the promote), in
@@ -160,7 +206,7 @@ let apply p (nd : Node.t) msg =
 (* Route one announcement to the key's acting home. *)
 let dispatch p (nd : Node.t) msg =
   with_span p.x nd "announce" @@ fun () ->
-  match Cache.Ring.acting_owner p.ring ~up:p.up (S.key msg) with
+  match Cache.Ring.acting_owner p.ring ~up:p.up (Update.key msg) with
   | None -> ()  (* every node down; no directory left to update *)
   | Some home when home = nd.id -> apply p nd msg
   | Some home -> unicast_info p nd ~dst:home msg
@@ -174,14 +220,14 @@ let insert _ (nd : Node.t) meta body =
 
 let announce_delete p (nd : Node.t) key =
   incr nd Node.K.broadcast_delete;
-  dispatch p nd (S.Delete { node = nd.id; key })
+  dispatch p nd (Update.Delete { node = nd.id; key })
 
 let announce p (nd : Node.t) meta ~evicted =
   List.iter
     (fun (m : Cache.Meta.t) -> announce_delete p nd m.Cache.Meta.key)
     evicted;
   incr nd Node.K.broadcast_insert;
-  dispatch p nd (S.Insert meta)
+  dispatch p nd (Update.Insert meta)
 
 (* The local directory update IS the announcement — dispatch applies it
    locally when this node is the home. *)
@@ -225,18 +271,17 @@ let forward_lookup p (nd : Node.t) st key ~home =
     let reply_mb = Sim.Mailbox.create () in
     let req =
       {
-        Cluster.Msg.lkey = key;
+        lkey = key;
         lrequester = nd.id;
         lreply = reply_mb;
         lspan = Node.span_of p.x;
       }
     in
-    Sim.Net.send p.x.net ~src:nd.id ~dst:home
-      ~bytes:(Cluster.Msg.lookup_request_bytes req)
-      p.x.endpoints.(home).Cluster.Endpoint.lookup_mb req;
+    Sim.Net.send p.x.net ~src:nd.id ~dst:home ~bytes:(lookup_request_bytes req)
+      p.nodes.(home).lookup_mb req;
     incr nd Node.K.dir_lookup_msgs;
     Metrics.Counter.add nd.counters Node.K.dir_lookup_bytes
-      (Cluster.Msg.lookup_request_bytes req);
+      (lookup_request_bytes req);
     match p.x.cfg.Config.fetch_timeout with
     | None -> Some (Sim.Mailbox.recv reply_mb)
     | Some timeout -> Sim.Mailbox.recv_timeout reply_mb ~timeout
@@ -249,7 +294,7 @@ let forward_lookup p (nd : Node.t) st key ~home =
       incr nd Node.K.dir_lookup_timeouts;
       Option.iter (fun lc -> Cache.Lookup_cache.invalidate lc key) st.lcache;
       Plane.Absent
-  | Some (Cluster.Msg.Found meta) ->
+  | Some (Found meta) ->
       Option.iter
         (fun lc -> Cache.Lookup_cache.note_pos lc ~now:(now ()) meta)
         st.lcache;
@@ -258,7 +303,7 @@ let forward_lookup p (nd : Node.t) st key ~home =
          the wire, so there is nothing here to repair. *)
       if meta.Cache.Meta.owner = nd.id then Plane.Told_here
       else Plane.At meta.Cache.Meta.owner
-  | Some (Cluster.Msg.Absent _) ->
+  | Some (Absent _) ->
       Option.iter
         (fun lc -> Cache.Lookup_cache.note_neg lc ~now:(now ()) key)
         st.lcache;
@@ -382,7 +427,7 @@ let handoff p ?died () =
                 | None -> ()
                 | Some entry ->
                     incr nd Node.K.shard_handoff_reannounced;
-                    dispatch p nd (S.Insert entry.Cache.Store.meta))
+                    dispatch p nd (Update.Insert entry.Cache.Store.meta))
               (Cache.Store.keys nd.store)))
     p.x.nodes
 
@@ -394,33 +439,28 @@ let handoff p ?died () =
    replies, so the requester times out and executes locally. *)
 let lookup_server p (nd : Node.t) =
   let rec loop () =
-    let req = Sim.Mailbox.recv nd.endpoint.Cluster.Endpoint.lookup_mb in
+    let req = Sim.Mailbox.recv p.nodes.(nd.id).lookup_mb in
     if not nd.up then loop ()  (* in flight across the crash instant: lost *)
     else begin
       Sim.Engine.spawn_child (fun () ->
-          with_span p.x nd "dir.serve" ~parent:req.Cluster.Msg.lspan
-            ~async:true
+          with_span p.x nd "dir.serve" ~parent:req.lspan ~async:true
           @@ fun () ->
           Sim.Cpu.consume nd.cpu Config.info_apply_cost;
           let st = p.nodes.(nd.id) in
-          let found =
-            Cache.Shard_table.probe st.table ~now:(now ())
-              req.Cluster.Msg.lkey
-          in
+          let found = Cache.Shard_table.probe st.table ~now:(now ()) req.lkey in
           (* Forwarded lookups are the home's view of the key's demand —
              the signal hotspot promotion feeds on. *)
-          note_hot_lookup p nd st found req.Cluster.Msg.lkey;
+          note_hot_lookup p nd st found req.lkey;
           let reply =
             match found with
-            | Some meta -> Cluster.Msg.Found meta
-            | None -> Cluster.Msg.Absent { key = req.Cluster.Msg.lkey }
+            | Some meta -> Found meta
+            | None -> Absent { key = req.lkey }
           in
           incr nd Node.K.dir_lookup_msgs;
           Metrics.Counter.add nd.counters Node.K.dir_lookup_bytes
-            (Cluster.Msg.lookup_reply_bytes reply);
-          Sim.Net.send p.x.net ~src:nd.id ~dst:req.Cluster.Msg.lrequester
-            ~bytes:(Cluster.Msg.lookup_reply_bytes reply)
-            req.Cluster.Msg.lreply reply);
+            (lookup_reply_bytes reply);
+          Sim.Net.send p.x.net ~src:nd.id ~dst:req.lrequester
+            ~bytes:(lookup_reply_bytes reply) req.lreply reply);
       loop ()
     end
   in
@@ -465,7 +505,8 @@ let entries p i =
 
 let lock_acquisitions p i =
   Cache.Shard_table.lock_acquisitions p.nodes.(i).table
-let backlog p i = Sim.Mailbox.length p.inboxes.(i)
+let backlog p i =
+  Sim.Mailbox.length p.inboxes.(i) + Sim.Mailbox.length p.nodes.(i).lookup_mb
 
 (* Lookup-cache outcomes, folded in like the replicated plane's hint
    statistics. *)

@@ -1,125 +1,17 @@
-(* Generic binary min-heap plus a specialised timestamped variant.
+(* A binary min-heap keyed by (time, seq) pairs, kept in parallel unboxed
+   arrays — a [float array] and an [int array] — beside the payload
+   array, so ordering an element costs two flat array reads and an
+   inlined compare: no closure call, no boxed float per element, no
+   [option] allocation on the pop path. Payload slots freed by
+   [pop_min]/[compact] are overwritten with the dummy element so dead
+   payloads are never retained.
 
-   Both heaps sift with a "hole" rather than by swapping: the moving
-   element is held aside while ancestors (or descendants) shift into the
-   hole, and is written exactly once at its final position. The
-   comparison sequence — and therefore the resulting array layout and
-   pop order — is identical to the classic swap formulation, so
-   switching costs nothing in reproducibility and saves two writes per
-   level. *)
-
-type 'a t = {
-  cmp : 'a -> 'a -> int;
-  mutable data : 'a array;
-  mutable size : int;
-}
-
-let create ~cmp = { cmp; data = [||]; size = 0 }
-let length t = t.size
-let is_empty t = t.size = 0
-let capacity t = Array.length t.data
-
-let grow t x =
-  let cap = Array.length t.data in
-  if t.size = cap then begin
-    let ncap = if cap = 0 then 16 else cap * 2 in
-    let ndata = Array.make ncap x in
-    Array.blit t.data 0 ndata 0 t.size;
-    t.data <- ndata
-  end
-
-(* Popping far below capacity halves the array (never under 16 slots).
-   The shrink threshold is a quarter of capacity while growth doubles at
-   full capacity, so a push/pop sequence oscillating around a boundary
-   cannot thrash. Unused slots are filled with a live element, never the
-   popped ones. *)
-let maybe_shrink t =
-  let cap = Array.length t.data in
-  if cap > 16 && t.size * 4 < cap then begin
-    let ncap = Stdlib.max 16 (cap / 2) in
-    let ndata = Array.make ncap t.data.(0) in
-    Array.blit t.data 0 ndata 0 t.size;
-    t.data <- ndata
-  end
-
-let push t x =
-  grow t x;
-  let data = t.data in
-  let i = ref t.size in
-  t.size <- t.size + 1;
-  let continue_ = ref true in
-  while !continue_ && !i > 0 do
-    let parent = (!i - 1) / 2 in
-    if t.cmp x data.(parent) < 0 then begin
-      data.(!i) <- data.(parent);
-      i := parent
-    end
-    else continue_ := false
-  done;
-  data.(!i) <- x
-
-let peek t = if t.size = 0 then None else Some t.data.(0)
-
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let data = t.data in
-    let top = data.(0) in
-    let n = t.size - 1 in
-    t.size <- n;
-    if n > 0 then begin
-      let moved = data.(n) in
-      let i = ref 0 in
-      let continue_ = ref true in
-      while !continue_ do
-        let l = (2 * !i) + 1 in
-        if l >= n then continue_ := false
-        else begin
-          let r = l + 1 in
-          let c = if r < n && t.cmp data.(r) data.(l) < 0 then r else l in
-          if t.cmp data.(c) moved < 0 then begin
-            data.(!i) <- data.(c);
-            i := c
-          end
-          else continue_ := false
-        end
-      done;
-      data.(!i) <- moved;
-      (* Clear the freed slot by aliasing a live element, so the popped
-         value itself is no longer reachable from the heap. *)
-      data.(n) <- data.(0);
-      maybe_shrink t
-    end
-    else
-      (* Heap drained: release the whole array. *)
-      t.data <- [||];
-    Some top
-  end
-
-let clear t =
-  t.data <- [||];
-  t.size <- 0
-
-let drain t f =
-  let rec loop () =
-    match pop t with
-    | None -> ()
-    | Some x ->
-        f x;
-        loop ()
-  in
-  loop ()
-
-(* ------------------------------------------------------------------ *)
-(* Timestamped heap: the engine's event queue.
-
-   Keys are (time, seq) pairs kept in parallel unboxed arrays — a
-   [float array] and an [int array] — beside the payload array, so
-   ordering an event costs two flat array reads and an inlined compare:
-   no closure call, no boxed float per element, no [option] allocation
-   on the pop path. Payload slots freed by [pop_min]/[compact] are
-   overwritten with the dummy element so dead payloads are never
-   retained. *)
+   It sifts with a "hole" rather than by swapping: the moving element is
+   held aside while ancestors (or descendants) shift into the hole, and
+   is written exactly once at its final position. The comparison
+   sequence — and therefore the resulting array layout and pop order — is
+   identical to the classic swap formulation, so the hole costs nothing
+   in reproducibility and saves two writes per level. *)
 
 module Timed = struct
   type 'a t = {

@@ -97,19 +97,17 @@ let validate t =
 
 let make ~duration ?flash ?diurnal ?(tiers = []) () =
   let t =
-    {
-      duration;
-      flash;
-      diurnal;
-      tiers = Array.of_list tiers;
-      flash_zipf =
-        Option.map
-          (fun f -> Sim.Dist.Zipf.make ~n:f.fc_keys ~s:f.fc_zipf_s)
-          flash;
-    }
+    { duration; flash; diurnal; tiers = Array.of_list tiers; flash_zipf = None }
   in
+  (* First, so a bad head size is reported as a Scenario error. *)
   validate t;
-  t
+  {
+    t with
+    flash_zipf =
+      Option.map
+        (fun f -> Sim.Dist.Zipf.make ~n:f.fc_keys ~s:f.fc_zipf_s)
+        flash;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Phase schedule *)

@@ -1,10 +1,12 @@
 (* Tests for directory-update batching (the Nagle-style coalescing buffer,
-   Msg.Batch envelopes, the flush daemon), the key→owner hint index, and
+   Update.Batch envelopes, the flush daemon), the key→owner hint index, and
    the O(1) incremental anti-entropy digest: wire-byte amortisation,
    configuration validation, byte-identity of the [batch_max = 1] path
    with the pre-batching transmit path, receiver-side last-write-wins,
    conservation of originated updates, crash-interruptible batch fan-out,
    false-hint fallback, and deterministic replay with batching on. *)
+
+module Update = Swala.Replicated_plane.Update
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -37,19 +39,17 @@ let meta ?(owner = 0) ?(size = 100) ?(created = 0.) ?expires key =
 (* Wire accounting: a batch shares one envelope *)
 
 let test_batch_bytes () =
-  let u1 = Cluster.Msg.Replicated.Insert (meta "GET /cgi-bin/a")
-  and u2 = Cluster.Msg.Replicated.Delete { node = 1; key = "GET /cgi-bin/b" }
-  and u3 = Cluster.Msg.Replicated.Insert (meta ~owner:2 "GET /cgi-bin/c") in
+  let u1 = Update.Insert (meta "GET /cgi-bin/a")
+  and u2 = Update.Delete { node = 1; key = "GET /cgi-bin/b" }
+  and u3 = Update.Insert (meta ~owner:2 "GET /cgi-bin/c") in
   let separately =
-    List.fold_left
-      (fun acc u -> acc + Cluster.Msg.Replicated.bytes u)
-      0 [ u1; u2; u3 ]
+    List.fold_left (fun acc u -> acc + Update.bytes u) 0 [ u1; u2; u3 ]
   in
-  let batched = Cluster.Msg.Replicated.bytes (Cluster.Msg.Replicated.Batch [ u1; u2; u3 ]) in
+  let batched = Update.bytes (Update.Batch [ u1; u2; u3 ]) in
   check_bool "one shared envelope beats three" true (batched < separately);
   (* Exactly: the batch replaces two of the three envelopes with a
      12-byte sub-header per carried update. *)
-  let envelope = Cluster.Msg.Replicated.bytes (Cluster.Msg.Replicated.Batch []) in
+  let envelope = Update.bytes (Update.Batch []) in
   check_int "batch = envelope + per-update sub-headers + bodies"
     (separately - (2 * envelope) + (3 * 12))
     batched
@@ -255,11 +255,11 @@ let test_batch_fanout_interruptible () =
   let net = Sim.Net.create engine ~n_endpoints:5 in
   let inboxes = Array.init 5 (fun _ -> Sim.Mailbox.create ()) in
   let batch =
-    Cluster.Msg.Replicated.Batch
-      [ Cluster.Msg.Replicated.Insert (meta "GET /cgi-bin/a");
-        Cluster.Msg.Replicated.Insert (meta "GET /cgi-bin/b") ]
+    Update.Batch
+      [ Update.Insert (meta "GET /cgi-bin/a");
+        Update.Insert (meta "GET /cgi-bin/b") ]
   in
-  let bytes = Cluster.Msg.Replicated.bytes batch in
+  let bytes = Update.bytes batch in
   let calls = ref 0 in
   let sent_partial = ref (-1) in
   let sent_full = ref (-1) in
@@ -268,12 +268,12 @@ let test_batch_fanout_interruptible () =
          both updates, the other two carry neither — an honest partial
          state for anti-entropy to repair, never a half-applied batch. *)
       sent_partial :=
-        Cluster.Broadcast.info
+        Swala.Replicated_plane.info
           ~should_abort:(fun () ->
             Stdlib.incr calls;
             !calls > 3)
           net inboxes ~src:0 ~bytes batch;
-      sent_full := Cluster.Broadcast.info net inboxes ~src:0 ~bytes batch);
+      sent_full := Swala.Replicated_plane.info net inboxes ~src:0 ~bytes batch);
   Sim.Engine.run engine;
   check_int "aborted flush reached two peers" 2 !sent_partial;
   check_int "unaborted flush reaches all four" 4 !sent_full;
@@ -414,12 +414,8 @@ let test_batch_apply_last_write_wins () =
         Sim.Mailbox.send
           (Swala.Replicated_plane.info_mailbox (Planes.replicated cluster) 1)
           {
-            Cluster.Msg.info =
-              Cluster.Msg.Replicated.Batch
-                [
-                  Cluster.Msg.Replicated.Insert stale;
-                  Cluster.Msg.Replicated.Insert fresh;
-                ];
+            Swala.Node.info =
+              Update.Batch [ Update.Insert stale; Update.Insert fresh ];
             ack = None;
             span = 0;
           };

@@ -115,6 +115,19 @@ let cases =
         (unwritable "g.log") );
   ]
 
+(* Flag values only validation can reject end the same way, with the
+   validator's one line. *)
+let validation_cases =
+  [
+    ( "run --partition naming no node",
+      [ "run"; "--nodes"; "2"; "--requests"; "20"; "--partition"; "1:2:0|5";
+        "--fetch-timeout"; "1" ],
+      "Config: partition node id 5 must be < n_nodes (2)" );
+    ( "run --flash-crowd with no keys",
+      [ "run"; "--requests"; "20"; "--flash-crowd"; "1:1:0.5:0" ],
+      "Scenario: flash fc_keys must be >= 1" );
+  ]
+
 (* An unknown name for any enumerated flag stops the run before it
    prints anything, even on the multi-seed path. *)
 let enum_cases =
@@ -365,6 +378,9 @@ let test_loganalyze_malformed () =
     [ Printf.sprintf "%s: line 1: unrecognised line \"garbage\"" path ]
     err
 
+let usage_case (name, args, expected) =
+  Alcotest.test_case name `Quick (usage_error args expected)
+
 let () =
   exe := Sys.argv.(1);
   perf_gate := Sys.argv.(2);
@@ -373,15 +389,13 @@ let () =
   Alcotest.run ~argv "cli"
     [
       ( "usage-errors",
-        List.map
-          (fun (name, args, expected) ->
-            Alcotest.test_case name `Quick (usage_error args expected))
-          cases
+        List.map usage_case cases
         @ [ Alcotest.test_case "probes leave no files" `Quick test_probes_leave_no_files ]
         @ List.map
             (fun (name, f) -> Alcotest.test_case name `Quick f)
             enum_cases
-        @ [ Alcotest.test_case "coop below 172 requests" `Quick test_small_coop ] );
+        @ [ Alcotest.test_case "coop below 172 requests" `Quick test_small_coop ]
+        @ List.map usage_case validation_cases );
       ( "config-flags",
         List.map
           (fun (name, flags, cfg, router) ->

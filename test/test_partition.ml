@@ -66,6 +66,28 @@ let test_partition_validation () =
   check_bool "partitions make a profile lossy" true
     (Sim.Fault.is_lossy (Sim.Fault.make ~partitions:[ halves () ] ()))
 
+(* Only Config knows the cluster size, so it rejects fault ids that name
+   no node, by name and id. *)
+let test_fault_ids_checked_against_nodes () =
+  let validate fault =
+    Swala.Config.validate
+      (Swala.Config.make ~n_nodes:4 ~fetch_timeout:(Some 1.) ~fault:(Some fault)
+         ())
+  in
+  let rejects what msg fault =
+    Alcotest.check_raises what (Invalid_argument msg) (fun () -> validate fault)
+  in
+  rejects "partition id" "Config: partition node id 4 must be < n_nodes (4)"
+    (Sim.Fault.make
+       ~partitions:
+         [ { Sim.Fault.pname = "typo"; groups = [ [ 0; 1 ]; [ 4 ] ];
+             cut_at = 0.; heal_at = 1. } ]
+       ());
+  rejects "schedule id" "Config: scheduled node id 7 must be < n_nodes (4)"
+    (Sim.Fault.make ~node_schedules:[ (7, [ (1., 2.) ]) ] ());
+  validate (Sim.Fault.make ~partitions:[ halves () ] ());
+  validate (Sim.Fault.make ~node_schedules:[ (3, [ (1., 2.) ]) ] ())
+
 (* ------------------------------------------------------------------ *)
 (* The partition window: who is cut from whom, and when *)
 
@@ -180,14 +202,15 @@ let test_broadcast_interruptible () =
          check fires after peers 1 and 2 heard the insert — and peers 3
          and 4 never do. A genuinely partial replica update. *)
       sent_partial :=
-        Cluster.Broadcast.info
+        Swala.Replicated_plane.info
           ~should_abort:(fun () ->
             Stdlib.incr calls;
             !calls > 3)
-          net inboxes ~src:0 ~bytes:100 (Cluster.Msg.Replicated.Insert meta);
+          net inboxes ~src:0 ~bytes:100
+          (Swala.Replicated_plane.Update.Insert meta);
       sent_full :=
-        Cluster.Broadcast.info net inboxes ~src:0 ~bytes:100
-          (Cluster.Msg.Replicated.Insert meta));
+        Swala.Replicated_plane.info net inboxes ~src:0 ~bytes:100
+          (Swala.Replicated_plane.Update.Insert meta));
   Sim.Engine.run engine;
   check_int "aborted fan-out reached two peers" 2 !sent_partial;
   check_int "unaborted fan-out reaches all four" 4 !sent_full;
@@ -206,7 +229,7 @@ let test_broadcast_interruptible () =
 let test_fetch_sync_out_of_order () =
   let engine = Sim.Engine.create () in
   let net = Sim.Net.create engine ~n_endpoints:2 in
-  let endpoints = Array.init 2 (fun node -> Cluster.Endpoint.make ~node) in
+  let data_mbs = Array.init 2 (fun _ -> Sim.Mailbox.create ()) in
   let meta body =
     Cache.Meta.make ~key:"k" ~owner:1 ~size:(String.length body)
       ~exec_time:0.5 ~created:0. ~expires:None
@@ -215,21 +238,21 @@ let test_fetch_sync_out_of_order () =
      requester's timeout (and then sent anyway — a straggler); the second
      request is answered promptly with different content. *)
   Sim.Engine.spawn engine (fun () ->
-      let first = Sim.Mailbox.recv endpoints.(1).Cluster.Endpoint.data_mb in
+      let first = Sim.Mailbox.recv data_mbs.(1) in
       Sim.Engine.spawn_child (fun () ->
           Sim.Engine.delay 2.0;
-          Sim.Net.send net ~src:1 ~dst:0 ~bytes:64 first.Cluster.Msg.reply
-            (Cluster.Msg.Hit
+          Sim.Net.send net ~src:1 ~dst:0 ~bytes:64 first.Swala.Node.reply
+            (Swala.Node.Hit
                { meta = meta "stale"; body = Http.Body.of_string "stale" }));
-      let second = Sim.Mailbox.recv endpoints.(1).Cluster.Endpoint.data_mb in
-      Sim.Net.send net ~src:1 ~dst:0 ~bytes:64 second.Cluster.Msg.reply
-        (Cluster.Msg.Hit
+      let second = Sim.Mailbox.recv data_mbs.(1) in
+      Sim.Net.send net ~src:1 ~dst:0 ~bytes:64 second.Swala.Node.reply
+        (Swala.Node.Hit
            { meta = meta "fresh"; body = Http.Body.of_string "fresh" }));
   let result = ref None in
   Sim.Engine.spawn engine (fun () ->
       result :=
         Some
-          (Cluster.Broadcast.fetch_sync net endpoints ~src:0 ~owner:1
+          (Swala.Node.fetch_sync net ~src:0 ~owner:1 data_mbs.(1)
              ~timeout:0.5 ~retries:1 ~backoff:2. "k"));
   Sim.Engine.run engine;
   match !result with
@@ -237,11 +260,11 @@ let test_fetch_sync_out_of_order () =
   | Some (reply, n) -> (
       check_int "exactly one retry" 1 n;
       match reply with
-      | Some (Cluster.Msg.Hit { body; _ }) ->
+      | Some (Swala.Node.Hit { body; _ }) ->
           Alcotest.(check string)
             "the straggler did not satisfy the retry" "fresh"
             (Http.Body.to_string body)
-      | Some (Cluster.Msg.Miss _) -> Alcotest.fail "unexpected miss"
+      | Some (Swala.Node.Miss _) -> Alcotest.fail "unexpected miss"
       | None -> Alcotest.fail "retry should have been answered in time")
 
 (* ------------------------------------------------------------------ *)
@@ -546,6 +569,8 @@ let () =
             test_partitions_compose;
           Alcotest.test_case "partitions compose with links and crashes" `Quick
             test_partition_composes_with_links;
+          Alcotest.test_case "fault ids checked against n_nodes" `Quick
+            test_fault_ids_checked_against_nodes;
         ] );
       ( "protocol",
         [

@@ -1,15 +1,13 @@
-(* Property tests for the engine's binary heaps (Pqueue) and the
-   cancellation machinery layered on them by Engine.
+(* Property tests for the binary heap (Pqueue.Timed) and the
+   cancellation machinery layered on it by Engine.
 
-   The heaps power the hot loop, so they are tested model-based: random
-   push/pop sequences replayed against a sorted-list oracle, for both
-   the generic comparison heap and the (time, seq)-keyed Timed heap the
-   event loop uses. The Timed properties pin down the determinism
-   contract — ties in time pop in sequence (i.e. push) order — and that
-   [compact] (the lazy-cancellation purge) preserves exactly the kept
-   elements and their relative order. Deterministic cases cover the
-   space-leak regression (capacity released on drain, shrunk on partial
-   drain) and Engine-level cancel/compaction accounting.
+   The heap powers the hot loop, so it is tested model-based: random
+   push/pop sequences replayed against a sorted-list oracle. The
+   properties pin down the determinism contract — ties in time pop in
+   sequence (i.e. push) order — and that [compact] (the lazy-cancellation
+   purge) preserves exactly the kept elements and their relative order.
+   Deterministic cases cover the empty heap and Engine-level
+   cancel/compaction accounting.
 
    QCheck_alcotest ignores QCHECK_COUNT, so the long-iteration CI job's
    knob is honoured here by hand. *)
@@ -19,79 +17,6 @@ let count =
   | Some s -> (
       match int_of_string_opt s with Some n when n > 0 -> n | _ -> 200)
   | None -> 200
-
-(* ------------------------------------------------------------------ *)
-(* Generic heap vs a sorted-list model *)
-
-let prop_heapsort =
-  QCheck.Test.make ~count ~name:"drain pops a sorted sequence"
-    QCheck.(list small_signed_int)
-    (fun xs ->
-      let h = Sim.Pqueue.create ~cmp:Int.compare in
-      List.iter (Sim.Pqueue.push h) xs;
-      let out = ref [] in
-      Sim.Pqueue.drain h (fun x -> out := x :: !out);
-      List.rev !out = List.sort Int.compare xs)
-
-type gop = Push of int | Pop
-
-let gops_arb =
-  let print ops =
-    String.concat ";"
-      (List.map
-         (function Push x -> Printf.sprintf "push %d" x | Pop -> "pop")
-         ops)
-  in
-  QCheck.make ~print
-    QCheck.Gen.(
-      list_size (0 -- 200)
-        (frequency
-           [ (3, map (fun x -> Push x) (int_range (-50) 50)); (2, return Pop) ]))
-
-let prop_interleaved =
-  QCheck.Test.make ~count ~name:"interleaved push/pop matches the model"
-    gops_arb
-    (fun ops ->
-      let h = Sim.Pqueue.create ~cmp:Int.compare in
-      let model = ref [] in
-      List.for_all
-        (function
-          | Push x ->
-              Sim.Pqueue.push h x;
-              model := List.sort Int.compare (x :: !model);
-              true
-          | Pop -> (
-              match (Sim.Pqueue.pop h, !model) with
-              | None, [] -> true
-              | Some x, m :: rest when x = m ->
-                  model := rest;
-                  true
-              | _ -> false))
-        ops
-      && Sim.Pqueue.length h = List.length !model)
-
-(* The leak regression this PR fixed: a drained heap used to keep its
-   peak-size backing array alive with the last popped element still
-   reachable at data.(size). Now pops overwrite the freed slot, the
-   array halves when occupancy falls below a quarter, and a fully
-   drained heap releases the array entirely. *)
-let test_capacity_release () =
-  let h = Sim.Pqueue.create ~cmp:Int.compare in
-  for i = 1 to 1024 do
-    Sim.Pqueue.push h i
-  done;
-  Alcotest.(check bool) "grew" true (Sim.Pqueue.capacity h >= 1024);
-  for _ = 1 to 1014 do
-    ignore (Sim.Pqueue.pop h : int option)
-  done;
-  Alcotest.(check bool)
-    (Printf.sprintf "shrank towards occupancy (capacity %d)"
-       (Sim.Pqueue.capacity h))
-    true
-    (Sim.Pqueue.capacity h <= 64);
-  Sim.Pqueue.drain h (fun _ -> ());
-  Alcotest.(check int) "drained heap releases the array" 0
-    (Sim.Pqueue.capacity h)
 
 (* ------------------------------------------------------------------ *)
 (* Timed heap: the (time, seq) determinism contract *)
@@ -223,14 +148,9 @@ let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 let () =
   Alcotest.run "pqueue"
     [
-      qsuite "generic" [ prop_heapsort; prop_interleaved ];
       qsuite "timed" [ prop_timed; prop_compact ];
       ( "regressions",
-        [
-          Alcotest.test_case "capacity released on drain" `Quick
-            test_capacity_release;
-          Alcotest.test_case "empty Timed raises" `Quick test_timed_empty;
-        ] );
+        [ Alcotest.test_case "empty Timed raises" `Quick test_timed_empty ] );
       ( "engine-cancel",
         [
           Alcotest.test_case "mass cancel + compaction" `Quick

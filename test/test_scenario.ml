@@ -52,8 +52,11 @@ let test_validation_rejects () =
   check_bool "fraction > 1" true
     (inv (fun () ->
          Scenario.make ~duration:10. ~flash:(crowd ~fraction:1.5 ()) ()));
-  check_bool "zero keys" true
-    (inv (fun () -> Scenario.make ~duration:10. ~flash:(crowd ~keys:0 ()) ()));
+  (* The Zipf head is built after validation, so the Scenario message
+     wins. *)
+  Alcotest.check_raises "zero keys"
+    (Invalid_argument "Scenario: flash fc_keys must be >= 1") (fun () ->
+      ignore (Scenario.make ~duration:10. ~flash:(crowd ~keys:0 ()) ()));
   check_bool "bad trough" true
     (inv (fun () ->
          Scenario.make ~duration:10.

@@ -1,5 +1,6 @@
 (* Tests for the simulation substrate: engine, sync primitives, CPU, disk,
-   network, RNG, distributions, priority queue. *)
+   network, RNG, distributions, priority queue. The heap's model-based
+   properties are in test_pqueue.ml. *)
 
 let check_float = Alcotest.(check (float 1e-9))
 let check_float_eps eps = Alcotest.(check (float eps))
@@ -15,44 +16,50 @@ let count default =
   | None -> default
 
 (* ------------------------------------------------------------------ *)
-(* Pqueue *)
+(* Pqueue: each int is pushed keyed by its own value, in push order *)
+
+let heap_of xs =
+  let h = Sim.Pqueue.Timed.create ~dummy:0 () in
+  List.iteri (fun seq x -> Sim.Pqueue.Timed.push h ~time:(float x) ~seq x) xs;
+  h
+
+let drain h =
+  let out = ref [] in
+  while not (Sim.Pqueue.Timed.is_empty h) do
+    out := Sim.Pqueue.Timed.pop_min h :: !out
+  done;
+  List.rev !out
+
+let raises_invalid f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
 
 let test_pqueue_order () =
-  let h = Sim.Pqueue.create ~cmp:Int.compare in
-  List.iter (Sim.Pqueue.push h) [ 5; 1; 4; 1; 3; 9; 0 ];
-  let out = ref [] in
-  Sim.Pqueue.drain h (fun x -> out := x :: !out);
-  Alcotest.(check (list int)) "sorted" [ 0; 1; 1; 3; 4; 5; 9 ] (List.rev !out)
+  Alcotest.(check (list int))
+    "sorted" [ 0; 1; 1; 3; 4; 5; 9 ]
+    (drain (heap_of [ 5; 1; 4; 1; 3; 9; 0 ]))
 
 let test_pqueue_empty () =
-  let h = Sim.Pqueue.create ~cmp:Int.compare in
-  check_bool "empty" true (Sim.Pqueue.is_empty h);
-  Alcotest.(check (option int)) "pop none" None (Sim.Pqueue.pop h);
-  Alcotest.(check (option int)) "peek none" None (Sim.Pqueue.peek h)
+  let h = heap_of [] in
+  check_bool "empty" true (Sim.Pqueue.Timed.is_empty h);
+  check_bool "pop raises" true (raises_invalid (fun () -> Sim.Pqueue.Timed.pop_min h));
+  check_bool "peek raises" true (raises_invalid (fun () -> Sim.Pqueue.Timed.peek_min h))
 
 let test_pqueue_peek_stable () =
-  let h = Sim.Pqueue.create ~cmp:Int.compare in
-  Sim.Pqueue.push h 2;
-  Sim.Pqueue.push h 1;
-  Alcotest.(check (option int)) "peek min" (Some 1) (Sim.Pqueue.peek h);
-  check_int "length unchanged" 2 (Sim.Pqueue.length h)
+  let h = heap_of [ 2; 1 ] in
+  check_int "peek min" 1 (Sim.Pqueue.Timed.peek_min h);
+  check_int "length unchanged" 2 (Sim.Pqueue.Timed.length h)
 
 let test_pqueue_clear () =
-  let h = Sim.Pqueue.create ~cmp:Int.compare in
-  List.iter (Sim.Pqueue.push h) [ 3; 2; 1 ];
-  Sim.Pqueue.clear h;
-  check_int "cleared" 0 (Sim.Pqueue.length h)
+  let h = heap_of [ 3; 2; 1 ] in
+  Sim.Pqueue.Timed.clear h;
+  check_int "cleared" 0 (Sim.Pqueue.Timed.length h);
+  check_int "arrays released" 0 (Sim.Pqueue.Timed.capacity h)
 
 let prop_pqueue_sorts =
   QCheck.Test.make ~name:"pqueue drains any list in sorted order"
     ~count:(count 200)
-    QCheck.(list int)
-    (fun xs ->
-      let h = Sim.Pqueue.create ~cmp:Int.compare in
-      List.iter (Sim.Pqueue.push h) xs;
-      let out = ref [] in
-      Sim.Pqueue.drain h (fun x -> out := x :: !out);
-      List.rev !out = List.sort Int.compare xs)
+    QCheck.(list small_signed_int)
+    (fun xs -> drain (heap_of xs) = List.sort Int.compare xs)
 
 (* ------------------------------------------------------------------ *)
 (* Rng *)
