@@ -530,10 +530,8 @@ let diurnal_conv =
         Error
           (`Msg (Printf.sprintf "bad diurnal %S (expected PERIOD:TROUGH)" s))
   in
-  let print ppf = function
-    | Workload.Scenario.Sinusoid { period; trough } ->
-        Format.fprintf ppf "%g:%g" period trough
-    | Workload.Scenario.Piecewise _ -> Format.pp_print_string ppf "piecewise"
+  let print ppf (Workload.Scenario.Sinusoid { period; trough }) =
+    Format.fprintf ppf "%g:%g" period trough
   in
   Arg.conv (parse, print)
 

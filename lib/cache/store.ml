@@ -66,13 +66,26 @@ let slot_priority t slot =
         inserted = slot.inserted;
       }
 
+(* A heap item is live while its seq is its slot's current version. *)
+let live t ~seq key =
+  match Hashtbl.find t.table key with
+  | slot -> slot.version = seq
+  | exception Not_found -> false
+
 (* Equal priorities (common under LFU) break towards the least recently
    touched entry: versions are allocated monotonically per touch/insert,
-   so every push carries a fresh one and the order is total. *)
+   so every push carries a fresh one and the order is total. Each touch
+   leaves the slot's previous item behind, and only eviction pops those,
+   so a store that never fills compacts the heap itself once stale items
+   dominate. It drops exactly the items [heap_victim] would skip, so pop
+   order and GDSF's clock (set only by live pops) are unchanged. *)
 let push_heap t slot =
-  if t.pol <> Policy.Random then
+  if t.pol <> Policy.Random then begin
     Sim.Pqueue.Timed.push t.heap ~time:(slot_priority t slot)
-      ~seq:slot.version slot.entry.meta.Meta.key
+      ~seq:slot.version slot.entry.meta.Meta.key;
+    if Sim.Pqueue.Timed.length t.heap >= (2 * Hashtbl.length t.table) + 64
+    then Sim.Pqueue.Timed.compact t.heap ~keep:(live t)
+  end
 
 (* Dense key array bookkeeping (swap-remove). *)
 let order_add t key =

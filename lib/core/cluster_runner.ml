@@ -110,6 +110,13 @@ let run cfg ~trace ~n_streams ?warmup ?(assign = fun s -> s mod cfg.Config.n_nod
   let file_response = Metrics.Sample.create () in
   let latch = Sim.Latch.create n_streams in
   let finished_at = ref 0. in
+  (* Just before [start]: the sampler must be the first process spawned,
+     since spawn order breaks same-instant ties. *)
+  let recorder =
+    Option.map
+      (fun interval -> Flight_recorder.create engine cluster cfg ~interval)
+      cfg.Config.telemetry_interval
+  in
   Server.start cluster;
   Sim.Engine.spawn engine (fun () ->
       (match warmup with Some f -> f cluster | None -> ());
@@ -186,7 +193,9 @@ let run cfg ~trace ~n_streams ?warmup ?(assign = fun s -> s mod cfg.Config.n_nod
                       Sim.Engine.set_local 0);
                   let dt = Sim.Engine.now () -. t0 in
                   Metrics.Sample.add response dt;
-                  Server.observe_response cluster dt;
+                  (match recorder with
+                  | None -> ()
+                  | Some fr -> Flight_recorder.observe_response fr dt);
                   observe ~time:(Sim.Engine.now ()) dt;
                   if Array.length tier_of_stream > 0 then
                     Metrics.Sample.add tier_samples.(tier_of_stream.(s)) dt;
@@ -198,7 +207,8 @@ let run cfg ~trace ~n_streams ?warmup ?(assign = fun s -> s mod cfg.Config.n_nod
         streams;
       Sim.Latch.wait latch;
       finished_at := Sim.Engine.now ();
-      Server.stop cluster);
+      Server.stop cluster;
+      Option.iter Flight_recorder.stop recorder);
   Sim.Engine.run engine;
   let duration = !finished_at in
   (* Hint statistics live in the directory; surface them as counters so
@@ -311,8 +321,8 @@ let run cfg ~trace ~n_streams ?warmup ?(assign = fun s -> s mod cfg.Config.n_nod
       cfg.Config.freshness = Cache.Freshness.Adaptive
       || cfg.Config.refresh_budget > 0.;
     staleness = Server.staleness_histogram cluster;
-    timelines = Server.telemetry_registry cluster;
-    health = Server.health cluster;
+    timelines = Option.map Flight_recorder.registry recorder;
+    health = Option.map Flight_recorder.health recorder;
   }
 
 (* JSON rendering of a run's metrics (the [--metrics-out] payload, also

@@ -376,11 +376,11 @@ let table4_run ~seed ~ups ~n_requests =
   | Server.Replicated plane when ups > 0 ->
     let inbox = Replicated_plane.info_mailbox plane 0 in
     Sim.Engine.spawn engine (fun () ->
-        let period = 1. /. float_of_int ups in
         let k = ref 0 in
-        let rec loop () =
-          if not !done_ then begin
-            Sim.Engine.delay period;
+        Node.every
+          ~stopped:(fun () -> !done_)
+          ~period:(1. /. float_of_int ups)
+          (fun () ->
             incr k;
             let meta =
               Cache.Meta.make
@@ -395,11 +395,7 @@ let table4_run ~seed ~ups ~n_requests =
                 Node.info = Replicated_plane.Update.Insert meta;
                 ack = None;
                 span = 0;
-              };
-            loop ()
-          end
-        in
-        loop ())
+              }))
   | Server.Replicated _ | Server.Local | Server.Sharded _ -> ());
   Sim.Engine.run engine;
   let counters = Server.node_counters (Server.node cluster 0) in

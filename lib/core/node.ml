@@ -3,7 +3,8 @@
     the plane modules ({!Plane.S}) read and charge the same nodes,
     counters and spans, and start the receivers below. The messages every
     cooperative plane shares live here too: the info channel's envelope
-    and the remote fetch. *)
+    and the remote fetch. So do the two daemon shapes, {!every} and
+    {!serve}, that every daemon but the request thread runs in. *)
 
 (** Counter names. *)
 module K = struct
@@ -250,6 +251,35 @@ let with_span ?parent ?attrs ?async x nd name f =
           raise e)
 
 (* ------------------------------------------------------------------ *)
+(* Daemon shapes. Every daemon but the request thread (which answers 503
+   while its node is down) is one of these two loops; each body keeps its
+   own guard. *)
+
+(** [every ~stopped ~period f] waits [period] simulated seconds and runs
+    [f], again and again, until [stopped ()] holds before a wait. A body
+    that is asleep when its flag rises still runs once more. *)
+let every ~stopped ~period f =
+  let rec loop () =
+    if not (stopped ()) then begin
+      Sim.Engine.delay period;
+      f ();
+      loop ()
+    end
+  in
+  loop ()
+
+(** [serve nd mb f] hands every message [mb] receives to [f], forever,
+    except while [nd] is down: a message in flight across the crash
+    instant is lost. *)
+let serve nd mb f =
+  let rec loop () =
+    let msg = Sim.Mailbox.recv mb in
+    if nd.up then f msg;
+    loop ()
+  in
+  loop ()
+
+(* ------------------------------------------------------------------ *)
 (* Cacher-module receivers shared by the cooperative planes *)
 
 (* The info receiver: apply each received directory update, charging the
@@ -267,47 +297,32 @@ let info_receiver x nd inbox ~updates ~apply =
         Sim.Net.send x.net ~src:nd.id ~dst:sender ~bytes:32 ack ()
     | None -> ()
   in
-  let rec loop () =
-    let (envelope : _ info_envelope) = Sim.Mailbox.recv inbox in
-    if not nd.up then loop ()  (* in flight across the crash instant: lost *)
-    else begin
+  serve nd inbox (fun (envelope : _ info_envelope) ->
       (* Causally a child of the originating request, but applied off its
          critical path — hence async. *)
       with_span x nd "info.apply" ~parent:envelope.span ~async:true (fun () ->
-          handle envelope);
-      loop ()
-    end
-  in
-  loop ()
+          handle envelope))
 
-(* The data server: answer remote fetches from this node's store. *)
+(* The data server: answer remote fetches from this node's store. A
+   crashed owner answers nothing, so the requester's fetch times out. *)
 let data_server x nd =
-  let rec loop () =
-    let (fetch : fetch_request) = Sim.Mailbox.recv nd.data_mb in
-    if not nd.up then loop ()  (* crashed owner: requester's fetch times out *)
-    else begin
-    (* One thread per fetch, as in §4.1. Async: the serve runs on the
-       owner concurrently with the requester's wait, so its time is
-       already inside the requester's fetch.remote span. *)
-    Sim.Engine.spawn_child (fun () ->
-        with_span x nd "fetch.serve" ~parent:fetch.span ~async:true
-        @@ fun () ->
-        Sim.Cpu.consume nd.cpu Config.data_server_cost;
-        let reply_msg =
-          match Cache.Store.lookup nd.store fetch.key with
-          | Some entry ->
-              Sim.Disk.read nd.disk
-                ~bytes:entry.Cache.Store.meta.Cache.Meta.size ~cached:true;
-              Hit
-                { meta = entry.Cache.Store.meta; body = entry.Cache.Store.body }
-          | None -> Miss { key = fetch.key }
-        in
-        Sim.Net.send x.net ~src:nd.id ~dst:fetch.requester
-          ~bytes:(fetch_reply_bytes reply_msg) fetch.reply reply_msg);
-    loop ()
-    end
-  in
-  loop ()
+  serve nd nd.data_mb (fun (fetch : fetch_request) ->
+      (* One thread per fetch, as in §4.1. Async: the serve runs on the
+         owner concurrently with the requester's wait, so its time is
+         already inside the requester's fetch.remote span. *)
+      Sim.Engine.spawn_child (fun () ->
+          with_span x nd "fetch.serve" ~parent:fetch.span ~async:true
+          @@ fun () ->
+          Sim.Cpu.consume nd.cpu Config.data_server_cost;
+          let reply_msg =
+            match Cache.Store.lookup nd.store fetch.key with
+            | Some { Cache.Store.meta; body } ->
+                Sim.Disk.read nd.disk ~bytes:meta.Cache.Meta.size ~cached:true;
+                Hit { meta; body }
+            | None -> Miss { key = fetch.key }
+          in
+          Sim.Net.send x.net ~src:nd.id ~dst:fetch.requester
+            ~bytes:(fetch_reply_bytes reply_msg) fetch.reply reply_msg))
 
 (** [fetch net ~src ~owner data_mb req] sends a data-fetch request from
     node [src] to node [owner], whose data server reads [data_mb]. *)

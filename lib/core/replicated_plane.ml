@@ -434,25 +434,16 @@ let ae_round p (nd : Node.t) ~period =
         Metrics.Counter.add nd.counters Node.K.anti_entropy_pulled pulled
 
 let anti_entropy_daemon p (nd : Node.t) ~period =
-  let rec loop () =
-    if not nd.stop then begin
-      Sim.Engine.delay period;
+  Node.every ~stopped:(fun () -> nd.stop) ~period (fun () ->
       if nd.up && (not nd.stop) && Array.length p.nodes > 1 then begin
         Sim.Cpu.consume nd.cpu Config.info_apply_cost;
         ae_round p nd ~period
-      end;
-      loop ()
-    end
-  in
-  loop ()
+      end)
 
 (* The responder half: answer digest exchanges with the tables that
    differ. Runs forever on its mailbox, like the info receiver. *)
 let sync_responder p (nd : Node.t) =
-  let rec loop () =
-    let req = Sim.Mailbox.recv p.nodes.(nd.id).sync_mb in
-    if not nd.up then loop ()  (* in flight across the crash instant: lost *)
-    else begin
+  Node.serve nd p.nodes.(nd.id).sync_mb (fun req ->
       with_span p.x nd "ae.respond" ~parent:req.span ~async:true
         (fun () ->
       Sim.Cpu.consume nd.cpu Config.info_apply_cost;
@@ -474,28 +465,18 @@ let sync_responder p (nd : Node.t) =
       done;
       let reply = { tables = !tables } in
       Sim.Net.send p.x.net ~src:nd.id ~dst:req.from_node
-        ~bytes:(sync_reply_bytes reply) req.sync_reply reply);
-      loop ()
-    end
-  in
-  loop ()
+        ~bytes:(sync_reply_bytes reply) req.sync_reply reply))
 
 (* Nagle timer for the batching layer: transmit whatever the outbound
    buffer holds every [period] seconds, so a buffered update never waits
    longer than one period for the size threshold. A crashed node's buffer
    was already cleared by [crash], so skipping while down loses nothing. *)
 let batch_flusher p (nd : Node.t) ~period =
-  let rec loop () =
-    if not nd.stop then begin
-      Sim.Engine.delay period;
+  Node.every ~stopped:(fun () -> nd.stop) ~period (fun () ->
       if nd.up && (not nd.stop) && p.nodes.(nd.id).batch_buf <> [] then
         (* Its own root tree: a batch mixes updates from several requests,
            so no single request can claim the flush. *)
-        with_span p.x nd "batch.flush" (fun () -> flush p nd p.nodes.(nd.id));
-      loop ()
-    end
-  in
-  loop ()
+        with_span p.x nd "batch.flush" (fun () -> flush p nd p.nodes.(nd.id)))
 
 (* ------------------------------------------------------------------ *)
 (* Daemons and statistics *)

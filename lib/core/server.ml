@@ -17,20 +17,6 @@ type waits = {
   disk_wait : Metrics.Histogram.t;
 }
 
-(* The flight recorder, allocated only when [Config.telemetry_interval]
-   is set. Its probes are closures over the cluster's live state (node
-   counters, engine internals, the host-side histograms), read together
-   by one sampler daemon on the telemetry cadence. The response
-   accumulator pair is the cumulative (count, sum) the [response] probe
-   diffs per window; [t_stop] ends the sampler like a node's daemons. *)
-type telemetry = {
-  t_registry : Metrics.Registry.t;
-  t_health : Metrics.Health.t;
-  mutable t_resp_n : float;
-  mutable t_resp_sum : float;
-  mutable t_stop : bool;
-}
-
 (* The metadata plane create_cluster chose, packed with its
    implementation. Every plane operation below goes through it, so no
    path tests the plane mode. *)
@@ -57,7 +43,6 @@ type cluster = {
   staleness : Metrics.Histogram.t;
       (* age of the served result at every cache hit (local and remote),
          seconds; host-side only, like hit_latency *)
-  telemetry : telemetry option;
   packed : packed;
   plane : plane;  (* the same plane, by name, for introspection *)
 }
@@ -241,108 +226,6 @@ let create_cluster ?client_extra_latency engine cfg ~registry
   let staleness =
     Metrics.Histogram.create ~bounds:Metrics.Histogram.age_bounds ()
   in
-  (* The flight recorder's probe set. Every probe is a pure read of
-     already-maintained state — counters, histogram totals, engine
-     internals — so sampling records values without perturbing any
-     simulated quantity. (The sampler daemon itself does add engine
-     events, which is why the plane is opt-in; see Config.) *)
-  let telemetry =
-    match cfg.Config.telemetry_interval with
-    | None -> None
-    | Some interval ->
-        let reg = Metrics.Registry.create ~interval () in
-        let health =
-          Metrics.Health.create
-            ~config:
-              {
-                Metrics.Health.default_config with
-                slo_target = cfg.Config.slo_target;
-                slo_objective = cfg.Config.slo_objective;
-              }
-            ~interval ()
-        in
-        let tel =
-          {
-            t_registry = reg;
-            t_health = health;
-            t_resp_n = 0.;
-            t_resp_sum = 0.;
-            t_stop = false;
-          }
-        in
-        (* [Counter.get] reads without creating entries, so probing a
-           counter that never fires leaves the counter set untouched. *)
-        let sum key () =
-          float_of_int
-            (Array.fold_left
-               (fun acc (nd : t) -> acc + Metrics.Counter.get nd.counters key)
-               0 nodes)
-        in
-        let module R = Metrics.Registry in
-        R.histogram reg "hit.ratio" (fun () ->
-            (sum K.requests (), sum K.hit_local () +. sum K.hit_remote ()));
-        R.histogram reg "response" (fun () -> (tel.t_resp_n, tel.t_resp_sum));
-        R.counter reg "info.rate" (sum K.info_msgs);
-        R.counter reg "batch.rate" (sum K.batches_sent);
-        R.counter reg "refresh.rate" (sum K.refreshes);
-        R.counter reg "stale.rate" (sum K.stale_served);
-        (match packed with
-        | Packed ((module P), p) ->
-            R.gauge reg "dir.entries" (fun () ->
-                let total = ref 0 in
-                for i = 0 to cfg.Config.n_nodes - 1 do
-                  total := !total + P.entries p i
-                done;
-                float_of_int !total);
-            R.gauge reg "listen.depth" (fun () ->
-                float_of_int
-                  (Array.fold_left
-                     (fun acc (nd : t) -> acc + Sim.Mailbox.length nd.listen)
-                     0 nodes));
-            R.gauge reg "proto.backlog" (fun () ->
-                let total = ref 0 in
-                for i = 0 to cfg.Config.n_nodes - 1 do
-                  total :=
-                    !total
-                    + Sim.Mailbox.length nodes.(i).data_mb
-                    + P.backlog p i
-                done;
-                float_of_int !total));
-        R.histogram reg "fwd.wait" (fun () ->
-            ( float_of_int (Metrics.Histogram.count fwd_wait),
-              Metrics.Histogram.total fwd_wait ));
-        R.histogram reg "staleness" (fun () ->
-            ( float_of_int (Metrics.Histogram.count staleness),
-              Metrics.Histogram.total staleness ));
-        (* Engine self-telemetry: raw heap occupancy vs capacity, the
-           lazy-cancellation census whose growth drives compaction, the
-           event execution rate, and the allocation rate of the host
-           program itself. *)
-        R.gauge reg "engine.heap" (fun () ->
-            float_of_int (Sim.Engine.heap_depth engine));
-        R.gauge reg "engine.heap_cap" (fun () ->
-            float_of_int (Sim.Engine.heap_capacity engine));
-        R.gauge reg "engine.cancelled" (fun () ->
-            float_of_int (Sim.Engine.cancelled_events engine));
-        R.counter reg "engine.events.rate" (fun () ->
-            float_of_int (Sim.Engine.events_processed engine));
-        R.counter reg "gc.minor_words.rate" (fun () -> Gc.minor_words ());
-        Array.iter
-          (fun (nd : t) ->
-            let pfx = Printf.sprintf "n%d." nd.id in
-            (* busy CPU-seconds are cumulative, so the per-second rate of
-               this counter is the node's utilisation over the window *)
-            R.counter reg (pfx ^ "util") (fun () -> Sim.Cpu.busy_time nd.cpu);
-            R.gauge reg (pfx ^ "active") (fun () -> float_of_int nd.active);
-            R.counter reg
-              (pfx ^ "hits.rate")
-              (fun () ->
-                float_of_int
-                  (Metrics.Counter.get nd.counters K.hit_local
-                  + Metrics.Counter.get nd.counters K.hit_remote)))
-          nodes;
-        Some tel
-  in
   {
     ctx;
     registry;
@@ -352,7 +235,6 @@ let create_cluster ?client_extra_latency engine cfg ~registry
     hit_latency;
     fwd_wait;
     staleness;
-    telemetry;
     packed;
     plane;
   }
@@ -772,10 +654,10 @@ let restart (nd : t) =
     incr nd K.restarts
   end
 
+(* Runs while its node is down, and once more after [stop]. *)
 let purge_daemon c (nd : t) =
-  let rec loop () =
-    if not nd.stop then begin
-      Sim.Engine.delay c.ctx.cfg.Config.purge_interval;
+  let period = c.ctx.cfg.Config.purge_interval in
+  Node.every ~stopped:(fun () -> nd.stop) ~period (fun () ->
       (* Trim the freshness tracker's cold keys on the same cadence; pure
          host-side bookkeeping, so it perturbs nothing. *)
       Option.iter
@@ -787,11 +669,7 @@ let purge_daemon c (nd : t) =
           incr nd K.purged;
           match c.packed with
           | Packed ((module P), p) -> P.delete p nd m.Cache.Meta.key)
-        expired;
-      loop ()
-    end
-  in
-  loop ()
+        expired)
 
 (* ------------------------------------------------------------------ *)
 (* Proactive refresh (the freshness plane's daemon).
@@ -869,9 +747,7 @@ let refresh_entry c (nd : t) key =
 
 let refresh_daemon c (nd : t) ~budget ~interval =
   let credit = ref 0. in
-  let rec loop () =
-    if not nd.stop then begin
-      Sim.Engine.delay interval;
+  Node.every ~stopped:(fun () -> nd.stop) ~period:interval (fun () ->
       if nd.up && not nd.stop then begin
         (* Token bucket: earn one interval's worth per tick, carry at most
            one more interval's worth, so an idle period cannot bank an
@@ -914,57 +790,9 @@ let refresh_daemon c (nd : t) ~budget ~interval =
                   cand.Cache.Store.c_entry.Cache.Store.meta.Cache.Meta.key
               then credit := !credit -. 1.)
           worthwhile
-      end;
-      loop ()
-    end
-  in
-  loop ()
-
-(* Cumulative cluster signals for the health monitor, read at each
-   telemetry tick. All are O(nodes) counter/length reads. *)
-let health_signals c =
-  let hits = ref 0 and lookups = ref 0 and depth = ref 0 in
-  Array.iter
-    (fun (nd : t) ->
-      hits :=
-        !hits
-        + Metrics.Counter.get nd.counters K.hit_local
-        + Metrics.Counter.get nd.counters K.hit_remote;
-      lookups := !lookups + Metrics.Counter.get nd.counters K.requests;
-      depth := !depth + Sim.Mailbox.length nd.listen)
-    c.ctx.nodes;
-  {
-    Metrics.Health.hits = float_of_int !hits;
-    lookups = float_of_int !lookups;
-    queue_depth = float_of_int !depth /. float_of_int (Array.length c.ctx.nodes);
-    stale_count = float_of_int (Metrics.Histogram.count c.staleness);
-    stale_total = Metrics.Histogram.total c.staleness;
-  }
-
-(* The flight recorder's sampler: one cluster-level daemon reading every
-   probe and closing a health window each telemetry interval. Same
-   shutdown discipline as the per-node daemons ([stop] raises the flag,
-   the loop exits at its next wake-up, the queue drains). *)
-let telemetry_daemon c tel ~interval =
-  let rec loop () =
-    if not tel.t_stop then begin
-      Sim.Engine.delay interval;
-      if not tel.t_stop then begin
-        let now = Sim.Engine.now () in
-        Metrics.Registry.sample tel.t_registry ~time:now;
-        Metrics.Health.tick tel.t_health ~now (health_signals c)
-      end;
-      loop ()
-    end
-  in
-  loop ()
+      end)
 
 let start c =
-  (match c.telemetry with
-  | None -> ()
-  | Some tel ->
-      let interval = Metrics.Registry.interval tel.t_registry in
-      Sim.Engine.spawn c.ctx.engine (fun () -> telemetry_daemon c tel ~interval));
   let cfg = c.ctx.cfg in
   match c.packed with
   | Packed ((module P), p) -> (
@@ -1027,7 +855,6 @@ let start c =
 
 let stop c =
   Array.iter (fun (nd : t) -> nd.stop <- true) c.ctx.nodes;
-  (match c.telemetry with None -> () | Some tel -> tel.t_stop <- true);
   (* Cancel pending crash/restart events: without this a fault plan whose
      horizon outlives the workload would keep the engine ticking long after
      the last client finished. *)
@@ -1107,6 +934,7 @@ let invalidate_script c ~script =
 
 let node_active (nd : t) = nd.active
 let node_up (nd : t) = nd.up
+let node_listen_depth (nd : t) = Sim.Mailbox.length nd.listen
 let fault c = c.fault
 let staleness_histogram c = c.staleness
 
@@ -1116,28 +944,13 @@ let record_plane_stats c =
 let dir_entries c i =
   match c.packed with Packed ((module P), p) -> P.entries p i
 
+let backlog c i =
+  match c.packed with
+  | Packed ((module P), p) ->
+      Sim.Mailbox.length c.ctx.nodes.(i).data_mb + P.backlog p i
+
 let dir_lock_acquisitions c i =
   match c.packed with Packed ((module P), p) -> P.lock_acquisitions p i
 
 let hit_latency c = c.hit_latency
 let forward_wait_histogram c = c.fwd_wait
-
-(* ------------------------------------------------------------------ *)
-(* Flight recorder accessors *)
-
-let telemetry_registry c =
-  Option.map (fun tel -> tel.t_registry) c.telemetry
-
-let health c = Option.map (fun tel -> tel.t_health) c.telemetry
-
-(* Fed by the cluster runner at each request completion. Pure host-side
-   accumulation (plus the health monitor's window counters), so the
-   request path is untouched when telemetry is off and unperturbed when
-   it is on. *)
-let observe_response c dt =
-  match c.telemetry with
-  | None -> ()
-  | Some tel ->
-      tel.t_resp_n <- tel.t_resp_n +. 1.;
-      tel.t_resp_sum <- tel.t_resp_sum +. dt;
-      Metrics.Health.observe_response tel.t_health dt

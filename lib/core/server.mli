@@ -92,6 +92,10 @@ val node_active : t -> int
     the network drops its traffic. Always [true] without a fault plan. *)
 val node_up : t -> bool
 
+(** [node_listen_depth nd] is the number of requests waiting in the
+    node's listen mailbox for a free request thread. *)
+val node_listen_depth : t -> int
+
 val net : cluster -> Sim.Net.t
 
 (** [fault cluster] is the instantiated fault plan, when the configuration
@@ -123,6 +127,11 @@ val plane : cluster -> plane
     its whole replica (replicated), its shard partition plus lookup cache
     (sharded), or [0] (no directory). *)
 val dir_entries : cluster -> int -> int
+
+(** [backlog cluster i] is the number of protocol messages waiting at
+    node [i]: fetches queued for its data server plus the plane's own
+    mailboxes (info inbox, sync or lookup requests). *)
+val backlog : cluster -> int -> int
 
 (** [dir_lock_acquisitions cluster i] is node [i]'s cumulative (read,
     write) directory lock acquisitions; [(0, 0)] without a directory. *)
@@ -176,23 +185,3 @@ val forward_wait_histogram : cluster -> Metrics.Histogram.t
     kinds. Collected host-side in every mode — the freshness ablation's
     staleness metric. *)
 val staleness_histogram : cluster -> Metrics.Histogram.t
-
-(** {1 Flight recorder}
-
-    When [Config.telemetry_interval] is set, the cluster carries a
-    {!Metrics.Registry} of probes (cluster signals, per-node utilisation,
-    engine self-telemetry) plus a {!Metrics.Health} monitor, both driven
-    by one sampler daemon on the telemetry cadence. Probes are pure reads
-    of state the cluster already maintains, so sampling perturbs no
-    simulated quantity — but the daemon does add engine events, which is
-    why the plane is opt-in. [None] with telemetry off; the run is then
-    byte-identical to one built without this plane. *)
-
-val telemetry_registry : cluster -> Metrics.Registry.t option
-val health : cluster -> Metrics.Health.t option
-
-(** [observe_response cluster dt] feeds one completed request's response
-    time into the flight recorder (the [response] probe's accumulator and
-    the health monitor's SLO window). No-op when telemetry is off; the
-    cluster runner calls this at each request completion. *)
-val observe_response : cluster -> float -> unit

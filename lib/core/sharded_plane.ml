@@ -438,10 +438,7 @@ let handoff p ?died () =
    thread per request, like the data server; a crashed home never
    replies, so the requester times out and executes locally. *)
 let lookup_server p (nd : Node.t) =
-  let rec loop () =
-    let req = Sim.Mailbox.recv p.nodes.(nd.id).lookup_mb in
-    if not nd.up then loop ()  (* in flight across the crash instant: lost *)
-    else begin
+  Node.serve nd p.nodes.(nd.id).lookup_mb (fun req ->
       Sim.Engine.spawn_child (fun () ->
           with_span p.x nd "dir.serve" ~parent:req.lspan ~async:true
           @@ fun () ->
@@ -460,29 +457,19 @@ let lookup_server p (nd : Node.t) =
           Metrics.Counter.add nd.counters Node.K.dir_lookup_bytes
             (lookup_reply_bytes reply);
           Sim.Net.send p.x.net ~src:nd.id ~dst:req.lrequester
-            ~bytes:(lookup_reply_bytes reply) req.lreply reply);
-      loop ()
-    end
-  in
-  loop ()
+            ~bytes:(lookup_reply_bytes reply) req.lreply reply))
 
 (* Demote cooled hotspot keys once per window. Only shard homes promote,
    so only they originate demotions; Hotspot.sweep returns the cooled
    keys sorted, keeping the message order deterministic. *)
 let hotspot_sweeper p (nd : Node.t) h ~period =
-  let rec loop () =
-    if not nd.stop then begin
-      Sim.Engine.delay period;
+  Node.every ~stopped:(fun () -> nd.stop) ~period (fun () ->
       if nd.up && not nd.stop then
         List.iter
           (fun key ->
             incr nd Node.K.hotspot_demotions;
             with_span p.x nd "hotspot.demote" (fun () -> push_demote p nd key))
-          (Cache.Hotspot.sweep h ~now:(now ()));
-      loop ()
-    end
-  in
-  loop ()
+          (Cache.Hotspot.sweep h ~now:(now ())))
 
 let start p (nd : Node.t) =
   let x = p.x in

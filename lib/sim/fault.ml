@@ -29,7 +29,6 @@ let churn ?(rate = 0.1) ?(downtime = 2.0) ?(poisson = true) ?(start = 0.) () =
 
 type profile = {
   link : link_profile;
-  link_overrides : ((int * int) * link_profile) list;
   node : node_profile option;
   node_schedules : (int * schedule) list;
   partitions : partition list;
@@ -40,7 +39,6 @@ type profile = {
 let none =
   {
     link = reliable;
-    link_overrides = [];
     node = None;
     node_schedules = [];
     partitions = [];
@@ -48,16 +46,13 @@ let none =
     horizon = 3600.;
   }
 
-let make ?(drop = 0.) ?(delay = 0.) ?(delay_mean = 0.) ?(link_overrides = [])
-    ?node ?(node_schedules = []) ?(partitions = []) ?churn ?(horizon = 3600.)
-    () =
-  { link = { drop; delay; delay_mean }; link_overrides; node; node_schedules;
-    partitions; churn; horizon }
+let make ?(drop = 0.) ?(delay = 0.) ?(delay_mean = 0.) ?node
+    ?(node_schedules = []) ?(partitions = []) ?churn ?(horizon = 3600.) () =
+  { link = { drop; delay; delay_mean }; node; node_schedules; partitions;
+    churn; horizon }
 
 let is_lossy p =
-  let lossy_link (l : link_profile) = l.drop > 0. in
-  lossy_link p.link
-  || List.exists (fun (_, l) -> lossy_link l) p.link_overrides
+  p.link.drop > 0.
   || p.node <> None
   || List.exists (fun (_, s) -> s <> []) p.node_schedules
   || p.partitions <> []
@@ -65,16 +60,13 @@ let is_lossy p =
 
 let validate p =
   let check cond msg = if not cond then invalid_arg ("Fault: " ^ msg) in
-  let check_link (l : link_profile) =
-    check (l.drop >= 0. && l.drop <= 1.) "link drop must be in [0,1]";
-    check (l.delay >= 0. && l.delay <= 1.) "link delay must be in [0,1]";
-    check (l.delay_mean >= 0.) "link delay_mean must be >= 0";
-    check
-      (l.delay = 0. || l.delay_mean > 0.)
-      "positive delay probability needs a positive delay_mean"
-  in
-  check_link p.link;
-  List.iter (fun (_, l) -> check_link l) p.link_overrides;
+  let l = p.link in
+  check (l.drop >= 0. && l.drop <= 1.) "link drop must be in [0,1]";
+  check (l.delay >= 0. && l.delay <= 1.) "link delay must be in [0,1]";
+  check (l.delay_mean >= 0.) "link delay_mean must be >= 0";
+  check
+    (l.delay = 0. || l.delay_mean > 0.)
+    "positive delay probability needs a positive delay_mean";
   (match p.node with
   | Some n ->
       check (n.mtbf > 0.) "node mtbf must be positive";
@@ -118,13 +110,26 @@ let validate p =
       check (c.churn_downtime > 0.) "churn downtime must be positive";
       check (c.churn_start >= 0.) "churn start must be >= 0"
   | None -> ());
-  check (p.horizon > 0.) "horizon must be positive"
+  check (p.horizon > 0.) "horizon must be positive";
+  (* The schedule generators step a clock up to the horizon; a step that
+     vanishes next to it would never get there. *)
+  check (Float.is_finite p.horizon) "horizon must be finite";
+  let advances step = p.horizon +. step > p.horizon in
+  (match p.node with
+  | Some n ->
+      check (advances (n.mtbf +. n.mttr))
+        "node mtbf + mttr must advance the clock at the horizon"
+  | None -> ());
+  match p.churn with
+  | Some c ->
+      check (advances (1. /. c.churn_rate))
+        "churn interval 1/rate must advance the clock at the horizon"
+  | None -> ()
 
 type action = Deliver | Drop | Delay of float
 
 type t = {
   link : link_profile;
-  overrides : (int * int, link_profile) Hashtbl.t;
   schedules : schedule array;  (* index = node id, [||] entries = never down *)
   parts : partition array;  (* in profile order *)
   (* group_of.(p) maps a node id to its group index in partition p;
@@ -220,10 +225,6 @@ let create p ~rng ~nodes =
           if extra <> [] then
             schedules.(node) <- merge_schedule schedules.(node) extra)
         churn_scheds);
-  let overrides = Hashtbl.create 16 in
-  List.iter
-    (fun (linkpair, lp) -> Hashtbl.replace overrides linkpair lp)
-    p.link_overrides;
   let parts = Array.of_list p.partitions in
   let group_of =
     Array.map
@@ -242,7 +243,6 @@ let create p ~rng ~nodes =
   in
   {
     link = p.link;
-    overrides;
     schedules;
     parts;
     group_of;
@@ -282,11 +282,6 @@ let partitioned t ~src ~dst ~now =
 
 let partitions t = Array.to_list t.parts
 
-let link_for t ~src ~dst =
-  match Hashtbl.find_opt t.overrides (src, dst) with
-  | Some lp -> lp
-  | None -> t.link
-
 let action t ~src ~dst ~now =
   if node_down t ~node:src ~now || node_down t ~node:dst ~now then begin
     t.n_drops <- t.n_drops + 1;
@@ -299,7 +294,7 @@ let action t ~src ~dst ~now =
     Drop
   end
   else
-    let lp = link_for t ~src ~dst in
+    let lp = t.link in
     if lp.drop = 0. && lp.delay = 0. then Deliver
     else if lp.drop > 0. && Rng.float t.rng < lp.drop then begin
       t.n_drops <- t.n_drops + 1;

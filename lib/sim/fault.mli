@@ -84,8 +84,7 @@ val churn :
   churn
 
 (** What an experiment asks for. [link] applies to every ordered pair of
-    distinct endpoints unless overridden in [link_overrides] (keyed by
-    [(src, dst)]). [node], when set, gives every node a stochastic crash
+    distinct endpoints. [node], when set, gives every node a stochastic crash
     schedule generated over [\[0, horizon)]; [node_schedules] pins explicit
     schedules for individual nodes instead (useful for deterministic
     tests), taking precedence over [node]. [partitions] lists the
@@ -95,7 +94,6 @@ val churn :
     top of whatever the other crash sources produce. *)
 type profile = {
   link : link_profile;
-  link_overrides : ((int * int) * link_profile) list;
   node : node_profile option;
   node_schedules : (int * schedule) list;
   partitions : partition list;
@@ -106,14 +104,13 @@ type profile = {
 (** [none] is the empty profile: reliable links, no crashes. *)
 val none : profile
 
-(** [make ?drop ?delay ?delay_mean ?link_overrides ?node ?node_schedules
-    ?horizon ()] builds a profile; defaults are the fields of {!none}
+(** [make ?drop ?delay ?delay_mean ?node ?node_schedules ?partitions
+    ?churn ?horizon ()] builds a profile; defaults are the fields of {!none}
     ([horizon] defaults to [3600.]). *)
 val make :
   ?drop:float ->
   ?delay:float ->
   ?delay_mean:float ->
-  ?link_overrides:((int * int) * link_profile) list ->
   ?node:node_profile ->
   ?node_schedules:(int * schedule) list ->
   ?partitions:partition list ->
@@ -129,9 +126,11 @@ val make :
 val is_lossy : profile -> bool
 
 (** [validate p] raises [Invalid_argument] unless every probability is in
-    [\[0,1\]], every mean and the horizon are positive where required, and
+    [\[0,1\]], every mean and the horizon are positive where required,
     every explicit schedule is well-formed (ordered, non-overlapping,
-    strictly positive times). *)
+    strictly positive times), the horizon is finite, and the mean step of
+    each generated schedule ([mtbf + mttr], or [1 / churn_rate]) still
+    advances a clock that has reached the horizon. *)
 val validate : profile -> unit
 
 (** {1 Plans} *)

@@ -134,7 +134,7 @@ module Timed = struct
     let n = t.size in
     let j = ref 0 in
     for i = 0 to n - 1 do
-      if keep t.data.(i) then begin
+      if keep ~seq:t.seqs.(i) t.data.(i) then begin
         if !j < i then begin
           t.times.(!j) <- t.times.(i);
           t.seqs.(!j) <- t.seqs.(i);

@@ -41,10 +41,11 @@ module Timed : sig
       its slot with [dummy]. @raise Invalid_argument on an empty heap. *)
   val pop_min : 'a t -> 'a
 
-  (** [compact h ~keep] drops every element [keep] rejects (O(n));
-      surviving elements keep their keys and relative pop order. Freed
-      slots are overwritten with [dummy]. *)
-  val compact : 'a t -> keep:('a -> bool) -> unit
+  (** [compact h ~keep] drops every element [x] pushed with sequence
+      number [seq] for which [keep ~seq x] is false (O(n)); surviving
+      elements keep their keys and relative pop order. Freed slots are
+      overwritten with [dummy]. *)
+  val compact : 'a t -> keep:(seq:int -> 'a -> bool) -> unit
 
   (** [clear h] removes every element and releases the backing arrays. *)
   val clear : 'a t -> unit

@@ -22,9 +22,7 @@ let flash_crowd ~at ~duration ?decay ?(fraction = 0.8) ?(keys = 8)
     fc_out_bytes = out_bytes;
   }
 
-type diurnal =
-  | Sinusoid of { period : float; trough : float }
-  | Piecewise of (float * float) list
+type diurnal = Sinusoid of { period : float; trough : float }
 
 type tier = { tier_name : string; rtt : float; weight : float }
 
@@ -65,23 +63,7 @@ let validate t =
   | None -> ()
   | Some (Sinusoid { period; trough }) ->
       check (period > 0.) "diurnal period must be positive";
-      check (trough >= 0. && trough <= 1.) "diurnal trough must be in [0,1]"
-  | Some (Piecewise pts) ->
-      check (List.length pts >= 2) "piecewise envelope needs >= 2 breakpoints";
-      let times = List.map fst pts and rates = List.map snd pts in
-      check (List.hd times = 0.) "piecewise envelope must start at t = 0";
-      check
-        (List.nth times (List.length times - 1) = t.duration)
-        "piecewise envelope must end at the scenario duration";
-      let rec increasing = function
-        | a :: (b :: _ as rest) -> a < b && increasing rest
-        | _ -> true
-      in
-      check (increasing times) "piecewise times must be strictly increasing";
-      check (List.for_all (fun r -> r >= 0.) rates)
-        "piecewise rates must be >= 0";
-      check (List.exists (fun r -> r > 0.) rates)
-        "piecewise envelope needs a positive rate somewhere");
+      check (trough >= 0. && trough <= 1.) "diurnal trough must be in [0,1]");
   check
     (Array.for_all (fun tr -> tr.weight > 0.) t.tiers)
     "tier weights must be positive";
@@ -93,7 +75,8 @@ let validate t =
   let names = Array.to_list (Array.map (fun tr -> tr.tier_name) t.tiers) in
   check
     (List.length (List.sort_uniq compare names) = List.length names)
-    "tier names must be distinct"
+    "tier names must be distinct";
+  check (Float.is_finite t.duration) "duration must be finite"
 
 let make ~duration ?flash ?diurnal ?(tiers = []) () =
   let t =
@@ -202,19 +185,8 @@ let envelope_rate t ~now =
   | Some (Sinusoid { period; trough }) ->
       ((1. +. trough) /. 2.)
       -. ((1. -. trough) /. 2. *. cos (2. *. Float.pi *. now /. period))
-  | Some (Piecewise pts) ->
-      let rec interp = function
-        | (t0, r0) :: ((t1, r1) :: _ as rest) ->
-            if now <= t0 then r0
-            else if now <= t1 then
-              r0 +. ((r1 -. r0) *. (now -. t0) /. (t1 -. t0))
-            else interp rest
-        | [ (_, r) ] -> r
-        | [] -> 1.
-      in
-      interp pts
 
-(* Cumulative envelope integral over [0, x], closed-form per shape. *)
+(* Cumulative envelope integral over [0, x], in closed form. *)
 let cumulative t x =
   match t.diurnal with
   | None -> x
@@ -223,18 +195,6 @@ let cumulative t x =
       -. (1. -. trough) /. 2.
          *. (period /. (2. *. Float.pi))
          *. sin (2. *. Float.pi *. x /. period)
-  | Some (Piecewise pts) ->
-      (* Trapezoid sums over the segments below [x]. *)
-      let rec go acc = function
-        | (t0, r0) :: ((t1, r1) :: _ as rest) ->
-            if x <= t0 then acc
-            else if x <= t1 then
-              let r = r0 +. ((r1 -. r0) *. (x -. t0) /. (t1 -. t0)) in
-              acc +. ((r0 +. r) /. 2. *. (x -. t0))
-            else go (acc +. ((r0 +. r1) /. 2. *. (t1 -. t0))) rest
-        | _ -> acc
-      in
-      go 0. pts
 
 let arrival_times t ~n =
   match t.diurnal with

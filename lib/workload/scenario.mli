@@ -12,10 +12,10 @@
       [fc_fraction] of CGI traffic is re-pointed onto a small Zipf-skewed
       head of [fc_keys] crowd queries, then the fraction decays linearly to
       zero over [fc_decay] seconds;
-    - a {b diurnal envelope} — a sinusoidal or piecewise-linear arrival-rate
-      curve over the run, turned into per-request release times by
-      quantile inversion of the cumulative rate (so the envelope integrates
-      to exactly the trace's request count);
+    - a {b diurnal envelope} — a sinusoidal arrival-rate curve over the
+      run, turned into per-request release times by quantile inversion of
+      the cumulative rate (so the envelope integrates to exactly the
+      trace's request count);
     - {b geo tiers} — client classes with distinct round-trip times, mapped
       deterministically onto client streams by weight; the runner wires each
       tier's extra one-way latency into the {!Sim.Net} client links and
@@ -63,10 +63,6 @@ type diurnal =
       (** rate(t) = (1+trough)/2 - (1-trough)/2 · cos(2πt/period): starts
           at the [trough] fraction of peak at t = 0, peaks mid-period.
           [period > 0], [trough] in [\[0,1\]]. *)
-  | Piecewise of (float * float) list
-      (** [(time, rate)] breakpoints, linearly interpolated. Times must be
-          strictly increasing, start at [0.] and end at the scenario
-          duration; rates [>= 0] with at least one positive. *)
 
 (** A client class: [weight] of the streams sit [rtt] seconds (round trip)
     from the cluster — each one-way client hop gains [rtt/2] on top of the
@@ -77,10 +73,11 @@ val tier : name:string -> rtt:float -> weight:float -> tier
 
 type t
 
-(** [make ~duration ()] builds a scenario over the virtual-time horizon
-    [\[0, duration)] with the given overlays (all optional; an overlay left
-    out is simply absent — [make ~duration ()] alone is a valid, inert
-    scenario). Raises [Invalid_argument] on a malformed overlay. *)
+(** [make ~duration ()] builds a scenario over the finite virtual-time
+    horizon [\[0, duration)] with the given overlays (all optional; an
+    overlay left out is simply absent — [make ~duration ()] alone is a
+    valid, inert scenario). Raises [Invalid_argument] on a malformed
+    overlay or a non-finite duration. *)
 val make :
   duration:float ->
   ?flash:flash_crowd ->

@@ -237,7 +237,7 @@ let compact_threshold = 64
 let maybe_compact t =
   let c = !(t.cancels) in
   if c > compact_threshold && 2 * c > Pqueue.Timed.length t.queue then begin
-    Pqueue.Timed.compact t.queue ~keep:(fun ev -> not ev.cancelled);
+    Pqueue.Timed.compact t.queue ~keep:(fun ~seq:_ ev -> not ev.cancelled);
     t.cancels := 0
   end
 

@@ -13,12 +13,7 @@ let check_int = Alcotest.(check int)
 let check_float = Alcotest.(check (float 1e-9))
 let check_digest_pair = Alcotest.(check (pair int int))
 
-(* QCheck_alcotest ignores QCHECK_COUNT, so the long-iteration CI job's
-   knob is honoured here by hand. *)
-let count =
-  match Option.bind (Sys.getenv_opt "QCHECK_COUNT") int_of_string_opt with
-  | Some n -> n
-  | None -> 500
+let count = Qcheck_count.or_default 500
 
 let expect_invalid what f =
   match f () with

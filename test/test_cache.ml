@@ -327,6 +327,27 @@ let test_store_peek_does_not_refresh_lru () =
   Alcotest.(check (list string)) "peek does not protect a" [ "a" ]
     (List.map (fun m -> m.Cache.Meta.key) evicted)
 
+(* Every hit pushes an eviction-heap item and only eviction pops the
+   stale ones, so a store that never fills must bound its heap itself. *)
+let test_store_heap_bounded_without_eviction () =
+  let store, _ = make_store ~capacity:1_000 () in
+  let keys = Array.init 10 (Printf.sprintf "k%d") in
+  Array.iter (fun k -> ignore (Cache.Store.insert store (meta k) "")) keys;
+  let live_words () =
+    Gc.compact ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let before = live_words () in
+  for i = 1 to 1_000_000 do
+    ignore (Cache.Store.lookup store keys.(i mod 10) : Cache.Store.entry option)
+  done;
+  let grown = live_words () - before in
+  (* Read the store after measuring, so it is still reachable then. *)
+  check_int "entries" 10 (Cache.Store.length store);
+  check_bool
+    (Printf.sprintf "1M hits grew live words by %d, under 10,000" grown)
+    true (grown < 10_000)
+
 let test_store_keys_sorted () =
   let store, _ = make_store () in
   ignore (Cache.Store.insert store (meta "b") "");
@@ -446,10 +467,7 @@ let gen_purge_op =
       (3, return P_purge);
     ]
 
-let count =
-  match Option.bind (Sys.getenv_opt "QCHECK_COUNT") int_of_string_opt with
-  | Some n -> n
-  | None -> 300
+let count = Qcheck_count.or_default 300
 
 let prop_purge_matches_model =
   QCheck.Test.make ~name:"purge returns the expired set" ~count
@@ -703,6 +721,8 @@ let () =
           Alcotest.test_case "peek does not refresh LRU" `Quick
             test_store_peek_does_not_refresh_lru;
           Alcotest.test_case "keys sorted" `Quick test_store_keys_sorted;
+          Alcotest.test_case "heap bounded without eviction" `Quick
+            test_store_heap_bounded_without_eviction;
         ] );
       qsuite "store-props"
         [

@@ -128,10 +128,7 @@ let test_script_defaults () =
 (* ------------------------------------------------------------------ *)
 (* Deferred bodies against the renderer they defer *)
 
-let count =
-  match Option.bind (Sys.getenv_opt "QCHECK_COUNT") int_of_string_opt with
-  | Some n -> n
-  | None -> 200
+let count = Qcheck_count.or_default 200
 
 (* Script names and keys: empty, short, any byte (non-ASCII included),
    long, and one fixed UTF-8 string with URI punctuation. *)

@@ -126,6 +126,14 @@ let validation_cases =
     ( "run --flash-crowd with no keys",
       [ "run"; "--requests"; "20"; "--flash-crowd"; "1:1:0.5:0" ],
       "Scenario: flash fc_keys must be >= 1" );
+    ( "run --churn-rate inf",
+      [ "run"; "--nodes"; "2"; "--requests"; "10"; "--churn-rate"; "inf";
+        "--fetch-timeout"; "1" ],
+      "Fault: churn interval 1/rate must advance the clock at the horizon" );
+    ( "run --scenario-duration inf",
+      [ "run"; "--nodes"; "2"; "--requests"; "10"; "--scenario-duration";
+        "inf"; "--diurnal"; "10:0.5" ],
+      "Scenario: duration must be finite" );
   ]
 
 (* An unknown name for any enumerated flag stops the run before it

@@ -116,10 +116,7 @@ let gen_schedule =
     (list_size (1 -- 6) (list_size (1 -- 4) step))
     (list_size (0 -- 3) (float_bound_inclusive 3.))
 
-let count =
-  match Option.bind (Sys.getenv_opt "QCHECK_COUNT") int_of_string_opt with
-  | Some n -> n
-  | None -> 500
+let count = Qcheck_count.or_default 500
 
 let prop_matches_reference =
   QCheck.Test.make ~name:"flat-array CPU = list-based reference, bit for bit"

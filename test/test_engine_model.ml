@@ -253,10 +253,7 @@ let print_program p =
             (match o with None -> "" | Some o -> " after spawn " ^ print_ops o))
         p.segments)
 
-let count =
-  match Option.bind (Sys.getenv_opt "QCHECK_COUNT") int_of_string_opt with
-  | Some n -> n
-  | None -> 500
+let count = Qcheck_count.or_default 500
 
 let prop_matches_reference =
   QCheck.Test.make ~name:"lane engine = heap-only reference" ~count

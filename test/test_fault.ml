@@ -43,6 +43,35 @@ let test_validate_rejects_bad_profiles () =
       Sim.Fault.validate (Sim.Fault.make ~horizon:0. ()));
   Sim.Fault.validate Sim.Fault.none
 
+(* The schedule generators step a clock up to the horizon, so a horizon
+   or a mean step that keeps the clock from getting there is refused
+   before anything is generated. An input that fails an earlier check
+   keeps that check's message. *)
+let test_validate_rejects_runaway_schedules () =
+  let rejects msg p =
+    Alcotest.check_raises msg (Invalid_argument ("Fault: " ^ msg)) (fun () ->
+        Sim.Fault.validate p)
+  in
+  let node mtbf mttr = { Sim.Fault.mtbf; mttr } in
+  let churn rate = Sim.Fault.churn ~rate () in
+  rejects "horizon must be finite"
+    (Sim.Fault.make ~node:(node 10. 1.) ~horizon:Float.infinity ());
+  rejects "horizon must be finite"
+    (Sim.Fault.make ~churn:(churn 0.3) ~horizon:Float.infinity ());
+  rejects "horizon must be positive"
+    (Sim.Fault.make ~node:(node 10. 1.) ~horizon:Float.nan ());
+  rejects "node mtbf + mttr must advance the clock at the horizon"
+    (Sim.Fault.make ~node:(node 1e-300 1e-300) ());
+  rejects "churn interval 1/rate must advance the clock at the horizon"
+    (Sim.Fault.make ~churn:(churn 1e300) ());
+  rejects "churn interval 1/rate must advance the clock at the horizon"
+    (Sim.Fault.make ~churn:(churn Float.infinity) ());
+  rejects "churn rate must be positive"
+    (Sim.Fault.make ~churn:(churn Float.nan) ());
+  (* A finite, merely large rate x horizon is the caller's request. *)
+  Sim.Fault.validate
+    (Sim.Fault.make ~node:(node 1e-3 1e-3) ~churn:(churn 1e6) ())
+
 (* ------------------------------------------------------------------ *)
 (* The zero profile draws no random numbers *)
 
@@ -142,20 +171,6 @@ let test_schedules_and_down_drops () =
     (Sim.Fault.action plan ~src:0 ~dst:1 ~now:4.5);
   check_int "down drops counted" 2 (Sim.Fault.drops_down plan);
   check_int "all drops were down drops" 2 (Sim.Fault.drops plan)
-
-let test_link_overrides () =
-  let plan =
-    Sim.Fault.create
-      (Sim.Fault.make
-         ~link_overrides:
-           [ ((0, 1), { Sim.Fault.drop = 1.; delay = 0.; delay_mean = 0. }) ]
-         ())
-      ~rng:(Sim.Rng.create 2) ~nodes:2
-  in
-  check_action "override drops 0->1" Sim.Fault.Drop
-    (Sim.Fault.action plan ~src:0 ~dst:1 ~now:0.);
-  check_action "reverse link clean" Sim.Fault.Deliver
-    (Sim.Fault.action plan ~src:1 ~dst:0 ~now:0.)
 
 (* ------------------------------------------------------------------ *)
 (* Cluster level: pay-for-what-you-use and determinism *)
@@ -396,7 +411,8 @@ let () =
             test_stochastic_schedules_well_formed;
           Alcotest.test_case "explicit schedules and down drops" `Quick
             test_schedules_and_down_drops;
-          Alcotest.test_case "link overrides" `Quick test_link_overrides;
+          Alcotest.test_case "validate rejects runaway schedules" `Quick
+            test_validate_rejects_runaway_schedules;
         ] );
       ( "cluster",
         [

@@ -4,16 +4,9 @@
    and Lookup_cache, config validation, fixed-mode neutrality (a run with
    the plane off must reproduce the pre-freshness output exactly), a
    50-seed determinism sweep with the controller and refresh daemon on,
-   and refresh-daemon effectiveness.
+   and refresh-daemon effectiveness. *)
 
-   QCheck_alcotest ignores QCHECK_COUNT, so the long-iteration CI job's
-   knob is honoured here by hand. *)
-
-let count =
-  match Sys.getenv_opt "QCHECK_COUNT" with
-  | Some s -> (
-      match int_of_string_opt s with Some n when n > 0 -> n | _ -> 200)
-  | None -> 200
+let count = Qcheck_count.or_default 200
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)

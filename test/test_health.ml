@@ -4,16 +4,9 @@
    properties over the incident log, and the end-to-end correlation the
    tentpole promises — an injected Sim.Fault crash window produces
    incident records timestamped inside it, while the fault-free control
-   run stays incident-free.
+   run stays incident-free. *)
 
-   QCheck_alcotest ignores QCHECK_COUNT, so the long-iteration CI job's
-   knob is honoured here by hand. *)
-
-let count =
-  match Sys.getenv_opt "QCHECK_COUNT" with
-  | Some s -> (
-      match int_of_string_opt s with Some n when n > 0 -> n | _ -> 200)
-  | None -> 200
+let count = Qcheck_count.or_default 200
 
 module H = Metrics.Health
 

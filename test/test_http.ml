@@ -309,10 +309,7 @@ let prop_response_wire_size =
       in
       Http.Response.wire_size r = String.length (Http.Response.to_wire r))
 
-let count =
-  match Option.bind (Sys.getenv_opt "QCHECK_COUNT") int_of_string_opt with
-  | Some n -> n
-  | None -> 500
+let count = Qcheck_count.or_default 500
 
 (* The same law for a deferred body: a described string, or a CGI result
    of any size (rendered only by [to_wire]). *)

@@ -4,12 +4,7 @@ let check_float = Alcotest.(check (float 1e-9))
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-(* QCheck_alcotest ignores QCHECK_COUNT, so the long-iteration CI job's
-   knob is honoured here by hand. *)
-let count =
-  match Option.bind (Sys.getenv_opt "QCHECK_COUNT") int_of_string_opt with
-  | Some n -> n
-  | None -> 100
+let count = Qcheck_count.or_default 100
 
 (* ------------------------------------------------------------------ *)
 (* Sample *)

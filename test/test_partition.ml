@@ -159,18 +159,17 @@ let test_partitions_compose () =
     (Sim.Fault.action plan ~src:0 ~dst:1 ~now:15.)
 
 (* A message surviving every active partition still runs the link's
-   stochastic gauntlet, and the drop buckets stay disjoint. *)
+   stochastic gauntlet, and the drop buckets stay disjoint: a down
+   endpoint is checked first, then the partitions, then the link. *)
 let test_partition_composes_with_links () =
   let plan =
     Sim.Fault.create
-      (Sim.Fault.make
-         ~link_overrides:
-           [ ((0, 1), { Sim.Fault.drop = 1.; delay = 0.; delay_mean = 0. }) ]
+      (Sim.Fault.make ~drop:1.
          ~node_schedules:[ (3, [ (1., 100.) ]) ]
          ~partitions:[ halves ~cut_at:0. ~heal_at:100. () ] ())
       ~rng:(Sim.Rng.create 5) ~nodes:4
   in
-  check_action "same-group link override still drops" Sim.Fault.Drop
+  check_action "same-group link still drops" Sim.Fault.Drop
     (Sim.Fault.action plan ~src:0 ~dst:1 ~now:0.5);
   check_action "cross-group partition drop" Sim.Fault.Drop
     (Sim.Fault.action plan ~src:0 ~dst:2 ~now:0.5);

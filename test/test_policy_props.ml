@@ -8,16 +8,9 @@
    lazy heap is supposed to implement in O(log n). Replaying random op
    sequences through both and comparing every eviction catches stale-item
    bugs (a heap item surviving a touch or a remove/re-insert of the same
-   key) that example tests miss.
+   key) that example tests miss. *)
 
-   QCheck_alcotest ignores QCHECK_COUNT, so the long-iteration CI job's
-   knob is honoured here by hand. *)
-
-let count =
-  match Sys.getenv_opt "QCHECK_COUNT" with
-  | Some s -> (
-      match int_of_string_opt s with Some n when n > 0 -> n | _ -> 200)
-  | None -> 200
+let count = Qcheck_count.or_default 200
 
 (* ------------------------------------------------------------------ *)
 (* Op sequences over a small key space *)

@@ -7,16 +7,9 @@
    sequence (i.e. push) order — and that [compact] (the lazy-cancellation
    purge) preserves exactly the kept elements and their relative order.
    Deterministic cases cover the empty heap and Engine-level
-   cancel/compaction accounting.
+   cancel/compaction accounting. *)
 
-   QCheck_alcotest ignores QCHECK_COUNT, so the long-iteration CI job's
-   knob is honoured here by hand. *)
-
-let count =
-  match Sys.getenv_opt "QCHECK_COUNT" with
-  | Some s -> (
-      match int_of_string_opt s with Some n when n > 0 -> n | _ -> 200)
-  | None -> 200
+let count = Qcheck_count.or_default 200
 
 (* ------------------------------------------------------------------ *)
 (* Timed heap: the (time, seq) determinism contract *)
@@ -74,11 +67,13 @@ let prop_compact =
     (fun ts ->
       let h = Sim.Pqueue.Timed.create ~dummy:(-1) () in
       List.iteri (fun i t -> Sim.Pqueue.Timed.push h ~time:t ~seq:i i) ts;
-      let keep x = x mod 3 <> 0 in
+      (* Each element is its own seq, so [keep] also checks that the
+         predicate sees the seq the element was pushed with. *)
+      let keep ~seq x = seq = x && x mod 3 <> 0 in
       Sim.Pqueue.Timed.compact h ~keep;
       let expected =
         List.mapi (fun i t -> (t, i)) ts
-        |> List.filter (fun (_, i) -> keep i)
+        |> List.filter (fun (_, i) -> keep ~seq:i i)
         |> List.sort key_cmp |> List.map snd
       in
       let out = ref [] in

@@ -7,13 +7,8 @@ let check_float_eps eps = Alcotest.(check (float eps))
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-(* QCheck_alcotest ignores QCHECK_COUNT, so the long-iteration CI job's
-   knob is honoured here by hand: it replaces every property's count,
-   which otherwise stays at the default the property names. *)
-let count default =
-  match Option.bind (Sys.getenv_opt "QCHECK_COUNT") int_of_string_opt with
-  | Some n -> n
-  | None -> default
+(* Each property names its own default count. *)
+let count = Qcheck_count.or_default
 
 (* ------------------------------------------------------------------ *)
 (* Pqueue: each int is pushed keyed by its own value, in push order *)

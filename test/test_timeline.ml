@@ -2,16 +2,9 @@
    (the bucket-merge conservation law, as QCheck properties), the probe
    Registry (probe kinds, width alignment, JSON/CSV export) and the
    metrics-JSON schema golden test that gives bin/metrics_diff a stable
-   key set to diff against.
+   key set to diff against. *)
 
-   QCheck_alcotest ignores QCHECK_COUNT, so the long-iteration CI job's
-   knob is honoured here by hand. *)
-
-let count =
-  match Sys.getenv_opt "QCHECK_COUNT" with
-  | Some s -> (
-      match int_of_string_opt s with Some n when n > 0 -> n | _ -> 200)
-  | None -> 200
+let count = Qcheck_count.or_default 200
 
 module TL = Metrics.Timeline
 module R = Metrics.Registry

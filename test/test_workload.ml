@@ -478,10 +478,7 @@ let prop_upper_bound_bounds_repeats =
 (* ------------------------------------------------------------------ *)
 (* Ingest: requests built from parts against the print/parse round trip *)
 
-let count =
-  match Option.bind (Sys.getenv_opt "QCHECK_COUNT") int_of_string_opt with
-  | Some n -> n
-  | None -> 300
+let count = Qcheck_count.or_default 300
 
 (* Every character the URI codec treats specially, spaces, non-ASCII
    bytes, and empty strings. *)
