@@ -788,6 +788,22 @@ let run_cmd_impl (cfg : Swala.Config.t) seed streams requests workload router
       prerr_endline msg;
       exit 2
   in
+  (* The fault-shaping flags are checked even when no fault source uses
+     them, in the order and words of Sim.Fault.validate, so a bad value
+     fails the same way with or without a source. *)
+  List.iter
+    (fun (ok, msg) ->
+      if not ok then begin
+        prerr_endline ("Fault: " ^ msg);
+        exit 2
+      end)
+    [
+      (delay_mean >= 0., "link delay_mean must be >= 0");
+      (crash_mttr > 0., "node mttr must be positive");
+      (churn_downtime > 0., "churn downtime must be positive");
+      (fault_horizon > 0., "horizon must be positive");
+      (Float.is_finite fault_horizon, "horizon must be finite");
+    ];
   let fault =
     if
       drop_rate = 0. && delay_rate = 0. && crash_mtbf = None

@@ -965,28 +965,68 @@ let batching_target =
     (fun ~jobs:_ -> ablation_batching ())
 
 (* ------------------------------------------------------------------ *)
+(* Shared by A11-A13 *)
+
+(* The hot-headed read-mostly coop mix: a quarter of the requests are
+   unique inserts (metadata writes), the rest re-reference a 24-key Zipf
+   head (metadata reads). [demand] is each CGI's run time. *)
+let hot_headed_coop ~seed ~n_requests ~demand =
+  Workload.Synthetic.coop ~seed ~n:n_requests
+    ~n_unique:(Stdlib.max 1 (n_requests / 4))
+    ~n_hot:24 ~zipf_s:1.1 ~demand ()
+
+(* The A12 flash crowd, which A13 replays: 80 % of CGI traffic onto an
+   8-key Zipf head for the middle of a 12 s scenario, decaying over 3 s. *)
+let flash_crowd_scenario () =
+  Workload.Scenario.make ~duration:12.
+    ~flash:
+      (Workload.Scenario.flash_crowd ~at:3. ~duration:3. ~decay:3.
+         ~fraction:0.8 ~keys:8 ~zipf_s:1.0 ~demand:0.02 ())
+    ()
+
+(* [cfg] on the sharded plane with hotspot replication: a key forwarded
+   to its home more than once a second, over a 2 s window, has its entry
+   pushed to 3 ring successors. *)
+let sharded_hotspot cfg =
+  {
+    cfg with
+    Config.dir_mode = Config.Sharded;
+    hotspot_threshold = 1.0;
+    hotspot_window = 2.0;
+    hotspot_replicas = 3;
+  }
+
+(* ------------------------------------------------------------------ *)
 (* A11 — metadata plane: replicated vs batched vs sharded (+hotspot) *)
 
 let ablation_dirmode ?jobs ?(seed = default_seed)
     ?(node_counts = [ 8; 64; 256; 512 ]) ?(n_requests = 3000) () =
-  (* A hot-headed read-mostly mix: a quarter of the requests are unique
-     inserts (metadata writes), the rest re-reference a 24-key Zipf head
-     (metadata reads). Replicated pays O(n) messages per insert and keeps
-     the full key population in every replica; sharded pays O(1) per
-     insert plus a forwarded round trip per uncached remote lookup, and
-     each node holds only its ring partition plus the bounded lookup
+  (* On the hot-headed mix, replicated pays O(n) messages per insert and
+     keeps the full key population in every replica; sharded pays O(1)
+     per insert plus a forwarded round trip per uncached remote lookup,
+     and each node holds only its ring partition plus the bounded lookup
      cache. The hotspot variant promotes head keys to 3 ring successors.
      Thresholds: with a positive-lookup TTL of 5 s, a shard home sees
      each node at most every 5 s per hot key, so a promotion threshold of
      1/s needs ~5 live nodes re-referencing the key — hot keys promote at
      every swept cluster size, cold keys never do. *)
-  let trace =
-    Workload.Synthetic.coop ~seed ~n:n_requests
-      ~n_unique:(Stdlib.max 1 (n_requests / 4))
-      ~n_hot:24 ~zipf_s:1.1 ~demand:0.005 ()
+  let trace = hot_headed_coop ~seed ~n_requests ~demand:0.005 in
+  let replicated =
+    Config.make ~cache_mode:Config.Cooperative ~cache_threshold:0.001 ~seed ()
   in
+  let sharded = { replicated with Config.dir_mode = Config.Sharded } in
   let variants =
-    [ "replicated"; "batched"; "sharded"; "sharded+hotspot" ]
+    [
+      ("replicated", replicated);
+      ( "batched",
+        {
+          replicated with
+          Config.batch_max = 8;
+          batch_flush_interval = Some 0.005;
+        } );
+      ("sharded", sharded);
+      ("sharded+hotspot", sharded_hotspot sharded);
+    ]
   in
   (* Each (nodes, variant) point is an independent deterministic run, so
      the grid sweeps on a domain pool; [Sweep.map_list] keeps point
@@ -997,32 +1037,12 @@ let ablation_dirmode ?jobs ?(seed = default_seed)
       node_counts
   in
   Sim.Sweep.map_list ?jobs
-    (fun ((nodes, variant) as point) ->
-          let cfg =
-            match variant with
-            | "replicated" ->
-                Config.make ~n_nodes:nodes ~cache_mode:Config.Cooperative
-                  ~cache_threshold:0.001 ~seed ()
-            | "batched" ->
-                Config.make ~n_nodes:nodes ~cache_mode:Config.Cooperative
-                  ~cache_threshold:0.001 ~batch_max:8
-                  ~batch_flush_interval:(Some 0.005) ~seed ()
-            | "sharded" ->
-                Config.make ~n_nodes:nodes ~cache_mode:Config.Cooperative
-                  ~cache_threshold:0.001 ~dir_mode:Config.Sharded ~seed ()
-            | "sharded+hotspot" ->
-                Config.make ~n_nodes:nodes ~cache_mode:Config.Cooperative
-                  ~cache_threshold:0.001 ~dir_mode:Config.Sharded
-                  ~hotspot_threshold:1.0 ~hotspot_window:2.0
-                  ~hotspot_replicas:3 ~seed ()
-            | _ -> assert false
-          in
-          (* Streams scale with the cluster up to a cap, but never below
-             one per node, so every node serves clients at every size. *)
-          let n_streams =
-            Stdlib.max nodes (Stdlib.min (4 * nodes) 256)
-          in
-          (point, Cluster_runner.run cfg ~trace ~n_streams ()))
+    (fun (nodes, (label, cfg)) ->
+      let cfg = { cfg with Config.n_nodes = nodes } in
+      (* Streams scale with the cluster up to a cap, but never below one
+         per node, so every node serves clients at every size. *)
+      let n_streams = Stdlib.max nodes (Stdlib.min (4 * nodes) 256) in
+      ((nodes, label), Cluster_runner.run cfg ~trace ~n_streams ()))
     points
 
 (* Metadata wire bytes: directory-update unicasts plus forwarded-lookup
@@ -1103,39 +1123,24 @@ let ablation_scenario ?jobs ?(seed = default_seed) ?(n_nodes = 8)
      sharded+hotspot unicasts to homes, promotes the crowd head, and
      re-announces across each handoff. Per-phase latency rows come from
      bucketing completions by the scenario's phase schedule. *)
-  let trace =
-    Workload.Synthetic.coop ~seed ~n:n_requests
-      ~n_unique:(Stdlib.max 1 (n_requests / 4))
-      ~n_hot:24 ~zipf_s:1.1 ~demand:0.02 ()
-  in
-  let scenario =
-    Workload.Scenario.make ~duration:12.
-      ~flash:
-        (Workload.Scenario.flash_crowd ~at:3. ~duration:3. ~decay:3.
-           ~fraction:0.8 ~keys:8 ~zipf_s:1.0 ~demand:0.02 ())
-      ()
-  in
+  let trace = hot_headed_coop ~seed ~n_requests ~demand:0.02 in
+  let scenario = flash_crowd_scenario () in
   let churn = Sim.Fault.churn ~rate:0.3 ~downtime:1.5 ~poisson:true () in
   let fault = Sim.Fault.make ~churn ~horizon:120. () in
-  let variants = [ "replicated"; "sharded+hotspot" ] in
+  let replicated =
+    Config.make ~n_nodes ~cache_mode:Config.Cooperative ~cache_threshold:0.001
+      ~scenario:(Some scenario) ~fault:(Some fault) ~fetch_timeout:(Some 0.25)
+      ~fetch_retries:1 ~seed ()
+  in
+  let variants =
+    [
+      ("replicated", replicated);
+      ("sharded+hotspot", sharded_hotspot replicated);
+    ]
+  in
   List.concat
   @@ Sim.Sweep.map_list ?jobs
-    (fun variant ->
-      let cfg =
-        match variant with
-        | "replicated" ->
-            Config.make ~n_nodes ~cache_mode:Config.Cooperative
-              ~cache_threshold:0.001 ~scenario:(Some scenario)
-              ~fault:(Some fault) ~fetch_timeout:(Some 0.25) ~fetch_retries:1
-              ~seed ()
-        | "sharded+hotspot" ->
-            Config.make ~n_nodes ~cache_mode:Config.Cooperative
-              ~cache_threshold:0.001 ~dir_mode:Config.Sharded
-              ~hotspot_threshold:1.0 ~hotspot_window:2.0 ~hotspot_replicas:3
-              ~scenario:(Some scenario) ~fault:(Some fault)
-              ~fetch_timeout:(Some 0.25) ~fetch_retries:1 ~seed ()
-        | _ -> assert false
-      in
+    (fun (variant, cfg) ->
       let phases = Workload.Scenario.phases scenario in
       let phase_samples =
         List.map (fun (name, _, _) -> (name, Metrics.Sample.create ())) phases
@@ -1232,20 +1237,24 @@ let ablation_freshness ?jobs ?(seed = default_seed) ?(n_nodes = 4)
      key from its observed rate and cost, and the [default_ttl = 8]
      anchor on the adaptive rows defines the stale_served counter
      ("hits a fixed-8 cache would have refused"). *)
-  let trace =
-    Workload.Synthetic.coop ~seed ~n:n_requests
-      ~n_unique:(Stdlib.max 1 (n_requests / 4))
-      ~n_hot:24 ~zipf_s:1.1 ~demand:0.02 ()
+  let trace = hot_headed_coop ~seed ~n_requests ~demand:0.02 in
+  let base =
+    Config.make ~n_nodes ~cache_mode:Config.Cooperative ~cache_threshold:0.001
+      ~scenario:(Some (flash_crowd_scenario ())) ~fetch_timeout:(Some 0.25)
+      ~fetch_retries:1 ~seed ()
   in
-  let scenario =
-    Workload.Scenario.make ~duration:12.
-      ~flash:
-        (Workload.Scenario.flash_crowd ~at:3. ~duration:3. ~decay:3.
-           ~fraction:0.8 ~keys:8 ~zipf_s:1.0 ~demand:0.02 ())
-      ()
+  let fixed ttl = { base with Config.default_ttl = Some ttl } in
+  let adaptive =
+    { (fixed 8.) with Config.freshness = Cache.Freshness.Adaptive }
   in
   let variants =
-    [ "fixed-2"; "fixed-8"; "fixed-32"; "adaptive"; "adaptive+refresh" ]
+    [
+      ("fixed-2", fixed 2.);
+      ("fixed-8", fixed 8.);
+      ("fixed-32", fixed 32.);
+      ("adaptive", adaptive);
+      ("adaptive+refresh", { adaptive with Config.refresh_budget = 4. });
+    ]
   in
   let points =
     List.concat_map
@@ -1254,27 +1263,10 @@ let ablation_freshness ?jobs ?(seed = default_seed) ?(n_nodes = 4)
       [ Config.Replicated; Config.Sharded ]
   in
   Sim.Sweep.map_list ?jobs
-    (fun ((dir_mode, variant) as point) ->
-          let make ?default_ttl ?freshness ?refresh_budget () =
-            Config.make ~n_nodes ~cache_mode:Config.Cooperative
-              ~cache_threshold:0.001 ~dir_mode ?default_ttl ?freshness
-              ?refresh_budget ~scenario:(Some scenario)
-              ~fetch_timeout:(Some 0.25) ~fetch_retries:1 ~seed ()
-          in
-          let cfg =
-            match variant with
-            | "fixed-2" -> make ~default_ttl:(Some 2.) ()
-            | "fixed-8" -> make ~default_ttl:(Some 8.) ()
-            | "fixed-32" -> make ~default_ttl:(Some 32.) ()
-            | "adaptive" ->
-                make ~default_ttl:(Some 8.)
-                  ~freshness:Cache.Freshness.Adaptive ()
-            | "adaptive+refresh" ->
-                make ~default_ttl:(Some 8.)
-                  ~freshness:Cache.Freshness.Adaptive ~refresh_budget:4. ()
-            | _ -> assert false
-          in
-          (point, Cluster_runner.run cfg ~trace ~n_streams:(4 * n_nodes) ()))
+    (fun (dir_mode, (label, cfg)) ->
+      let cfg = { cfg with Config.dir_mode } in
+      ( (dir_mode, label),
+        Cluster_runner.run cfg ~trace ~n_streams:(4 * n_nodes) () ))
     points
 
 let freshness_target =

@@ -157,43 +157,31 @@ let insert p (nd : Node.t) (meta : Cache.Meta.t) body =
 (* ------------------------------------------------------------------ *)
 (* Announcements: broadcast, optionally batched *)
 
-let info ?(should_abort = fun () -> false) ?(span = 0) net inboxes ~src ~bytes
-    msg =
-  let sent = ref 0 in
-  (* The fan-out pays one NIC transmission per peer, so simulated time
-     passes between sends — a crash event can land mid-loop. Checking the
-     abort predicate before each send makes the broadcast genuinely
-     partial: peers already messaged keep the update, the rest never see
-     it (as opposed to the network dropping the remaining sends, which
-     would count as drops). *)
-  (try
-     Array.iteri
-       (fun dst inbox ->
-         if should_abort () then raise Exit;
-         if dst <> src then begin
-           Sim.Net.send net ~src ~dst ~bytes inbox
-             { Node.info = msg; ack = None; span };
-           Stdlib.incr sent
-         end)
-       inboxes
-   with Exit -> ());
-  !sent
-
-let info_sync ?(span = 0) net inboxes ~src ~bytes msg =
-  let ack = Sim.Mailbox.create () in
-  let sent = ref 0 in
-  Array.iteri
-    (fun dst inbox ->
-      if dst <> src then begin
-        Sim.Net.send net ~src ~dst ~bytes inbox
-          { Node.info = msg; ack = Some (src, ack); span };
-        Stdlib.incr sent
-      end)
-    inboxes;
-  for _ = 1 to !sent do
-    Sim.Mailbox.recv ack
+(* The broadcast's one peer loop: visit every inbox but [src]'s in node
+   order, calling [each dst inbox], and return how many peers were
+   visited. The fan-out pays one NIC transmission per peer, so simulated
+   time passes between visits and a crash event can land mid-loop;
+   checking [should_abort] before each peer makes the broadcast genuinely
+   partial: peers already messaged keep the update, the rest never see it
+   (as opposed to the network dropping the remaining sends, which would
+   count as drops). A [while] loop, so the walk allocates no closure of
+   its own. *)
+let fan_out ?(should_abort = fun () -> false) inboxes ~src each =
+  let n = Array.length inboxes in
+  let sent = ref 0 and dst = ref 0 in
+  while !dst < n && not (should_abort ()) do
+    if !dst <> src then begin
+      each !dst inboxes.(!dst);
+      Stdlib.incr sent
+    end;
+    Stdlib.incr dst
   done;
   !sent
+
+let info ?should_abort ?(span = 0) net inboxes ~src ~bytes msg =
+  fan_out ?should_abort inboxes ~src (fun dst inbox ->
+      Sim.Net.send net ~src ~dst ~bytes inbox
+        { Node.info = msg; ack = None; span })
 
 (* Transmit one directory-update message (bare or batched) to every peer
    per the configured consistency protocol, counting the unicasts and
@@ -207,7 +195,16 @@ let dispatch p (nd : Node.t) (msg : Update.any Update.t) =
     match (x.cfg.Config.consistency, x.cfg.Config.broadcast_latency) with
     | Config.Strong, _ ->
         (* Block until every replica has applied the update. *)
-        info_sync ~span x.net p.inboxes ~src:nd.id ~bytes msg
+        let ack = Sim.Mailbox.create () in
+        let sent =
+          fan_out p.inboxes ~src:nd.id (fun dst inbox ->
+              Sim.Net.send x.net ~src:nd.id ~dst ~bytes inbox
+                { Node.info = msg; ack = Some (nd.id, ack); span })
+        in
+        for _ = 1 to sent do
+          Sim.Mailbox.recv ack
+        done;
+        sent
     | Config.Weak, None ->
         (* Interruptible: a crash landing mid-fan-out stops the loop,
            leaving the replica update genuinely partial. *)
@@ -217,19 +214,11 @@ let dispatch p (nd : Node.t) (msg : Update.any Update.t) =
         (* Ablation knob: deliver directory updates after a fixed delay,
            bypassing the network model, to widen or narrow the weak-
            consistency window in isolation. *)
-        let sent = ref 0 in
-        Array.iteri
-          (fun dst inbox ->
-            if dst <> nd.id then begin
-              Stdlib.incr sent;
-              ignore
-                (Sim.Engine.schedule_after x.engine delay (fun () ->
-                     Sim.Mailbox.send inbox
-                       { Node.info = msg; ack = None; span })
-                  : Sim.Engine.handle)
-            end)
-          p.inboxes;
-        !sent
+        fan_out p.inboxes ~src:nd.id (fun _ inbox ->
+            ignore
+              (Sim.Engine.schedule_after x.engine delay (fun () ->
+                   Sim.Mailbox.send inbox { Node.info = msg; ack = None; span })
+                : Sim.Engine.handle))
   in
   if sent > 0 then begin
     Metrics.Counter.add nd.counters Node.K.info_msgs sent;

@@ -65,19 +65,6 @@ val info :
   'u ->
   int
 
-(** [info_sync ?span net inboxes ~src ~bytes msg] sends [msg] with
-    acknowledgement requests and blocks until every peer has applied it —
-    the strong protocol of the consistency ablation. Returns the number of
-    peers. [span] as in {!info}. *)
-val info_sync :
-  ?span:int ->
-  Sim.Net.t ->
-  'u Node.info_envelope Sim.Mailbox.t array ->
-  src:int ->
-  bytes:int ->
-  'u ->
-  int
-
 (** [create ctx ?lock_observe ()] builds every node's replica; directory
     lock and scan work is charged to the owning node's CPU.
     [lock_observe] is installed on the directory locks for contention

@@ -2,21 +2,6 @@ module K = Node.K
 
 type t = Node.t
 
-(* Cluster-wide contention histograms, allocated only when tracing. The
-   observers installed on the primitives merely record into these — they
-   never delay, suspend or schedule, so enabling them cannot change any
-   simulated quantity. *)
-type waits = {
-  dir_rd_wait : Metrics.Histogram.t;
-  dir_wr_wait : Metrics.Histogram.t;
-  dir_queue : Metrics.Histogram.t;
-  listen_wait : Metrics.Histogram.t;
-  listen_depth : Metrics.Histogram.t;
-  cpu_wait : Metrics.Histogram.t;
-  cpu_queue : Metrics.Histogram.t;
-  disk_wait : Metrics.Histogram.t;
-}
-
 (* The metadata plane create_cluster chose, packed with its
    implementation. Every plane operation below goes through it, so no
    path tests the plane mode. *)
@@ -33,7 +18,9 @@ type cluster = {
   fault : Sim.Fault.t option;
   mutable fault_handles : Sim.Engine.handle list;
       (* pending crash/restart events, cancelled by [stop] *)
-  waits : waits option;
+  waits : (string * Metrics.Histogram.t) list;
+      (* contention histograms by name, in report order; empty unless
+         tracing *)
   hit_latency : Metrics.Sample.t;
       (* cooperative-hit service times, directory lookup through response
          sent; recorded host-side only, so collecting it perturbs nothing *)
@@ -91,45 +78,56 @@ let create_cluster ?client_extra_latency engine cfg ~registry
            ())
     else None
   in
+  (* Cluster-wide contention histograms, allocated only when tracing. The
+     observers installed on the primitives merely record into these — they
+     never delay, suspend or schedule, so enabling them cannot change any
+     simulated quantity. *)
   let waits =
-    if cfg.Config.trace then
-      Some
-        {
-          dir_rd_wait = H.create ();
-          dir_wr_wait = H.create ();
-          dir_queue = H.create ~bounds:H.depth_bounds ();
-          listen_wait = H.create ();
-          listen_depth = H.create ~bounds:H.depth_bounds ();
-          cpu_wait = H.create ();
-          cpu_queue = H.create ~bounds:H.depth_bounds ();
-          disk_wait = H.create ();
-        }
+    if not cfg.Config.trace then []
+    else
+      let depth () = H.create ~bounds:H.depth_bounds () in
+      [
+        ("dir.rd_wait", H.create ());
+        ("dir.wr_wait", H.create ());
+        ("dir.queue", depth ());
+        ("listen.wait", H.create ());
+        ("listen.depth", depth ());
+        ("cpu.wait", H.create ());
+        ("cpu.queue", depth ());
+        ("disk.wait", H.create ());
+      ]
+  in
+  (* [traced f] is [f]'s observer, given the histograms by name; without
+     tracing no primitive gets one. *)
+  let traced f =
+    if cfg.Config.trace then Some (f (fun name -> List.assoc name waits))
     else None
   in
   let cpu_observe =
-    Option.map
-      (fun w ~wait ~depth ->
-        H.add w.cpu_wait wait;
-        H.add w.cpu_queue (float_of_int depth))
-      waits
+    traced (fun h ->
+        let wait_h = h "cpu.wait" and queue_h = h "cpu.queue" in
+        fun ~wait ~depth ->
+          H.add wait_h wait;
+          H.add queue_h (float_of_int depth))
   in
   let disk_observe =
-    Option.map (fun w ~wait ~depth:_ -> H.add w.disk_wait wait) waits
+    traced (fun h ->
+        let wait_h = h "disk.wait" in
+        fun ~kind:_ ~wait ~depth:_ -> H.add wait_h wait)
   in
   let lock_observe =
-    Option.map
-      (fun w ~kind ~wait ~depth ->
-        (match kind with
-        | `Read -> H.add w.dir_rd_wait wait
-        | `Write -> H.add w.dir_wr_wait wait);
-        H.add w.dir_queue (float_of_int depth))
-      waits
+    traced (fun h ->
+        let rd_h = h "dir.rd_wait" and wr_h = h "dir.wr_wait" in
+        let queue_h = h "dir.queue" in
+        fun ~kind ~wait ~depth ->
+          H.add (match kind with `Read -> rd_h | `Write -> wr_h) wait;
+          H.add queue_h (float_of_int depth))
   in
-  let listen_on_wait =
-    Option.map (fun w dt -> H.add w.listen_wait dt) waits
-  in
+  let listen_on_wait = traced (fun h -> H.add (h "listen.wait")) in
   let listen_on_depth =
-    Option.map (fun w d -> H.add w.listen_depth (float_of_int d)) waits
+    traced (fun h ->
+        let depth_h = h "listen.depth" in
+        fun d -> H.add depth_h (float_of_int d))
   in
   let root = Sim.Rng.create cfg.Config.seed in
   let refresh_root =
@@ -247,20 +245,7 @@ let with_span = Node.with_span
 let incr = Node.incr
 let now = Node.now
 
-let wait_histograms c =
-  match c.waits with
-  | None -> []
-  | Some w ->
-      [
-        ("dir.rd_wait", w.dir_rd_wait);
-        ("dir.wr_wait", w.dir_wr_wait);
-        ("dir.queue", w.dir_queue);
-        ("listen.wait", w.listen_wait);
-        ("listen.depth", w.listen_depth);
-        ("cpu.wait", w.cpu_wait);
-        ("cpu.queue", w.cpu_queue);
-        ("disk.wait", w.disk_wait);
-      ]
+let wait_histograms c = c.waits
 
 (* Point events (crashes, heals); safe in engine-event context — the
    tracer's clock is [Engine.current_time], not the process-only [now]. *)
@@ -693,22 +678,14 @@ let purge_daemon c (nd : t) =
    zero the daemon is not even spawned and runs are byte-identical to
    builds without it. *)
 
-(* Cache keys are "METHOD /path?query" (Http.Request.cache_key); recover
-   the URI so the refresh can redraw the script's demand and output size
-   with the original query parameters. *)
-let uri_of_cache_key key =
-  match String.index_opt key ' ' with
-  | None -> None
-  | Some i -> (
-      let target = String.sub key (i + 1) (String.length key - i - 1) in
-      match Http.Uri.parse target with Ok uri -> Some uri | Error _ -> None)
-
 (* Re-execute one near-expiry entry and re-insert its result. Returns
    [true] when a budget token was spent (the CGI actually ran). *)
 let refresh_entry c (nd : t) key =
-  match uri_of_cache_key key with
+  (* The key's query parameters let the refresh redraw the script's
+     demand and output size as the original request did. *)
+  match Http.Request.of_cache_key key with
   | None -> false
-  | Some uri -> (
+  | Some { Http.Request.uri; _ } -> (
       match Cgi.Registry.resolve c.registry uri.Http.Uri.path with
       | None | Some (Cgi.Registry.Static_file _) -> false
       | Some (Cgi.Registry.Cgi_script script) ->
@@ -871,12 +848,6 @@ let submit c ~client ~node req =
   Sim.Engine.suspend (fun resume ->
       Sim.Mailbox.send nd.listen { Node.req; client; resume; span })
 
-let submit_wire c ~client ~node bytes =
-  match Http.Request.parse bytes with
-  | Error e ->
-      Http.Response.to_wire (Http.Response.error Http.Status.Bad_request e)
-  | Ok req -> Http.Response.to_wire (submit c ~client ~node req)
-
 let preload c ~node req ~exec_time =
   if node < 0 || node >= Array.length c.ctx.nodes then
     invalid_arg "Server.preload: node out of range";
@@ -916,21 +887,11 @@ let delete_everywhere c pred =
 let invalidate c ~key = delete_everywhere c (String.equal key)
 
 let invalidate_script c ~script =
-  (* Cache keys are "METHOD /script?args"; match on the script path
-     component so every argument combination is dropped. *)
-  let pred key =
-    match String.index_opt key ' ' with
-    | None -> false
-    | Some i ->
-        let rest = String.sub key (i + 1) (String.length key - i - 1) in
-        let path =
-          match String.index_opt rest '?' with
-          | None -> rest
-          | Some j -> String.sub rest 0 j
-        in
-        String.equal path script
-  in
-  delete_everywhere c pred
+  (* Match on the key's path so every argument combination is dropped. *)
+  delete_everywhere c (fun key ->
+      match Http.Request.of_cache_key key with
+      | Some req -> String.equal req.Http.Request.uri.Http.Uri.path script
+      | None -> false)
 
 let node_active (nd : t) = nd.active
 let node_up (nd : t) = nd.up

@@ -54,12 +54,6 @@ val stop : cluster -> unit
 val submit :
   cluster -> client:int -> node:int -> Http.Request.t -> Http.Response.t
 
-(** [submit_wire cluster ~client ~node bytes] is {!submit} at the wire
-    level: parses [bytes] as an HTTP/1.0 request and returns the serialised
-    response. A malformed request yields a [400] without touching the
-    node. This is the path a real socket front-end would use. *)
-val submit_wire : cluster -> client:int -> node:int -> string -> string
-
 (** [preload cluster ~node req ~exec_time] warms [node]'s cache with the
     result of [req] as if it had been executed and inserted (directory
     update broadcast included). Must run inside a simulated process. *)

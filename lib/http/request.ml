@@ -60,6 +60,15 @@ let to_wire t =
 let cache_key t =
   Meth.to_string t.meth ^ " " ^ Uri.to_string (Uri.canonical t.uri)
 
+let of_cache_key key =
+  match String.index_opt key ' ' with
+  | None -> None
+  | Some i -> (
+      let target = String.sub key (i + 1) (String.length key - i - 1) in
+      match (Meth.of_string (String.sub key 0 i), Uri.parse target) with
+      | Ok meth, Ok uri -> Some (of_uri meth uri)
+      | Error _, _ | _, Error _ -> None)
+
 (* [String.length (to_wire t)], summed from the parts instead of built. *)
 let wire_size t =
   let body = String.length t.body in

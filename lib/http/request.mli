@@ -34,6 +34,11 @@ val to_wire : t -> string
     identically (for cacheable scripts). *)
 val cache_key : t -> string
 
+(** [of_cache_key key] reads a {!cache_key} back: the method and the
+    canonical URI, as a bodiless HTTP/1.0 request; [None] when [key] is
+    not of that form. The path comes back percent-decoded. *)
+val of_cache_key : string -> t option
+
 (** [wire_size t] is [String.length (to_wire t)], summed without
     serialising (used to charge the network model). *)
 val wire_size : t -> int

@@ -37,24 +37,6 @@ let error status message =
   in
   make ~headers:html ~body:(Body.of_string body) status
 
-let parse s =
-  match Wire.split_head s with
-  | [], _ -> Error "empty response"
-  | status_line :: header_lines, body_off -> (
-      match String.split_on_char ' ' status_line with
-      | version :: code :: _reason -> (
-          match int_of_string_opt code with
-          | None -> Error (Printf.sprintf "bad status code %S" code)
-          | Some n -> (
-              match Status.of_code n with
-              | Error e -> Error e
-              | Ok status ->
-                  Wire.parse_fields s header_lines ~body_off
-                  |> Result.map (fun (headers, body) ->
-                         let body = Body.of_string body in
-                         { status; version; headers; body })))
-      | [] | [ _ ] -> Error "malformed status line")
-
 let to_wire t =
   let body = Body.to_string t.body in
   let buf = Buffer.create (String.length body + 128) in

@@ -18,8 +18,6 @@ val ok : Body.t -> t
     (ampersand, angle brackets, both quotes) are escaped as entities. *)
 val error : Status.t -> string -> t
 
-val parse : string -> (t, string) result
-
 (** [to_wire t] serialises, rendering a deferred body. *)
 val to_wire : t -> string
 

@@ -25,16 +25,6 @@ let reason = function
   | Not_implemented -> "Not Implemented"
   | Service_unavailable -> "Service Unavailable"
 
-let of_code = function
-  | 200 -> Stdlib.Ok Ok
-  | 400 -> Stdlib.Ok Bad_request
-  | 403 -> Stdlib.Ok Forbidden
-  | 404 -> Stdlib.Ok Not_found
-  | 500 -> Stdlib.Ok Internal_server_error
-  | 501 -> Stdlib.Ok Not_implemented
-  | 503 -> Stdlib.Ok Service_unavailable
-  | n -> Error (Printf.sprintf "unknown status code %d" n)
-
 let is_success = function
   | Ok -> true
   | Bad_request | Forbidden | Not_found | Internal_server_error

@@ -12,7 +12,4 @@ type t =
 val code : t -> int
 val reason : t -> string
 
-(** [of_code n] recognises the codes above. *)
-val of_code : int -> (t, string) result
-
 val is_success : t -> bool

@@ -2,7 +2,7 @@ type t = {
   seek : float;
   bandwidth : float;
   mem_bandwidth : float;
-  arm : Mutex.t;
+  arm : Rwlock.t;  (* taken only for writing: one transfer at a time *)
 }
 
 let create ?(seek = 0.008) ?(bandwidth = 8e6) ?(mem_bandwidth = 80e6) ?observe
@@ -13,12 +13,12 @@ let create ?(seek = 0.008) ?(bandwidth = 8e6) ?(mem_bandwidth = 80e6) ?observe
     seek;
     bandwidth;
     mem_bandwidth;
-    arm = Mutex.create ?observe ();
+    arm = Rwlock.create ?observe ();
   }
 
 let read t ~bytes ~cached =
   if bytes < 0 then invalid_arg "Disk.read: negative size";
   if cached then Engine.delay (float_of_int bytes /. t.mem_bandwidth)
   else
-    Mutex.with_lock t.arm (fun () ->
+    Rwlock.with_wr t.arm (fun () ->
         Engine.delay (t.seek +. (float_of_int bytes /. t.bandwidth)))

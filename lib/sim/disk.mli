@@ -10,13 +10,14 @@ val create :
   ?seek:float ->
   ?bandwidth:float ->
   ?mem_bandwidth:float ->
-  ?observe:(wait:float -> depth:int -> unit) ->
+  ?observe:(kind:[ `Read | `Write ] -> wait:float -> depth:int -> unit) ->
   Engine.t ->
   t
 (** Defaults approximate a late-90s workstation disk: [seek = 8ms],
     [bandwidth = 8 MB/s], [mem_bandwidth = 80 MB/s]. [observe] is passed
-    to the disk-arm mutex (see {!Mutex.create}): one observation per
-    uncached access, with the time spent queued for the arm. *)
+    to the disk arm, a lock only ever taken for writing (see
+    {!Rwlock.create}): one [`Write] observation per uncached access, with
+    the time spent queued for the arm. *)
 
 (** [read d ~bytes ~cached] blocks the calling process for the transfer.
     Uncached reads serialise through the disk; buffer-cache reads do not. *)

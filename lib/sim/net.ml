@@ -6,7 +6,7 @@ type t = {
   loss : float;
   rng : Rng.t option;
   fault : Fault.t option;
-  nics : Mutex.t array;
+  nics : Rwlock.t array;  (* taken only for writing: one sender at a time *)
   mutable n_messages : int;
   mutable n_bytes : int;
   mutable n_lost : int;
@@ -27,7 +27,7 @@ let create ?(latency = 0.0002) ?extra_latency ?(bandwidth = 12.5e6)
     loss;
     rng;
     fault;
-    nics = Array.init n_endpoints (fun _ -> Mutex.create ());
+    nics = Array.init n_endpoints (fun _ -> Rwlock.create ());
     n_messages = 0;
     n_bytes = 0;
     n_lost = 0;
@@ -70,11 +70,11 @@ let tx_time t bytes = float_of_int bytes /. t.bandwidth
 (* Hold the sender's NIC for the message's transmission time. *)
 let serialise t ~src ~bytes =
   let nic = t.nics.(src) in
-  Mutex.lock nic;
+  Rwlock.wr_lock nic;
   match Engine.delay (tx_time t bytes) with
-  | () -> Mutex.unlock nic
+  | () -> Rwlock.wr_unlock nic
   | exception e ->
-      Mutex.unlock nic;
+      Rwlock.wr_unlock nic;
       raise e
 
 let account t bytes =

@@ -4,7 +4,12 @@
 
     Fairness: waiters are served in arrival order; a batch of consecutive
     readers at the head of the queue is admitted together. This prevents both
-    reader and writer starvation. *)
+    reader and writer starvation.
+
+    Taken only through {!wr_lock}, {!wr_unlock} and {!with_wr}, it is a
+    FIFO mutex: a free lock is taken at once, and a release hands it to
+    the longest waiter. The NICs of {!Net} and the arm of {!Disk} are
+    used that way. *)
 
 type t
 

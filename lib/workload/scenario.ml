@@ -136,16 +136,6 @@ let flash_intensity t ~now =
           f.fc_fraction *. (1. -. (into_decay /. f.fc_decay))
         else 0.
 
-let crowd_key_prefix = "crowd"
-
-let is_crowd_key key =
-  (* Cache keys are "<script>?<args>"; a crowd query is recognised by its
-     q= argument. *)
-  let marker = "q=" ^ crowd_key_prefix in
-  let n = String.length key and m = String.length marker in
-  let rec scan i = i + m <= n && (String.sub key i m = marker || scan (i + 1)) in
-  scan 0
-
 let rewrite t ~rng ~now item =
   let p = flash_intensity t ~now in
   if p <= 0. then None
@@ -164,7 +154,7 @@ let rewrite t ~rng ~now item =
                     script = "/cgi-bin/query";
                     args =
                       [
-                        ("q", Printf.sprintf "%s%d" crowd_key_prefix rank);
+                        ("q", Printf.sprintf "crowd%d" rank);
                         ("xd", Printf.sprintf "%.9g" demand);
                         ("xb", string_of_int f.fc_out_bytes);
                       ];

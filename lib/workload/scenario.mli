@@ -119,16 +119,12 @@ val flash_intensity : t -> now:float -> float
 (** [rewrite t ~rng ~now item] applies the flash crowd to one trace item:
     with probability [flash_intensity t ~now], a CGI item is re-pointed to
     a Zipf-drawn crowd query (same id, [/cgi-bin/query] with the standard
-    ["q"]/["xd"]/["xb"] replay args, demand [fc_demand]). Returns [None]
-    when the item passes through unchanged. Static files are never
-    redirected, and no random numbers are drawn while the intensity is
-    zero — so outside the crowd the reference stream is exactly the base
-    trace's. *)
+    ["q"]/["xd"]/["xb"] replay args, ["q"] being ["crowd"] followed by
+    the drawn rank, demand [fc_demand]). Returns [None] when the item
+    passes through unchanged. Static files are never redirected, and no
+    random numbers are drawn while the intensity is zero — so outside the
+    crowd the reference stream is exactly the base trace's. *)
 val rewrite : t -> rng:Sim.Rng.t -> now:float -> Trace.item -> Trace.item option
-
-(** [is_crowd_key key] recognises a cache key produced by {!rewrite} —
-    lets tests separate crowd traffic from baseline traffic. *)
-val is_crowd_key : string -> bool
 
 (** {1 Diurnal envelope} *)
 

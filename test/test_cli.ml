@@ -134,6 +134,19 @@ let validation_cases =
       [ "run"; "--nodes"; "2"; "--requests"; "10"; "--scenario-duration";
         "inf"; "--diurnal"; "10:0.5" ],
       "Scenario: duration must be finite" );
+    (* The fault-shaping flags are checked with no fault source set. *)
+    ( "run --fault-horizon=-5 alone",
+      [ "run"; "--nodes"; "2"; "--requests"; "10"; "--fault-horizon=-5" ],
+      "Fault: horizon must be positive" );
+    ( "run --crash-mttr=-1 alone",
+      [ "run"; "--nodes"; "2"; "--requests"; "10"; "--crash-mttr=-1" ],
+      "Fault: node mttr must be positive" );
+    ( "run --churn-downtime=-1 alone",
+      [ "run"; "--nodes"; "2"; "--requests"; "10"; "--churn-downtime=-1" ],
+      "Fault: churn downtime must be positive" );
+    ( "run --delay-mean=-1 alone",
+      [ "run"; "--nodes"; "2"; "--requests"; "10"; "--delay-mean=-1" ],
+      "Fault: link delay_mean must be >= 0" );
   ]
 
 (* An unknown name for any enumerated flag stops the run before it

@@ -531,40 +531,8 @@ let test_lossy_cluster_completes_workload () =
     (r.Swala.Cluster_runner.hits <= lossless.Swala.Cluster_runner.hits)
 
 (* ------------------------------------------------------------------ *)
-(* Wire-level submission *)
-
-let test_submit_wire_roundtrip () =
-  let registry = Cgi.Registry.create () in
-  Workload.Synthetic.register_scripts registry;
-  let cfg = Swala.Config.make () in
-  let got = ref "" in
-  let cluster =
-    run_cluster_script ~cfg ~registry (fun cluster ->
-        got :=
-          Swala.Server.submit_wire cluster ~client:1 ~node:0
-            "GET /cgi-bin/query?q=a&xd=0.25 HTTP/1.0\r\nHost: adl\r\n\r\n")
-  in
-  ignore cluster;
-  let resp = ok_or_fail "parse response" (Http.Response.parse !got) in
-  check_int "200" 200 (Http.Status.code resp.Http.Response.status);
-  check_bool "body present" true (Http.Response.body_size resp > 0)
-
-let test_submit_wire_bad_request () =
-  let registry = Cgi.Registry.create () in
-  Workload.Synthetic.register_scripts registry;
-  let cfg = Swala.Config.make () in
-  let got = ref "" in
-  let cluster =
-    run_cluster_script ~cfg ~registry (fun cluster ->
-        got := Swala.Server.submit_wire cluster ~client:1 ~node:0 "NONSENSE")
-  in
-  let resp = ok_or_fail "parse response" (Http.Response.parse !got) in
-  check_int "400" 400 (Http.Status.code resp.Http.Response.status);
-  (* The node never saw it. *)
-  check_int "not counted" 0
-    (Metrics.Counter.get
-       (Swala.Server.merged_counters cluster)
-       Swala.Server.K.requests)
+(* The bytes a client reads: Response.to_wire of what Server.submit
+   returns *)
 
 let contains s sub =
   let n = String.length sub in
@@ -575,7 +543,7 @@ let contains s sub =
 
 (* Bodies travel as descriptions; what a client reads must still be the
    script's rendering, however the result was served. *)
-let test_submit_wire_reference_bytes () =
+let test_reference_bytes () =
   let registry = Cgi.Registry.create () in
   Workload.Synthetic.register_scripts registry;
   let cfg = Swala.Config.make ~n_nodes:2 () in
@@ -593,9 +561,9 @@ let test_submit_wire_reference_bytes () =
   let cluster =
     run_cluster_script ~cfg ~registry (fun cluster ->
         let ask node =
+          let req = Http.Request.get "/cgi-bin/query?xd=1.5&q=a&xb=5000" in
           got :=
-            Swala.Server.submit_wire cluster ~client:2 ~node
-              "GET /cgi-bin/query?xd=1.5&q=a&xb=5000 HTTP/1.0\r\n\r\n"
+            Http.Response.to_wire (Swala.Server.submit cluster ~client:2 ~node req)
             :: !got
         in
         ask 0;
@@ -617,22 +585,18 @@ let test_submit_wire_reference_bytes () =
   | l -> Alcotest.failf "%d replies" (List.length l)
 
 (* Error pages echo request text; it must arrive as text, not markup. *)
-let submit_wire_once request =
+let test_404_escapes_path () =
   let registry = Cgi.Registry.create () in
   Workload.Synthetic.register_scripts registry;
-  let got = ref "" in
+  let resp = ref None in
   ignore
     (run_cluster_script ~cfg:(Swala.Config.make ()) ~registry (fun cluster ->
-         got := Swala.Server.submit_wire cluster ~client:1 ~node:0 request)
+         let req = Http.Request.get "/a%3Cscript%3Ealert(1)%3C/script%3E" in
+         resp := Some (Swala.Server.submit cluster ~client:1 ~node:0 req))
       : Swala.Server.cluster);
-  !got
-
-let test_submit_wire_escapes_404 () =
-  let got =
-    submit_wire_once "GET /a%3Cscript%3Ealert(1)%3C/script%3E HTTP/1.0\r\n\r\n"
-  in
-  let resp = ok_or_fail "parse response" (Http.Response.parse got) in
+  let resp = Option.get !resp in
   check_int "404" 404 (Http.Status.code resp.Http.Response.status);
+  let got = Http.Response.to_wire resp in
   check_bool "escaped" true
     (contains got "<p>/a&lt;script&gt;alert(1)&lt;/script&gt;</p>");
   check_bool "no markup" false (contains got "<script>");
@@ -641,14 +605,6 @@ let test_submit_wire_escapes_404 () =
   in
   check_string "same page" (Http.Response.to_wire page) got;
   check_int "wire_size" (String.length got) (Http.Response.wire_size page)
-
-let test_submit_wire_escapes_400 () =
-  let got = submit_wire_once "GET <b>oops</b>" in
-  let resp = ok_or_fail "parse response" (Http.Response.parse got) in
-  check_int "400" 400 (Http.Status.code resp.Http.Response.status);
-  check_bool "escaped" true
-    (contains got "&quot;GET &lt;b&gt;oops&lt;/b&gt;&quot;");
-  check_bool "no markup" false (contains got "<b>")
 
 (* ------------------------------------------------------------------ *)
 (* New ablations: shapes *)
@@ -763,15 +719,10 @@ let () =
         ] );
       ( "wire",
         [
-          Alcotest.test_case "wire roundtrip" `Quick test_submit_wire_roundtrip;
-          Alcotest.test_case "malformed request -> 400" `Quick
-            test_submit_wire_bad_request;
           Alcotest.test_case "CGI bytes = reference" `Quick
-            test_submit_wire_reference_bytes;
+            test_reference_bytes;
           Alcotest.test_case "404 page escapes the path" `Quick
-            test_submit_wire_escapes_404;
-          Alcotest.test_case "400 page escapes the request" `Quick
-            test_submit_wire_escapes_400;
+            test_404_escapes_path;
         ] );
       ( "new-ablations",
         [

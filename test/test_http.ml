@@ -42,12 +42,6 @@ let test_status_codes () =
   check_bool "success" true (Http.Status.is_success Http.Status.Ok);
   check_bool "error" false (Http.Status.is_success Http.Status.Bad_request)
 
-let test_status_of_code () =
-  (match Http.Status.of_code 500 with
-  | Ok Http.Status.Internal_server_error -> ()
-  | Ok _ | Error _ -> Alcotest.fail "500");
-  check_bool "unknown code" true (Result.is_error (Http.Status.of_code 418))
-
 (* ------------------------------------------------------------------ *)
 (* Headers *)
 
@@ -338,6 +332,28 @@ let prop_deferred_wire_size =
       in
       Http.Response.wire_size r = String.length (Http.Response.to_wire r))
 
+(* A cache key reads back as the request it names: its method and its
+   canonical URI, whatever bytes the path and the query hold. *)
+let prop_cache_key_roundtrip =
+  let gen_text = QCheck.Gen.(string_size ~gen:printable (0 -- 6)) in
+  let gen =
+    QCheck.Gen.(
+      triple
+        (oneofl [ Http.Meth.Get; Http.Meth.Head; Http.Meth.Post ])
+        (map (fun s -> "/" ^ s) gen_text)
+        (list_size (0 -- 3) (pair gen_text gen_text)))
+  in
+  QCheck.Test.make ~name:"of_cache_key . cache_key = canonical request"
+    ~count (QCheck.make gen) (fun (meth, path, query) ->
+      let r = Http.Request.of_uri meth { Http.Uri.path; query } in
+      match Http.Request.of_cache_key (Http.Request.cache_key r) with
+      | Some r' ->
+          Http.Meth.equal meth r'.Http.Request.meth
+          && Http.Uri.equal
+               (Http.Uri.canonical r.Http.Request.uri)
+               r'.Http.Request.uri
+      | None -> false)
+
 (* ------------------------------------------------------------------ *)
 (* Response *)
 
@@ -348,11 +364,9 @@ let test_response_ok () =
 
 let test_response_wire_adds_content_length () =
   let r = Http.Response.ok (Http.Body.of_string "abc") in
-  let wire = Http.Response.to_wire r in
-  let r' = ok_or_fail "parse" (Http.Response.parse wire) in
-  Alcotest.(check (option int)) "content-length" (Some 3)
-    (Http.Headers.content_length r'.Http.Response.headers);
-  check_string "body" "abc" (Http.Body.to_string r'.Http.Response.body)
+  check_string "wire"
+    "HTTP/1.0 200 OK\r\nContent-Type: text/html\r\nContent-Length: 3\r\n\r\nabc"
+    (Http.Response.to_wire r)
 
 let test_response_error_body () =
   let r = Http.Response.error Http.Status.Not_found "/missing" in
@@ -405,23 +419,15 @@ let test_deferred_body () =
        false
      with Invalid_argument _ -> true)
 
-let test_response_parse_errors () =
-  check_bool "empty" true (Result.is_error (Http.Response.parse ""));
-  check_bool "bad code" true
-    (Result.is_error (Http.Response.parse "HTTP/1.0 abc Bad\r\n\r\n"));
-  check_bool "unknown code" true
-    (Result.is_error (Http.Response.parse "HTTP/1.0 418 Teapot\r\n\r\n"))
-
 let test_response_roundtrip () =
   let r =
     Http.Response.make
       ~headers:(Http.Headers.of_list [ ("X-Cache", "HIT") ])
       ~body:(Http.Body.of_string "data") Http.Status.Ok
   in
-  let r' = ok_or_fail "parse" (Http.Response.parse (Http.Response.to_wire r)) in
-  check_string "body" "data" (Http.Body.to_string r'.Http.Response.body);
-  Alcotest.(check (option string)) "header" (Some "HIT")
-    (Http.Headers.get r'.Http.Response.headers "x-cache")
+  check_string "wire"
+    "HTTP/1.0 200 OK\r\nX-Cache: HIT\r\nContent-Length: 4\r\n\r\ndata"
+    (Http.Response.to_wire r)
 
 (* ------------------------------------------------------------------ *)
 
@@ -436,7 +442,6 @@ let () =
           Alcotest.test_case "method case sensitivity" `Quick test_meth_case_sensitive;
           Alcotest.test_case "unknown method" `Quick test_meth_unknown;
           Alcotest.test_case "status codes" `Quick test_status_codes;
-          Alcotest.test_case "status of_code" `Quick test_status_of_code;
         ] );
       ( "headers",
         [
@@ -471,7 +476,8 @@ let () =
           Alcotest.test_case "cache key distinguishes" `Quick test_cache_key_distinguishes;
           Alcotest.test_case "wire size" `Quick test_request_wire_size;
         ] );
-      qsuite "request-props" [ prop_request_roundtrip; prop_request_wire_size ];
+      qsuite "request-props"
+        [ prop_request_roundtrip; prop_request_wire_size; prop_cache_key_roundtrip ];
       ( "response",
         [
           Alcotest.test_case "ok constructor" `Quick test_response_ok;
@@ -481,7 +487,6 @@ let () =
           Alcotest.test_case "error body escapes markup" `Quick
             test_response_error_escapes;
           Alcotest.test_case "deferred body" `Quick test_deferred_body;
-          Alcotest.test_case "parse errors" `Quick test_response_parse_errors;
           Alcotest.test_case "roundtrip" `Quick test_response_roundtrip;
         ] );
       qsuite "resp-props" [ prop_response_wire_size; prop_deferred_wire_size ];

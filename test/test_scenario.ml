@@ -182,10 +182,12 @@ let test_rewrite_only_in_window () =
   (match Scenario.rewrite sc ~rng ~now:12. item with
   | Some item' ->
       check_int "id preserved" 3 item'.Workload.Trace.id;
-      check_bool "crowd key recognisable" true
-        (Scenario.is_crowd_key (Workload.Trace.key item'));
-      check_bool "original key is not" false
-        (Scenario.is_crowd_key (Workload.Trace.key item))
+      (match item'.Workload.Trace.kind with
+      | Workload.Trace.Cgi { args; _ } ->
+          let q = List.assoc "q" args in
+          check_bool "crowd query" true
+            (String.starts_with ~prefix:"crowd" q)
+      | Workload.Trace.File _ -> Alcotest.fail "a CGI must stay a CGI")
   | None -> Alcotest.fail "fraction 1.0 must redirect");
   let f = { Workload.Trace.id = 4; kind = Workload.Trace.File { path = "/a"; bytes = 10 } } in
   check_bool "files never redirected" true
