@@ -83,23 +83,13 @@ let run cfg ~trace ~n_streams ?warmup ?(assign = fun s -> s mod cfg.Config.n_nod
             Workload.Scenario.tier_of_stream sc ~n_streams ~stream)
     | Some _ | None -> [||]
   in
-  let client_extra_latency =
-    match scenario with
-    | Some sc when Array.length tiers > 0 ->
-        Some
-          (Array.map
-             (fun t -> Workload.Scenario.tier_extra_latency sc t)
-             tier_of_stream)
-    | Some _ | None -> None
-  in
   let tier_samples =
     Array.map (fun _ -> Metrics.Sample.create ()) tiers
   in
   let flash_redirects = ref 0 in
   let engine = Sim.Engine.create () in
   let cluster =
-    Server.create_cluster engine cfg ~registry ?client_extra_latency
-      ~n_client_endpoints:n_streams
+    Server.create_cluster engine cfg ~registry ~n_client_endpoints:n_streams
   in
   let router = Option.map Router.create router in
   let tracer = Server.tracer cluster in

@@ -344,63 +344,55 @@ type table4_row = {
 
 (* One live node told it belongs to an eight-node group; a pseudo-server
    process injects directory updates at a fixed rate while 180 uncacheable
-   one-second requests run back to back. *)
+   one-second requests run back to back on one stream. *)
 let table4_run ~seed ~ups ~n_requests =
-  let engine = Sim.Engine.create () in
-  let cfg =
-    Config.make ~n_nodes:8 ~cache_mode:Config.Cooperative ~seed ()
-  in
-  let registry = Cgi.Registry.create () in
-  Workload.Synthetic.register_scripts registry;
-  let cluster =
-    Server.create_cluster engine cfg ~registry ~n_client_endpoints:1
-  in
+  let cfg = Config.make ~n_nodes:8 ~cache_mode:Config.Cooperative ~seed () in
   let trace = Workload.Synthetic.uncacheable ~n:n_requests ~demand:1.0 in
-  let sample = Metrics.Sample.create () in
-  let done_ = ref false in
-  Server.start cluster;
-  let client = 8 (* first client endpoint *) in
-  Sim.Engine.spawn engine (fun () ->
-      List.iter
-        (fun item ->
-          let req = Workload.Trace.to_request item in
-          let t0 = Sim.Engine.now () in
-          let (_ : Http.Response.t) = Server.submit cluster ~client ~node:0 req in
-          Metrics.Sample.add sample (Sim.Engine.now () -. t0))
-        trace;
-      done_ := true;
-      Server.stop cluster);
+  let answered = ref 0 in
   (* The pseudo-server injects the replicated plane's updates, the plane
-     the configuration above selects. *)
-  (match Server.plane cluster with
-  | Server.Replicated plane when ups > 0 ->
-    let inbox = Replicated_plane.info_mailbox plane 0 in
-    Sim.Engine.spawn engine (fun () ->
-        let k = ref 0 in
-        Node.every
-          ~stopped:(fun () -> !done_)
-          ~period:(1. /. float_of_int ups)
-          (fun () ->
-            incr k;
-            let meta =
-              Cache.Meta.make
-                ~key:(Printf.sprintf "GET /pseudo?i=%d" !k)
-                ~owner:(1 + (!k mod 7))
-                ~size:4096 ~exec_time:1.0 ~created:(Sim.Engine.now ())
-                ~expires:None
-            in
-            Sim.Net.post (Server.net cluster) ~src:(1 + (!k mod 7)) ~dst:0
-              ~bytes:128 inbox
-              {
-                Node.info = Replicated_plane.Update.Insert meta;
-                ack = None;
-                span = 0;
-              }))
-  | Server.Replicated _ | Server.Local | Server.Sharded _ -> ());
-  Sim.Engine.run engine;
-  let counters = Server.node_counters (Server.node cluster 0) in
-  ( Metrics.Sample.mean sample,
-    Metrics.Counter.get counters Server.K.info_applied )
+     the configuration above selects, until the stream is answered. Each
+     update leaves from a child of its own, so one update's transmission
+     never delays the next injection. *)
+  let warmup cluster =
+    match Server.plane cluster with
+    | Server.Replicated plane when ups > 0 ->
+        let inbox = Replicated_plane.info_mailbox plane 0 in
+        Sim.Engine.spawn_child (fun () ->
+            let k = ref 0 in
+            Node.every
+              ~stopped:(fun () -> !answered >= n_requests)
+              ~period:(1. /. float_of_int ups)
+              (fun () ->
+                incr k;
+                let src = 1 + (!k mod 7) in
+                let meta =
+                  Cache.Meta.make
+                    ~key:(Printf.sprintf "GET /pseudo?i=%d" !k)
+                    ~owner:src ~size:4096 ~exec_time:1.0
+                    ~created:(Sim.Engine.now ()) ~expires:None
+                in
+                let update =
+                  {
+                    Node.info = Replicated_plane.Update.Insert meta;
+                    ack = None;
+                    span = 0;
+                  }
+                in
+                Sim.Engine.spawn_child (fun () ->
+                    Sim.Net.send (Server.net cluster) ~src ~dst:0 ~bytes:128
+                      inbox update)))
+    | Server.Replicated _ | Server.Local | Server.Sharded _ -> ()
+  in
+  let r =
+    Cluster_runner.run cfg ~trace ~n_streams:1
+      ~assign:(fun _ -> 0)
+      ~warmup
+      ~observe:(fun ~time:_ _ -> incr answered)
+      ()
+  in
+  ( Cluster_runner.mean_response r,
+    Metrics.Counter.get r.Cluster_runner.per_node_counters.(0)
+      Server.K.info_applied )
 
 let table4 ?(seed = default_seed) ?(ups_list = [ 0; 5; 10; 20; 40; 80 ])
     ?(n_requests = 180) () =

@@ -66,8 +66,7 @@ let fault_seed_salt = 0x5DEECE66
    without shifting any request-path random stream. *)
 let refresh_seed_salt = 0x00F5E54A
 
-let create_cluster ?client_extra_latency engine cfg ~registry
-    ~n_client_endpoints =
+let create_cluster engine cfg ~registry ~n_client_endpoints =
   Config.validate cfg;
   let module H = Metrics.Histogram in
   let tracer =
@@ -141,15 +140,23 @@ let create_cluster ?client_extra_latency engine cfg ~registry
           ~nodes:cfg.Config.n_nodes)
       cfg.Config.fault
   in
-  (* Geo-tiered clients: extra one-way latency on client endpoints only
-     (endpoint n_nodes + s is client stream s); the cluster LAN keeps the
-     base latency. Absent, the network path is byte-identical to before. *)
+  (* Geo-tiered clients: client stream s (endpoint n_nodes + s) adds its
+     tier's extra one-way latency; the cluster LAN keeps the base latency.
+     Without tiers the network path is the fixed-latency one. *)
   let extra_latency =
-    Option.map
-      (fun arr ep ->
-        let s = ep - cfg.Config.n_nodes in
-        if s >= 0 && s < Array.length arr then arr.(s) else 0.)
-      client_extra_latency
+    match cfg.Config.scenario with
+    | Some sc when Array.length (Workload.Scenario.tiers sc) > 0 ->
+        let extra =
+          Array.init n_client_endpoints (fun stream ->
+              Workload.Scenario.tier_extra_latency sc
+                (Workload.Scenario.tier_of_stream sc
+                   ~n_streams:n_client_endpoints ~stream))
+        in
+        Some
+          (fun ep ->
+            let s = ep - cfg.Config.n_nodes in
+            if s >= 0 then extra.(s) else 0.)
+    | Some _ | None -> None
   in
   let net =
     Sim.Net.create ~latency:cfg.Config.net_latency ?extra_latency
@@ -168,7 +175,7 @@ let create_cluster ?client_extra_latency engine cfg ~registry
         {
           Node.id;
           cpu;
-          disk = Sim.Disk.create ?observe:disk_observe engine;
+          disk = Sim.Disk.create ?observe:disk_observe ();
           rng;
           refresh_rng = Sim.Rng.split refresh_root;
           listen =
@@ -257,30 +264,17 @@ let emit_instant ?attrs c ~track name =
 (* ------------------------------------------------------------------ *)
 (* Response helpers *)
 
-(* Static files are served with an empty in-memory body but a declared
-   Content-Length; the transfer charge uses the declared size. *)
-let file_response bytes =
-  Http.Response.make
-    ~headers:
-      (Http.Headers.of_list
-         [
-           ("Content-Type", "text/html");
-           ("Content-Length", string_of_int bytes);
-         ])
-    Http.Status.Ok
+(* A static document, described like a CGI result: its length is the
+   file's size, and filler bytes are rendered only if someone reads it. *)
+let file_body bytes =
+  Http.Body.deferred ~length:bytes (fun () -> String.make bytes ' ')
 
-let transfer_bytes resp =
-  let declared =
-    match Http.Headers.content_length resp.Http.Response.headers with
-    | Some n -> Stdlib.max n (Http.Response.body_size resp)
-    | None -> Http.Response.body_size resp
-  in
-  Http.Response.wire_size resp - Http.Response.body_size resp + declared
-
+(* Every reply is charged by its wire size, which reads its body's
+   length. *)
 let respond c (nd : t) (env : Node.env) resp =
   with_span c.ctx nd "respond" (fun () ->
       Sim.Net.transfer c.ctx.net ~src:nd.id ~dst:env.client
-        ~bytes:(transfer_bytes resp));
+        ~bytes:(Http.Response.wire_size resp));
   Sim.Engine.resume env.resume resp
 
 (* ------------------------------------------------------------------ *)
@@ -289,16 +283,17 @@ let respond c (nd : t) (env : Node.env) resp =
 (* Per-request cache treatment after composing the administrator rules
    (§4.1's configuration file) with script flags and server defaults.
    The TTL is either fully determined here ([Ttl]: a rule override, the
-   script's own TTL, or the fixed default) or deferred to the per-key
-   adaptive controller at insert time ([Controller_ttl]) — the controller
+   script's own TTL, or the fixed default) or deferred to the node's
+   adaptive controller at insert time ([Controller]) — the controller
    needs the measured execution cost, which only exists after the CGI
    ran. Explicit rule/script TTLs always beat either server-wide layer
-   (Cache.Freshness.effective_ttl's precedence). *)
-type ttl_choice = Ttl of float option | Controller_ttl
+   (Cache.Freshness.effective_ttl's precedence). A node has a controller
+   exactly when the freshness plane is adaptive. *)
+type ttl_choice = Ttl of float option | Controller of Cache.Freshness.t
 
 type cache_ctl = { attempt : bool; ttl : ttl_choice; threshold : float }
 
-let cache_ctl_for c (script : Cgi.Script.t) meth =
+let cache_ctl_for c (nd : t) (script : Cgi.Script.t) meth =
   let rule = Rules.decide c.ctx.cfg.Config.rules script.Cgi.Script.name in
   let attempt =
     script.Cgi.Script.cacheable && rule.Rules.cacheable
@@ -306,18 +301,18 @@ let cache_ctl_for c (script : Cgi.Script.t) meth =
     && c.ctx.cfg.Config.cache_mode <> Config.Disabled
   in
   let ttl =
-    match c.ctx.cfg.Config.freshness with
-    | Cache.Freshness.Fixed ->
+    match nd.fresh with
+    | None ->
         Ttl
           (Cache.Freshness.effective_ttl ~rule:rule.Rules.ttl
              ~script:script.Cgi.Script.ttl ~default:c.ctx.cfg.Config.default_ttl)
-    | Cache.Freshness.Adaptive -> (
+    | Some f -> (
         match
           Cache.Freshness.effective_ttl ~rule:rule.Rules.ttl
             ~script:script.Cgi.Script.ttl ~default:None
         with
         | Some _ as t -> Ttl t
-        | None -> Controller_ttl)
+        | None -> Controller f)
   in
   let threshold =
     Option.value rule.Rules.threshold ~default:c.ctx.cfg.Config.cache_threshold
@@ -341,13 +336,8 @@ let insert_result c (nd : t) ~key ~body ~exec_time ttl =
   let ttl =
     match ttl with
     | Ttl t -> t
-    | Controller_ttl -> (
-        match nd.fresh with
-        | Some f -> Some (Cache.Freshness.ttl f ~now:created ~cost:exec_time key)
-        | None ->
-            (* Unreachable: Controller_ttl is only emitted under Adaptive,
-               which allocates the tracker. Fall back to the fixed layer. *)
-            c.ctx.cfg.Config.default_ttl)
+    | Controller f ->
+        Some (Cache.Freshness.ttl f ~now:created ~cost:exec_time key)
   in
   let meta =
     Cache.Meta.make ~key ~owner:nd.id ~size:(Http.Body.length body) ~exec_time
@@ -366,6 +356,26 @@ let announce c nd (meta, evicted) =
 (* ------------------------------------------------------------------ *)
 (* CGI execution (Figure 2's "Exec CGI, tee results to file") *)
 
+(* The result [script] produces for [key], described: its size comes from
+   the query, its bytes from the script. *)
+let script_body (script : Cgi.Script.t) ~query key =
+  Cgi.Script.body script ~key
+    ~bytes:(Cgi.Cost.output_bytes_for script.Cgi.Script.cost ~query)
+
+(* Run [script] once on [nd]: draw its demand from [rng], charge fork/exec
+   and the demand on the node's CPU, then draw its failure from [rng].
+   Returns the result's body and the demand, or [None] if it failed. *)
+let run_script c (nd : t) rng (script : Cgi.Script.t) ~query key =
+  let cost = script.Cgi.Script.cost in
+  let demand = Cgi.Cost.demand_for cost rng ~query in
+  Sim.Cpu.consume nd.cpu
+    ((cost.Cgi.Cost.fork_exec
+     *. c.ctx.cfg.Config.model.Config.cgi_overhead_factor)
+    +. demand);
+  let rate = script.Cgi.Script.failure_rate in
+  if rate > 0. && Sim.Rng.float rng < rate then None
+  else Some (script_body script ~query key, demand)
+
 let exec_cgi c (nd : t) (script : Cgi.Script.t) req key =
   with_span c.ctx nd "cgi.exec"
     ~attrs:(fun () -> [ ("script", script.Cgi.Script.name) ])
@@ -378,34 +388,25 @@ let exec_cgi c (nd : t) (script : Cgi.Script.t) req key =
       Hashtbl.replace nd.in_flight key (n + 1)
   | Some _ | None -> Hashtbl.replace nd.in_flight key 1);
   incr nd K.cgi_execs;
-  let query = req.Http.Request.uri.Http.Uri.query in
-  let demand = Cgi.Cost.demand_for script.Cgi.Script.cost nd.rng ~query in
-  let out_bytes = Cgi.Cost.output_bytes_for script.Cgi.Script.cost ~query in
-  Sim.Cpu.consume nd.cpu
-    ((script.Cgi.Script.cost.Cgi.Cost.fork_exec
-     *. c.ctx.cfg.Config.model.Config.cgi_overhead_factor)
-    +. demand);
+  let result =
+    run_script c nd nd.rng script ~query:req.Http.Request.uri.Http.Uri.query
+      key
+  in
   (match Hashtbl.find_opt nd.in_flight key with
   | Some 1 -> Hashtbl.remove nd.in_flight key
   | Some n -> Hashtbl.replace nd.in_flight key (n - 1)
   | None -> ());
-  let failed =
-    script.Cgi.Script.failure_rate > 0.
-    && Sim.Rng.float nd.rng < script.Cgi.Script.failure_rate
-  in
-  if failed then begin
-    incr nd K.cgi_failures;
-    Error (Http.Response.error Http.Status.Internal_server_error "CGI failed")
-  end
-  else
-    Ok (Cgi.Script.body script ~key ~bytes:out_bytes, demand)
+  if Option.is_none result then incr nd K.cgi_failures;
+  result
 
 (* Execute, optionally insert in the cache, respond, then announce. *)
 let exec_and_respond c (nd : t) (env : Node.env) (script : Cgi.Script.t) key
     ~(ctl : cache_ctl) =
   match exec_cgi c nd script env.req key with
-  | Error resp -> respond c nd env resp
-  | Ok (body, exec_time) -> (
+  | None ->
+      respond c nd env
+        (Http.Response.error Http.Status.Internal_server_error "CGI failed")
+  | Some (body, exec_time) -> (
       let inserted =
         if ctl.attempt && exec_time >= ctl.threshold then
           Some (insert_result c nd ~key ~body ~exec_time ctl.ttl)
@@ -529,7 +530,7 @@ let fetch_remote c (nd : t) env (script : Cgi.Script.t) key ~(ctl : cache_ctl)
 
 let handle_cgi c (nd : t) (env : Node.env) (script : Cgi.Script.t) =
   let key = Http.Request.cache_key env.req in
-  let ctl = cache_ctl_for c script env.req.Http.Request.meth in
+  let ctl = cache_ctl_for c nd script env.req.Http.Request.meth in
   if not ctl.attempt then begin
     incr nd K.uncacheable;
     exec_and_respond c nd env script key ~ctl
@@ -583,9 +584,10 @@ let handle c (nd : t) (env : Node.env) =
       incr nd K.file_fetches;
       let cached = Sim.Rng.float nd.rng < Config.fs_cache_hit in
       Sim.Disk.read nd.disk ~bytes ~cached;
+      let body = file_body bytes in
       Sim.Cpu.consume nd.cpu
-        (model.Config.per_byte_send *. float_of_int bytes);
-      respond c nd env (file_response bytes)
+        (model.Config.per_byte_send *. float_of_int (Http.Body.length body));
+      respond c nd env (Http.Response.ok body)
   | Some (Cgi.Registry.Cgi_script script) -> handle_cgi c nd env script);
   nd.active <- nd.active - 1
   end
@@ -689,36 +691,24 @@ let refresh_entry c (nd : t) key =
       match Cgi.Registry.resolve c.registry uri.Http.Uri.path with
       | None | Some (Cgi.Registry.Static_file _) -> false
       | Some (Cgi.Registry.Cgi_script script) ->
-          let ctl = cache_ctl_for c script Http.Meth.Get in
+          let ctl = cache_ctl_for c nd script Http.Meth.Get in
           if not ctl.attempt then false
           else begin
             with_span c.ctx nd "refresh.exec"
               ~attrs:(fun () -> [ ("script", script.Cgi.Script.name) ])
             @@ fun () ->
-            let query = uri.Http.Uri.query in
-            let demand =
-              Cgi.Cost.demand_for script.Cgi.Script.cost nd.refresh_rng ~query
-            in
-            Sim.Cpu.consume nd.cpu
-              ((script.Cgi.Script.cost.Cgi.Cost.fork_exec
-               *. c.ctx.cfg.Config.model.Config.cgi_overhead_factor)
-              +. demand);
-            let failed =
-              script.Cgi.Script.failure_rate > 0.
-              && Sim.Rng.float nd.refresh_rng < script.Cgi.Script.failure_rate
-            in
-            (if (not failed) && demand >= ctl.threshold then begin
-               let out_bytes =
-                 Cgi.Cost.output_bytes_for script.Cgi.Script.cost ~query
-               in
-               let body = Cgi.Script.body script ~key ~bytes:out_bytes in
-               let inserted =
-                 insert_result c nd ~key ~body ~exec_time:demand ctl.ttl
-               in
-               incr nd K.refreshes;
-               Hashtbl.replace nd.refreshed key demand;
-               announce c nd inserted
-             end);
+            (match
+               run_script c nd nd.refresh_rng script ~query:uri.Http.Uri.query
+                 key
+             with
+            | Some (body, demand) when demand >= ctl.threshold ->
+                let inserted =
+                  insert_result c nd ~key ~body ~exec_time:demand ctl.ttl
+                in
+                incr nd K.refreshes;
+                Hashtbl.replace nd.refreshed key demand;
+                announce c nd inserted
+            | Some _ | None -> ());
             true
           end)
 
@@ -855,12 +845,10 @@ let preload c ~node req ~exec_time =
   let key = Http.Request.cache_key req in
   match Cgi.Registry.resolve c.registry req.Http.Request.uri.Http.Uri.path with
   | Some (Cgi.Registry.Cgi_script script) ->
-      let out_bytes =
-        Cgi.Cost.output_bytes_for script.Cgi.Script.cost
-          ~query:req.Http.Request.uri.Http.Uri.query
+      let body =
+        script_body script ~query:req.Http.Request.uri.Http.Uri.query key
       in
-      let body = Cgi.Script.body script ~key ~bytes:out_bytes in
-      let ctl = cache_ctl_for c script Http.Meth.Get in
+      let ctl = cache_ctl_for c nd script Http.Meth.Get in
       announce c nd (insert_result c nd ~key ~body ~exec_time ctl.ttl)
   | Some (Cgi.Registry.Static_file _) | None ->
       invalid_arg "Server.preload: request does not resolve to a CGI script"

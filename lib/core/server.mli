@@ -27,13 +27,12 @@ type cluster
     nodes, network (endpoints [0 .. n_nodes-1] are nodes, the rest client
     endpoints) and per-node state. Call {!start} before submitting.
 
-    [client_extra_latency], when given, maps client stream [s] (endpoint
-    [n_nodes + s]) to extra one-way link latency — geo-tiered client
-    populations (see {!Workload.Scenario}). Node endpoints always keep the
-    base LAN latency; omitted, the network is exactly the pre-scenario
-    one. *)
+    When [cfg.scenario] has geo tiers, client endpoint [n_nodes + s] is
+    client stream [s] of [n_client_endpoints], and its link adds its
+    tier's extra one-way latency ({!Workload.Scenario.tier_of_stream},
+    {!Workload.Scenario.tier_extra_latency}). Node endpoints always keep
+    the base LAN latency. *)
 val create_cluster :
-  ?client_extra_latency:float array ->
   Sim.Engine.t ->
   Config.t ->
   registry:Cgi.Registry.t ->

@@ -70,5 +70,3 @@ let wire_size t =
   + 4 (* two spaces and the CRLF ending the status line *)
   + Wire.headers_size (Headers.to_list t.headers)
   + content_length + 2 + body
-
-let body_size t = Body.length t.body

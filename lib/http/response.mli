@@ -25,6 +25,3 @@ val to_wire : t -> string
     {!Body.length} without rendering the body. *)
 val wire_size : t -> int
 
-(** [body_size t] is [Body.length t.body]. *)
-val body_size : t -> int
-

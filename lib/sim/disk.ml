@@ -6,7 +6,7 @@ type t = {
 }
 
 let create ?(seek = 0.008) ?(bandwidth = 8e6) ?(mem_bandwidth = 80e6) ?observe
-    _engine =
+    () =
   if bandwidth <= 0. || mem_bandwidth <= 0. then
     invalid_arg "Disk.create: bandwidth must be positive";
   {

@@ -11,7 +11,7 @@ val create :
   ?bandwidth:float ->
   ?mem_bandwidth:float ->
   ?observe:(kind:[ `Read | `Write ] -> wait:float -> depth:int -> unit) ->
-  Engine.t ->
+  unit ->
   t
 (** Defaults approximate a late-90s workstation disk: [seek = 8ms],
     [bandwidth = 8 MB/s], [mem_bandwidth = 80 MB/s]. [observe] is passed

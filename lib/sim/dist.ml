@@ -29,36 +29,6 @@ let pareto rng ~xm ~alpha =
 
 let bounded_pareto rng ~xm ~alpha ~cap = Float.min cap (pareto rng ~xm ~alpha)
 
-module Zipf = struct
-  type t = { cdf : float array }
-
-  let make ~n ~s =
-    if n < 1 then invalid_arg "Zipf.make: n must be >= 1";
-    let cdf = Array.make n 0. in
-    let acc = ref 0. in
-    for k = 0 to n - 1 do
-      acc := !acc +. (1. /. (float_of_int (k + 1) ** s));
-      cdf.(k) <- !acc
-    done;
-    let total = !acc in
-    for k = 0 to n - 1 do
-      cdf.(k) <- cdf.(k) /. total
-    done;
-    { cdf }
-
-  let size t = Array.length t.cdf
-
-  (* Binary search for the first index whose cumulative mass covers [u]. *)
-  let draw t rng =
-    let u = Rng.float rng in
-    let lo = ref 0 and hi = ref (Array.length t.cdf - 1) in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if t.cdf.(mid) < u then lo := mid + 1 else hi := mid
-    done;
-    !lo
-end
-
 module Discrete = struct
   type t = { cdf : float array }
 
@@ -80,6 +50,7 @@ module Discrete = struct
     done;
     { cdf }
 
+  (* Binary search for the first index whose cumulative mass covers [u]. *)
   let draw t rng =
     let u = Rng.float rng in
     let lo = ref 0 and hi = ref (Array.length t.cdf - 1) in
@@ -89,3 +60,7 @@ module Discrete = struct
     done;
     !lo
 end
+
+let zipf ~n ~s =
+  if n < 1 then invalid_arg "Dist.zipf: n must be >= 1";
+  Discrete.make (Array.init n (fun k -> 1. /. (float_of_int (k + 1) ** s)))

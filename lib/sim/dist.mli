@@ -29,21 +29,6 @@ val pareto : Rng.t -> xm:float -> alpha:float -> float
 (** [bounded_pareto rng ~xm ~alpha ~cap] is {!pareto} truncated at [cap]. *)
 val bounded_pareto : Rng.t -> xm:float -> alpha:float -> cap:float -> float
 
-(** Zipf-like discrete distribution over ranks [0 .. n-1], with
-    P(rank = k) proportional to 1/(k+1)^s. Popularity of web documents is
-    classically modelled this way. *)
-module Zipf : sig
-  type t
-
-  (** [make ~n ~s] precomputes the cumulative table. Requires [n >= 1]. *)
-  val make : n:int -> s:float -> t
-
-  (** [draw z rng] samples a rank in [\[0, n)]. *)
-  val draw : t -> Rng.t -> int
-
-  val size : t -> int
-end
-
 (** Weighted discrete choice over an explicit weight vector. *)
 module Discrete : sig
   type t
@@ -55,3 +40,8 @@ module Discrete : sig
   (** [draw d rng] samples an index, proportionally to its weight. *)
   val draw : t -> Rng.t -> int
 end
+
+(** [zipf ~n ~s] is the Zipf-like choice over ranks [0 .. n-1], with
+    P(rank = k) proportional to 1/(k+1)^s. Popularity of web documents is
+    classically modelled this way. Requires [n >= 1]. *)
+val zipf : n:int -> s:float -> Discrete.t

@@ -8,12 +8,12 @@
     messages dropped, the same extra delays, the same crash and restart
     instants.
 
-    The plan is consulted by {!Net.send}/{!Net.post} (via [?fault] at
-    {!Net.create}) for every inter-host message, and by the server layer to
-    schedule node crashes and restarts. A profile in which every rate is
-    zero and no schedule is given is {e free}: no random numbers are drawn
-    and every message is delivered exactly as without a plan, so a
-    zero-fault run is byte-identical to a run with no plan at all. *)
+    The plan is consulted by {!Net.send} (via [?fault] at {!Net.create})
+    for every inter-host message, and by the server layer to schedule node
+    crashes and restarts. A profile in which every rate is zero and no
+    schedule is given is {e free}: no random numbers are drawn and every
+    message is delivered exactly as without a plan, so a zero-fault run is
+    byte-identical to a run with no plan at all. *)
 
 (** {1 Profiles} *)
 

@@ -102,23 +102,6 @@ let send t ~src ~dst ~bytes mailbox msg =
               : Engine.handle)
   end
 
-let post t ~src ~dst ~bytes mailbox msg =
-  check_endpoint t src;
-  check_endpoint t dst;
-  if bytes < 0 then invalid_arg "Net.post: negative size";
-  account t bytes;
-  if src = dst then Mailbox.send mailbox msg
-  else if not (dropped t) then
-    match fault_action t ~src ~dst with
-    | Fault.Drop -> ()
-    | Fault.Deliver | Fault.Delay _ as a ->
-        let extra = match a with Fault.Delay d -> d | _ -> 0. in
-        ignore
-          (Engine.schedule_after t.engine
-             (tx_time t bytes +. one_way t ~src ~dst +. extra)
-             (fun () -> Mailbox.send mailbox msg)
-            : Engine.handle)
-
 let transfer t ~src ~dst ~bytes =
   check_endpoint t src;
   check_endpoint t dst;

@@ -5,10 +5,11 @@
     NIC (a switched 100 Mbit Ethernet, as in the paper's testbed, has no
     shared-medium contention, but each host's link is a serial resource).
 
-    Deliveries are asynchronous: {!send} returns immediately on the sender's
-    timeline and the message arrives in the destination mailbox later.
-    {!transfer} is the blocking variant used to model a request/reply byte
-    stream from the caller's point of view. *)
+    Deliveries are asynchronous: {!send} returns once the sender's NIC has
+    transmitted the message, which arrives in the destination mailbox a
+    latency later. {!transfer} is the blocking variant used to model a
+    request/reply byte stream from the caller's point of view. Both must
+    be called from a process. *)
 
 type t
 
@@ -33,14 +34,14 @@ val create :
     LAN keeps the base latency. Omitted (the default), the delivery path
     is exactly the fixed-latency behaviour.
 
-    [loss] (default [0.]) is the probability that a {!send}/{!post}
-    message is silently dropped after transmission — for failure-injection
+    [loss] (default [0.]) is the probability that a {!send} message is
+    silently dropped after transmission — for failure-injection
     experiments ([rng] required when positive; loopback and blocking
     {!transfer}s never drop, mirroring TCP's reliability for established
     streams vs. datagram-style notifications).
 
-    [fault] attaches a {!Fault} plan: every inter-host {!send}/{!post} asks
-    the plan for its fate — delivered, silently dropped (link loss or a
+    [fault] attaches a {!Fault} plan: every inter-host {!send} asks the
+    plan for its fate — delivered, silently dropped (link loss or a
     down endpoint), or delivered after extra delay. Loopback messages and
     {!transfer}s are never faulted, for the same TCP-vs-datagram reason as
     [loss]. Without a plan (or with a zero plan) the delivery path is
@@ -51,16 +52,11 @@ val create :
     [mailbox] after the latency. Must be called from a process. *)
 val send : t -> src:int -> dst:int -> bytes:int -> 'a Mailbox.t -> 'a -> unit
 
-(** [post net ~src ~dst ~bytes mailbox msg] is {!send} usable from outside a
-    process (e.g. experiment setup): the NIC occupancy is approximated by
-    scheduling delivery after transmission + latency without blocking. *)
-val post : t -> src:int -> dst:int -> bytes:int -> 'a Mailbox.t -> 'a -> unit
-
 (** [transfer net ~src ~dst ~bytes] blocks the calling process for the full
     transfer of [bytes] from [src] to [dst] (transmission + latency). *)
 val transfer : t -> src:int -> dst:int -> bytes:int -> unit
 
-(** [messages_sent t] counts every {!send}/{!post}/{!transfer}, including
+(** [messages_sent t] counts every {!send} and {!transfer}, including
     loopback and dropped messages. *)
 val messages_sent : t -> int
 

@@ -34,7 +34,7 @@ type t = {
   diurnal : diurnal option;
   tiers : tier array;
   (* Precomputed at [make] so [rewrite] is draw-only on the replay path. *)
-  flash_zipf : Sim.Dist.Zipf.t option;
+  flash_zipf : Sim.Dist.Discrete.t option;
 }
 
 let duration t = t.duration
@@ -88,7 +88,7 @@ let make ~duration ?flash ?diurnal ?(tiers = []) () =
     t with
     flash_zipf =
       Option.map
-        (fun f -> Sim.Dist.Zipf.make ~n:f.fc_keys ~s:f.fc_zipf_s)
+        (fun f -> Sim.Dist.zipf ~n:f.fc_keys ~s:f.fc_zipf_s)
         flash;
   }
 
@@ -143,7 +143,7 @@ let rewrite t ~rng ~now item =
     match (item.Trace.kind, t.flash, t.flash_zipf) with
     | Trace.Cgi { out_bytes = _; _ }, Some f, Some zipf ->
         if Sim.Rng.float rng < p then begin
-          let rank = Sim.Dist.Zipf.draw zipf rng in
+          let rank = Sim.Dist.Discrete.draw zipf rng in
           let demand = f.fc_demand in
           Some
             {

@@ -71,8 +71,8 @@ let adl ~seed ?(params = default_adl) () =
     Array.init p.n_hot (fun _ ->
         Sim.Dist.lognormal_mean_cv rng_hot ~mean:p.hot_mean ~cv:p.hot_cv)
   in
-  let hot_pop = Sim.Dist.Zipf.make ~n:p.n_hot ~s:p.hot_zipf_s in
-  let file_pop = Sim.Dist.Zipf.make ~n:p.n_files ~s:p.file_zipf_s in
+  let hot_pop = Sim.Dist.zipf ~n:p.n_hot ~s:p.hot_zipf_s in
+  let file_pop = Sim.Dist.zipf ~n:p.n_files ~s:p.file_zipf_s in
   let file_bytes =
     Array.init p.n_files (fun _ ->
         int_of_float
@@ -83,7 +83,7 @@ let adl ~seed ?(params = default_adl) () =
     List.init p.n_requests (fun id ->
         if Sim.Rng.float rng_kind < p.cgi_fraction then
           if Sim.Rng.float rng_kind < p.p_hot then begin
-            let k = Sim.Dist.Zipf.draw hot_pop rng_hot in
+            let k = Sim.Dist.Discrete.draw hot_pop rng_hot in
             cgi_item ~id ~script:query_script
               ~qkey:(Printf.sprintf "hot%04d" k)
               ~demand:hot_demand.(k) ~out_bytes:p.cgi_out_bytes
@@ -99,7 +99,7 @@ let adl ~seed ?(params = default_adl) () =
               ~demand ~out_bytes:p.cgi_out_bytes
           end
         else begin
-          let k = Sim.Dist.Zipf.draw file_pop rng_file in
+          let k = Sim.Dist.Discrete.draw file_pop rng_file in
           {
             Trace.id;
             kind =
@@ -139,9 +139,9 @@ let coop ~seed ~n ~n_unique ?(n_hot = Stdlib.min 120 n_unique) ?(zipf_s = 0.8)
   (* Occurrence counts: every unique key once, plus n_repeats extras spread
      over the hot keys by Zipf weight. *)
   let occurrences = Array.make n_unique 1 in
-  let hot_pop = Sim.Dist.Zipf.make ~n:n_hot ~s:zipf_s in
+  let hot_pop = Sim.Dist.zipf ~n:n_hot ~s:zipf_s in
   for _ = 1 to n_repeats do
-    let k = Sim.Dist.Zipf.draw hot_pop rng_rep in
+    let k = Sim.Dist.Discrete.draw hot_pop rng_rep in
     occurrences.(k) <- occurrences.(k) + 1
   done;
   (* Position each occurrence on a virtual timeline; repeats of a key follow

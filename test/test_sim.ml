@@ -171,38 +171,35 @@ let test_dist_bounded_pareto_cap () =
   done
 
 let test_zipf_bounds () =
-  let z = Sim.Dist.Zipf.make ~n:10 ~s:1.0 in
+  let z = Sim.Dist.zipf ~n:10 ~s:1.0 in
   let rng = Sim.Rng.create 27 in
   for _ = 1 to 1000 do
-    let k = Sim.Dist.Zipf.draw z rng in
+    let k = Sim.Dist.Discrete.draw z rng in
     check_bool "rank in range" true (k >= 0 && k < 10)
   done
 
 let test_zipf_skew () =
   (* Rank 0 must be sampled more often than rank 9 under s=1. *)
-  let z = Sim.Dist.Zipf.make ~n:10 ~s:1.0 in
+  let z = Sim.Dist.zipf ~n:10 ~s:1.0 in
   let rng = Sim.Rng.create 28 in
   let counts = Array.make 10 0 in
   for _ = 1 to 20_000 do
-    let k = Sim.Dist.Zipf.draw z rng in
+    let k = Sim.Dist.Discrete.draw z rng in
     counts.(k) <- counts.(k) + 1
   done;
   check_bool "rank0 > rank9" true (counts.(0) > 3 * counts.(9))
 
 let test_zipf_uniform_when_s0 () =
-  let z = Sim.Dist.Zipf.make ~n:4 ~s:0.0 in
+  let z = Sim.Dist.zipf ~n:4 ~s:0.0 in
   let rng = Sim.Rng.create 29 in
   let counts = Array.make 4 0 in
   for _ = 1 to 40_000 do
-    let k = Sim.Dist.Zipf.draw z rng in
+    let k = Sim.Dist.Discrete.draw z rng in
     counts.(k) <- counts.(k) + 1
   done;
   Array.iter
     (fun c -> check_bool "roughly uniform" true (c > 8_000 && c < 12_000))
     counts
-
-let test_zipf_size () =
-  check_int "size" 17 (Sim.Dist.Zipf.size (Sim.Dist.Zipf.make ~n:17 ~s:0.5))
 
 let test_discrete_weights () =
   let d = Sim.Dist.Discrete.make [| 1.0; 0.0; 3.0 |] in
@@ -722,7 +719,7 @@ let prop_cpu_finish_not_before_demand =
 
 let test_disk_cached_vs_uncached () =
   let eng = Sim.Engine.create () in
-  let disk = Sim.Disk.create eng in
+  let disk = Sim.Disk.create () in
   let t_cached = ref 0. and t_cold = ref 0. in
   Sim.Engine.spawn eng (fun () ->
       Sim.Disk.read disk ~bytes:80_000 ~cached:true;
@@ -735,7 +732,7 @@ let test_disk_cached_vs_uncached () =
 
 let test_disk_serialises () =
   let eng = Sim.Engine.create () in
-  let disk = Sim.Disk.create ~seek:0.01 ~bandwidth:1e6 eng in
+  let disk = Sim.Disk.create ~seek:0.01 ~bandwidth:1e6 () in
   let finish = ref [] in
   for _ = 1 to 2 do
     Sim.Engine.spawn eng (fun () ->
@@ -797,8 +794,9 @@ let test_net_loss_drops_everything () =
     Sim.Net.create ~loss:1.0 ~rng:(Sim.Rng.create 1) eng ~n_endpoints:2
   in
   let mb = Sim.Mailbox.create () in
-  Sim.Engine.spawn eng (fun () -> Sim.Net.send net ~src:0 ~dst:1 ~bytes:10 mb ());
-  Sim.Net.post net ~src:0 ~dst:1 ~bytes:10 mb ();
+  Sim.Engine.spawn eng (fun () ->
+      Sim.Net.send net ~src:0 ~dst:1 ~bytes:10 mb ();
+      Sim.Net.send net ~src:0 ~dst:1 ~bytes:10 mb ());
   Sim.Engine.run eng;
   check_int "nothing delivered" 0 (Sim.Mailbox.length mb);
   check_int "two drops" 2 (Sim.Net.messages_lost net)
@@ -807,9 +805,10 @@ let test_net_loss_zero_is_lossless () =
   let eng = Sim.Engine.create () in
   let net = Sim.Net.create eng ~n_endpoints:2 in
   let mb = Sim.Mailbox.create () in
-  for _ = 1 to 20 do
-    Sim.Net.post net ~src:0 ~dst:1 ~bytes:10 mb ()
-  done;
+  Sim.Engine.spawn eng (fun () ->
+      for _ = 1 to 20 do
+        Sim.Net.send net ~src:0 ~dst:1 ~bytes:10 mb ()
+      done);
   Sim.Engine.run eng;
   check_int "all delivered" 20 (Sim.Mailbox.length mb);
   check_int "no drops" 0 (Sim.Net.messages_lost net)
@@ -820,9 +819,10 @@ let test_net_loss_partial () =
     Sim.Net.create ~loss:0.5 ~rng:(Sim.Rng.create 5) eng ~n_endpoints:2
   in
   let mb = Sim.Mailbox.create () in
-  for _ = 1 to 1000 do
-    Sim.Net.post net ~src:0 ~dst:1 ~bytes:10 mb ()
-  done;
+  Sim.Engine.spawn eng (fun () ->
+      for _ = 1 to 1000 do
+        Sim.Net.send net ~src:0 ~dst:1 ~bytes:10 mb ()
+      done);
   Sim.Engine.run eng;
   let delivered = Sim.Mailbox.length mb in
   check_bool "about half" true (delivered > 400 && delivered < 600);
@@ -894,7 +894,6 @@ let () =
           Alcotest.test_case "zipf in range" `Quick test_zipf_bounds;
           Alcotest.test_case "zipf skew" `Quick test_zipf_skew;
           Alcotest.test_case "zipf s=0 uniform" `Quick test_zipf_uniform_when_s0;
-          Alcotest.test_case "zipf size" `Quick test_zipf_size;
           Alcotest.test_case "discrete weights" `Quick test_discrete_weights;
           Alcotest.test_case "discrete validation" `Quick test_discrete_invalid;
         ] );

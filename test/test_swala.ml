@@ -92,10 +92,26 @@ let test_server_file_fetch () =
     with_cluster (fun cluster ->
         let resp = submit0 cluster "/files/doc-5k.html" in
         check_int "200" 200 (Http.Status.code resp.Http.Response.status);
-        Alcotest.(check (option int)) "declared size" (Some 5000)
-          (Http.Headers.content_length resp.Http.Response.headers))
+        check_int "declared size" 5000
+          (Http.Body.length resp.Http.Response.body))
   in
   check_int "file counted" 1 (get cluster Swala.Server.K.file_fetches)
+
+(* The network carries exactly the request and the reply the client
+   receives, body included. *)
+let test_server_reply_charged () =
+  let req = Http.Request.get "/files/doc-5k.html" in
+  ignore
+    (with_cluster ~cfg:(Swala.Config.make ~n_nodes:1 ()) (fun cluster ->
+         let reply =
+           Swala.Server.submit cluster ~client:(client_of cluster 0) ~node:0 req
+         in
+         check_int "body length" 5000
+           (Http.Body.length reply.Http.Response.body);
+         check_int "bytes on the wire"
+           (Http.Request.wire_size req + Http.Response.wire_size reply)
+           (Sim.Net.bytes_sent (Swala.Server.net cluster)))
+      : Swala.Server.cluster)
 
 let test_server_404 () =
   let cluster =
@@ -377,6 +393,8 @@ let () =
       ( "single-node",
         [
           Alcotest.test_case "file fetch" `Quick test_server_file_fetch;
+          Alcotest.test_case "client charged for the reply" `Quick
+            test_server_reply_charged;
           Alcotest.test_case "404" `Quick test_server_404;
           Alcotest.test_case "CGI exec then cache hit" `Quick
             test_server_cgi_exec_and_cache_hit;
