@@ -139,8 +139,9 @@ let config_t =
         (fun anti_entropy_period c -> { c with anti_entropy_period });
       row [ "fetch-timeout" ] ~docv:"SEC"
         ~doc:
-          "Remote-fetch timeout; on expiry the node retries then falls \
-           back to local CGI execution."
+          "Remote-fetch timeout; on expiry the node retries, then marks \
+           the owner suspect (drops its directory entries) and falls back \
+           to local CGI execution."
         Arg.(some float) d.fetch_timeout
         (fun fetch_timeout c -> { c with fetch_timeout });
       row [ "fetch-retries" ] ~docv:"N"

@@ -3,7 +3,6 @@ type granularity = Global | Per_table | Per_entry
 type table = {
   lock : Sim.Rwlock.t;  (* the table's lock under Per_table *)
   entries : (string, Meta.t) Hashtbl.t;
-  mutable last_touch : float;
   mutable digest_xor : int;
       (* xor of meta_hash over [entries], maintained incrementally so
          [digest] is O(1) instead of re-hashing every entry. *)
@@ -21,7 +20,6 @@ type t = {
      so only their cost is simulated. We still take the table lock to keep
      exclusion correct. *)
   mutable extra_rd : int;
-  mutable extra_wr : int;
   hints : (string, int) Hashtbl.t option;
       (* key -> bitmask of tables hinted to hold the key. Advisory only:
          a set bit may be stale (expired/deleted entry), a clear bit may
@@ -48,11 +46,9 @@ let create ?(granularity = Per_table) ?(lock_overhead = 2e-6) ?(scan_cost = 0.)
           {
             lock = Sim.Rwlock.create ?observe:lock_observe ();
             entries = Hashtbl.create 64;
-            last_touch = 0.;
             digest_xor = 0;
           });
     extra_rd = 0;
-    extra_wr = 0;
     hints = (if hints then Some (Hashtbl.create 256) else None);
     hint_saved = 0;
     hint_false = 0;
@@ -287,14 +283,6 @@ let reset_node t ~node =
   check_node t node;
   wipe_unlocked t t.tables.(node) ~node
 
-let touch t ~node key ~now =
-  check_node t node;
-  locked t t.tables.(node) ~write:true
-    (fun _ tbl now key ->
-      tbl.last_touch <- now;
-      Hashtbl.mem tbl.entries key)
-    now key
-
 let entries t ~node =
   check_node t node;
   Hashtbl.fold (fun _ m acc -> m :: acc) t.tables.(node).entries []
@@ -327,7 +315,7 @@ let hint_stats t = (t.hint_saved, t.hint_false)
 
 let lock_acquisitions t =
   let rd = ref (Sim.Rwlock.rd_acquisitions t.global_lock + t.extra_rd) in
-  let wr = ref (Sim.Rwlock.wr_acquisitions t.global_lock + t.extra_wr) in
+  let wr = ref (Sim.Rwlock.wr_acquisitions t.global_lock) in
   Array.iter
     (fun tbl ->
       rd := !rd + Sim.Rwlock.rd_acquisitions tbl.lock;

@@ -91,12 +91,6 @@ val purge_node : t -> node:int -> int
     own table is a failure event, not simulated work). *)
 val reset_node : t -> node:int -> int
 
-(** [touch t ~node key ~now] updates nothing structural but lets the owner
-    bump meta statistics after a fetch; present for symmetry with §4.1
-    ("the cache manager on the node that owns the item updates meta-data
-    statistics"). Returns [true] if the entry exists. *)
-val touch : t -> node:int -> string -> now:float -> bool
-
 (** [entries t ~node] lists a table's metas (unordered). *)
 val entries : t -> node:int -> Meta.t list
 

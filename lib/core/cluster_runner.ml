@@ -12,7 +12,6 @@ type result = {
   dir_locks : int * int;
   dir_mode : string;
   dir_entries : int array;
-  shard_imbalance : Metrics.Histogram.t;
   forward_wait : Metrics.Histogram.t;
   hit_latency : Metrics.Sample.t;
   store_stats : Cache.Stats.t;
@@ -212,13 +211,6 @@ let run cfg ~trace ~n_streams ?warmup ?(assign = fun s -> s mod cfg.Config.n_nod
   let dir_entries =
     Array.init (Server.n_nodes cluster) (Server.dir_entries cluster)
   in
-  let shard_imbalance =
-    let h =
-      Metrics.Histogram.create ~bounds:(Metrics.Histogram.pow2_bounds ()) ()
-    in
-    Array.iter (fun n -> Metrics.Histogram.add h (float_of_int n)) dir_entries;
-    h
-  in
   let per_node_counters =
     Array.init (Server.n_nodes cluster) (fun i ->
         Server.node_counters (Server.node cluster i))
@@ -244,6 +236,10 @@ let run cfg ~trace ~n_streams ?warmup ?(assign = fun s -> s mod cfg.Config.n_nod
             (Metrics.Sample.count sample))
         tier_samples
   | Some _ | None -> ());
+  (* The fault plan is the only source of lost messages. *)
+  let fault_count count =
+    Option.fold ~none:0 ~some:count (Server.fault cluster)
+  in
   let hits = Server.total_hits cluster in
   let n_cgi =
     Metrics.Counter.get counters Server.K.cgi_execs
@@ -275,7 +271,6 @@ let run cfg ~trace ~n_streams ?warmup ?(assign = fun s -> s mod cfg.Config.n_nod
        (!rd, !wr));
     dir_mode = Config.dir_mode_to_string cfg.Config.dir_mode;
     dir_entries;
-    shard_imbalance;
     forward_wait = Server.forward_wait_histogram cluster;
     hit_latency = Server.hit_latency cluster;
     store_stats =
@@ -286,11 +281,8 @@ let run cfg ~trace ~n_streams ?warmup ?(assign = fun s -> s mod cfg.Config.n_nod
              (Cache.Store.stats (Server.node_store (Server.node cluster i)))
        done;
        !acc);
-    net_lost = Sim.Net.messages_lost (Server.net cluster);
-    net_lost_partition =
-      (match Server.fault cluster with
-      | Some f -> Sim.Fault.drops_partition f
-      | None -> 0);
+    net_lost = fault_count Sim.Fault.drops;
+    net_lost_partition = fault_count Sim.Fault.drops_partition;
     n_events = Sim.Engine.events_processed engine;
     tracer;
     wait_histograms = Server.wait_histograms cluster;
@@ -355,6 +347,14 @@ let histogram_json h =
 let result_to_json r =
   let module J = Metrics.Json in
   let rd, wr = r.dir_locks in
+  (* [dir_entries] as a histogram (power-of-two buckets): its spread is
+     the consistent-hash load imbalance. *)
+  let shard_imbalance =
+    Metrics.Histogram.create ~bounds:(Metrics.Histogram.pow2_bounds ()) ()
+  in
+  Array.iter
+    (fun n -> Metrics.Histogram.add shard_imbalance (float_of_int n))
+    r.dir_entries;
   J.to_string
     (J.Obj
        ([
@@ -371,7 +371,7 @@ let result_to_json r =
          ( "dir_entries",
            J.List
              (Array.to_list (Array.map (fun n -> J.Int n) r.dir_entries)) );
-         ("shard_imbalance", histogram_json r.shard_imbalance);
+         ("shard_imbalance", histogram_json shard_imbalance);
          ("forward_wait_s", histogram_json r.forward_wait);
          ("hit_latency_s", sample_json r.hit_latency);
          ( "utilisation",

@@ -25,10 +25,9 @@ type result = {
   dir_entries : int array;
       (** per-node metadata footprint at run end, in entries: the full
           replica (replicated) or shard partition + lookup cache
-          (sharded) — the memory metric of the dirmode ablation *)
-  shard_imbalance : Metrics.Histogram.t;
-      (** [dir_entries] as a histogram (power-of-two buckets): the
-          spread quantifies consistent-hash load imbalance *)
+          (sharded) — the memory metric of the dirmode ablation;
+          {!result_to_json} also prints it as a power-of-two histogram,
+          ["shard_imbalance"] *)
   forward_wait : Metrics.Histogram.t;
       (** forwarded directory-lookup round-trip waits (sharded plane;
           empty under the replicated one) *)
@@ -37,8 +36,8 @@ type result = {
           {!Server.hit_latency} *)
   store_stats : Cache.Stats.t;  (** local-store statistics merged over nodes *)
   net_lost : int;
-      (** protocol messages dropped by the network (uniform loss and the
-          fault plan combined); [0] on a healthy run *)
+      (** protocol messages the fault plan dropped ({!Sim.Fault.drops});
+          [0] on a healthy run *)
   net_lost_partition : int;
       (** the subset of [net_lost] discarded because an active partition
           separated the endpoints *)

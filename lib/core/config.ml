@@ -85,7 +85,6 @@ type t = {
   dir_scan_cost : float;
   net_latency : float;
   net_bandwidth : float;
-  net_loss : float;
   fetch_timeout : float option;
   fetch_retries : int;
   fetch_backoff : float;
@@ -137,7 +136,6 @@ let default =
     dir_scan_cost = 0.;
     net_latency = 0.0002;
     net_bandwidth = 12.5e6;
-    net_loss = 0.;
     fetch_timeout = None;
     fetch_retries = 0;
     fetch_backoff = 2.;
@@ -182,7 +180,7 @@ let make ?(n_nodes = default.n_nodes)
     ?(dir_granularity = default.dir_granularity)
     ?(dir_scan_cost = default.dir_scan_cost)
     ?(net_latency = default.net_latency)
-    ?(net_bandwidth = default.net_bandwidth) ?(net_loss = default.net_loss)
+    ?(net_bandwidth = default.net_bandwidth)
     ?(fetch_timeout = default.fetch_timeout)
     ?(fetch_retries = default.fetch_retries)
     ?(fetch_backoff = default.fetch_backoff) ?(fault = default.fault)
@@ -228,7 +226,6 @@ let make ?(n_nodes = default.n_nodes)
     dir_scan_cost;
     net_latency;
     net_bandwidth;
-    net_loss;
     fetch_timeout;
     fetch_retries;
     fetch_backoff;
@@ -281,7 +278,6 @@ let validate t =
   (match t.anti_entropy_period with
   | Some p -> check (p > 0.) "anti_entropy_period must be positive"
   | None -> ());
-  check (t.net_loss >= 0. && t.net_loss <= 1.) "net_loss must be in [0,1]";
   check (t.fetch_retries >= 0) "fetch_retries must be >= 0";
   check (t.fetch_backoff >= 1.) "fetch_backoff must be >= 1";
   (match t.fault with
@@ -305,20 +301,21 @@ let validate t =
   (match t.scenario with
   | Some sc -> Workload.Scenario.validate sc
   | None -> ());
-  let lossy =
-    t.net_loss > 0.
-    || match t.fault with Some p -> Sim.Fault.is_lossy p | None -> false
-  in
+  let lossy = Option.fold ~none:false ~some:Sim.Fault.is_lossy t.fault in
   (match t.fetch_timeout with
-  | Some d -> check (d > 0.) "fetch_timeout must be positive"
+  | Some d ->
+      check (d > 0.) "fetch_timeout must be positive";
+      (* [None] is the infinite wait; an infinite [Some] would wedge a
+         lossy run's request threads just the same. *)
+      check (Float.is_finite d) "fetch_timeout must be finite"
   | None ->
       check (not lossy)
         "message loss or node crashes require a fetch_timeout (lost \
          replies would wedge request threads)");
   if t.consistency = Strong then
     check (not lossy)
-      "the strong protocol has no ack retransmission; it tolerates neither \
-       net_loss nor a lossy fault profile";
+      "the strong protocol has no ack retransmission; it tolerates no lossy \
+       fault profile";
   check (t.batch_max >= 1) "batch_max must be >= 1";
   (match t.batch_flush_interval with
   | Some d -> check (d > 0.) "batch_flush_interval must be positive"

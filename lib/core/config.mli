@@ -113,14 +113,11 @@ type t = {
           (default 0; raised by the locking ablation) *)
   net_latency : float;
   net_bandwidth : float;
-  net_loss : float;
-      (** probability a protocol message (directory update, fetch
-          request/reply) is silently dropped — failure injection; requires
-          [fetch_timeout] so lost fetches cannot wedge request threads *)
   fetch_timeout : float option;
       (** how long a request thread waits for a remote-fetch reply before
-          giving up and executing the CGI locally ([None] = forever, safe
-          only on a loss-free network) *)
+          giving up, purging the owner's directory table and executing the
+          CGI locally; positive and finite ([None] = forever, safe only
+          without a lossy [fault] profile) *)
   fetch_retries : int;
       (** how many times a timed-out remote fetch is retried before the
           node falls back to local execution (default [0]: fail over
@@ -132,8 +129,9 @@ type t = {
       (** fault-injection plan: per-link message drop/delay and per-node
           crash/restart behaviour, instantiated deterministically from
           [seed]. [None] (the default) leaves the fault layer entirely out
-          of the run. A lossy profile requires [fetch_timeout], and the
-          [Strong] protocol (no ack retransmission) tolerates no faults *)
+          of the run. The plan is the only source of lost messages. A
+          lossy profile requires [fetch_timeout], and the [Strong]
+          protocol (no ack retransmission) tolerates no faults *)
   anti_entropy_period : float option;
       (** if set (cooperative mode only), every node runs an anti-entropy
           daemon: once per period it exchanges per-table directory digests
@@ -281,7 +279,6 @@ val make :
   ?dir_scan_cost:float ->
   ?net_latency:float ->
   ?net_bandwidth:float ->
-  ?net_loss:float ->
   ?fetch_timeout:float option ->
   ?fetch_retries:int ->
   ?fetch_backoff:float ->

@@ -743,39 +743,6 @@ let threshold_target =
     (fun ~jobs:_ -> ablation_threshold ())
 
 (* ------------------------------------------------------------------ *)
-(* A7 — protocol-message loss *)
-
-let ablation_loss ?(seed = default_seed) ?(losses = [ 0.0; 0.05; 0.2; 0.5 ])
-    ?(nodes = 4) () =
-  let trace = table5_trace seed in
-  let upper = Workload.Analyzer.upper_bound_hits trace in
-  ( upper,
-    List.map
-      (fun loss ->
-        let cfg =
-          Config.make ~n_nodes:nodes ~cache_mode:Config.Cooperative
-            ~net_loss:loss ~fetch_timeout:(Some 0.5) ~seed ()
-        in
-        (loss, Cluster_runner.run cfg ~trace ~n_streams:16 ()))
-      losses )
-
-let loss_target =
-  bounded_table "ablation-loss" ~doc:"message loss + timeout recovery"
-    ~title:
-      "Ablation A7. Protocol-message loss with 0.5 s fetch timeout (4 nodes, \
-       Table-5 workload)."
-    (fun upper ->
-      Metrics.Table.
-        [
-          right "Loss" (fun (loss, _) -> fmt_pct loss);
-          right "Hits" hits_cell;
-          right "% of UB" (of_upper upper);
-          right "Fetch timeouts" (counter_cell Server.K.fetch_timeouts);
-          right "Mean response (s)" mean_cell;
-        ])
-    (fun () -> ablation_loss ())
-
-(* ------------------------------------------------------------------ *)
 (* A8 — injected faults *)
 
 let ablation_faults ?(seed = default_seed) ?(drops = [ 0.0; 0.05; 0.2 ])
@@ -1344,7 +1311,6 @@ let targets =
     protocol_target;
     routing_target;
     threshold_target;
-    loss_target;
     faults_target;
     partition_target;
     batching_target;

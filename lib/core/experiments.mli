@@ -135,9 +135,10 @@ val hit_ratio_table :
     other ablation runs once per swept point and returns each point with
     that run's {!Cluster_runner.result}, in sweep order (a two-parameter
     point [(a, b)] varies [b] fastest). The drivers whose tables print
-    hits as a share of the offline upper bound (A1, A5, A7, A8) also
-    return that bound, {!Workload.Analyzer.upper_bound_hits} of their
-    trace. *)
+    hits as a share of the offline upper bound (A1, A5, A8) also return
+    that bound, {!Workload.Analyzer.upper_bound_hits} of their trace. A7,
+    protocol-message loss, is A8's no-crash column: the fault plan is the
+    only source of lost messages. *)
 
 (** {1 A1 — ablation: replacement policies under overflow} *)
 
@@ -200,17 +201,6 @@ val ablation_routing :
 val ablation_threshold :
   ?seed:int -> ?thresholds:float list -> ?capacities:int list ->
   ?n_requests:int -> unit -> ((int * float) * Cluster_runner.result) list
-
-(** {1 A7 — ablation: protocol-message loss (failure injection)} *)
-
-(** [ablation_loss ()] injects message loss into the cooperative protocol
-    (directory updates and fetch traffic) with a fetch timeout as the
-    recovery mechanism: the cache degrades gracefully — requests always
-    complete, hits erode as replicas diverge. Points are per-message drop
-    probabilities. *)
-val ablation_loss :
-  ?seed:int -> ?losses:float list -> ?nodes:int -> unit ->
-  int * (float * Cluster_runner.result) list
 
 (** {1 A8 — ablation: injected faults (drop-rate × crash-frequency)} *)
 

@@ -41,7 +41,7 @@ module type S = sig
   val delete : t -> Node.t -> string -> unit
 
   (** [unreachable p nd ~owner key]: a fetch of [key] from [owner] used up
-      every retry under fault injection, so [owner] is suspect. *)
+      every retry, so [owner] is suspect, whatever made it time out. *)
   val unreachable : t -> Node.t -> owner:int -> string -> unit
 
   (** [false_hit p nd key]: the owner [lookup] named no longer had [key]. *)

@@ -160,10 +160,11 @@ let create_cluster engine cfg ~registry ~n_client_endpoints =
   in
   let net =
     Sim.Net.create ~latency:cfg.Config.net_latency ?extra_latency
-      ~bandwidth:cfg.Config.net_bandwidth ~loss:cfg.Config.net_loss
-      ~rng:(Sim.Rng.split root) ?fault engine
+      ~bandwidth:cfg.Config.net_bandwidth ?fault engine
       ~n_endpoints:(cfg.Config.n_nodes + n_client_endpoints)
   in
+  (* Split and dropped so that every stream split after it is unchanged. *)
+  ignore (Sim.Rng.split root : Sim.Rng.t);
   let nodes =
     Array.init cfg.Config.n_nodes (fun id ->
         let rng = Sim.Rng.split root in
@@ -472,41 +473,29 @@ let serve_local c (nd : t) env ~t0 (entry : Cache.Store.entry) =
 
 let fetch_remote c (nd : t) env (script : Cgi.Script.t) key ~(ctl : cache_ctl)
     ~t0 owner =
-  let answer =
+  (* The span's body ends in the fetch, so nothing it allocates stays
+     reachable from the waiting stack. *)
+  let answer, retries =
     with_span c.ctx nd "fetch.remote"
       ~attrs:(fun () -> [ ("owner", string_of_int owner) ])
     @@ fun () ->
     Sim.Cpu.consume nd.cpu Config.remote_fetch_cost;
-    let span = Node.span_of c.ctx in
-    let data_mb = c.ctx.nodes.(owner).data_mb in
-    match c.ctx.cfg.Config.fetch_timeout with
-    | None ->
-        let reply = Sim.Mailbox.create () in
-        Node.fetch c.ctx.net ~src:nd.id ~owner data_mb
-          { Node.key; requester = nd.id; reply; span };
-        Some (Sim.Mailbox.recv reply)
-    | Some timeout ->
-        let reply, retries =
-          Node.fetch_sync ~span c.ctx.net ~src:nd.id ~owner data_mb ~timeout
-            ~retries:c.ctx.cfg.Config.fetch_retries
-            ~backoff:c.ctx.cfg.Config.fetch_backoff key
-        in
-        if retries > 0 then
-          Metrics.Counter.add nd.counters K.fetch_retries retries;
-        reply
+    let cfg = c.ctx.cfg in
+    Node.fetch_sync ~span:(Node.span_of c.ctx) c.ctx.net ~src:nd.id ~owner
+      c.ctx.nodes.(owner).data_mb
+      ~timeout:(Option.value cfg.Config.fetch_timeout ~default:infinity)
+      ~retries:cfg.Config.fetch_retries ~backoff:cfg.Config.fetch_backoff key
   in
+  if retries > 0 then Metrics.Counter.add nd.counters K.fetch_retries retries;
   match answer with
   | None ->
       (* Request or reply lost (or owner unreachable): give up on the
-         remote copy and execute locally, like a false hit. *)
+         remote copy and execute locally, like a false hit. A fetch that
+         survives every retry marks the owner as suspect — most likely
+         crashed or partitioned. *)
       incr nd K.fetch_timeouts;
-      (* Under fault injection a fetch that survives every retry marks the
-         owner as suspect — most likely crashed or partitioned. *)
-      (match c.fault with
-      | Some _ -> (
-          match c.packed with
-          | Packed ((module P), p) -> P.unreachable p nd ~owner key)
-      | None -> ());
+      (match c.packed with
+      | Packed ((module P), p) -> P.unreachable p nd ~owner key);
       exec_and_respond c nd env script key ~ctl
   | Some (Node.Hit { meta = served; body }) ->
       incr nd K.hit_remote;

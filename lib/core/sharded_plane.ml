@@ -282,9 +282,8 @@ let forward_lookup p (nd : Node.t) st key ~home =
     incr nd Node.K.dir_lookup_msgs;
     Metrics.Counter.add nd.counters Node.K.dir_lookup_bytes
       (lookup_request_bytes req);
-    match p.x.cfg.Config.fetch_timeout with
-    | None -> Some (Sim.Mailbox.recv reply_mb)
-    | Some timeout -> Sim.Mailbox.recv_timeout reply_mb ~timeout
+    Sim.Mailbox.recv_timeout reply_mb
+      ~timeout:(Option.value p.x.cfg.Config.fetch_timeout ~default:infinity)
   in
   Metrics.Histogram.add p.fwd_wait (now () -. t_fwd);
   match answer with

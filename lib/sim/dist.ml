@@ -22,13 +22,6 @@ let lognormal_mean_cv rng ~mean ~cv =
     let mu = log mean -. (sigma2 /. 2.) in
     lognormal rng ~mu ~sigma:(sqrt sigma2)
 
-let pareto rng ~xm ~alpha =
-  if xm <= 0. || alpha <= 0. then invalid_arg "Dist.pareto: xm, alpha > 0";
-  let u = 1. -. Rng.float rng in
-  xm /. (u ** (1. /. alpha))
-
-let bounded_pareto rng ~xm ~alpha ~cap = Float.min cap (pareto rng ~xm ~alpha)
-
 module Discrete = struct
   type t = { cdf : float array }
 

@@ -22,13 +22,6 @@ val lognormal : Rng.t -> mu:float -> sigma:float -> float
     matching published workload aggregates. Requires [mean > 0], [cv >= 0]. *)
 val lognormal_mean_cv : Rng.t -> mean:float -> cv:float -> float
 
-(** [pareto rng ~xm ~alpha] draws from a Pareto with scale [xm] > 0 and shape
-    [alpha] > 0 (heavy-tailed; used for large-transfer sizes). *)
-val pareto : Rng.t -> xm:float -> alpha:float -> float
-
-(** [bounded_pareto rng ~xm ~alpha ~cap] is {!pareto} truncated at [cap]. *)
-val bounded_pareto : Rng.t -> xm:float -> alpha:float -> cap:float -> float
-
 (** Weighted discrete choice over an explicit weight vector. *)
 module Discrete : sig
   type t

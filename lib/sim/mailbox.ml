@@ -66,19 +66,24 @@ let recv_timeout t ~timeout =
       waited t 0.;
       got
   | None ->
-      let engine = Engine.self_engine () in
       let t0 = match t.on_wait with None -> 0. | Some _ -> Engine.now () in
       let got =
-        Engine.suspend (fun resume ->
-            let w = { active = true; resume } in
-            Queue.push w t.waiting;
-            ignore
-              (Engine.schedule_after engine timeout (fun () ->
-                   if w.active then begin
-                     w.active <- false;
-                     Engine.resume w.resume None
-                   end)
-                : Engine.handle))
+        if timeout = Float.infinity then
+          (* Wait as [recv] does: no timer, and the sender's [Some v] is
+             handed back as it is. *)
+          Engine.suspend t.enqueue
+        else
+          let engine = Engine.self_engine () in
+          Engine.suspend (fun resume ->
+              let w = { active = true; resume } in
+              Queue.push w t.waiting;
+              ignore
+                (Engine.schedule_after engine timeout (fun () ->
+                     if w.active then begin
+                       w.active <- false;
+                       Engine.resume w.resume None
+                     end)
+                  : Engine.handle))
       in
       (match t.on_wait with
       | None -> ()

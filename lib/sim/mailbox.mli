@@ -27,7 +27,9 @@ val recv : 'a t -> 'a
 
 (** [recv_timeout mb ~timeout] is {!recv} bounded by [timeout >= 0]
     simulated seconds: [None] if nothing arrived in time. A message and
-    the timeout expiring at the same instant resolve in event order. *)
+    the timeout expiring at the same instant resolve in event order.
+    [~timeout:infinity] waits exactly as {!recv} does and schedules no
+    timer. *)
 val recv_timeout : 'a t -> timeout:float -> 'a option
 
 (** [try_recv mb] dequeues without blocking. *)

@@ -3,34 +3,25 @@ type t = {
   lat : float;
   extra : (int -> float) option;  (* per-endpoint extra one-way latency *)
   bandwidth : float;
-  loss : float;
-  rng : Rng.t option;
   fault : Fault.t option;
   nics : Rwlock.t array;  (* taken only for writing: one sender at a time *)
   mutable n_messages : int;
   mutable n_bytes : int;
-  mutable n_lost : int;
 }
 
-let create ?(latency = 0.0002) ?extra_latency ?(bandwidth = 12.5e6)
-    ?(loss = 0.) ?rng ?fault engine ~n_endpoints =
+let create ?(latency = 0.0002) ?extra_latency ?(bandwidth = 12.5e6) ?fault
+    engine ~n_endpoints =
   if n_endpoints < 1 then invalid_arg "Net.create: need at least one endpoint";
   if bandwidth <= 0. then invalid_arg "Net.create: bandwidth must be positive";
-  if loss < 0. || loss > 1. then invalid_arg "Net.create: loss out of [0,1]";
-  if loss > 0. && rng = None then
-    invalid_arg "Net.create: positive loss needs an rng";
   {
     engine;
     lat = latency;
     extra = extra_latency;
     bandwidth;
-    loss;
-    rng;
     fault;
     nics = Array.init n_endpoints (fun _ -> Rwlock.create ());
     n_messages = 0;
     n_bytes = 0;
-    n_lost = 0;
   }
 
 (* One-way flight time between two endpoints; without per-endpoint extras
@@ -38,29 +29,12 @@ let create ?(latency = 0.0002) ?extra_latency ?(bandwidth = 12.5e6)
 let one_way t ~src ~dst =
   match t.extra with None -> t.lat | Some f -> t.lat +. f src +. f dst
 
-let dropped t =
-  t.loss > 0.
-  &&
-  match t.rng with
-  | Some rng ->
-      if Rng.float rng < t.loss then begin
-        t.n_lost <- t.n_lost + 1;
-        true
-      end
-      else false
-  | None -> false
-
-(* Consult the fault plan for one inter-host message. Counts plan-induced
-   drops in [n_lost] alongside the legacy uniform-loss drops. *)
+(* Consult the fault plan, which counts its own drops, for one inter-host
+   message. *)
 let fault_action t ~src ~dst =
   match t.fault with
   | None -> Fault.Deliver
-  | Some f -> (
-      match Fault.action f ~src ~dst ~now:(Engine.current_time t.engine) with
-      | Fault.Drop ->
-          t.n_lost <- t.n_lost + 1;
-          Fault.Drop
-      | (Fault.Deliver | Fault.Delay _) as a -> a)
+  | Some f -> Fault.action f ~src ~dst ~now:(Engine.current_time t.engine)
 
 let check_endpoint t who = if who < 0 || who >= Array.length t.nics then
     invalid_arg "Net: endpoint out of range"
@@ -90,16 +64,15 @@ let send t ~src ~dst ~bytes mailbox msg =
   else begin
     (* Serialise through the sender's NIC, then fly for [lat]. *)
     serialise t ~src ~bytes;
-    if not (dropped t) then
-      match fault_action t ~src ~dst with
-      | Fault.Drop -> ()
-      | Fault.Deliver | Fault.Delay _ as a ->
-          let extra = match a with Fault.Delay d -> d | _ -> 0. in
-          ignore
-            (Engine.schedule_after t.engine
-               (one_way t ~src ~dst +. extra)
-               (fun () -> Mailbox.send mailbox msg)
-              : Engine.handle)
+    match fault_action t ~src ~dst with
+    | Fault.Drop -> ()
+    | Fault.Deliver | Fault.Delay _ as a ->
+        let extra = match a with Fault.Delay d -> d | _ -> 0. in
+        ignore
+          (Engine.schedule_after t.engine
+             (one_way t ~src ~dst +. extra)
+             (fun () -> Mailbox.send mailbox msg)
+            : Engine.handle)
   end
 
 let transfer t ~src ~dst ~bytes =
@@ -114,4 +87,3 @@ let transfer t ~src ~dst ~bytes =
 
 let messages_sent t = t.n_messages
 let bytes_sent t = t.n_bytes
-let messages_lost t = t.n_lost

@@ -17,8 +17,6 @@ val create :
   ?latency:float ->
   ?extra_latency:(int -> float) ->
   ?bandwidth:float ->
-  ?loss:float ->
-  ?rng:Rng.t ->
   ?fault:Fault.t ->
   Engine.t ->
   n_endpoints:int ->
@@ -34,18 +32,14 @@ val create :
     LAN keeps the base latency. Omitted (the default), the delivery path
     is exactly the fixed-latency behaviour.
 
-    [loss] (default [0.]) is the probability that a {!send} message is
-    silently dropped after transmission — for failure-injection
-    experiments ([rng] required when positive; loopback and blocking
-    {!transfer}s never drop, mirroring TCP's reliability for established
-    streams vs. datagram-style notifications).
-
-    [fault] attaches a {!Fault} plan: every inter-host {!send} asks the
-    plan for its fate — delivered, silently dropped (link loss or a
-    down endpoint), or delivered after extra delay. Loopback messages and
-    {!transfer}s are never faulted, for the same TCP-vs-datagram reason as
-    [loss]. Without a plan (or with a zero plan) the delivery path is
-    identical to the pre-fault behaviour. *)
+    [fault] attaches a {!Fault} plan, the network's only source of lost
+    messages: every inter-host {!send} asks the plan for its fate —
+    delivered, silently dropped (link loss, a down endpoint or a
+    partition), or delivered after extra delay. The plan counts its own
+    drops ({!Fault.drops}). Loopback messages and blocking {!transfer}s are
+    never faulted, mirroring TCP's reliability for established streams
+    vs. datagram-style notifications. Without a plan (or with a zero plan)
+    every message is delivered after its latency. *)
 
 (** [send net ~src ~dst ~bytes mailbox msg] transmits asynchronously:
     occupies [src]'s NIC for the transmission time, then delivers [msg] to
@@ -62,7 +56,3 @@ val messages_sent : t -> int
 
 (** [bytes_sent t] is the total payload bytes across all messages. *)
 val bytes_sent : t -> int
-
-(** [messages_lost t] counts drops, whether due to [loss] or to the
-    [fault] plan. *)
-val messages_lost : t -> int

@@ -33,11 +33,3 @@ let int t bound =
 let range t lo hi =
   if lo > hi then invalid_arg "Rng.range: lo > hi";
   lo +. ((hi -. lo) *. float t)
-
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done

@@ -27,6 +27,3 @@ val int : t -> int -> int
 (** [range t lo hi] draws uniformly from [\[lo, hi)] as a float.
     Requires [lo <= hi]. *)
 val range : t -> float -> float -> float
-
-(** [shuffle t arr] permutes [arr] in place (Fisher-Yates). *)
-val shuffle : t -> 'a array -> unit

@@ -610,13 +610,6 @@ let test_directory_sizes () =
       check_int "entries list" 2 (List.length (Cache.Directory.entries d ~node:1));
       check_int "nodes" 3 (Cache.Directory.nodes d))
 
-let test_directory_touch () =
-  in_engine (fun () ->
-      let d = Cache.Directory.create ~nodes:1 () in
-      Cache.Directory.insert d ~node:0 (meta "k");
-      check_bool "touch hit" true (Cache.Directory.touch d ~node:0 "k" ~now:1.);
-      check_bool "touch miss" false (Cache.Directory.touch d ~node:0 "zz" ~now:1.))
-
 let test_directory_lock_counts_by_granularity () =
   let count gran =
     in_engine (fun () ->
@@ -740,7 +733,6 @@ let () =
           Alcotest.test_case "delete" `Quick test_directory_delete;
           Alcotest.test_case "expired entries skipped" `Quick test_directory_expired_skipped;
           Alcotest.test_case "table sizes" `Quick test_directory_sizes;
-          Alcotest.test_case "touch" `Quick test_directory_touch;
           Alcotest.test_case "lock counts per granularity" `Quick
             test_directory_lock_counts_by_granularity;
           Alcotest.test_case "node range checked" `Quick test_directory_out_of_range;

@@ -147,7 +147,87 @@ let validation_cases =
     ( "run --delay-mean=-1 alone",
       [ "run"; "--nodes"; "2"; "--requests"; "10"; "--delay-mean=-1" ],
       "Fault: link delay_mean must be >= 0" );
+    ( "run --fetch-timeout inf",
+      [ "run"; "--nodes"; "4"; "--requests"; "20"; "--drop-rate"; "0.2";
+        "--fetch-timeout"; "inf" ],
+      "Config: fetch_timeout must be finite" );
+    (* EXPERIMENTS.md A8: either recipe without --fetch-timeout. *)
+    ( "run --drop-rate without --fetch-timeout",
+      [ "run"; "--nodes"; "4"; "--requests"; "20"; "--drop-rate"; "0.2" ],
+      "Config: message loss or node crashes require a fetch_timeout (lost \
+       replies would wedge request threads)" );
+    ( "run --crash-mtbf without --fetch-timeout",
+      [ "run"; "--nodes"; "4"; "--requests"; "20"; "--crash-mtbf"; "60";
+        "--crash-mttr"; "2" ],
+      "Config: message loss or node crashes require a fetch_timeout (lost \
+       replies would wedge request threads)" );
   ]
+
+(* EXPERIMENTS.md A8's two CLI recipes, and the fault-free run Recipe 1
+   is compared with: each prints every figure the document quotes, at
+   the precision quoted, and none of the counters it says stay at zero
+   (a counter at zero is not printed). *)
+let a8_recipes =
+  let drop =
+    [ "--drop-rate"; "0.2"; "--fetch-timeout"; "0.5"; "--fetch-retries"; "2" ]
+  and crash =
+    [ "--crash-mtbf"; "60"; "--crash-mttr"; "2"; "--fetch-timeout"; "0.5";
+      "--fetch-retries"; "2" ]
+  and hits = "cache hits (local+remote)"
+  and mean = "mean response time"
+  and makespan = "simulated makespan" in
+  [
+    ( "recipe 1: 20 % drop",
+      drop,
+      [ ("messages lost:", 0, "865"); (hits, 0, "411"); (mean, 3, "3.180");
+        ("  fetch_retries ", 0, "117"); ("  fetch_timeouts ", 0, "6");
+        ("  dir_suspect_purged ", 0, "1028"); ("  requests ", 0, "1600") ],
+      [] );
+    ( "recipe 1 without faults",
+      [],
+      [ (hits, 0, "466"); (mean, 3, "3.021"); (makespan, 1, "310.4") ],
+      [] );
+    ( "recipe 2: crash churn",
+      crash,
+      [ ("  crashes ", 0, "18"); ("  restarts ", 0, "18"); (hits, 0, "397");
+        (mean, 3, "3.445"); (makespan, 0, "363"); ("  false_hit ", 0, "43") ],
+      [ "rejected_down" ] );
+  ]
+
+(* The first number after [label] on the first line of [out] holding it. *)
+let figure out label =
+  let n = String.length label in
+  let rec after line i =
+    if i + n > String.length line then None
+    else if String.sub line i n = label then
+      Some (String.sub line (i + n) (String.length line - i - n))
+    else after line (i + 1)
+  in
+  match List.find_map (fun line -> after line 0) out with
+  | Some rest -> Scanf.sscanf rest " %f" Fun.id
+  | None -> Alcotest.failf "no %S in the output" label
+
+let test_a8_recipe (flags, quoted, absent) () =
+  let status, out, err =
+    run
+      ([ "run"; "--nodes"; "4"; "--workload"; "coop"; "--requests"; "1600";
+         "--router"; "least-active" ]
+      @ flags)
+  in
+  Alcotest.(check int) "exit status" 0 status;
+  Alcotest.(check (list string)) "nothing on stderr" [] err;
+  List.iter
+    (fun (label, decimals, expected) ->
+      Alcotest.(check string) label expected
+        (Printf.sprintf "%.*f" decimals (figure out label)))
+    quoted;
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " not counted") false
+        (List.exists
+           (String.starts_with ~prefix:("  " ^ name ^ " "))
+           out))
+    absent
 
 (* An unknown name for any enumerated flag stops the run before it
    prints anything, even on the multi-seed path. *)
@@ -428,6 +508,12 @@ let () =
           Alcotest.test_case "report matches the run" `Quick
             test_report_matches_run;
         ] );
+      ( "failure-model",
+        List.map
+          (fun (name, flags, quoted, absent) ->
+            Alcotest.test_case name `Quick
+              (test_a8_recipe (flags, quoted, absent)))
+          a8_recipes );
       ("perf-gate", gate_cases);
       ( "loganalyze",
         [

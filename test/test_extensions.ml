@@ -472,7 +472,10 @@ let test_clf_roundtrip_via_item_to_line () =
     trace trace'
 
 (* ------------------------------------------------------------------ *)
-(* Failure injection: message loss + fetch timeouts *)
+(* Failure injection: message loss + fetch timeouts. A fault plan's link
+   drop is the only way to lose a message. *)
+
+let drop p = Some (Sim.Fault.make ~drop:p ())
 
 let test_fetch_timeout_fallback () =
   (* Total message loss: the remote fetch can never succeed; the request
@@ -480,7 +483,7 @@ let test_fetch_timeout_fallback () =
   let registry = Cgi.Registry.create () in
   Workload.Synthetic.register_scripts registry;
   let cfg =
-    Swala.Config.make ~n_nodes:2 ~net_loss:1.0 ~fetch_timeout:(Some 0.5) ()
+    Swala.Config.make ~n_nodes:2 ~fault:(drop 1.0) ~fetch_timeout:(Some 0.5) ()
   in
   let status = ref 0 in
   let cluster =
@@ -504,14 +507,33 @@ let test_fetch_timeout_fallback () =
   let c = Swala.Server.merged_counters cluster in
   check_int "timeout counted" 1
     (Metrics.Counter.get c Swala.Server.K.fetch_timeouts);
+  check_int "owner's table purged" 1
+    (Metrics.Counter.get c Swala.Server.K.dir_suspect_purged);
   check_int "executed locally" 1 (Metrics.Counter.get c Swala.Server.K.cgi_execs)
+
+let test_exhausted_fetch_purges_owner () =
+  (* No fault plan, but a 0.1 ms fetch timeout is shorter than a fetch's
+     0.4 ms round trip: every fetch that runs out of retries marks its
+     owner suspect, whatever made it time out. *)
+  let trace =
+    Workload.Synthetic.coop ~seed:42 ~n:400 ~n_unique:280 ~locality:0.08 ()
+  in
+  let cfg =
+    Swala.Config.make ~n_nodes:2 ~cache_mode:Swala.Config.Cooperative
+      ~fetch_timeout:(Some 1e-4) ()
+  in
+  let r = Swala.Cluster_runner.run cfg ~trace ~n_streams:16 () in
+  let get k = Metrics.Counter.get r.Swala.Cluster_runner.counters k in
+  check_bool "fetches timed out" true (get Swala.Server.K.fetch_timeouts > 0);
+  check_bool "their owners were purged" true
+    (get Swala.Server.K.dir_suspect_purged > 0)
 
 let test_loss_requires_timeout () =
   Alcotest.check_raises "config rejected"
     (Invalid_argument
        "Config: message loss or node crashes require a fetch_timeout (lost \
         replies would wedge request threads)") (fun () ->
-      Swala.Config.validate (Swala.Config.make ~net_loss:0.5 ()))
+      Swala.Config.validate (Swala.Config.make ~fault:(drop 0.5) ()))
 
 let test_lossy_cluster_completes_workload () =
   (* 30% protocol-message loss: every request must still complete (some
@@ -519,7 +541,7 @@ let test_lossy_cluster_completes_workload () =
      always answered). *)
   let trace = Workload.Synthetic.coop ~seed:11 ~n:300 ~n_unique:150 ~n_hot:30 () in
   let cfg =
-    Swala.Config.make ~n_nodes:4 ~net_loss:0.3 ~fetch_timeout:(Some 0.5) ()
+    Swala.Config.make ~n_nodes:4 ~fault:(drop 0.3) ~fetch_timeout:(Some 0.5) ()
   in
   let r = Swala.Cluster_runner.run cfg ~trace ~n_streams:8 () in
   check_int "all answered" 300 (Metrics.Sample.count r.Swala.Cluster_runner.response);
@@ -712,6 +734,8 @@ let () =
         [
           Alcotest.test_case "fetch timeout falls back to exec" `Quick
             test_fetch_timeout_fallback;
+          Alcotest.test_case "exhausted fetch purges its owner" `Quick
+            test_exhausted_fetch_purges_owner;
           Alcotest.test_case "loss without timeout rejected" `Quick
             test_loss_requires_timeout;
           Alcotest.test_case "lossy cluster completes workload" `Quick

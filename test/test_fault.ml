@@ -371,7 +371,7 @@ let test_strong_consistency_rejects_faults () =
   Alcotest.check_raises "strong + faults rejected"
     (Invalid_argument
        "Config: the strong protocol has no ack retransmission; it tolerates \
-        neither net_loss nor a lossy fault profile") (fun () ->
+        no lossy fault profile") (fun () ->
       Swala.Config.validate
         (Swala.Config.make ~consistency:Swala.Config.Strong
            ~fault:(Some (Sim.Fault.make ~drop:0.1 ()))

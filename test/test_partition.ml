@@ -251,7 +251,7 @@ let test_fetch_sync_out_of_order () =
   Sim.Engine.spawn engine (fun () ->
       result :=
         Some
-          (Swala.Node.fetch_sync net ~src:0 ~owner:1 data_mbs.(1)
+          (Swala.Node.fetch_sync ~span:0 net ~src:0 ~owner:1 data_mbs.(1)
              ~timeout:0.5 ~retries:1 ~backoff:2. "k"));
   Sim.Engine.run engine;
   match !result with

@@ -98,16 +98,6 @@ let test_rng_int_invalid () =
   Alcotest.check_raises "bound 0" (Invalid_argument "Rng.int: bound must be positive")
     (fun () -> ignore (Sim.Rng.int rng 0))
 
-let test_rng_shuffle_permutes () =
-  let rng = Sim.Rng.create 5 in
-  let arr = Array.init 50 Fun.id in
-  let orig = Array.copy arr in
-  Sim.Rng.shuffle rng arr;
-  let sorted = Array.copy arr in
-  Array.sort Int.compare sorted;
-  Alcotest.(check (array int)) "same multiset" orig sorted;
-  check_bool "actually permuted" true (arr <> orig)
-
 let prop_rng_float_range =
   QCheck.Test.make ~name:"rng float in [0,1)" ~count:(count 100)
     QCheck.small_int
@@ -156,19 +146,6 @@ let test_dist_normal_mean () =
   let rng = Sim.Rng.create 24 in
   let m = mean_of 20_000 (fun () -> Sim.Dist.normal rng ~mu:5.0 ~sigma:2.0) in
   check_float_eps 0.1 "mean ~5" 5.0 m
-
-let test_dist_pareto_min () =
-  let rng = Sim.Rng.create 25 in
-  for _ = 1 to 1000 do
-    check_bool "x >= xm" true (Sim.Dist.pareto rng ~xm:2.0 ~alpha:1.5 >= 2.0)
-  done
-
-let test_dist_bounded_pareto_cap () =
-  let rng = Sim.Rng.create 26 in
-  for _ = 1 to 1000 do
-    let v = Sim.Dist.bounded_pareto rng ~xm:1.0 ~alpha:0.5 ~cap:10.0 in
-    check_bool "capped" true (v <= 10.0)
-  done
 
 let test_zipf_bounds () =
   let z = Sim.Dist.zipf ~n:10 ~s:1.0 in
@@ -568,6 +545,29 @@ let test_mailbox_recv_timeout_immediate () =
   Sim.Engine.run eng;
   Alcotest.(check (option int)) "already queued" (Some 3) !got
 
+let test_mailbox_recv_timeout_infinite () =
+  (* An infinite timeout is a plain [recv]: no timer is queued while the
+     receiver waits, and the same events run. *)
+  let run recv =
+    let eng = Sim.Engine.create () in
+    let mb = Sim.Mailbox.create () in
+    let got = ref None and queued = ref (-1) in
+    Sim.Engine.spawn eng (fun () -> got := recv mb);
+    Sim.Engine.spawn eng (fun () ->
+        Sim.Engine.delay 1.0;
+        queued := Sim.Engine.pending eng;
+        Sim.Mailbox.send mb 7);
+    Sim.Engine.run eng;
+    (!got, !queued, Sim.Engine.events_processed eng)
+  in
+  let got, queued, events =
+    run (fun mb -> Sim.Mailbox.recv_timeout mb ~timeout:Float.infinity)
+  in
+  let _, _, recv_events = run (fun mb -> Some (Sim.Mailbox.recv mb)) in
+  Alcotest.(check (option int)) "delivered" (Some 7) got;
+  check_int "no timer queued" 0 queued;
+  check_int "same events as recv" recv_events events
+
 let test_mailbox_timed_out_waiter_skipped () =
   (* A message sent after a waiter timed out must go to the next receiver
      (or the queue), never to the dead waiter. *)
@@ -788,22 +788,28 @@ let test_net_nic_serialises_sends () =
   Sim.Engine.run eng;
   check_float "two transmissions back to back" 2.0 !sent_done
 
-let test_net_loss_drops_everything () =
+(* Messages are lost only by a fault plan's link drop, which the plan
+   counts. *)
+let drop_plan ~seed drop =
+  Sim.Fault.create (Sim.Fault.make ~drop ()) ~rng:(Sim.Rng.create seed)
+    ~nodes:2
+
+let test_net_drop_all () =
   let eng = Sim.Engine.create () in
-  let net =
-    Sim.Net.create ~loss:1.0 ~rng:(Sim.Rng.create 1) eng ~n_endpoints:2
-  in
+  let fault = drop_plan ~seed:1 1.0 in
+  let net = Sim.Net.create ~fault eng ~n_endpoints:2 in
   let mb = Sim.Mailbox.create () in
   Sim.Engine.spawn eng (fun () ->
       Sim.Net.send net ~src:0 ~dst:1 ~bytes:10 mb ();
       Sim.Net.send net ~src:0 ~dst:1 ~bytes:10 mb ());
   Sim.Engine.run eng;
   check_int "nothing delivered" 0 (Sim.Mailbox.length mb);
-  check_int "two drops" 2 (Sim.Net.messages_lost net)
+  check_int "two drops" 2 (Sim.Fault.drops fault)
 
-let test_net_loss_zero_is_lossless () =
+let test_net_zero_drop () =
   let eng = Sim.Engine.create () in
-  let net = Sim.Net.create eng ~n_endpoints:2 in
+  let fault = drop_plan ~seed:1 0. in
+  let net = Sim.Net.create ~fault eng ~n_endpoints:2 in
   let mb = Sim.Mailbox.create () in
   Sim.Engine.spawn eng (fun () ->
       for _ = 1 to 20 do
@@ -811,13 +817,12 @@ let test_net_loss_zero_is_lossless () =
       done);
   Sim.Engine.run eng;
   check_int "all delivered" 20 (Sim.Mailbox.length mb);
-  check_int "no drops" 0 (Sim.Net.messages_lost net)
+  check_int "no drops" 0 (Sim.Fault.drops fault)
 
-let test_net_loss_partial () =
+let test_net_partial_drop () =
   let eng = Sim.Engine.create () in
-  let net =
-    Sim.Net.create ~loss:0.5 ~rng:(Sim.Rng.create 5) eng ~n_endpoints:2
-  in
+  let fault = drop_plan ~seed:5 0.5 in
+  let net = Sim.Net.create ~fault eng ~n_endpoints:2 in
   let mb = Sim.Mailbox.create () in
   Sim.Engine.spawn eng (fun () ->
       for _ = 1 to 1000 do
@@ -826,18 +831,12 @@ let test_net_loss_partial () =
   Sim.Engine.run eng;
   let delivered = Sim.Mailbox.length mb in
   check_bool "about half" true (delivered > 400 && delivered < 600);
-  check_int "accounting consistent" 1000 (delivered + Sim.Net.messages_lost net)
-
-let test_net_loss_needs_rng () =
-  let eng = Sim.Engine.create () in
-  Alcotest.check_raises "rng required"
-    (Invalid_argument "Net.create: positive loss needs an rng") (fun () ->
-      ignore (Sim.Net.create ~loss:0.5 eng ~n_endpoints:1))
+  check_int "accounting consistent" 1000 (delivered + Sim.Fault.drops fault)
 
 let test_net_transfer_never_drops () =
   let eng = Sim.Engine.create () in
   let net =
-    Sim.Net.create ~loss:1.0 ~rng:(Sim.Rng.create 1) eng ~n_endpoints:2
+    Sim.Net.create ~fault:(drop_plan ~seed:1 1.0) eng ~n_endpoints:2
   in
   let completed = ref false in
   Sim.Engine.spawn eng (fun () ->
@@ -879,7 +878,6 @@ let () =
           Alcotest.test_case "copy replays" `Quick test_rng_copy;
           Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
           Alcotest.test_case "int rejects bad bound" `Quick test_rng_int_invalid;
-          Alcotest.test_case "shuffle permutes" `Quick test_rng_shuffle_permutes;
         ] );
       qsuite "rng-props" [ prop_rng_float_range ];
       ( "dist",
@@ -889,8 +887,6 @@ let () =
           Alcotest.test_case "lognormal mean/cv" `Quick test_dist_lognormal_mean_cv;
           Alcotest.test_case "lognormal cv=0 degenerate" `Quick test_dist_lognormal_cv_zero;
           Alcotest.test_case "normal mean" `Quick test_dist_normal_mean;
-          Alcotest.test_case "pareto lower bound" `Quick test_dist_pareto_min;
-          Alcotest.test_case "bounded pareto cap" `Quick test_dist_bounded_pareto_cap;
           Alcotest.test_case "zipf in range" `Quick test_zipf_bounds;
           Alcotest.test_case "zipf skew" `Quick test_zipf_skew;
           Alcotest.test_case "zipf s=0 uniform" `Quick test_zipf_uniform_when_s0;
@@ -947,6 +943,8 @@ let () =
             test_mailbox_recv_timeout_delivers;
           Alcotest.test_case "recv_timeout immediate" `Quick
             test_mailbox_recv_timeout_immediate;
+          Alcotest.test_case "recv_timeout infinity is recv" `Quick
+            test_mailbox_recv_timeout_infinite;
           Alcotest.test_case "timed-out waiter skipped" `Quick
             test_mailbox_timed_out_waiter_skipped;
           Alcotest.test_case "timeout then normal recv" `Quick
@@ -978,10 +976,9 @@ let () =
           Alcotest.test_case "NIC serialises sends" `Quick test_net_nic_serialises_sends;
           Alcotest.test_case "endpoint range checked" `Quick test_net_endpoint_range;
           Alcotest.test_case "loss=1 drops everything" `Quick
-            test_net_loss_drops_everything;
-          Alcotest.test_case "loss=0 lossless" `Quick test_net_loss_zero_is_lossless;
-          Alcotest.test_case "partial loss" `Quick test_net_loss_partial;
-          Alcotest.test_case "loss needs rng" `Quick test_net_loss_needs_rng;
+            test_net_drop_all;
+          Alcotest.test_case "loss=0 lossless" `Quick test_net_zero_drop;
+          Alcotest.test_case "partial loss" `Quick test_net_partial_drop;
           Alcotest.test_case "transfers never drop" `Quick
             test_net_transfer_never_drops;
         ] );
