@@ -25,21 +25,20 @@ let format_t =
            optionally with a trailing service-time field).")
 
 let read_trace path format =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let text = really_input_string ic n in
-  close_in ic;
-  match format with
-  | "logfmt" -> Workload.Logfmt.of_string text
-  | "clf" ->
-      let trace, stats = Workload.Clf.to_trace text in
-      Printf.printf
-        "CLF import: %d kept, %d non-GET skipped, %d non-2xx skipped, %d \
-         malformed.\n\n"
-        stats.Workload.Clf.kept stats.Workload.Clf.skipped_method
-        stats.Workload.Clf.skipped_status stats.Workload.Clf.malformed;
-      Ok trace
-  | other -> Error (Printf.sprintf "unknown format %S" other)
+  match In_channel.with_open_text path In_channel.input_all with
+  | exception Sys_error e -> Error e
+  | text -> (
+      match format with
+      | "logfmt" -> Workload.Logfmt.of_string text
+      | "clf" ->
+          let trace, stats = Workload.Clf.to_trace text in
+          Printf.printf
+            "CLF import: %d kept, %d non-GET skipped, %d non-2xx skipped, \
+             %d malformed.\n\n"
+            stats.Workload.Clf.kept stats.Workload.Clf.skipped_method
+            stats.Workload.Clf.skipped_status stats.Workload.Clf.malformed;
+          Ok trace
+      | other -> Error (Printf.sprintf "unknown format %S" other))
 
 let analyze_impl path thresholds format =
   match read_trace path format with

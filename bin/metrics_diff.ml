@@ -26,22 +26,11 @@ let usage =
   "usage: metrics_diff --baseline FILE --current FILE [--default-tol REL] \
    [--tol PATH=REL]... [--ignore PATH]...\n"
 
-let read_file path =
-  let ic =
-    try open_in_bin path
-    with Sys_error e ->
-      Printf.eprintf "metrics_diff: %s\n" e;
-      exit 2
-  in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
 let parse_json path =
-  match J.of_string (read_file path) with
+  match J.of_file path with
   | Ok v -> v
   | Error e ->
-      Printf.eprintf "metrics_diff: %s: %s\n" path e;
+      Printf.eprintf "metrics_diff: %s\n" e;
       exit 2
 
 (* Paths are built root-first as reversed segment lists; patterns are

@@ -30,15 +30,7 @@ let fail fmt =
     fmt
 
 let read_json path =
-  let text =
-    try
-      let ic = open_in_bin path in
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      s
-    with Sys_error e -> fail "%s" e
-  in
-  match J.of_string text with Ok v -> v | Error e -> fail "%s: %s" path e
+  match J.of_file path with Ok v -> v | Error e -> fail "%s" e
 
 let number_field ~path json key =
   match J.member key json with

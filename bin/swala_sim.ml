@@ -148,10 +148,6 @@ let config_t =
         ~doc:"Remote-fetch retransmissions before falling back locally."
         Arg.int d.fetch_retries
         (fun fetch_retries c -> { c with fetch_retries });
-      row [ "fetch-backoff" ] ~docv:"F"
-        ~doc:"Multiplier applied to the fetch timeout on each retry."
-        Arg.float d.fetch_backoff
-        (fun fetch_backoff c -> { c with fetch_backoff });
       row [ "batch-flush-interval" ] ~docv:"SEC"
         ~doc:
           "Nagle-style timer for directory-update batching: each node \
@@ -257,12 +253,6 @@ let config_t =
            entirely."
         Arg.float d.refresh_budget
         (fun refresh_budget c -> { c with refresh_budget });
-      row [ "refresh-interval" ] ~docv:"SEC"
-        ~doc:
-          "Scan period of the proactive-refresh daemon; entries expiring \
-           within two intervals are refresh candidates."
-        Arg.float d.refresh_interval
-        (fun refresh_interval c -> { c with refresh_interval });
       row [ "telemetry-interval" ] ~docv:"SEC"
         ~doc:
           "Enable the flight recorder: sample cluster and engine probes \
@@ -279,12 +269,6 @@ let config_t =
            burn-rate detector. Requires $(b,--telemetry-interval)."
         Arg.(some float) d.slo_target
         (fun slo_target c -> { c with slo_target });
-      row [ "slo-objective" ] ~docv:"FRAC"
-        ~doc:
-          "Fraction of requests that must meet $(b,--slo-target), in \
-           (0,1)."
-        Arg.float d.slo_objective
-        (fun slo_objective c -> { c with slo_objective });
     ]
 
 (* Fault-profile options (see Sim.Fault). *)
@@ -296,18 +280,6 @@ let drop_rate_t =
         ~doc:
           "Probability that an inter-node protocol message is dropped \
            (fault injection; requires $(b,--fetch-timeout)).")
-
-let delay_rate_t =
-  Arg.(
-    value & opt float 0.
-    & info [ "delay-rate" ] ~docv:"P"
-        ~doc:"Probability that a protocol message is delayed extra.")
-
-let delay_mean_t =
-  Arg.(
-    value & opt float 0.05
-    & info [ "delay-mean" ] ~docv:"SEC"
-        ~doc:"Mean extra delay for delayed messages (exponential).")
 
 let crash_mtbf_t =
   Arg.(
@@ -749,10 +721,10 @@ let probe_node_id name =
   else None
 
 let run_cmd_impl (cfg : Swala.Config.t) seed streams requests workload router
-    rules_file drop_rate delay_rate delay_mean crash_mtbf crash_mttr
-    fault_horizon partitions scenario_name scenario_duration flash_crowd diurnal
-    geo_tiers churn_rate churn_downtime churn_fixed trace_file trace_breakdown
-    metrics_out telemetry_csv incidents_out seeds jobs =
+    rules_file drop_rate crash_mtbf crash_mttr fault_horizon partitions
+    scenario_name scenario_duration flash_crowd diurnal geo_tiers churn_rate
+    churn_downtime churn_fixed trace_file trace_breakdown metrics_out
+    telemetry_csv incidents_out seeds jobs =
   check_positive "run" "--seeds" seeds;
   check_positive "run" "--streams" streams;
   check_positive "run" "--requests" requests;
@@ -799,7 +771,6 @@ let run_cmd_impl (cfg : Swala.Config.t) seed streams requests workload router
         exit 2
       end)
     [
-      (delay_mean >= 0., "link delay_mean must be >= 0");
       (crash_mttr > 0., "node mttr must be positive");
       (churn_downtime > 0., "churn downtime must be positive");
       (fault_horizon > 0., "horizon must be positive");
@@ -807,12 +778,11 @@ let run_cmd_impl (cfg : Swala.Config.t) seed streams requests workload router
     ];
   let fault =
     if
-      drop_rate = 0. && delay_rate = 0. && crash_mtbf = None
-      && partitions = [] && churn = None
+      drop_rate = 0. && crash_mtbf = None && partitions = [] && churn = None
     then None
     else
       Some
-        (Sim.Fault.make ~drop:drop_rate ~delay:delay_rate ~delay_mean
+        (Sim.Fault.make ~drop:drop_rate
            ?node:
              (Option.map
                 (fun mtbf -> { Sim.Fault.mtbf; mttr = crash_mttr })
@@ -877,9 +847,9 @@ let run_cmd_impl (cfg : Swala.Config.t) seed streams requests workload router
     | None -> ()
     | Some _ ->
         Printf.printf
-          "fault profile             drop=%.3f delay=%.3f/%.3fs mtbf=%s \
-           mttr=%.1fs horizon=%.0fs (messages lost: %d)\n"
-          drop_rate delay_rate delay_mean
+          "fault profile             drop=%.3f mtbf=%s mttr=%.1fs \
+           horizon=%.0fs (messages lost: %d)\n"
+          drop_rate
           (match crash_mtbf with
           | None -> "-"
           | Some m -> Printf.sprintf "%.1fs" m)
@@ -1040,12 +1010,12 @@ let run_cmd =
     (Cmd.info "run" ~doc)
     Term.(
       const run_cmd_impl $ config_t $ seed_t $ streams_t $ requests_t
-      $ workload_t $ router_t $ rules_t $ drop_rate_t $ delay_rate_t
-      $ delay_mean_t $ crash_mtbf_t $ crash_mttr_t $ fault_horizon_t
-      $ partitions_t $ scenario_t $ scenario_duration_t $ flash_crowd_t
-      $ diurnal_t $ geo_tiers_t $ churn_rate_t $ churn_downtime_t
-      $ churn_fixed_t $ trace_file_t $ trace_breakdown_t $ metrics_out_t
-      $ telemetry_csv_t $ incidents_out_t $ seeds_t $ jobs_t)
+      $ workload_t $ router_t $ rules_t $ drop_rate_t $ crash_mtbf_t
+      $ crash_mttr_t $ fault_horizon_t $ partitions_t $ scenario_t
+      $ scenario_duration_t $ flash_crowd_t $ diurnal_t $ geo_tiers_t
+      $ churn_rate_t $ churn_downtime_t $ churn_fixed_t $ trace_file_t
+      $ trace_breakdown_t $ metrics_out_t $ telemetry_csv_t $ incidents_out_t
+      $ seeds_t $ jobs_t)
 
 (* ------------------------------------------------------------------ *)
 (* gen *)
@@ -1084,15 +1054,9 @@ let report_file_t =
         ~doc:"A metrics JSON file written by $(b,run --metrics-out).")
 
 let report_cmd_impl file =
-  let payload =
-    let ic = open_in_bin file in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
-  in
-  match Metrics.Json.of_string payload with
+  match Metrics.Json.of_file file with
   | Error e ->
-      Printf.eprintf "%s: %s\n" file e;
+      prerr_endline e;
       exit 2
   | Ok json -> (
       match Swala.Telemetry_report.render_json_report json with

@@ -12,8 +12,6 @@ type t = {
   window : Rate.window;
   keys : (string, Rate.t) Hashtbl.t;
   hot : (string, unit) Hashtbl.t;
-  mutable promotions : int;
-  mutable demotions : int;
 }
 
 let create ~threshold ~window =
@@ -25,8 +23,6 @@ let create ~threshold ~window =
     window = Rate.window window;
     keys = Hashtbl.create 64;
     hot = Hashtbl.create 16;
-    promotions = 0;
-    demotions = 0;
   }
 
 let record t ~now key =
@@ -42,7 +38,6 @@ let record t ~now key =
   if (not (Hashtbl.mem t.hot key)) && Rate.rate t.window c ~now >= t.threshold
   then begin
     Hashtbl.replace t.hot key ();
-    t.promotions <- t.promotions + 1;
     `Promoted
   end
   else `Noted
@@ -61,11 +56,7 @@ let sweep t ~now =
       t.hot []
   in
   let cooled = List.sort compare cooled in
-  List.iter
-    (fun key ->
-      Hashtbl.remove t.hot key;
-      t.demotions <- t.demotions + 1)
-    cooled;
+  List.iter (Hashtbl.remove t.hot) cooled;
   (* Garbage-collect counters that have gone fully cold, so the tracker's
      memory follows the working set rather than the key universe. *)
   let dead =
@@ -83,7 +74,6 @@ let forget t key =
   Hashtbl.remove t.keys key;
   if Hashtbl.mem t.hot key then begin
     Hashtbl.remove t.hot key;
-    t.demotions <- t.demotions + 1;
     true
   end
   else false
@@ -93,4 +83,3 @@ let clear t =
   Hashtbl.reset t.hot
 
 let hot_count t = Hashtbl.length t.hot
-let stats t = (t.promotions, t.demotions)

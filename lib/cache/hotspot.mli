@@ -37,7 +37,7 @@ val sweep : t -> now:float -> string list
 
 (** [forget t key] drops all state for [key] (it was deleted from the
     shard); [true] when the key was hot — the caller must then retract
-    the replicas. Counts as a demotion. *)
+    the replicas, which is a demotion. *)
 val forget : t -> string -> bool
 
 (** [clear t] wipes all state (crash). *)
@@ -45,6 +45,3 @@ val clear : t -> unit
 
 (** [hot_count t] is the number of currently promoted keys. *)
 val hot_count : t -> int
-
-(** [stats t] is cumulative [(promotions, demotions)]. *)
-val stats : t -> int * int

@@ -66,6 +66,9 @@ let insert_cost = 0.002
 let info_apply_cost = 0.0001
 let dir_lock_overhead = 2e-6
 let fs_cache_hit = 0.95
+let purge_interval = 5.0
+let fetch_backoff = 2.
+let refresh_interval = 0.5
 
 type t = {
   n_nodes : int;
@@ -80,14 +83,12 @@ type t = {
   rules : Rules.t;
   cache_threshold : float;
   default_ttl : float option;
-  purge_interval : float;
   dir_granularity : Cache.Directory.granularity;
   dir_scan_cost : float;
   net_latency : float;
   net_bandwidth : float;
   fetch_timeout : float option;
   fetch_retries : int;
-  fetch_backoff : float;
   fault : Sim.Fault.profile option;
   anti_entropy_period : float option;
   broadcast_latency : float option;
@@ -108,106 +109,30 @@ type t = {
   freshness_penalty : float;
   freshness_window : float;
   refresh_budget : float;
-  refresh_interval : float;
   scenario : Workload.Scenario.t option;
   trace : bool;
   telemetry_interval : float option;
   slo_target : float option;
-  slo_objective : float;
   seed : int;
 }
 
-let default =
-  {
-    n_nodes = 1;
-    threads_per_node = 16;
-    cores_per_node = 1;
-    cpu_speed = 1.0;
-    model = swala_model;
-    cache_mode = Cooperative;
-    cache_capacity = 2000;
-    policy = Cache.Policy.Lru;
-    consistency = Weak;
-    rules = Rules.empty;
-    cache_threshold = 0.1;
-    default_ttl = None;
-    purge_interval = 5.0;
-    dir_granularity = Cache.Directory.Per_table;
-    dir_scan_cost = 0.;
-    net_latency = 0.0002;
-    net_bandwidth = 12.5e6;
-    fetch_timeout = None;
-    fetch_retries = 0;
-    fetch_backoff = 2.;
-    fault = None;
-    anti_entropy_period = None;
-    broadcast_latency = None;
-    batch_max = 1;
-    batch_flush_interval = None;
-    dir_hints = false;
-    dir_mode = Replicated;
-    shard_vnodes = 64;
-    shard_lookup_cache = 128;
-    shard_pos_ttl = 5.0;
-    shard_neg_ttl = 0.5;
-    hotspot_threshold = 0.;
-    hotspot_window = 2.0;
-    hotspot_replicas = 2;
-    freshness = Cache.Freshness.Fixed;
-    freshness_min_ttl = 0.25;
-    freshness_max_ttl = 120.;
-    freshness_penalty = 0.01;
-    freshness_window = 2.0;
-    refresh_budget = 0.;
-    refresh_interval = 0.5;
-    scenario = None;
-    trace = false;
-    telemetry_interval = None;
-    slo_target = None;
-    slo_objective = 0.95;
-    seed = 42;
-  }
-
-let make ?(n_nodes = default.n_nodes)
-    ?(threads_per_node = default.threads_per_node)
-    ?(cores_per_node = default.cores_per_node) ?(cpu_speed = default.cpu_speed)
-    ?(model = default.model) ?(cache_mode = default.cache_mode)
-    ?(cache_capacity = default.cache_capacity) ?(policy = default.policy)
-    ?(consistency = default.consistency) ?(rules = default.rules)
-    ?(cache_threshold = default.cache_threshold)
-    ?(default_ttl = default.default_ttl)
-    ?(purge_interval = default.purge_interval)
-    ?(dir_granularity = default.dir_granularity)
-    ?(dir_scan_cost = default.dir_scan_cost)
-    ?(net_latency = default.net_latency)
-    ?(net_bandwidth = default.net_bandwidth)
-    ?(fetch_timeout = default.fetch_timeout)
-    ?(fetch_retries = default.fetch_retries)
-    ?(fetch_backoff = default.fetch_backoff) ?(fault = default.fault)
-    ?(anti_entropy_period = default.anti_entropy_period)
-    ?(broadcast_latency = default.broadcast_latency)
-    ?(batch_max = default.batch_max)
-    ?(batch_flush_interval = default.batch_flush_interval)
-    ?(dir_hints = default.dir_hints) ?(dir_mode = default.dir_mode)
-    ?(shard_vnodes = default.shard_vnodes)
-    ?(shard_lookup_cache = default.shard_lookup_cache)
-    ?(shard_pos_ttl = default.shard_pos_ttl)
-    ?(shard_neg_ttl = default.shard_neg_ttl)
-    ?(hotspot_threshold = default.hotspot_threshold)
-    ?(hotspot_window = default.hotspot_window)
-    ?(hotspot_replicas = default.hotspot_replicas)
-    ?(freshness = default.freshness)
-    ?(freshness_min_ttl = default.freshness_min_ttl)
-    ?(freshness_max_ttl = default.freshness_max_ttl)
-    ?(freshness_penalty = default.freshness_penalty)
-    ?(freshness_window = default.freshness_window)
-    ?(refresh_budget = default.refresh_budget)
-    ?(refresh_interval = default.refresh_interval)
-    ?(scenario = default.scenario)
-    ?(trace = default.trace)
-    ?(telemetry_interval = default.telemetry_interval)
-    ?(slo_target = default.slo_target)
-    ?(slo_objective = default.slo_objective) ?(seed = default.seed) () =
+let make ?(n_nodes = 1) ?(threads_per_node = 16) ?(cores_per_node = 1)
+    ?(cpu_speed = 1.0) ?(model = swala_model) ?(cache_mode = Cooperative)
+    ?(cache_capacity = 2000) ?(policy = Cache.Policy.Lru)
+    ?(consistency = Weak) ?(rules = Rules.empty) ?(cache_threshold = 0.1)
+    ?(default_ttl = None) ?(dir_granularity = Cache.Directory.Per_table)
+    ?(dir_scan_cost = 0.) ?(net_latency = 0.0002) ?(net_bandwidth = 12.5e6)
+    ?(fetch_timeout = None) ?(fetch_retries = 0) ?(fault = None)
+    ?(anti_entropy_period = None) ?(broadcast_latency = None)
+    ?(batch_max = 1) ?(batch_flush_interval = None) ?(dir_hints = false)
+    ?(dir_mode = Replicated) ?(shard_vnodes = 64) ?(shard_lookup_cache = 128)
+    ?(shard_pos_ttl = 5.0) ?(shard_neg_ttl = 0.5) ?(hotspot_threshold = 0.)
+    ?(hotspot_window = 2.0) ?(hotspot_replicas = 2)
+    ?(freshness = Cache.Freshness.Fixed) ?(freshness_min_ttl = 0.25)
+    ?(freshness_max_ttl = 120.) ?(freshness_penalty = 0.01)
+    ?(freshness_window = 2.0) ?(refresh_budget = 0.) ?(scenario = None)
+    ?(trace = false) ?(telemetry_interval = None) ?(slo_target = None)
+    ?(seed = 42) () =
   {
     n_nodes;
     threads_per_node;
@@ -221,14 +146,12 @@ let make ?(n_nodes = default.n_nodes)
     rules;
     cache_threshold;
     default_ttl;
-    purge_interval;
     dir_granularity;
     dir_scan_cost;
     net_latency;
     net_bandwidth;
     fetch_timeout;
     fetch_retries;
-    fetch_backoff;
     fault;
     anti_entropy_period;
     broadcast_latency;
@@ -249,14 +172,14 @@ let make ?(n_nodes = default.n_nodes)
     freshness_penalty;
     freshness_window;
     refresh_budget;
-    refresh_interval;
     scenario;
     trace;
     telemetry_interval;
     slo_target;
-    slo_objective;
     seed;
   }
+
+let default = make ()
 
 let validate t =
   let check cond msg = if not cond then invalid_arg ("Config: " ^ msg) in
@@ -266,7 +189,6 @@ let validate t =
   check (t.cpu_speed > 0.) "cpu_speed must be positive";
   check (t.cache_capacity >= 1) "cache_capacity must be >= 1";
   check (t.cache_threshold >= 0.) "cache_threshold must be >= 0";
-  check (t.purge_interval > 0.) "purge_interval must be positive";
   check (t.net_bandwidth > 0.) "net_bandwidth must be positive";
   check (t.net_latency >= 0.) "net_latency must be >= 0";
   (match t.default_ttl with
@@ -279,7 +201,6 @@ let validate t =
   | Some p -> check (p > 0.) "anti_entropy_period must be positive"
   | None -> ());
   check (t.fetch_retries >= 0) "fetch_retries must be >= 0";
-  check (t.fetch_backoff >= 1.) "fetch_backoff must be >= 1";
   (match t.fault with
   | Some p ->
       Sim.Fault.validate p;
@@ -366,7 +287,6 @@ let validate t =
   check (t.freshness_penalty > 0.) "freshness_penalty must be positive";
   check (t.freshness_window > 0.) "freshness_window must be positive";
   check (t.refresh_budget >= 0.) "refresh_budget must be >= 0";
-  check (t.refresh_interval > 0.) "refresh_interval must be positive";
   if t.freshness = Cache.Freshness.Adaptive then
     check
       (t.cache_mode <> Disabled)
@@ -388,7 +308,4 @@ let validate t =
         "slo_target drives the health monitor, which runs on the telemetry \
          cadence; set a telemetry_interval"
   | None -> ());
-  check
-    (t.slo_objective > 0. && t.slo_objective < 1.)
-    "slo_objective must be in (0,1)";
   check (t.dir_scan_cost >= 0.) "dir_scan_cost must be >= 0"

@@ -58,8 +58,9 @@ val enterprise_model : server_model
 (** {1 Calibrated constants}
 
     The cacher's own costs and the file-system cache hit rate are
-    calibrated once, like the server models; no experiment varies them
-    (the paper's evaluation varies clients, nodes, cache size and the
+    calibrated once, like the server models, and so are the daemon
+    periods and the fetch backoff below; no experiment varies them (the
+    paper's evaluation varies clients, nodes, cache size and the
     execution-time threshold). [cores_per_node], [cpu_speed] and
     [net_bandwidth] are never varied either, but they stay fields of {!t}
     because the layer kernels of [bench/perf] read them from a
@@ -86,6 +87,17 @@ val dir_lock_overhead : float
 (** P(static file is in the OS buffer cache) *)
 val fs_cache_hit : float
 
+(** s between purge-daemon wake-ups *)
+val purge_interval : float
+
+(** multiplier applied to the fetch timeout on each retry (exponential
+    backoff) *)
+val fetch_backoff : float
+
+(** s between refresh-daemon scans; each scans entries expiring within
+    twice this horizon *)
+val refresh_interval : float
+
 (** {1 Configuration} *)
 
 type t = {
@@ -106,7 +118,6 @@ type t = {
       (** only results whose execution took at least this many seconds are
           cached (the paper's runtime-defined limit) *)
   default_ttl : float option;  (** TTL for scripts that don't set one *)
-  purge_interval : float;  (** purge-daemon wake-up period *)
   dir_granularity : Cache.Directory.granularity;
   dir_scan_cost : float;
       (** s per table entry examined while holding the directory lock
@@ -119,14 +130,12 @@ type t = {
           CGI locally; positive and finite ([None] = forever, safe only
           without a lossy [fault] profile) *)
   fetch_retries : int;
-      (** how many times a timed-out remote fetch is retried before the
-          node falls back to local execution (default [0]: fail over
+      (** how many times a timed-out remote fetch is retried, each
+          attempt waiting {!fetch_backoff} times longer, before the node
+          falls back to local execution (default [0]: fail over
           immediately, the pre-retry behaviour) *)
-  fetch_backoff : float;
-      (** multiplier applied to the fetch timeout on each retry
-          (exponential backoff; [>= 1], default [2.]) *)
   fault : Sim.Fault.profile option;
-      (** fault-injection plan: per-link message drop/delay and per-node
+      (** fault-injection plan: per-link message drop and per-node
           crash/restart behaviour, instantiated deterministically from
           [seed]. [None] (the default) leaves the fault layer entirely out
           of the run. The plan is the only source of lost messages. A
@@ -221,9 +230,6 @@ type t = {
           critical path. [0.] (the default) disables the daemon entirely;
           positive values require a cache. Works under either freshness
           mode *)
-  refresh_interval : float;
-      (** refresh-daemon wake-up period (s); each tick scans entries
-          expiring within twice this horizon. Default 0.5 s *)
   scenario : Workload.Scenario.t option;
       (** time-varying workload scenario (flash crowd, diurnal envelope,
           geo-tiered clients) the runner overlays on the replayed trace.
@@ -248,19 +254,19 @@ type t = {
           engine events, so [n_events] differs when {e enabled}) *)
   slo_target : float option;
       (** response-time SLO target (s) for the health monitor's burn-rate
-          detector; requires [telemetry_interval]. [None] (the default)
-          leaves the burn detector off *)
-  slo_objective : float;
-      (** fraction of requests that must meet [slo_target], in (0,1).
-          Default 0.95 *)
+          detector, which expects 95 % of requests to meet it; requires
+          [telemetry_interval]. [None] (the default) leaves the burn
+          detector off *)
   seed : int;
 }
 
-(** [default] is a single cooperative Swala node with a 2000-entry LRU
-    cache, 16 request threads, and the calibrated cost constants. *)
+(** [default] is [make ()]: a single cooperative Swala node with a
+    2000-entry LRU cache, 16 request threads, and the calibrated cost
+    constants. *)
 val default : t
 
-(** [make ?...] overrides fields of {!default}. *)
+(** [make ?...] overrides fields of {!default}; its optional arguments
+    hold the only copy of each default. *)
 val make :
   ?n_nodes:int ->
   ?threads_per_node:int ->
@@ -274,14 +280,12 @@ val make :
   ?rules:Rules.t ->
   ?cache_threshold:float ->
   ?default_ttl:float option ->
-  ?purge_interval:float ->
   ?dir_granularity:Cache.Directory.granularity ->
   ?dir_scan_cost:float ->
   ?net_latency:float ->
   ?net_bandwidth:float ->
   ?fetch_timeout:float option ->
   ?fetch_retries:int ->
-  ?fetch_backoff:float ->
   ?fault:Sim.Fault.profile option ->
   ?anti_entropy_period:float option ->
   ?broadcast_latency:float option ->
@@ -302,12 +306,10 @@ val make :
   ?freshness_penalty:float ->
   ?freshness_window:float ->
   ?refresh_budget:float ->
-  ?refresh_interval:float ->
   ?scenario:Workload.Scenario.t option ->
   ?trace:bool ->
   ?telemetry_interval:float option ->
   ?slo_target:float option ->
-  ?slo_objective:float ->
   ?seed:int ->
   unit ->
   t

@@ -763,7 +763,7 @@ let ablation_faults ?(seed = default_seed) ?(drops = [ 0.0; 0.05; 0.2 ])
             let cfg =
               Config.make ~n_nodes:nodes ~cache_mode:Config.Cooperative
                 ~fault:(Some fault) ~fetch_timeout:(Some 0.5) ~fetch_retries:2
-                ~fetch_backoff:2.0 ~seed ()
+                ~seed ()
             in
             (* Route via the front-end so requests fail over around down
                nodes (Per_stream keeps the paper's pinning while healthy). *)

@@ -102,7 +102,6 @@ let create engine cluster cfg ~interval =
             {
               Metrics.Health.default_config with
               slo_target = cfg.Config.slo_target;
-              slo_objective = cfg.Config.slo_objective;
             }
           ~interval ();
       resp_n = 0.;

@@ -332,8 +332,7 @@ let fetch net ~src ~owner data_mb req =
 (* The attempts of [fetch_sync], from attempt [n] on: a top-level
    function with explicit arguments, like [Directory.locked]'s bodies, so
    a fetch allocates no closure. *)
-let rec fetch_attempts net ~src ~owner data_mb ~span ~retries ~backoff key n
-    timeout =
+let rec fetch_attempts net ~src ~owner data_mb ~span ~retries key n timeout =
   (* A fresh reply mailbox per attempt: a reply to an abandoned attempt
      must not satisfy a later one out of order. *)
   let reply = Sim.Mailbox.create () in
@@ -342,30 +341,28 @@ let rec fetch_attempts net ~src ~owner data_mb ~span ~retries ~backoff key n
   | Some _ as got -> (got, n)
   | None ->
       if n < retries then
-        fetch_attempts net ~src ~owner data_mb ~span ~retries ~backoff key
-          (n + 1) (timeout *. backoff)
+        fetch_attempts net ~src ~owner data_mb ~span ~retries key (n + 1)
+          (timeout *. Config.fetch_backoff)
       else (None, n)
 
-(** [fetch_sync ~span net ~src ~owner data_mb ~timeout ~retries ~backoff
-    key] is the blocking data-server round-trip with bounded retry: it
-    sends a fetch request and waits up to [timeout] simulated seconds for
-    the reply; on timeout it retries with the timeout multiplied by
-    [backoff] (exponential backoff), up to [retries] additional attempts.
-    Returns [(reply, n)] where [n] is the number of retries actually
-    performed; [reply] is [None] when every attempt timed out — the
-    caller's cue to fall back to local CGI execution (the paper's
-    false-hit path, §4.2, now also reachable through message loss or a
-    crashed owner). [~timeout:infinity] waits for the one reply, as a
+(** [fetch_sync ~span net ~src ~owner data_mb ~timeout ~retries key] is
+    the blocking data-server round-trip with bounded retry: it sends a
+    fetch request and waits up to [timeout] simulated seconds for the
+    reply; on timeout it retries with the timeout multiplied by
+    {!Config.fetch_backoff} (exponential backoff), up to [retries]
+    additional attempts. Returns [(reply, n)] where [n] is the number of
+    retries actually performed; [reply] is [None] when every attempt
+    timed out — the caller's cue to fall back to local CGI execution (the
+    paper's false-hit path, §4.2, now also reachable through message
+    loss or a crashed owner). [~timeout:infinity] waits for the one reply, as a
     cluster without a fetch timeout does.
 
-    Requires [timeout > 0], [retries >= 0], [backoff >= 1]. Each attempt
-    uses a fresh reply mailbox, so a straggling reply to an abandoned
-    attempt is ignored rather than mistaken for the current one. Must run
-    in a process. [span] ([0] = untraced) is stamped into each attempt's
+    Requires [timeout > 0] and [retries >= 0]. Each attempt uses a fresh
+    reply mailbox, so a straggling reply to an abandoned attempt is
+    ignored rather than mistaken for the current one. Must run in a
+    process. [span] ([0] = untraced) is stamped into each attempt's
     request; it is not optional, so a fetch allocates no [Some span]. *)
-let fetch_sync ~span net ~src ~owner data_mb ~timeout ~retries ~backoff key
-    =
+let fetch_sync ~span net ~src ~owner data_mb ~timeout ~retries key =
   if timeout <= 0. then invalid_arg "Node.fetch_sync: timeout must be > 0";
   if retries < 0 then invalid_arg "Node.fetch_sync: retries must be >= 0";
-  if backoff < 1. then invalid_arg "Node.fetch_sync: backoff must be >= 1";
-  fetch_attempts net ~src ~owner data_mb ~span ~retries ~backoff key 0 timeout
+  fetch_attempts net ~src ~owner data_mb ~span ~retries key 0 timeout

@@ -129,11 +129,9 @@ let parse text =
   go empty 1 lines
 
 let load path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let text = really_input_string ic n in
-  close_in ic;
-  parse text
+  match In_channel.with_open_text path In_channel.input_all with
+  | text -> parse text
+  | exception Sys_error e -> Error e
 
 let to_string t =
   let buf = Buffer.create 256 in

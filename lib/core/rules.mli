@@ -36,7 +36,8 @@ val empty : t
     offending line number. *)
 val parse : string -> (t, string) result
 
-(** [load path] is {!parse} over a file's contents. *)
+(** [load path] is {!parse} over a file's contents; a file that cannot
+    be read is an [Error] too. *)
 val load : string -> (t, string) result
 
 (** [decide t path] applies the longest-prefix rule. *)

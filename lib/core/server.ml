@@ -484,7 +484,7 @@ let fetch_remote c (nd : t) env (script : Cgi.Script.t) key ~(ctl : cache_ctl)
     Node.fetch_sync ~span:(Node.span_of c.ctx) c.ctx.net ~src:nd.id ~owner
       c.ctx.nodes.(owner).data_mb
       ~timeout:(Option.value cfg.Config.fetch_timeout ~default:infinity)
-      ~retries:cfg.Config.fetch_retries ~backoff:cfg.Config.fetch_backoff key
+      ~retries:cfg.Config.fetch_retries key
   in
   if retries > 0 then Metrics.Counter.add nd.counters K.fetch_retries retries;
   match answer with
@@ -632,8 +632,8 @@ let restart (nd : t) =
 
 (* Runs while its node is down, and once more after [stop]. *)
 let purge_daemon c (nd : t) =
-  let period = c.ctx.cfg.Config.purge_interval in
-  Node.every ~stopped:(fun () -> nd.stop) ~period (fun () ->
+  Node.every ~stopped:(fun () -> nd.stop) ~period:Config.purge_interval
+    (fun () ->
       (* Trim the freshness tracker's cold keys on the same cadence; pure
          host-side bookkeeping, so it perturbs nothing. *)
       Option.iter
@@ -650,10 +650,11 @@ let purge_daemon c (nd : t) =
 (* ------------------------------------------------------------------ *)
 (* Proactive refresh (the freshness plane's daemon).
 
-   Once per [refresh_interval] each node scans its own store for entries
-   expiring within two intervals and re-executes the hot, expensive ones
-   off the critical path, spending at most [refresh_budget] executions
-   per second (token bucket with one interval of carry). A refreshed
+   Once per [Config.refresh_interval] each node scans its own store for
+   entries expiring within two intervals and re-executes the hot,
+   expensive ones off the critical path, spending at most
+   [refresh_budget] executions per second (token bucket with one
+   interval of carry). A refreshed
    entry is re-inserted with a fresh TTL (adaptive or fixed, like any
    insert) and re-announced to the directory, so the next client hit
    serves a young result instead of missing and paying the recomputation
@@ -701,7 +702,8 @@ let refresh_entry c (nd : t) key =
             true
           end)
 
-let refresh_daemon c (nd : t) ~budget ~interval =
+let refresh_daemon c (nd : t) ~budget =
+  let interval = Config.refresh_interval in
   let credit = ref 0. in
   Node.every ~stopped:(fun () -> nd.stop) ~period:interval (fun () ->
       if nd.up && not nd.stop then begin
@@ -763,8 +765,7 @@ let start c =
               Sim.Engine.spawn c.ctx.engine (fun () -> purge_daemon c nd);
               if cfg.Config.refresh_budget > 0. then
                 Sim.Engine.spawn c.ctx.engine (fun () ->
-                    refresh_daemon c nd ~budget:cfg.Config.refresh_budget
-                      ~interval:cfg.Config.refresh_interval);
+                    refresh_daemon c nd ~budget:cfg.Config.refresh_budget);
               P.start p nd)
         c.ctx.nodes;
       (* Schedule the fault plan's crash/restart instants as plain events; the

@@ -253,6 +253,20 @@ let of_string s =
       else Ok v
   | exception Parse_error msg -> Error msg
 
+(* An open error names the path; a read error (on a directory, say) does
+   not, so the path is added to it as to a parse error. *)
+let of_file path =
+  match open_in_bin path with
+  | exception Sys_error e -> Error e
+  | ic ->
+      let text =
+        match In_channel.input_all ic with
+        | text -> Ok text
+        | exception Sys_error e -> Error e
+      in
+      close_in_noerr ic;
+      Result.map_error (fun e -> path ^ ": " ^ e) (Result.bind text of_string)
+
 (* Member lookup helpers for the read-back tools. *)
 let member k = function
   | Obj fields -> List.assoc_opt k fields

@@ -1,8 +1,8 @@
 (** Minimal JSON emitter shared by the metrics dump ([--metrics-out]),
     the bench harness's [BENCH_perf.json] and the Chrome trace export —
     plus a parser for the tools that read those dumps back
-    ([bin/metrics_diff], [swala_sim report]). The simulator's run paths
-    only emit. *)
+    ([bin/metrics_diff], [bin/perf_gate], [swala_sim report]). The
+    simulator's run paths only emit. *)
 
 type t =
   | Null
@@ -32,6 +32,11 @@ val write : out_channel -> t -> unit
     parse as [Int], everything else numeric as [Float], so emit/parse
     round-trips the emitter's constructor choices. *)
 val of_string : string -> (t, string) result
+
+(** [of_file path] parses the one JSON value in file [path]. A file that
+    cannot be opened or read is an [Error] like a malformed one, and
+    every error message starts with [path]. *)
+val of_file : string -> (t, string) result
 
 (** [member k v] is the value of field [k] when [v] is an object having
     it. *)

@@ -13,7 +13,6 @@ type t = {
   sum : float array;
   vmin : float array;
   vmax : float array;
-  vlast : float array;  (* value of the latest sample in the bucket *)
 }
 
 let create ?(capacity = 256) ~interval () =
@@ -28,15 +27,13 @@ let create ?(capacity = 256) ~interval () =
     sum = Array.make capacity 0.;
     vmin = Array.make capacity 0.;
     vmax = Array.make capacity 0.;
-    vlast = Array.make capacity 0.;
   }
 
 let capacity t = t.capacity
 let width t = t.width
 let n_buckets t = t.used
 
-(* Merge bucket pairs (2i, 2i+1) -> i and double the width. The later
-   bucket's last-value wins when it holds samples. *)
+(* Merge bucket pairs (2i, 2i+1) -> i and double the width. *)
 let halve t =
   let half = (t.capacity + 1) / 2 in
   for i = 0 to half - 1 do
@@ -48,18 +45,15 @@ let halve t =
     if c > 0 then begin
       if ca > 0 && cb > 0 then begin
         t.vmin.(i) <- Float.min t.vmin.(a) t.vmin.(b);
-        t.vmax.(i) <- Float.max t.vmax.(a) t.vmax.(b);
-        t.vlast.(i) <- t.vlast.(b)
+        t.vmax.(i) <- Float.max t.vmax.(a) t.vmax.(b)
       end
       else if ca > 0 then begin
         t.vmin.(i) <- t.vmin.(a);
-        t.vmax.(i) <- t.vmax.(a);
-        t.vlast.(i) <- t.vlast.(a)
+        t.vmax.(i) <- t.vmax.(a)
       end
       else begin
         t.vmin.(i) <- t.vmin.(b);
-        t.vmax.(i) <- t.vmax.(b);
-        t.vlast.(i) <- t.vlast.(b)
+        t.vmax.(i) <- t.vmax.(b)
       end
     end;
     t.count.(i) <- c
@@ -101,7 +95,6 @@ let record t ~time v =
     if v < t.vmin.(idx) then t.vmin.(idx) <- v;
     if v > t.vmax.(idx) then t.vmax.(idx) <- v
   end;
-  t.vlast.(idx) <- v;
   t.count.(idx) <- c + 1
 
 type bucket = {
@@ -111,7 +104,6 @@ type bucket = {
   mean : float;  (* nan when the bucket is empty *)
   min : float;  (* nan when the bucket is empty *)
   max : float;  (* nan when the bucket is empty *)
-  last : float;  (* nan when the bucket is empty *)
 }
 
 let bucket t i =
@@ -125,7 +117,6 @@ let bucket t i =
       mean = Float.nan;
       min = Float.nan;
       max = Float.nan;
-      last = Float.nan;
     }
   else
     {
@@ -135,7 +126,6 @@ let bucket t i =
       mean = t.sum.(i) /. float_of_int n;
       min = t.vmin.(i);
       max = t.vmax.(i);
-      last = t.vlast.(i);
     }
 
 let buckets t = Array.init t.used (bucket t)

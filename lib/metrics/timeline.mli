@@ -40,7 +40,6 @@ type bucket = {
   mean : float;
   min : float;
   max : float;
-  last : float;  (** value of the latest sample in the bucket *)
 }
 
 (** [bucket t i] for [0 <= i < n_buckets t]. *)

@@ -1,7 +1,3 @@
-type link_profile = { drop : float; delay : float; delay_mean : float }
-
-let reliable = { drop = 0.; delay = 0.; delay_mean = 0. }
-
 type node_profile = { mtbf : float; mttr : float }
 type schedule = (float * float) list
 
@@ -16,19 +12,13 @@ type churn = {
   churn_rate : float;
   churn_downtime : float;
   churn_poisson : bool;
-  churn_start : float;
 }
 
-let churn ?(rate = 0.1) ?(downtime = 2.0) ?(poisson = true) ?(start = 0.) () =
-  {
-    churn_rate = rate;
-    churn_downtime = downtime;
-    churn_poisson = poisson;
-    churn_start = start;
-  }
+let churn ?(rate = 0.1) ?(downtime = 2.0) ?(poisson = true) () =
+  { churn_rate = rate; churn_downtime = downtime; churn_poisson = poisson }
 
 type profile = {
-  link : link_profile;
+  drop : float;
   node : node_profile option;
   node_schedules : (int * schedule) list;
   partitions : partition list;
@@ -36,23 +26,14 @@ type profile = {
   horizon : float;
 }
 
-let none =
-  {
-    link = reliable;
-    node = None;
-    node_schedules = [];
-    partitions = [];
-    churn = None;
-    horizon = 3600.;
-  }
+let make ?(drop = 0.) ?node ?(node_schedules = []) ?(partitions = []) ?churn
+    ?(horizon = 3600.) () =
+  { drop; node; node_schedules; partitions; churn; horizon }
 
-let make ?(drop = 0.) ?(delay = 0.) ?(delay_mean = 0.) ?node
-    ?(node_schedules = []) ?(partitions = []) ?churn ?(horizon = 3600.) () =
-  { link = { drop; delay; delay_mean }; node; node_schedules; partitions;
-    churn; horizon }
+let none = make ()
 
 let is_lossy p =
-  p.link.drop > 0.
+  p.drop > 0.
   || p.node <> None
   || List.exists (fun (_, s) -> s <> []) p.node_schedules
   || p.partitions <> []
@@ -60,13 +41,7 @@ let is_lossy p =
 
 let validate p =
   let check cond msg = if not cond then invalid_arg ("Fault: " ^ msg) in
-  let l = p.link in
-  check (l.drop >= 0. && l.drop <= 1.) "link drop must be in [0,1]";
-  check (l.delay >= 0. && l.delay <= 1.) "link delay must be in [0,1]";
-  check (l.delay_mean >= 0.) "link delay_mean must be >= 0";
-  check
-    (l.delay = 0. || l.delay_mean > 0.)
-    "positive delay probability needs a positive delay_mean";
+  check (p.drop >= 0. && p.drop <= 1.) "link drop must be in [0,1]";
   (match p.node with
   | Some n ->
       check (n.mtbf > 0.) "node mtbf must be positive";
@@ -107,8 +82,7 @@ let validate p =
   (match p.churn with
   | Some c ->
       check (c.churn_rate > 0.) "churn rate must be positive";
-      check (c.churn_downtime > 0.) "churn downtime must be positive";
-      check (c.churn_start >= 0.) "churn start must be >= 0"
+      check (c.churn_downtime > 0.) "churn downtime must be positive"
   | None -> ());
   check (p.horizon > 0.) "horizon must be positive";
   (* The schedule generators step a clock up to the horizon; a step that
@@ -126,10 +100,10 @@ let validate p =
         "churn interval 1/rate must advance the clock at the horizon"
   | None -> ()
 
-type action = Deliver | Drop | Delay of float
+type action = Deliver | Drop
 
 type t = {
-  link : link_profile;
+  drop : float;  (* per-link drop probability *)
   schedules : schedule array;  (* index = node id, [||] entries = never down *)
   parts : partition array;  (* in profile order *)
   (* group_of.(p) maps a node id to its group index in partition p;
@@ -139,8 +113,6 @@ type t = {
   mutable n_drops : int;
   mutable n_drops_down : int;
   mutable n_drops_partition : int;
-  mutable n_delays : int;
-  mutable total_delay : float;
 }
 
 (* Alternate exponential up-times (mean mtbf) and downtimes (mean mttr)
@@ -194,7 +166,7 @@ let gen_churn rng (c : churn) ~nodes ~horizon =
         go (k + 1) t
       end
     in
-    go 0 c.churn_start
+    go 0 0.
   end;
   Array.map List.rev rev
 
@@ -242,7 +214,7 @@ let create p ~rng ~nodes =
       parts
   in
   {
-    link = p.link;
+    drop = p.drop;
     schedules;
     parts;
     group_of;
@@ -250,8 +222,6 @@ let create p ~rng ~nodes =
     n_drops = 0;
     n_drops_down = 0;
     n_drops_partition = 0;
-    n_delays = 0;
-    total_delay = 0.;
   }
 
 let node_down t ~node ~now =
@@ -293,24 +263,13 @@ let action t ~src ~dst ~now =
     t.n_drops_partition <- t.n_drops_partition + 1;
     Drop
   end
-  else
-    let lp = t.link in
-    if lp.drop = 0. && lp.delay = 0. then Deliver
-    else if lp.drop > 0. && Rng.float t.rng < lp.drop then begin
-      t.n_drops <- t.n_drops + 1;
-      Drop
-    end
-    else if lp.delay > 0. && Rng.float t.rng < lp.delay then begin
-      let extra = Dist.exponential t.rng ~mean:lp.delay_mean in
-      t.n_delays <- t.n_delays + 1;
-      t.total_delay <- t.total_delay +. extra;
-      Delay extra
-    end
-    else Deliver
+  else if t.drop > 0. && Rng.float t.rng < t.drop then begin
+    t.n_drops <- t.n_drops + 1;
+    Drop
+  end
+  else Deliver
 
 let drops t = t.n_drops
 let drops_down t = t.n_drops_down
 let drops_partition t = t.n_drops_partition
 let drops_link t = t.n_drops - t.n_drops_down - t.n_drops_partition
-let delays t = t.n_delays
-let delay_injected t = t.total_delay

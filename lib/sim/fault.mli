@@ -1,12 +1,11 @@
 (** Deterministic fault injection for the simulated cluster.
 
     A {!profile} describes the faults an experiment wants — per-link message
-    drop/delay behaviour and per-node crash/restart behaviour — and
+    loss, network partitions and per-node crash/restart behaviour — and
     {!create} instantiates it into a {!t} (a {e fault plan}) from a seeded
     {!Rng.t}. Everything stochastic is drawn from that generator, so the
     same seed and profile always produce the same fault trace: the same
-    messages dropped, the same extra delays, the same crash and restart
-    instants.
+    messages dropped and the same crash and restart instants.
 
     The plan is consulted by {!Net.send} (via [?fault] at {!Net.create})
     for every inter-host message, and by the server layer to schedule node
@@ -16,16 +15,6 @@
     byte-identical to a run with no plan at all. *)
 
 (** {1 Profiles} *)
-
-(** Per-link message behaviour. [drop] is the probability that a message on
-    the link is silently discarded; with probability [delay] a surviving
-    message is held back for an extra exponential time of mean
-    [delay_mean] seconds before delivery. *)
-type link_profile = {
-  drop : float;  (** drop probability, in [\[0,1\]] *)
-  delay : float;  (** extra-delay probability, in [\[0,1\]] *)
-  delay_mean : float;  (** mean extra delay (s), [>= 0] *)
-}
 
 (** Stochastic crash behaviour of one node: up-times are exponential with
     mean [mtbf], downtimes exponential with mean [mttr] (both [> 0]). *)
@@ -62,38 +51,30 @@ type partition = {
     anti-entropy continuously. Each leave lasts [churn_downtime] seconds.
     With [churn_poisson] (the default) both the inter-event gaps and the
     downtimes are exponential with those means; without it they are fixed,
-    giving a strictly periodic rolling restart. No event is generated
-    before [churn_start]. Churn composes with [node]/[node_schedules]: the
-    downtime intervals are unioned per node. *)
+    giving a strictly periodic rolling restart. Churn composes with
+    [node]/[node_schedules]: the downtime intervals are unioned per
+    node. *)
 type churn = {
   churn_rate : float;  (** leave events per second, cluster-wide, [> 0] *)
   churn_downtime : float;  (** (mean) downtime per leave (s), [> 0] *)
   churn_poisson : bool;  (** exponential gaps/downtimes vs. fixed period *)
-  churn_start : float;  (** first event no earlier than this (s), [>= 0] *)
 }
 
 (** [churn ()] builds a churn spec; defaults: [rate = 0.1] (one leave
     every 10 s somewhere in the cluster), [downtime = 2 s],
-    [poisson = true], [start = 0.]. *)
-val churn :
-  ?rate:float ->
-  ?downtime:float ->
-  ?poisson:bool ->
-  ?start:float ->
-  unit ->
-  churn
+    [poisson = true]. *)
+val churn : ?rate:float -> ?downtime:float -> ?poisson:bool -> unit -> churn
 
-(** What an experiment asks for. [link] applies to every ordered pair of
-    distinct endpoints. [node], when set, gives every node a stochastic crash
+(** What an experiment asks for. [drop] is the probability that a
+    message between any two distinct endpoints is silently discarded. [node], when set, gives every node a stochastic crash
     schedule generated over [\[0, horizon)]; [node_schedules] pins explicit
     schedules for individual nodes instead (useful for deterministic
     tests), taking precedence over [node]. [partitions] lists the
-    time-varying splits; they compose with the link profiles (a message
-    surviving every active partition still runs the link's drop/delay
-    gauntlet). [churn], when set, adds the rolling leave/rejoin stream on
+    time-varying splits; they compose with [drop] (a message surviving
+    every active partition may still be dropped). [churn], when set, adds the rolling leave/rejoin stream on
     top of whatever the other crash sources produce. *)
 type profile = {
-  link : link_profile;
+  drop : float;  (** per-link drop probability, in [\[0,1\]] *)
   node : node_profile option;
   node_schedules : (int * schedule) list;
   partitions : partition list;
@@ -101,16 +82,14 @@ type profile = {
   horizon : float;  (** crash schedules are generated within [\[0, horizon)] *)
 }
 
-(** [none] is the empty profile: reliable links, no crashes. *)
+(** [none] is [make ()], the empty profile: reliable links, no crashes. *)
 val none : profile
 
-(** [make ?drop ?delay ?delay_mean ?node ?node_schedules ?partitions
-    ?churn ?horizon ()] builds a profile; defaults are the fields of {!none}
-    ([horizon] defaults to [3600.]). *)
+(** [make ?drop ?node ?node_schedules ?partitions ?churn ?horizon ()]
+    builds a profile; defaults are the fields of {!none} ([horizon]
+    defaults to [3600.]). *)
 val make :
   ?drop:float ->
-  ?delay:float ->
-  ?delay_mean:float ->
   ?node:node_profile ->
   ?node_schedules:(int * schedule) list ->
   ?partitions:partition list ->
@@ -125,8 +104,8 @@ val make :
     or a lost reply would wedge a request thread forever. *)
 val is_lossy : profile -> bool
 
-(** [validate p] raises [Invalid_argument] unless every probability is in
-    [\[0,1\]], every mean and the horizon are positive where required,
+(** [validate p] raises [Invalid_argument] unless the drop probability is
+    in [\[0,1\]], every mean and the horizon are positive where required,
     every explicit schedule is well-formed (ordered, non-overlapping,
     strictly positive times), the horizon is finite, and the mean step of
     each generated schedule ([mtbf + mttr], or [1 / churn_rate]) still
@@ -139,7 +118,6 @@ val validate : profile -> unit
 type action =
   | Deliver  (** deliver normally *)
   | Drop  (** silently discard *)
-  | Delay of float  (** deliver after this many extra seconds *)
 
 type t
 (** An instantiated fault plan with its own fault-trace counters. *)
@@ -157,9 +135,9 @@ val create : profile -> rng:Rng.t -> nodes:int -> t
 (** [action t ~src ~dst ~now] decides the fate of a message sent from
     endpoint [src] to endpoint [dst] at time [now]: [Drop] if either
     endpoint is down or an active partition separates them, otherwise the
-    link's stochastic fate. Draws no random numbers on an all-zero link
-    (down-node and partition checks are deterministic); counts every drop
-    and delay. *)
+    link's stochastic fate. Draws no random numbers when [drop] is zero
+    (down-node and partition checks are deterministic); counts every
+    drop. *)
 val action : t -> src:int -> dst:int -> now:float -> action
 
 (** [node_down t ~node ~now] is [true] while [node] is inside one of its
@@ -194,9 +172,3 @@ val drops_partition : t -> int
 (** [drops_link t] counts only the stochastic per-link discards;
     [drops t = drops_down t + drops_partition t + drops_link t] always. *)
 val drops_link : t -> int
-
-(** [delays t] counts messages given extra delay. *)
-val delays : t -> int
-
-(** [delay_injected t] is the total extra delay added so far, in seconds. *)
-val delay_injected : t -> float

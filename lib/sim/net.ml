@@ -66,12 +66,10 @@ let send t ~src ~dst ~bytes mailbox msg =
     serialise t ~src ~bytes;
     match fault_action t ~src ~dst with
     | Fault.Drop -> ()
-    | Fault.Deliver | Fault.Delay _ as a ->
-        let extra = match a with Fault.Delay d -> d | _ -> 0. in
+    | Fault.Deliver ->
         ignore
-          (Engine.schedule_after t.engine
-             (one_way t ~src ~dst +. extra)
-             (fun () -> Mailbox.send mailbox msg)
+          (Engine.schedule_after t.engine (one_way t ~src ~dst) (fun () ->
+               Mailbox.send mailbox msg)
             : Engine.handle)
   end
 

@@ -34,9 +34,9 @@ val create :
 
     [fault] attaches a {!Fault} plan, the network's only source of lost
     messages: every inter-host {!send} asks the plan for its fate —
-    delivered, silently dropped (link loss, a down endpoint or a
-    partition), or delivered after extra delay. The plan counts its own
-    drops ({!Fault.drops}). Loopback messages and blocking {!transfer}s are
+    delivered after its latency, or silently dropped (link loss, a down
+    endpoint or a partition). The plan counts its own drops
+    ({!Fault.drops}). Loopback messages and blocking {!transfer}s are
     never faulted, mirroring TCP's reliability for established streams
     vs. datagram-style notifications. Without a plan (or with a zero plan)
     every message is delivered after its latency. *)

@@ -6,13 +6,16 @@
    - every [swala_sim run] flag that sets a [Config] field reaches it;
    - [swala_sim run] with telemetry prints the same flight-recorder
      tables as [swala_sim report] on the run's metrics JSON;
-   - [perf_gate]'s verdicts and input errors;
-   - [loganalyze] on a trace [swala_sim gen] wrote, and on a malformed one.
-   The three binaries are the first three arguments. *)
+   - EXPERIMENTS.md's CLI recipes print the figures the document quotes;
+   - [perf_gate]'s and [metrics_diff]'s verdicts and input errors;
+   - [loganalyze] on a trace [swala_sim gen] wrote, and on a malformed one;
+   - every reader of an input file, given a directory, prints one line.
+   The four binaries are the first four arguments. *)
 
 let exe = ref ""
 let perf_gate = ref ""
 let loganalyze = ref ""
+let metrics_diff = ref ""
 
 (* Scratch space: a regular file, so no path below it can be opened, and
    a directory for paths that can. In the directory, a subdirectory sits
@@ -144,9 +147,6 @@ let validation_cases =
     ( "run --churn-downtime=-1 alone",
       [ "run"; "--nodes"; "2"; "--requests"; "10"; "--churn-downtime=-1" ],
       "Fault: churn downtime must be positive" );
-    ( "run --delay-mean=-1 alone",
-      [ "run"; "--nodes"; "2"; "--requests"; "10"; "--delay-mean=-1" ],
-      "Fault: link delay_mean must be >= 0" );
     ( "run --fetch-timeout inf",
       [ "run"; "--nodes"; "4"; "--requests"; "20"; "--drop-rate"; "0.2";
         "--fetch-timeout"; "inf" ],
@@ -163,35 +163,122 @@ let validation_cases =
        replies would wedge request threads)" );
   ]
 
-(* EXPERIMENTS.md A8's two CLI recipes, and the fault-free run Recipe 1
-   is compared with: each prints every figure the document quotes, at
-   the precision quoted, and none of the counters it says stay at zero
-   (a counter at zero is not printed). *)
+(* EXPERIMENTS.md's CLI recipes. Each prints every figure the document
+   quotes, at the precision quoted, every line it quotes whole, and none
+   of the counters it says stay at zero (a counter at zero is not
+   printed). A8's Recipe 1 and A10's recipe come with the run the
+   document compares them with. *)
+type recipe = {
+  args : string list;  (* after [run] *)
+  quoted : (string * int * string) list;  (* label, decimals, figure *)
+  lines : string list;
+  absent : string list;
+}
+
+let recipe ?(lines = []) ?(absent = []) args quoted =
+  { args; quoted; lines; absent }
+
+let hits = "cache hits (local+remote)"
+and ratio = "hit ratio"
+and mean = "mean response time"
+and makespan = "simulated makespan"
+and lost = "messages lost:"
+
+(* The label of counter [name] in the counters block. *)
+let counter name = "  " ^ name ^ " "
+let counts = List.map (fun (name, n) -> (counter name, 0, string_of_int n))
+
 let a8_recipes =
-  let drop =
-    [ "--drop-rate"; "0.2"; "--fetch-timeout"; "0.5"; "--fetch-retries"; "2" ]
-  and crash =
-    [ "--crash-mtbf"; "60"; "--crash-mttr"; "2"; "--fetch-timeout"; "0.5";
-      "--fetch-retries"; "2" ]
-  and hits = "cache hits (local+remote)"
-  and mean = "mean response time"
-  and makespan = "simulated makespan" in
+  let a8 flags =
+    [ "--nodes"; "4"; "--workload"; "coop"; "--requests"; "1600";
+      "--router"; "least-active" ]
+    @ flags
+  and retries = [ "--fetch-timeout"; "0.5"; "--fetch-retries"; "2" ] in
   [
     ( "recipe 1: 20 % drop",
-      drop,
-      [ ("messages lost:", 0, "865"); (hits, 0, "411"); (mean, 3, "3.180");
-        ("  fetch_retries ", 0, "117"); ("  fetch_timeouts ", 0, "6");
-        ("  dir_suspect_purged ", 0, "1028"); ("  requests ", 0, "1600") ],
-      [] );
+      recipe
+        (a8 ([ "--drop-rate"; "0.2" ] @ retries))
+        ([ (lost, 0, "865"); (hits, 0, "411"); (mean, 3, "3.180") ]
+        @ counts
+            [ ("fetch_retries", 117); ("fetch_timeouts", 6);
+              ("dir_suspect_purged", 1028); ("requests", 1600) ]) );
     ( "recipe 1 without faults",
-      [],
-      [ (hits, 0, "466"); (mean, 3, "3.021"); (makespan, 1, "310.4") ],
-      [] );
+      recipe (a8 [])
+        [ (hits, 0, "466"); (mean, 3, "3.021"); (makespan, 1, "310.4") ] );
     ( "recipe 2: crash churn",
-      crash,
-      [ ("  crashes ", 0, "18"); ("  restarts ", 0, "18"); (hits, 0, "397");
-        (mean, 3, "3.445"); (makespan, 0, "363"); ("  false_hit ", 0, "43") ],
-      [ "rejected_down" ] );
+      recipe ~absent:[ "rejected_down" ]
+        (a8 ([ "--crash-mtbf"; "60"; "--crash-mttr"; "2" ] @ retries))
+        ([ (hits, 0, "397"); (mean, 3, "3.445"); (makespan, 0, "363") ]
+        @ counts [ ("crashes", 18); ("restarts", 18); ("false_hit", 43) ]) );
+  ]
+
+let a9_to_a13_recipes =
+  let coop n = [ "--nodes"; "4"; "--workload"; "coop"; "--requests"; n ]
+  and hinted = [ "--dir-hints" ]
+  and batched = [ "--batch-max"; "64"; "--batch-flush-interval"; "0.02" ] in
+  [
+    ( "A9 partition heal",
+      recipe
+        (coop "800"
+        @ [ "--partition"; "1:8:0,1|2,3"; "--anti-entropy-period"; "2";
+            "--fetch-timeout"; "0.5" ])
+        ((lost, 0, "41")
+        :: counts
+             [ ("partitions_healed", 1); ("anti_entropy_rounds", 298);
+               ("anti_entropy_pulled", 32); ("false_miss_duplicate", 11);
+               ("requests", 800) ]) );
+    ( "A10 batched",
+      recipe ~absent:[ "hint_false" ]
+        (coop "400" @ batched @ hinted)
+        ([ (hits, 0, "94"); (mean, 4, "3.0898") ]
+        @ counts
+            [ ("broadcast_insert", 306); ("info_msgs", 594);
+              ("batches_sent", 66); ("batch_updates", 174);
+              ("info_applied", 918); ("hint_probes_saved", 178);
+              ("cgi_execs", 306); ("false_miss_duplicate", 17) ]) );
+    ( "A10 unbatched",
+      recipe ~absent:[ "hint_false"; "batches_sent" ]
+        (coop "400" @ hinted)
+        ([ (hits, 0, "102"); (mean, 4, "2.9875") ]
+        @ counts
+            [ ("broadcast_insert", 298); ("info_msgs", 894);
+              ("cgi_execs", 298); ("false_miss_duplicate", 14) ]) );
+    ( "A11 sharded plane",
+      recipe
+        [ "--nodes"; "8"; "--workload"; "coop"; "--requests"; "600";
+          "--seed"; "7"; "--dir-mode"; "sharded"; "--hotspot-threshold"; "1" ]
+        ((hits, 0, "154")
+        :: counts
+             [ ("info_msgs", 477); ("broadcast_insert", 446);
+               ("shard_local_lookups", 73); ("shard_fwd_lookups", 502);
+               ("dir_lookup_msgs", 1004); ("lcache_pos_hits", 22);
+               ("lcache_neg_hits", 3); ("hotspot_promotions", 23);
+               ("hotspot_replica_pushes", 44); ("hotspot_demotions", 23);
+               ("false_miss_duplicate", 23); ("requests", 600) ]) );
+    ( "A12 mixed scenario",
+      recipe
+        ~lines:
+          [ "scenario phases           pre[0,15), crowd[15,30), \
+             decay[30,45), post[45,60)" ]
+        (coop "800"
+        @ [ "--scenario"; "mixed"; "--fetch-timeout"; "0.5"; "--seed"; "7" ])
+        ([ (lost, 0, "210"); (hits, 0, "133"); (ratio, 1, "16.6") ]
+        @ counts
+            [ ("crashes", 45); ("restarts", 45);
+              ("scenario_flash_redirects", 112); ("tier_metro_requests", 500);
+              ("tier_regional_requests", 200); ("tier_far_requests", 100);
+              ("fetch_timeouts", 28) ]) );
+    ( "A13 adaptive freshness + refresh",
+      recipe
+        (coop "400"
+        @ [ "--seed"; "7"; "--freshness"; "adaptive"; "--default-ttl"; "8";
+            "--refresh-budget"; "4"; "--scenario-duration"; "30";
+            "--flash-crowd"; "5:10:0.8:8"; "--fetch-timeout"; "0.5" ])
+        ([ (hits, 0, "148"); (ratio, 1, "37.0"); ("hit age mean", 3, "5.452");
+           ("p99", 3, "19.552") ]
+        @ counts
+            [ ("refreshes", 5); ("refresh_saved_ms", 1000);
+              ("stale_served", 46); ("scenario_flash_redirects", 107) ]) );
   ]
 
 (* The first number after [label] on the first line of [out] holding it. *)
@@ -207,27 +294,23 @@ let figure out label =
   | Some rest -> Scanf.sscanf rest " %f" Fun.id
   | None -> Alcotest.failf "no %S in the output" label
 
-let test_a8_recipe (flags, quoted, absent) () =
-  let status, out, err =
-    run
-      ([ "run"; "--nodes"; "4"; "--workload"; "coop"; "--requests"; "1600";
-         "--router"; "least-active" ]
-      @ flags)
-  in
+let test_recipe r () =
+  let status, out, err = run ("run" :: r.args) in
   Alcotest.(check int) "exit status" 0 status;
   Alcotest.(check (list string)) "nothing on stderr" [] err;
   List.iter
     (fun (label, decimals, expected) ->
       Alcotest.(check string) label expected
         (Printf.sprintf "%.*f" decimals (figure out label)))
-    quoted;
+    r.quoted;
+  List.iter
+    (fun line -> Alcotest.(check bool) line true (List.mem line out))
+    r.lines;
   List.iter
     (fun name ->
       Alcotest.(check bool) (name ^ " not counted") false
-        (List.exists
-           (String.starts_with ~prefix:("  " ^ name ^ " "))
-           out))
-    absent
+        (List.exists (String.starts_with ~prefix:(counter name)) out))
+    r.absent
 
 (* An unknown name for any enumerated flag stops the run before it
    prints anything, even on the multi-seed path. *)
@@ -318,23 +401,19 @@ let config_cases =
     ("no Config flag", [], d, Swala.Router.Per_stream);
     ( "replicated",
       [ "--nodes"; "3"; "--drop-rate"; "0.1"; "--fetch-timeout"; "0.5";
-        "--fetch-retries"; "2"; "--fetch-backoff"; "3";
-        "--anti-entropy-period"; "1.5"; "--batch-max"; "4";
-        "--batch-flush-interval"; "0.05"; "--dir-hints"; "--freshness";
-        "adaptive"; "--default-ttl"; "4"; "--refresh-budget"; "2";
-        "--refresh-interval"; "0.25"; "--telemetry-interval"; "0.5";
-        "--slo-target"; "1"; "--slo-objective"; "0.9"; "--router";
+        "--fetch-retries"; "2"; "--anti-entropy-period"; "1.5";
+        "--batch-max"; "4"; "--batch-flush-interval"; "0.05"; "--dir-hints";
+        "--freshness"; "adaptive"; "--default-ttl"; "4"; "--refresh-budget";
+        "2"; "--telemetry-interval"; "0.5"; "--slo-target"; "1"; "--router";
         "round-robin" ],
       {
         d with
         n_nodes = 3;
         fault =
           Some
-            (Sim.Fault.make ~drop:0.1 ~delay:0. ~delay_mean:0.05
-               ~partitions:[] ~horizon:600. ());
+            (Sim.Fault.make ~drop:0.1 ~partitions:[] ~horizon:600. ());
         fetch_timeout = Some 0.5;
         fetch_retries = 2;
-        fetch_backoff = 3.;
         anti_entropy_period = Some 1.5;
         batch_max = 4;
         batch_flush_interval = Some 0.05;
@@ -342,10 +421,8 @@ let config_cases =
         freshness = Cache.Freshness.Adaptive;
         default_ttl = Some 4.;
         refresh_budget = 2.;
-        refresh_interval = 0.25;
         telemetry_interval = Some 0.5;
         slo_target = Some 1.;
-        slo_objective = 0.9;
       },
       Swala.Router.Round_robin );
     ( "sharded",
@@ -479,14 +556,89 @@ let test_loganalyze_malformed () =
     [ Printf.sprintf "%s: line 1: unrecognised line \"garbage\"" path ]
     err
 
+(* metrics_diff on hand-written files: a file against itself, a changed
+   number, and malformed JSON. *)
+let metrics = {|{"counters":{"requests":10},"response_s":{"p99":2.5}}|}
+
+let test_diff_self () =
+  with_file metrics @@ fun path ->
+  let status, out, err =
+    run ~exe:metrics_diff [ "--baseline"; path; "--current"; path ]
+  in
+  Alcotest.(check int) "exit status" 0 status;
+  Alcotest.(check (list string)) "nothing on stderr" [] err;
+  Alcotest.(check (list string)) "the verdict" [ "metrics_diff: PASS" ] out
+
+let test_diff_drift () =
+  with_file metrics @@ fun b ->
+  with_file {|{"counters":{"requests":11},"response_s":{"p99":2.5}}|}
+  @@ fun c ->
+  let status, out, err =
+    run ~exe:metrics_diff [ "--baseline"; b; "--current"; c ]
+  in
+  Alcotest.(check int) "exit status" 1 status;
+  Alcotest.(check (list string)) "nothing on stderr" [] err;
+  Alcotest.(check bool) "the drifted path is named" true
+    (List.mem "metrics_diff: counters.requests: 10 -> 11 (tolerance 0)" out)
+
+let test_diff_malformed () =
+  with_file metrics @@ fun b ->
+  with_file {|{"counters":|} @@ fun c ->
+  let status, out, err =
+    run ~exe:metrics_diff [ "--baseline"; b; "--current"; c ]
+  in
+  Alcotest.(check int) "exit status" 2 status;
+  Alcotest.(check (list string)) "nothing on stdout" [] out;
+  Alcotest.(check (list string)) "one line on stderr"
+    [ Printf.sprintf "metrics_diff: %s: at byte 12: unexpected end of input" c ]
+    err
+
+(* Each reader of an input file, given a directory, prints one line
+   naming it and exits with its input-error status. *)
+let unreadable_cases =
+  let dir = scratch_dir in
+  let unreadable = dir ^ ": Is a directory" in
+  [
+    ("swala_sim report", exe, [ "report"; dir ], 2, unreadable);
+    ( "swala_sim run --rules",
+      exe,
+      [ "run"; "--requests"; "10"; "--rules"; dir ],
+      2,
+      unreadable );
+    ("loganalyze", loganalyze, [ dir ], 1, unreadable);
+    ( "metrics_diff",
+      metrics_diff,
+      [ "--baseline"; dir; "--current"; dir ],
+      2,
+      "metrics_diff: " ^ unreadable );
+    ( "perf_gate",
+      perf_gate,
+      [ "--baseline"; dir; "--current"; dir ],
+      2,
+      "perf_gate: " ^ unreadable );
+  ]
+
+let unreadable_case (name, exe, args, expected_status, expected) =
+  Alcotest.test_case name `Quick @@ fun () ->
+  let status, out, err = run ~exe args in
+  Alcotest.(check int) "exit status" expected_status status;
+  Alcotest.(check (list string)) "nothing on stdout" [] out;
+  Alcotest.(check (list string)) "one line on stderr" [ expected ] err
+
 let usage_case (name, args, expected) =
   Alcotest.test_case name `Quick (usage_error args expected)
+
+let recipe_case (name, r) = Alcotest.test_case name `Quick (test_recipe r)
 
 let () =
   exe := Sys.argv.(1);
   perf_gate := Sys.argv.(2);
   loganalyze := Sys.argv.(3);
-  let argv = Array.append [| Sys.argv.(0) |] (Array.sub Sys.argv 4 (Array.length Sys.argv - 4)) in
+  metrics_diff := Sys.argv.(4);
+  let argv = Array.append [| Sys.argv.(0) |] (Array.sub Sys.argv 5 (Array.length Sys.argv - 5)) in
+  (* Alcotest shortens a long case name to fit beside the widest group
+     name, so a group name longer than "failure-model" would change how
+     the existing cases print. *)
   Alcotest.run ~argv "cli"
     [
       ( "usage-errors",
@@ -508,17 +660,20 @@ let () =
           Alcotest.test_case "report matches the run" `Quick
             test_report_matches_run;
         ] );
-      ( "failure-model",
-        List.map
-          (fun (name, flags, quoted, absent) ->
-            Alcotest.test_case name `Quick
-              (test_a8_recipe (flags, quoted, absent)))
-          a8_recipes );
+      ("failure-model", List.map recipe_case a8_recipes);
+      ("recipes", List.map recipe_case a9_to_a13_recipes);
       ("perf-gate", gate_cases);
+      ( "metrics-diff",
+        [
+          Alcotest.test_case "file against itself" `Quick test_diff_self;
+          Alcotest.test_case "changed number" `Quick test_diff_drift;
+          Alcotest.test_case "malformed JSON" `Quick test_diff_malformed;
+        ] );
       ( "loganalyze",
         [
           Alcotest.test_case "gen trace analysed" `Quick
             test_loganalyze_gen_trace;
           Alcotest.test_case "malformed line" `Quick test_loganalyze_malformed;
         ] );
+      ("unreadable", List.map unreadable_case unreadable_cases);
     ]

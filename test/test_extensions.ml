@@ -113,7 +113,7 @@ let test_rules_ttl_override () =
   let engine = Sim.Engine.create () in
   let cluster =
     Swala.Server.create_cluster engine
-      (Swala.Config.make ~rules ~purge_interval:0.2 ())
+      (Swala.Config.make ~rules ())
       ~registry ~n_client_endpoints:1
   in
   Swala.Server.start cluster;

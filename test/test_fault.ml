@@ -10,7 +10,6 @@ let check_float = Alcotest.(check (float 1e-9))
 let action_to_string = function
   | Sim.Fault.Deliver -> "deliver"
   | Sim.Fault.Drop -> "drop"
-  | Sim.Fault.Delay d -> Printf.sprintf "delay %.9f" d
 
 let check_action msg a b =
   Alcotest.(check string) msg (action_to_string a) (action_to_string b)
@@ -26,10 +25,6 @@ let expect_invalid what f =
 let test_validate_rejects_bad_profiles () =
   expect_invalid "drop > 1" (fun () ->
       Sim.Fault.validate (Sim.Fault.make ~drop:1.5 ()));
-  expect_invalid "negative delay_mean" (fun () ->
-      Sim.Fault.validate (Sim.Fault.make ~delay:0.1 ~delay_mean:(-1.) ()));
-  expect_invalid "delay without delay_mean" (fun () ->
-      Sim.Fault.validate (Sim.Fault.make ~delay:0.1 ~delay_mean:0. ()));
   expect_invalid "zero mtbf" (fun () ->
       Sim.Fault.validate
         (Sim.Fault.make ~node:{ Sim.Fault.mtbf = 0.; mttr = 1. } ()));
@@ -91,8 +86,7 @@ let test_zero_profile_draws_nothing () =
   done;
   check_float "rng untouched by delivery decisions" (Sim.Rng.float r2)
     (Sim.Rng.float r1);
-  check_int "no drops" 0 (Sim.Fault.drops plan);
-  check_int "no delays" 0 (Sim.Fault.delays plan)
+  check_int "no drops" 0 (Sim.Fault.drops plan)
 
 (* ------------------------------------------------------------------ *)
 (* Same seed + profile -> same fault trace *)
@@ -100,7 +94,7 @@ let test_zero_profile_draws_nothing () =
 let test_plan_deterministic () =
   let make () =
     Sim.Fault.create
-      (Sim.Fault.make ~drop:0.3 ~delay:0.2 ~delay_mean:0.01
+      (Sim.Fault.make ~drop:0.3
          ~node:{ Sim.Fault.mtbf = 40.; mttr = 3. }
          ~horizon:200. ())
       ~rng:(Sim.Rng.create 7) ~nodes:3
@@ -122,10 +116,6 @@ let test_plan_deterministic () =
       (Sim.Fault.action p2 ~src ~dst ~now)
   done;
   check_int "same drops" (Sim.Fault.drops p1) (Sim.Fault.drops p2);
-  check_int "same delays" (Sim.Fault.delays p1) (Sim.Fault.delays p2);
-  check_float "same injected delay"
-    (Sim.Fault.delay_injected p1)
-    (Sim.Fault.delay_injected p2);
   check_bool "trace is non-trivial" true (Sim.Fault.drops p1 > 0)
 
 let test_stochastic_schedules_well_formed () =
@@ -259,7 +249,7 @@ let test_retries_then_fallback () =
   let cfg =
     Swala.Config.make ~n_nodes:2
       ~fault:(Some (Sim.Fault.make ~drop:1.0 ()))
-      ~fetch_timeout:(Some 0.5) ~fetch_retries:2 ~fetch_backoff:2. ()
+      ~fetch_timeout:(Some 0.5) ~fetch_retries:2 ()
   in
   let status = ref 0 in
   let cluster =

@@ -285,8 +285,6 @@ let test_config_validation () =
       Swala.Config.validate (make ~freshness_window:0. ()));
   expect_invalid "budget < 0" (fun () ->
       Swala.Config.validate (make ~refresh_budget:(-1.) ()));
-  expect_invalid "interval <= 0" (fun () ->
-      Swala.Config.validate (make ~refresh_interval:0. ()));
   expect_invalid "adaptive without a cache" (fun () ->
       Swala.Config.validate
         (make ~cache_mode:Swala.Config.Disabled

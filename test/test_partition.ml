@@ -12,7 +12,6 @@ let check_float = Alcotest.(check (float 1e-9))
 let action_to_string = function
   | Sim.Fault.Deliver -> "deliver"
   | Sim.Fault.Drop -> "drop"
-  | Sim.Fault.Delay d -> Printf.sprintf "delay %.9f" d
 
 let check_action msg a b =
   Alcotest.(check string) msg (action_to_string a) (action_to_string b)
@@ -252,7 +251,7 @@ let test_fetch_sync_out_of_order () =
       result :=
         Some
           (Swala.Node.fetch_sync ~span:0 net ~src:0 ~owner:1 data_mbs.(1)
-             ~timeout:0.5 ~retries:1 ~backoff:2. "k"));
+             ~timeout:0.5 ~retries:1 "k"));
   Sim.Engine.run engine;
   match !result with
   | None -> Alcotest.fail "fetch_sync never returned"

@@ -160,10 +160,7 @@ let test_hotspot_hysteresis () =
     | `Promoted -> incr promotions
     | `Noted -> ()
   done;
-  check_int "re-promotion after demotion" 1 !promotions;
-  let p, d = Cache.Hotspot.stats h in
-  check_int "two promotions counted" 2 p;
-  check_int "one demotion counted" 1 d
+  check_int "re-promotion after demotion" 1 !promotions
 
 let test_hotspot_slow_key_never_promotes () =
   let h = Cache.Hotspot.create ~threshold:2.0 ~window:2.0 in

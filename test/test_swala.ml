@@ -205,12 +205,12 @@ let test_server_ttl_expiry_end_to_end () =
   check_int "one hit" 1 (get cluster Swala.Server.K.hit_local)
 
 let test_server_purge_daemon_removes_expired () =
-  let cfg = Swala.Config.make ~purge_interval:1.0 () in
   let cluster =
-    with_cluster ~cfg (fun cluster ->
+    with_cluster (fun cluster ->
         ignore (submit0 cluster "/cgi-bin/ttl?q=1");
-        (* Wait past TTL (2s) plus a purge interval without touching it. *)
-        Sim.Engine.delay 4.0;
+        (* Wait past TTL (2s) and the first purge tick without touching
+           it. *)
+        Sim.Engine.delay (Swala.Config.purge_interval +. 1.0);
         let store = Swala.Server.node_store (Swala.Server.node cluster 0) in
         check_int "purged from store" 0 (Cache.Store.length store))
   in

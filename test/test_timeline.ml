@@ -80,13 +80,12 @@ let prop_bucket_stats =
         (fun b ->
           if b.TL.n = 0 then
             Float.is_nan b.TL.mean && Float.is_nan b.TL.min
-            && Float.is_nan b.TL.max && Float.is_nan b.TL.last
+            && Float.is_nan b.TL.max
           else
             b.TL.min <= b.TL.max
             && b.TL.min -. 1e-9 <= b.TL.mean
             && b.TL.mean <= b.TL.max +. 1e-9
-            && b.TL.min >= gmin && b.TL.max <= gmax
-            && b.TL.last >= b.TL.min && b.TL.last <= b.TL.max)
+            && b.TL.min >= gmin && b.TL.max <= gmax)
         (TL.buckets t))
 
 (* A tick-only sibling driven by the same instants ends with the same
@@ -121,7 +120,6 @@ let test_merge_halves_resolution () =
   check_float "merged mean" 2.0 b0.TL.mean;
   check_float "merged min" 1.0 b0.TL.min;
   check_float "merged max" 3.0 b0.TL.max;
-  check_float "later sample's last wins" 3.0 b0.TL.last;
   check_int "conserved" 5 (TL.total_count t)
 
 let test_timeline_validates () =
