@@ -62,24 +62,33 @@ let micro () =
   ignore (go () : Swala.Cluster_runner.result);
   (* The run is deterministic, so wall-time spread across repeats is pure
      host noise; report the fastest of five to keep the committed
-     baseline comparable across noisy machines (CI runners included). *)
+     baseline comparable across noisy machines (CI runners included).
+     The GC figures are summed over all five instead, with a minor
+     collection before each snapshot: [Gc.quick_stat] counts minor words
+     only up to the last minor collection, and the major heap's direct
+     allocation differs from one repeat to the next, so the fastest
+     repeat's figures would depend on which repeat was fastest. *)
+  let reps = 5 in
   let best_wall = ref infinity and best_r = ref None and minor = ref 0. in
   (* Words allocated straight into the major heap (major minus promoted):
      blocks too large for the minor heap, such as rendered bodies. *)
   let direct_major = ref 0. in
-  for _ = 1 to 5 do
+  for _ = 1 to reps do
+    Gc.minor ();
     let s0 = Gc.quick_stat () in
     let t0 = Unix.gettimeofday () in
     let r = go () in
     let wall = Unix.gettimeofday () -. t0 in
+    Gc.minor ();
+    let s1 = Gc.quick_stat () in
+    minor := !minor +. (s1.Gc.minor_words -. s0.Gc.minor_words);
+    direct_major :=
+      !direct_major
+      +. (s1.Gc.major_words -. s0.Gc.major_words)
+      -. (s1.Gc.promoted_words -. s0.Gc.promoted_words);
     if wall < !best_wall then begin
-      let s1 = Gc.quick_stat () in
       best_wall := wall;
-      best_r := Some r;
-      minor := s1.Gc.minor_words -. s0.Gc.minor_words;
-      direct_major :=
-        s1.Gc.major_words -. s0.Gc.major_words
-        -. (s1.Gc.promoted_words -. s0.Gc.promoted_words)
+      best_r := Some r
     end
   done;
   let r = Option.get !best_r in
@@ -87,8 +96,8 @@ let micro () =
   let events = r.Swala.Cluster_runner.n_events in
   let rps = float_of_int n_requests /. wall in
   let eps = float_of_int events /. wall in
-  let words_per_event = !minor /. float_of_int events in
-  let major_per_request = !direct_major /. float_of_int n_requests in
+  let words_per_event = !minor /. float_of_int (reps * events) in
+  let major_per_request = !direct_major /. float_of_int (reps * n_requests) in
   Printf.printf
     "End-to-end (4 nodes, %d requests, %d sim events): %.3f s wall -> %.0f \
      requests/s, %.0f events/s, %.1f minor words/event, %.1f direct major \

@@ -653,7 +653,6 @@ let resolve_scenario ~preset ~duration ~flash ~diurnal ~geo ~churn_rate
 let run_multi (cfg : Swala.Config.t) ~seeds ~jobs ~seed ~workload ~requests
     ~streams ~router ~metrics_out =
   let jobs = if jobs = 0 then Sim.Sweep.default_jobs () else jobs in
-  if jobs < 1 then usage_error "run" "--jobs must be >= 0";
   Printf.printf
     "workload=%s requests=%d nodes=%d mode=%s policy=%s capacity=%d \
      streams=%d seeds=%d..%d\n"
@@ -728,6 +727,8 @@ let run_cmd_impl (cfg : Swala.Config.t) seed streams requests workload router
   check_positive "run" "--seeds" seeds;
   check_positive "run" "--streams" streams;
   check_positive "run" "--requests" requests;
+  (* Checked whatever --seeds is, although only a sweep uses it. *)
+  if jobs < 0 then usage_error "run" "--jobs must be >= 0";
   if seeds > 1 && (trace_file <> None || trace_breakdown) then
     usage_error "run"
       "--trace/--trace-breakdown are single-run reports; not \

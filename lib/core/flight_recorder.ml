@@ -57,16 +57,13 @@ let register_probes t engine cluster nodes =
   R.histogram reg "fwd.wait"
     (histogram (Server.forward_wait_histogram cluster));
   R.histogram reg "staleness" (histogram (Server.staleness_histogram cluster));
-  (* Engine self-telemetry: raw heap occupancy vs capacity, the
-     lazy-cancellation census whose growth drives compaction, the event
-     execution rate, and the allocation rate of the host program
-     itself. *)
+  (* Engine self-telemetry: queued events vs the capacity one heap
+     holding them would have grown to, the event execution rate, and the
+     allocation rate of the host program itself. *)
   R.gauge reg "engine.heap" (fun () ->
-      float_of_int (Sim.Engine.heap_depth engine));
+      float_of_int (Sim.Engine.pending engine));
   R.gauge reg "engine.heap_cap" (fun () ->
       float_of_int (Sim.Engine.heap_capacity engine));
-  R.gauge reg "engine.cancelled" (fun () ->
-      float_of_int (Sim.Engine.cancelled_events engine));
   R.counter reg "engine.events.rate" (fun () ->
       float_of_int (Sim.Engine.events_processed engine));
   R.counter reg "gc.minor_words.rate" (fun () -> Gc.minor_words ());

@@ -178,10 +178,12 @@ let fan_out ?(should_abort = fun () -> false) inboxes ~src each =
   done;
   !sent
 
+(* Every peer receives the same immutable envelope, built once per
+   fan-out. *)
 let info ?should_abort ?(span = 0) net inboxes ~src ~bytes msg =
+  let envelope = { Node.info = msg; ack = None; span } in
   fan_out ?should_abort inboxes ~src (fun dst inbox ->
-      Sim.Net.send net ~src ~dst ~bytes inbox
-        { Node.info = msg; ack = None; span })
+      Sim.Net.send net ~src ~dst ~bytes inbox envelope)
 
 (* Transmit one directory-update message (bare or batched) to every peer
    per the configured consistency protocol, counting the unicasts and
@@ -196,10 +198,10 @@ let dispatch p (nd : Node.t) (msg : Update.any Update.t) =
     | Config.Strong, _ ->
         (* Block until every replica has applied the update. *)
         let ack = Sim.Mailbox.create () in
+        let envelope = { Node.info = msg; ack = Some (nd.id, ack); span } in
         let sent =
           fan_out p.inboxes ~src:nd.id (fun dst inbox ->
-              Sim.Net.send x.net ~src:nd.id ~dst ~bytes inbox
-                { Node.info = msg; ack = Some (nd.id, ack); span })
+              Sim.Net.send x.net ~src:nd.id ~dst ~bytes inbox envelope)
         in
         for _ = 1 to sent do
           Sim.Mailbox.recv ack
@@ -214,11 +216,10 @@ let dispatch p (nd : Node.t) (msg : Update.any Update.t) =
         (* Ablation knob: deliver directory updates after a fixed delay,
            bypassing the network model, to widen or narrow the weak-
            consistency window in isolation. *)
+        let envelope = { Node.info = msg; ack = None; span } in
         fan_out p.inboxes ~src:nd.id (fun _ inbox ->
-            ignore
-              (Sim.Engine.schedule_after x.engine delay (fun () ->
-                   Sim.Mailbox.send inbox { Node.info = msg; ack = None; span })
-                : Sim.Engine.handle))
+            Sim.Engine.schedule_after x.engine delay (fun () ->
+                Sim.Mailbox.send inbox envelope))
   in
   if sent > 0 then begin
     Metrics.Counter.add nd.counters Node.K.info_msgs sent;

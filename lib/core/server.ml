@@ -16,8 +16,8 @@ type cluster = {
   ctx : Node.ctx;
   registry : Cgi.Registry.t;
   fault : Sim.Fault.t option;
-  mutable fault_handles : Sim.Engine.handle list;
-      (* pending crash/restart events, cancelled by [stop] *)
+  mutable fault_timers : Sim.Engine.timer list;
+      (* the fault plan's crash/restart/heal instants, cleared by [stop] *)
   waits : (string * Metrics.Histogram.t) list;
       (* contention histograms by name, in report order; empty unless
          tracing *)
@@ -236,7 +236,7 @@ let create_cluster engine cfg ~registry ~n_client_endpoints =
     ctx;
     registry;
     fault;
-    fault_handles = [];
+    fault_timers = [];
     waits;
     hit_latency;
     fwd_wait;
@@ -768,55 +768,53 @@ let start c =
                     refresh_daemon c nd ~budget:cfg.Config.refresh_budget);
               P.start p nd)
         c.ctx.nodes;
-      (* Schedule the fault plan's crash/restart instants as plain events; the
-         handles are kept so [stop] can cancel whatever has not yet fired. *)
+      (* Arm one timer per crash, restart and heal instant of the fault
+         plan; they are kept so [stop] can clear whatever has not yet
+         fired. *)
       match c.fault with
       | None -> ()
       | Some f ->
           let now = Sim.Engine.current_time c.ctx.engine in
+          let at time action =
+            if time >= now then begin
+              let tm = Sim.Engine.timer c.ctx.engine action in
+              Sim.Engine.arm_at tm time;
+              c.fault_timers <- tm :: c.fault_timers
+            end
+          in
           Array.iter
             (fun (nd : t) ->
               List.iter
                 (fun (down_at, up_at) ->
-                  if down_at >= now then
-                    c.fault_handles <-
-                      Sim.Engine.schedule_at c.ctx.engine down_at (fun () ->
-                          crash c nd;
-                          emit_instant c ~track:nd.id "crash";
-                          P.handoff p ~died:nd.id ())
-                      :: c.fault_handles;
-                  if up_at >= now then
-                    c.fault_handles <-
-                      Sim.Engine.schedule_at c.ctx.engine up_at (fun () ->
-                          restart nd;
-                          emit_instant c ~track:nd.id "restart";
-                          P.handoff p ())
-                      :: c.fault_handles)
+                  at down_at (fun () ->
+                      crash c nd;
+                      emit_instant c ~track:nd.id "crash";
+                      P.handoff p ~died:nd.id ());
+                  at up_at (fun () ->
+                      restart nd;
+                      emit_instant c ~track:nd.id "restart";
+                      P.handoff p ()))
                 (Sim.Fault.schedule f ~node:nd.id))
             c.ctx.nodes;
           (* Each partition's heal instant is observable: node 0 counts it, so
              experiments can report how many splits a run actually saw end. *)
           List.iter
             (fun (part : Sim.Fault.partition) ->
-              if part.Sim.Fault.heal_at >= now then
-                c.fault_handles <-
-                  Sim.Engine.schedule_at c.ctx.engine part.Sim.Fault.heal_at
-                    (fun () ->
-                      incr c.ctx.nodes.(0) K.partitions_healed;
-                      emit_instant c ~track:0 "partition.heal";
-                      (* announcements dropped at the cut are unrecoverable
-                         point-to-point losses: let the plane repair *)
-                      P.handoff p ())
-                  :: c.fault_handles)
+              at part.Sim.Fault.heal_at (fun () ->
+                  incr c.ctx.nodes.(0) K.partitions_healed;
+                  emit_instant c ~track:0 "partition.heal";
+                  (* announcements dropped at the cut are unrecoverable
+                     point-to-point losses: let the plane repair *)
+                  P.handoff p ()))
             (Sim.Fault.partitions f))
 
 let stop c =
   Array.iter (fun (nd : t) -> nd.stop <- true) c.ctx.nodes;
-  (* Cancel pending crash/restart events: without this a fault plan whose
-     horizon outlives the workload would keep the engine ticking long after
-     the last client finished. *)
-  List.iter Sim.Engine.cancel c.fault_handles;
-  c.fault_handles <- []
+  (* Clear the fault plan's pending timers: without this a fault plan
+     whose horizon outlives the workload would keep the engine ticking
+     long after the last client finished. *)
+  List.iter Sim.Engine.clear c.fault_timers;
+  c.fault_timers <- []
 
 let submit c ~client ~node req =
   if node < 0 || node >= Array.length c.ctx.nodes then

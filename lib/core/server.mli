@@ -42,9 +42,10 @@ val create_cluster :
 (** [start cluster] spawns every node's request threads and daemons. *)
 val start : cluster -> unit
 
-(** [stop cluster] signals purge daemons to exit and cancels any pending
-    crash/restart events of the fault plan, so the simulation can drain
-    even when the fault horizon outlives the workload; idempotent. *)
+(** [stop cluster] signals purge daemons to exit and clears the fault
+    plan's crash, restart and heal timers that have not fired, so the
+    simulation can drain even when the fault horizon outlives the
+    workload; idempotent. *)
 val stop : cluster -> unit
 
 (** [submit cluster ~client ~node req] sends [req] from client endpoint

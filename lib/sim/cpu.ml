@@ -1,23 +1,29 @@
+(* The CPU's running totals, in a record of floats only: such a record
+   is a flat block, so updating it boxes nothing (a [float ref] would
+   box on every store). *)
+type books = { mutable last_update : float; mutable work_delivered : float }
+
 (* Resident jobs live in slots [0, n) of two parallel arrays, oldest
    first: remaining work in a flat [float array] (stored in place, never
-   boxed) and the job's resumer beside it. The completion action and the
-   suspend-registration function are built once, at [create], so a
-   [consume] allocates nothing of its own: no closure, job record or
-   list cell. *)
+   boxed) and the job's resumer beside it. The completion timer and the
+   suspension are built once, at [create], and each arrival or
+   completion re-arms or clears that one timer, so a [consume] allocates
+   nothing of its own: no closure, job record, list cell or event. *)
 type t = {
-  engine : Engine.t;
+  clock : Engine.clock;  (* the engine's, read without boxing *)
   cores : int;
   speed : float;
   mutable rem : float array;
   mutable resumers : unit Engine.resumer array;
   mutable n : int;
-  last_update : float ref;
-  work_delivered : float ref;
-  mutable next_completion : Engine.handle;
+  books : books;
+  due : Pqueue.cell;  (* the completion time handed to [completion] *)
+  mutable completion : Engine.timer;
   mutable n_completed : int;
   observe : (wait:float -> depth:int -> unit) option;
-  on_complete : unit -> unit;
-  register : unit Engine.resumer -> unit;
+  mutable arrival : unit Engine.suspension;
+      (* [completion] and [arrival] close over the record itself: [create]
+         sets each once, right after the record exists *)
 }
 
 let eps = 1e-12
@@ -27,39 +33,45 @@ let eps = 1e-12
    immediate, never read: only slots below [n] are. *)
 let vacant : unit Engine.resumer = Obj.magic 0
 
-(* Per-job service rate with the current multiprogramming level. *)
-let rate t =
-  let n = t.n in
-  if n = 0 then 0.
-  else t.speed *. Float.min 1.0 (float_of_int t.cores /. float_of_int n)
+(* Per-job service rate with [n > 0] resident jobs. Comparisons rather
+   than [Float.min]/[Float.max], here and below: they give the same bits
+   for the finite, non-negative values the CPU handles, and an inlined
+   comparison boxes no float. *)
+let[@inline] rate t =
+  let share = float_of_int t.cores /. float_of_int t.n in
+  t.speed *. if share < 1.0 then share else 1.0
 
 (* Charge elapsed wall time against every resident job. *)
 let advance t =
-  let now = Engine.current_time t.engine in
-  let dt = now -. !(t.last_update) in
+  let now = t.clock.now in
+  let dt = now -. t.books.last_update in
   if dt > 0. && t.n > 0 then begin
-    let r = rate t in
-    let served = dt *. r in
+    let served = dt *. rate t in
     let rem = t.rem in
     for i = 0 to t.n - 1 do
-      rem.(i) <- Float.max 0. (rem.(i) -. served)
+      let left = rem.(i) -. served in
+      rem.(i) <- (if left > 0. then left else 0.)
     done;
-    t.work_delivered := !(t.work_delivered) +. (served *. float_of_int t.n)
+    t.books.work_delivered <-
+      t.books.work_delivered +. (served *. float_of_int t.n)
   end;
-  t.last_update := now
+  t.books.last_update <- now
 
 let reschedule t =
-  Engine.cancel t.next_completion;
-  if t.n > 0 then begin
+  if t.n = 0 then Engine.clear t.completion
+  else begin
     (* Newest first, as the list-based model kept in test/cpu_ref.ml
        folds, so that the two stay bit-identical. *)
     let min_rem = ref infinity in
     for i = t.n - 1 downto 0 do
-      min_rem := Float.min !min_rem t.rem.(i)
+      let r = t.rem.(i) in
+      if not (r > !min_rem) then min_rem := r
     done;
-    let r = rate t in
-    let dt = Float.max 0. (!min_rem /. r) in
-    t.next_completion <- Engine.schedule_after t.engine dt t.on_complete
+    (* The absolute time, computed here as [arm_after] would, and handed
+       over in a cell, so it is never boxed. *)
+    let dt = !min_rem /. rate t in
+    t.due.time <- t.clock.now +. if dt > 0. then dt else 0.;
+    Engine.arm_at_cell t.completion t.due
   end
 
 let complete t =
@@ -85,8 +97,8 @@ let complete t =
   t.n_completed <- t.n_completed + (n - !kept);
   reschedule t
 
-(* Runs inside [Engine.suspend]: the new job's demand is already parked
-   in slot [n] by [consume]. *)
+(* Runs inside [Engine.suspend_with]: the new job's demand is already
+   parked in slot [n] by [consume]. *)
 let register t resume =
   advance t;
   t.resumers.(t.n) <- resume;
@@ -97,24 +109,25 @@ let create ?(speed = 1.0) ?observe engine ~cores =
   if cores < 1 then invalid_arg "Cpu.create: cores must be >= 1";
   if speed <= 0. then invalid_arg "Cpu.create: speed must be positive";
   let rem = Array.make 8 0. and resumers = Array.make 8 vacant in
-  let last_update = ref (Engine.current_time engine) in
-  let rec t =
+  let t =
     {
-      engine;
+      clock = Engine.clock engine;
       cores;
       speed;
       rem;
       resumers;
       n = 0;
-      last_update;
-      work_delivered = ref 0.;
-      next_completion = Engine.no_event;
+      books =
+        { last_update = Engine.current_time engine; work_delivered = 0. };
+      due = { time = 0. };
+      completion = Engine.timer engine ignore;
       n_completed = 0;
       observe;
-      on_complete = (fun () -> complete t);
-      register = (fun resume -> register t resume);
+      arrival = Engine.suspension ignore;
     }
   in
+  t.completion <- Engine.timer engine (fun () -> complete t);
+  t.arrival <- Engine.suspension (fun resume -> register t resume);
   t
 
 (* Make room for one more job, then park its demand in slot [n]. *)
@@ -142,12 +155,12 @@ let consume t demand =
     let depth = t.n in
     park t demand;
     match t.observe with
-    | None -> Engine.suspend t.register
+    | None -> Engine.suspend_with t.arrival
     | Some f ->
         (* Contention delay: elapsed service time beyond the solo (one
            job, dedicated core) time for this demand. *)
         let t0 = Engine.now () in
-        Engine.suspend t.register;
+        Engine.suspend_with t.arrival;
         let solo = demand /. t.speed in
         f ~wait:(Float.max 0. (Engine.now () -. t0 -. solo)) ~depth
   end
@@ -157,12 +170,11 @@ let completed t = t.n_completed
 
 let busy_time t =
   (* Include work delivered since the last bookkeeping update. *)
-  let now = Engine.current_time t.engine in
-  let dt = now -. !(t.last_update) in
+  let dt = t.clock.now -. t.books.last_update in
   let extra =
     if dt > 0. && t.n > 0 then dt *. rate t *. float_of_int t.n else 0.
   in
-  !(t.work_delivered) +. extra
+  t.books.work_delivered +. extra
 
 let utilisation t ~elapsed =
   if elapsed <= 0. then 0.

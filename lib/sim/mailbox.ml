@@ -5,7 +5,7 @@ type 'a t = {
   waiting : 'a waiter Queue.t;
   on_wait : (float -> unit) option;
   on_depth : (int -> unit) option;
-  enqueue : 'a option Engine.resumer -> unit;
+  enqueue : 'a option Engine.suspension;
       (* built once, so a blocking [recv] allocates no closure *)
 }
 
@@ -16,7 +16,9 @@ let create ?on_wait ?on_depth () =
     waiting;
     on_wait;
     on_depth;
-    enqueue = (fun resume -> Queue.push { active = true; resume } waiting);
+    enqueue =
+      Engine.suspension (fun resume ->
+          Queue.push { active = true; resume } waiting);
   }
 
 let waited t dt = match t.on_wait with None -> () | Some f -> f dt
@@ -51,7 +53,7 @@ let recv t =
   end
   else
     let t0 = match t.on_wait with None -> 0. | Some _ -> Engine.now () in
-    match Engine.suspend t.enqueue with
+    match Engine.suspend_with t.enqueue with
     | Some v ->
         (match t.on_wait with
         | None -> ()
@@ -71,19 +73,17 @@ let recv_timeout t ~timeout =
         if timeout = Float.infinity then
           (* Wait as [recv] does: no timer, and the sender's [Some v] is
              handed back as it is. *)
-          Engine.suspend t.enqueue
+          Engine.suspend_with t.enqueue
         else
           let engine = Engine.self_engine () in
           Engine.suspend (fun resume ->
               let w = { active = true; resume } in
               Queue.push w t.waiting;
-              ignore
-                (Engine.schedule_after engine timeout (fun () ->
-                     if w.active then begin
-                       w.active <- false;
-                       Engine.resume w.resume None
-                     end)
-                  : Engine.handle))
+              Engine.schedule_after engine timeout (fun () ->
+                  if w.active then begin
+                    w.active <- false;
+                    Engine.resume w.resume None
+                  end))
       in
       (match t.on_wait with
       | None -> ()

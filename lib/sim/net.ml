@@ -67,10 +67,8 @@ let send t ~src ~dst ~bytes mailbox msg =
     match fault_action t ~src ~dst with
     | Fault.Drop -> ()
     | Fault.Deliver ->
-        ignore
-          (Engine.schedule_after t.engine (one_way t ~src ~dst) (fun () ->
-               Mailbox.send mailbox msg)
-            : Engine.handle)
+        Engine.schedule_after t.engine (one_way t ~src ~dst) (fun () ->
+            Mailbox.send mailbox msg)
   end
 
 let transfer t ~src ~dst ~bytes =

@@ -1,13 +1,18 @@
 (* Reference model for test_cpu_model.ml: the processor-sharing CPU as it
-   was written before its job set moved into flat arrays, kept verbatim
-   — jobs in a list, newest first; a closure, job record and float ref
-   per [consume]. It is the oracle [Sim.Cpu] must match bit for bit. *)
+   was written before its job set moved into flat arrays — jobs in a
+   list, newest first; a closure, job record and float ref per
+   [consume]. It is the oracle [Sim.Cpu] must match bit for bit. One
+   thing changed: the engine no longer cancels events, so the pending
+   completion is a timer, which a reschedule re-arms where it used to
+   cancel the event and schedule a new one. The timer is made on first
+   use. *)
 
 open Sim
 
-(* [remaining] is a flat [float ref] cell, not a [mutable float] field:
-   [advance] rewrites it for every resident job on every consume/complete,
-   and a float store into this mixed record would box each time. *)
+(* [remaining] is a [float ref] cell, rewritten for every resident job on
+   every consume/complete. (Each store boxes the float, as a store into a
+   [mutable float] field of this mixed record would; [Sim.Cpu] keeps its
+   remaining work in a flat [float array] instead.) *)
 type job = { remaining : float ref; resume : unit Engine.resumer }
 
 type t = {
@@ -17,7 +22,7 @@ type t = {
   mutable jobs : job list;
   last_update : float ref;
   work_delivered : float ref;
-  mutable next_completion : Engine.handle option;
+  mutable completion : Engine.timer option;
   mutable n_completed : int;
   observe : (wait:float -> depth:int -> unit) option;
 }
@@ -34,7 +39,7 @@ let create ?(speed = 1.0) ?observe engine ~cores =
     jobs = [];
     last_update = ref (Engine.current_time engine);
     work_delivered = ref 0.;
-    next_completion = None;
+    completion = None;
     n_completed = 0;
     observe;
   }
@@ -61,24 +66,25 @@ let advance t =
   t.last_update := now
 
 let rec reschedule t =
-  (match t.next_completion with
-  | Some h ->
-      Engine.cancel h;
-      t.next_completion <- None
-  | None -> ());
   match t.jobs with
-  | [] -> ()
+  | [] -> Option.iter Engine.clear t.completion
   | jobs ->
       let min_rem =
         List.fold_left (fun acc j -> Float.min acc !(j.remaining)) infinity jobs
       in
       let r = rate t in
       let dt = Float.max 0. (min_rem /. r) in
-      t.next_completion <-
-        Some (Engine.schedule_after t.engine dt (fun () -> complete t))
+      Engine.arm_after (completion t) dt
+
+and completion t =
+  match t.completion with
+  | Some tm -> tm
+  | None ->
+      let tm = Engine.timer t.engine (fun () -> complete t) in
+      t.completion <- Some tm;
+      tm
 
 and complete t =
-  t.next_completion <- None;
   advance t;
   let done_, rest = List.partition (fun j -> !(j.remaining) <= eps) t.jobs in
   t.jobs <- rest;

@@ -92,6 +92,10 @@ let cases =
     ( "gen --requests 0",
       [ "gen"; "--requests"; "0" ],
       "swala_sim gen: --requests must be >= 1" );
+    (* --jobs is checked with one seed too, although only a sweep uses it *)
+    ( "run --jobs=-1",
+      [ "run"; "--nodes"; "2"; "--jobs=-1" ],
+      "swala_sim run: --jobs must be >= 0" );
     ( "run --trace",
       small @ [ "--trace"; unwritable "t.json" ],
       Printf.sprintf "swala_sim run: --trace: cannot write %s: Not a directory"

@@ -73,7 +73,7 @@ module Run (C : CPU) = struct
       s.procs;
     List.iter
       (fun at ->
-        ignore (Sim.Engine.schedule_at eng at (fun () -> emit (read ())) : Sim.Engine.handle))
+        Sim.Engine.schedule_at eng at (fun () -> emit (read ())))
       s.samples;
     Sim.Engine.run eng;
     List.rev (read () :: !log)

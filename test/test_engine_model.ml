@@ -1,31 +1,34 @@
 (* Model-based test of the event engine. [Sim.Engine] runs events due at
-   the current instant from a FIFO lane beside its (time, seq) heap;
-   [Engine_ref] is the engine it replaced, where every event sits in the
-   heap. Both run the same random process programs on fresh engines, and
-   everything observable must agree exactly: the (time, process, step)
-   log, timer firings, the deadlock report, and after every [run ~until]
-   segment the clock, [events_processed], [pending] and the
-   flight-recorder gauges. *)
+   the current instant from a FIFO lane beside its (time, seq) heap, and
+   armed timers from an indexed heap of their own; [Engine_ref] is the
+   engine it replaced, where every event sits in one heap and a timer is
+   modelled the way callers used to write one: cancel the pending event,
+   schedule a new one. Both run the same random process programs on
+   fresh engines, and everything observable must agree exactly: the
+   (time, process, step) log, event and timer firings, the deadlock
+   report, and after every [run ~until] segment the clock,
+   [events_processed], [suspended] and the number of live queued events
+   ([pending]; the reference's own heap gauges also count the cancelled
+   events it still holds). *)
 
 module type ENGINE = sig
   type t
-  type handle
+  type timer
   type 'a resumer
 
   exception Deadlock of string
 
   val create : unit -> t
   val current_time : t -> float
-  val schedule_after : t -> float -> (unit -> unit) -> handle
-  val cancel : handle -> unit
+  val schedule_after : t -> float -> (unit -> unit) -> unit
+  val timer : t -> (unit -> unit) -> timer
+  val arm_after : timer -> float -> unit
+  val clear : timer -> unit
   val spawn : t -> (unit -> unit) -> unit
   val run : ?until:float -> ?detect_deadlock:bool -> t -> unit
   val pending : t -> int
   val suspended : t -> int
   val events_processed : t -> int
-  val heap_depth : t -> int
-  val heap_capacity : t -> int
-  val cancelled_events : t -> int
   val now : unit -> float
   val delay : float -> unit
   val yield : unit -> unit
@@ -36,6 +39,30 @@ module type ENGINE = sig
   val suspend : ('a resumer -> unit) -> 'a
 end
 
+(* The reference engine with timers as cancel + schedule_after. A timer
+   forgets its handle when it fires, before its action runs, so the
+   action may re-arm it. *)
+module Reference_engine = struct
+  include Engine_ref
+
+  type timer = { eng : t; f : unit -> unit; mutable h : handle option }
+
+  let schedule_after t dt f = ignore (schedule_after t dt f : handle)
+  let timer eng f = { eng; f; h = None }
+
+  let clear tm =
+    Option.iter cancel tm.h;
+    tm.h <- None
+
+  let arm_after tm dt =
+    clear tm;
+    tm.h <-
+      Some
+        (Engine_ref.schedule_after tm.eng dt (fun () ->
+             tm.h <- None;
+             tm.f ()))
+end
+
 (* One step of a process. *)
 type op =
   | Delay of float
@@ -43,14 +70,21 @@ type op =
   | Spawn of op list  (** [spawn_child] a process running these steps *)
   | Park  (** suspend until some process or timer wakes us *)
   | Wake  (** resume the longest-parked process, if any *)
-  | Timer of float * timer  (** [schedule_after]; the handle is kept *)
-  | Cancel of int  (** cancel timer [i mod n]: pending or already fired *)
+  | Event of float * action  (** a one-shot [schedule_after] *)
+  | Arm of int * float
+      (** [arm_after] timer [i mod n], re-arming it if it is armed *)
+  | Clear of int  (** clear timer [i mod n]: armed, fired or never armed *)
   | Get_local
   | Set_local of int
 
-and timer = Log | Wake_from_timer | Spawn_from_timer of op list
+and action =
+  | Log
+  | Wake_from_timer
+  | Spawn_from_timer of op list
+  | Rearm of float  (** a timer's own action: re-arm itself, twice at most *)
 
 type program = {
+  timers : action list;  (** the program's timers, created up front *)
   procs : op list list;  (** spawned before the first [run] *)
   segments : (float * op list option) list;
       (** [run ~until] horizons, not necessarily increasing, each
@@ -59,10 +93,8 @@ type program = {
 
 type entry =
   | Step of int64 * int * int * int  (** time bits, process, step, value *)
-  | Fired of int64 * int  (** time bits, timer *)
-  | Segment of int64 * int list
-      (** clock bits; events, pending, suspended, heap depth, heap
-          capacity, cancelled *)
+  | Fired of int64 * int  (** time bits, event (>= 0) or timer (< 0) *)
+  | Segment of int64 * int list  (** clock bits; events, pending, suspended *)
   | Deadlocked of string
 
 let bits = Int64.bits_of_float
@@ -72,8 +104,8 @@ module Run (E : ENGINE) = struct
     eng : E.t;
     log : entry list ref;
     parked : int E.resumer Queue.t;
-    mutable timers : E.handle array;
-    mutable n_timers : int;
+    mutable timers : E.timer array;
+    mutable n_events : int;
     mutable n_procs : int;
   }
 
@@ -107,10 +139,19 @@ module Run (E : ENGINE) = struct
               c
           | Park -> E.suspend (fun r -> Queue.push r st.parked)
           | Wake -> wake st pid
-          | Timer (d, action) -> add_timer st d action
-          | Cancel i ->
-              if st.n_timers > 0 then E.cancel st.timers.(i mod st.n_timers);
-              st.n_timers
+          | Event (d, action) ->
+              let id = st.n_events in
+              st.n_events <- id + 1;
+              E.schedule_after st.eng d (fun () -> fire st id action);
+              id
+          | Arm (i, d) ->
+              let n = Array.length st.timers in
+              if n > 0 then E.arm_after st.timers.(i mod n) d;
+              n
+          | Clear i ->
+              let n = Array.length st.timers in
+              if n > 0 then E.clear st.timers.(i mod n);
+              n
           | Get_local -> E.get_local ()
           | Set_local v ->
               E.set_local v;
@@ -119,49 +160,48 @@ module Run (E : ENGINE) = struct
         emit st (Step (bits (E.now ()), pid, i, v)))
       ops
 
-  and add_timer st d action =
-    let id = st.n_timers in
-    let h =
-      E.schedule_after st.eng d (fun () ->
-          emit st (Fired (bits (E.now ()), id));
-          match action with
-          | Log -> ()
-          | Wake_from_timer -> ignore (wake st (-1 - id) : int)
-          | Spawn_from_timer ops ->
-              let c = fresh_pid st in
-              E.spawn st.eng (fun () -> exec st c ops))
-    in
-    if id = Array.length st.timers then
-      st.timers <- Array.append st.timers (Array.make (max 4 id) h);
-    st.timers.(id) <- h;
-    st.n_timers <- id + 1;
-    id
+  (* What event [id] (a timer when negative) does when it fires. *)
+  and fire st id action =
+    emit st (Fired (bits (E.now ()), id));
+    match action with
+    | Log -> ()
+    | Wake_from_timer -> ignore (wake st (-1 - id) : int)
+    | Spawn_from_timer ops ->
+        let c = fresh_pid st in
+        E.spawn st.eng (fun () -> exec st c ops)
+    | Rearm _ -> () (* the timer re-arms itself; see [run] *)
 
   let segment st =
     let e = st.eng in
     emit st
       (Segment
          ( bits (E.current_time e),
-           [
-             E.events_processed e;
-             E.pending e;
-             E.suspended e;
-             E.heap_depth e;
-             E.heap_capacity e;
-             E.cancelled_events e;
-           ] ))
+           [ E.events_processed e; E.pending e; E.suspended e ] ))
 
-  let run p =
+  let run (p : program) =
+    let eng = E.create () in
     let st =
       {
-        eng = E.create ();
+        eng;
         log = ref [];
         parked = Queue.create ();
         timers = [||];
-        n_timers = 0;
+        n_events = 0;
         n_procs = 0;
       }
     in
+    st.timers <-
+      Array.of_list
+        (List.mapi
+           (fun i action ->
+             let fired = ref 0 in
+             E.timer eng (fun () ->
+                 fire st (-1 - i) action;
+                 incr fired;
+                 match action with
+                 | Rearm d when !fired <= 2 -> E.arm_after st.timers.(i) d
+                 | Rearm _ | Log | Wake_from_timer | Spawn_from_timer _ -> ()))
+           p.timers);
     let spawn ops =
       let pid = fresh_pid st in
       E.spawn st.eng (fun () -> exec st pid ops)
@@ -180,7 +220,7 @@ module Run (E : ENGINE) = struct
 end
 
 module Model = Run (Sim.Engine)
-module Reference = Run (Engine_ref)
+module Reference = Run (Reference_engine)
 
 (* ------------------------------------------------------------------ *)
 (* Generators *)
@@ -197,10 +237,15 @@ let gen_time =
       (3, float_bound_inclusive 1.5);
     ]
 
-let gen_timer ops =
+let gen_action ops =
   let open QCheck.Gen in
   frequency
     [ (3, return Log); (2, return Wake_from_timer); (1, map (fun o -> Spawn_from_timer o) ops) ]
+
+let gen_timer_action =
+  let open QCheck.Gen in
+  frequency
+    [ (3, gen_action (return [ Yield ])); (1, map (fun d -> Rearm d) gen_time) ]
 
 let rec gen_ops depth =
   let open QCheck.Gen in
@@ -213,8 +258,9 @@ let rec gen_ops depth =
         (2, map (fun o -> Spawn o) child);
         (2, return Park);
         (2, return Wake);
-        (3, map2 (fun d t -> Timer (d, t)) gen_time (gen_timer child));
-        (2, map (fun i -> Cancel i) small_nat);
+        (2, map2 (fun d a -> Event (d, a)) gen_time (gen_action child));
+        (3, map2 (fun i d -> Arm (i, d)) small_nat gen_time);
+        (2, map (fun i -> Clear i) small_nat);
         (1, return Get_local);
         (1, map (fun v -> Set_local v) (1 -- 99));
       ]
@@ -224,8 +270,9 @@ let rec gen_ops depth =
 let gen_program =
   let open QCheck.Gen in
   let horizon = oneof [ oneofl [ 0.; 0.25; 0.5; 1.; 2. ]; float_bound_inclusive 3. ] in
-  map2
-    (fun procs segments -> { procs; segments })
+  map3
+    (fun timers procs segments -> { timers; procs; segments })
+    (list_size (0 -- 3) gen_timer_action)
     (list_size (1 -- 6) (gen_ops 2))
     (list_size (0 -- 3) (pair horizon (opt (gen_ops 1))))
 
@@ -237,16 +284,22 @@ and print_op = function
   | Spawn o -> "spawn " ^ print_ops o
   | Park -> "park"
   | Wake -> "wake"
-  | Timer (d, Log) -> Printf.sprintf "timer %h log" d
-  | Timer (d, Wake_from_timer) -> Printf.sprintf "timer %h wake" d
-  | Timer (d, Spawn_from_timer o) -> Printf.sprintf "timer %h spawn %s" d (print_ops o)
-  | Cancel i -> Printf.sprintf "cancel %d" i
+  | Event (d, a) -> Printf.sprintf "event %h %s" d (print_action a)
+  | Arm (i, d) -> Printf.sprintf "arm %d %h" i d
+  | Clear i -> Printf.sprintf "clear %d" i
   | Get_local -> "get_local"
   | Set_local v -> Printf.sprintf "set_local %d" v
 
+and print_action = function
+  | Log -> "log"
+  | Wake_from_timer -> "wake"
+  | Spawn_from_timer o -> "spawn " ^ print_ops o
+  | Rearm d -> Printf.sprintf "rearm %h" d
+
 let print_program p =
   String.concat "\n"
-    (List.mapi (fun i o -> Printf.sprintf "p%d: %s" i (print_ops o)) p.procs
+    (List.mapi (fun i a -> Printf.sprintf "timer %d: %s" i (print_action a)) p.timers
+    @ List.mapi (fun i o -> Printf.sprintf "p%d: %s" i (print_ops o)) p.procs
     @ List.map
         (fun (h, o) ->
           Printf.sprintf "run ~until:%h%s" h
@@ -272,7 +325,7 @@ let test_same_instant_order () =
   let note s = log := s :: !log in
   Sim.Engine.spawn e (fun () ->
       Sim.Engine.delay 1.;
-      ignore (Sim.Engine.schedule_after e 0. (fun () -> note "timer before") : Sim.Engine.handle);
+      Sim.Engine.schedule_after e 0. (fun () -> note "timer before");
       Sim.Engine.spawn_child (fun () -> note "child");
       let r = ref None in
       Sim.Engine.spawn_child (fun () ->
@@ -281,7 +334,7 @@ let test_same_instant_order () =
       Sim.Engine.yield ();
       note "after yield";
       Option.iter (fun k -> Sim.Engine.resume k ()) !r;
-      ignore (Sim.Engine.schedule_after e 0. (fun () -> note "timer after") : Sim.Engine.handle);
+      Sim.Engine.schedule_after e 0. (fun () -> note "timer after");
       Sim.Engine.delay 0.;
       note "after delay 0");
   Sim.Engine.run e;

@@ -1,13 +1,14 @@
-(* Property tests for the binary heap (Pqueue.Timed) and the
-   cancellation machinery layered on it by Engine.
+(* Property tests for the binary heaps (Pqueue.Timed and
+   Pqueue.Indexed) and the timers Engine builds on the indexed one.
 
-   The heap powers the hot loop, so it is tested model-based: random
-   push/pop sequences replayed against a sorted-list oracle. The
+   The heaps power the hot loop, so they are tested model-based: random
+   operation sequences replayed against a sorted-list oracle. The
    properties pin down the determinism contract — ties in time pop in
-   sequence (i.e. push) order — and that [compact] (the lazy-cancellation
-   purge) preserves exactly the kept elements and their relative order.
-   Deterministic cases cover the empty heap and Engine-level
-   cancel/compaction accounting. *)
+   sequence (i.e. push) order — that [compact] (the store's purge)
+   preserves exactly the kept elements and their relative order, and
+   that re-keying or removing an indexed element in place leaves the
+   heap holding exactly the model's keys. Deterministic cases cover the
+   empty heap and Engine-level timer accounting. *)
 
 let count = Qcheck_count.or_default 200
 
@@ -92,25 +93,99 @@ let test_timed_empty () =
       ignore (Sim.Pqueue.Timed.min_time h : float))
 
 (* ------------------------------------------------------------------ *)
-(* Engine-level cancellation: lazy deletion + compaction accounting *)
+(* Indexed heap: re-keys and removals in place *)
 
-(* 300 timers over 30 distinct times (10-way ties), two thirds cancelled
-   up front — enough to trip the lazy compaction threshold. Survivors
-   must fire exactly once, ordered by (time, schedule order). *)
-let test_engine_cancel_compact () =
+type iop = ISet of int * float | IRemove of int | IPop
+
+let n_elts = 6
+
+let iops_arb =
+  let print ops =
+    String.concat ";"
+      (List.map
+         (function
+           | ISet (i, t) -> Printf.sprintf "set %d %g" i t
+           | IRemove i -> Printf.sprintf "remove %d" i
+           | IPop -> "pop")
+         ops)
+  in
+  QCheck.make ~print
+    QCheck.Gen.(
+      list_size (0 -- 200)
+        (frequency
+           [
+             (4, map2 (fun i t -> ISet (i, t)) (0 -- (n_elts - 1)) (oneofl times));
+             (2, map (fun i -> IRemove i) (0 -- (n_elts - 1)));
+             (2, return IPop);
+           ]))
+
+let prop_indexed =
+  QCheck.Test.make ~count
+    ~name:"Indexed = sorted-list model under re-keys and removals" iops_arb
+    (fun ops ->
+      let module I = Sim.Pqueue.Indexed in
+      let h = I.create ~dummy:(-1) () in
+      let elts = Array.init n_elts I.elt in
+      let seq = ref 0 in
+      (* model: (time, seq, element) for every queued element *)
+      let model = ref [] in
+      let sorted () =
+        List.sort (fun (t1, s1, _) (t2, s2, _) -> key_cmp (t1, s1) (t2, s2)) !model
+      in
+      let cell = { Sim.Pqueue.time = nan } in
+      let agrees () =
+        I.length h = List.length !model
+        &&
+        match sorted () with
+        | [] -> I.is_empty h
+        | (t, s, _) :: _ ->
+            I.read_min_time h cell;
+            cell.time = t && I.min_seq h = s
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | ISet (i, time) ->
+              I.set h elts.(i) { time } ~seq:!seq;
+              model := (time, !seq, i) :: List.filter (fun (_, _, j) -> j <> i) !model;
+              incr seq;
+              true
+          | IRemove i ->
+              I.remove h elts.(i);
+              model := List.filter (fun (_, _, j) -> j <> i) !model;
+              true
+          | IPop -> (
+              match sorted () with
+              | [] -> I.is_empty h
+              | (_, _, i) :: _ ->
+                  let e = I.pop_min h in
+                  model := List.filter (fun (_, _, j) -> j <> i) !model;
+                  I.value e = i))
+          && agrees ())
+        ops)
+
+(* ------------------------------------------------------------------ *)
+(* Engine-level timers: clearing and re-arming in place *)
+
+(* 300 timers over 30 distinct times (10-way ties), two thirds cleared
+   up front. Survivors must fire exactly once, ordered by (time, arming
+   order), and a cleared timer leaves nothing queued behind. *)
+let test_engine_mass_clear () =
   let e = Sim.Engine.create () in
   let fired = ref [] in
-  let handles =
+  let timers =
     Array.init 300 (fun i ->
-        Sim.Engine.schedule_at e
-          (float_of_int (i mod 30))
-          (fun () -> fired := i :: !fired))
+        let tm = Sim.Engine.timer e (fun () -> fired := i :: !fired) in
+        Sim.Engine.arm_at tm (float_of_int (i mod 30));
+        tm)
   in
-  Array.iteri (fun i h -> if i mod 3 <> 0 then Sim.Engine.cancel h) handles;
-  (* cancel is idempotent: a second pass must not skew the census *)
-  Array.iteri (fun i h -> if i mod 3 <> 0 then Sim.Engine.cancel h) handles;
-  Alcotest.(check int) "pending counts only live events" 100
+  Array.iteri (fun i tm -> if i mod 3 <> 0 then Sim.Engine.clear tm) timers;
+  (* clear is idempotent: a second pass changes nothing *)
+  Array.iteri (fun i tm -> if i mod 3 <> 0 then Sim.Engine.clear tm) timers;
+  Alcotest.(check int) "pending counts only armed timers" 100
     (Sim.Engine.pending e);
+  Alcotest.(check int) "capacity of one heap that held all 300" 512
+    (Sim.Engine.heap_capacity e);
   Sim.Engine.run e;
   let expected =
     List.init 300 (fun i -> i)
@@ -120,23 +195,24 @@ let test_engine_cancel_compact () =
   in
   Alcotest.(check (list int)) "survivors fire in (time, seq) order" expected
     (List.rev !fired);
+  Alcotest.(check int) "events" 100 (Sim.Engine.events_processed e);
   Alcotest.(check int) "queue drained" 0 (Sim.Engine.pending e)
 
-let test_engine_cancel_after_fire () =
+let test_engine_clear_after_fire () =
   let e = Sim.Engine.create () in
   let n = ref 0 in
-  let h = Sim.Engine.schedule_at e 1. (fun () -> incr n) in
+  let tm = Sim.Engine.timer e (fun () -> incr n) in
+  Sim.Engine.arm_at tm 1.;
   Sim.Engine.run e;
   Alcotest.(check int) "fired once" 1 !n;
-  (* cancelling a fired event is a no-op and must not corrupt the
-     cancelled-events census behind [pending] *)
-  Sim.Engine.cancel h;
-  Sim.Engine.cancel h;
+  (* clearing a fired timer is a no-op *)
+  Sim.Engine.clear tm;
+  Sim.Engine.clear tm;
   Alcotest.(check int) "pending stays 0" 0 (Sim.Engine.pending e);
-  ignore (Sim.Engine.schedule_at e 2. (fun () -> incr n) : Sim.Engine.handle);
-  Alcotest.(check int) "new event counted" 1 (Sim.Engine.pending e);
+  Sim.Engine.arm_at tm 2.;
+  Alcotest.(check int) "re-armed timer counted" 1 (Sim.Engine.pending e);
   Sim.Engine.run e;
-  Alcotest.(check int) "second fired" 2 !n
+  Alcotest.(check int) "fired again" 2 !n
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
@@ -144,13 +220,14 @@ let () =
   Alcotest.run "pqueue"
     [
       qsuite "timed" [ prop_timed; prop_compact ];
+      qsuite "indexed" [ prop_indexed ];
       ( "regressions",
         [ Alcotest.test_case "empty Timed raises" `Quick test_timed_empty ] );
-      ( "engine-cancel",
+      ( "engine-timer",
         [
-          Alcotest.test_case "mass cancel + compaction" `Quick
-            test_engine_cancel_compact;
-          Alcotest.test_case "cancel after fire" `Quick
-            test_engine_cancel_after_fire;
+          Alcotest.test_case "mass clear keeps order" `Quick
+            test_engine_mass_clear;
+          Alcotest.test_case "clear after fire" `Quick
+            test_engine_clear_after_fire;
         ] );
     ]

@@ -203,9 +203,9 @@ let test_discrete_invalid () =
 let test_engine_event_order () =
   let eng = Sim.Engine.create () in
   let log = ref [] in
-  ignore (Sim.Engine.schedule_at eng 2.0 (fun () -> log := 2 :: !log));
-  ignore (Sim.Engine.schedule_at eng 1.0 (fun () -> log := 1 :: !log));
-  ignore (Sim.Engine.schedule_at eng 3.0 (fun () -> log := 3 :: !log));
+  Sim.Engine.schedule_at eng 2.0 (fun () -> log := 2 :: !log);
+  Sim.Engine.schedule_at eng 1.0 (fun () -> log := 1 :: !log);
+  Sim.Engine.schedule_at eng 3.0 (fun () -> log := 3 :: !log);
   Sim.Engine.run eng;
   Alcotest.(check (list int)) "time order" [ 1; 2; 3 ] (List.rev !log)
 
@@ -213,7 +213,7 @@ let test_engine_fifo_same_time () =
   let eng = Sim.Engine.create () in
   let log = ref [] in
   for i = 1 to 5 do
-    ignore (Sim.Engine.schedule_at eng 1.0 (fun () -> log := i :: !log))
+    Sim.Engine.schedule_at eng 1.0 (fun () -> log := i :: !log)
   done;
   Sim.Engine.run eng;
   Alcotest.(check (list int)) "insertion order" [ 1; 2; 3; 4; 5 ] (List.rev !log)
@@ -221,31 +221,71 @@ let test_engine_fifo_same_time () =
 let test_engine_clock_advances () =
   let eng = Sim.Engine.create () in
   let seen = ref 0. in
-  ignore (Sim.Engine.schedule_at eng 4.5 (fun () -> seen := Sim.Engine.current_time eng));
+  Sim.Engine.schedule_at eng 4.5 (fun () -> seen := Sim.Engine.current_time eng);
   Sim.Engine.run eng;
   check_float "clock at event" 4.5 !seen
 
 let test_engine_past_rejected () =
   let eng = Sim.Engine.create () in
-  ignore (Sim.Engine.schedule_at eng 1.0 (fun () ->
+  Sim.Engine.schedule_at eng 1.0 (fun () ->
       Alcotest.check_raises "past"
         (Invalid_argument "Engine.schedule_at: time 0.5 is in the past (now 1)")
-        (fun () -> ignore (Sim.Engine.schedule_at eng 0.5 ignore))));
+        (fun () -> Sim.Engine.schedule_at eng 0.5 ignore));
   Sim.Engine.run eng
 
-let test_engine_cancel () =
+let test_timer_cleared () =
   let eng = Sim.Engine.create () in
   let fired = ref false in
-  let h = Sim.Engine.schedule_at eng 1.0 (fun () -> fired := true) in
-  Sim.Engine.cancel h;
+  let tm = Sim.Engine.timer eng (fun () -> fired := true) in
+  Sim.Engine.arm_at tm 1.0;
+  Alcotest.(check int) "armed" 1 (Sim.Engine.pending eng);
+  Sim.Engine.clear tm;
+  Alcotest.(check int) "nothing queued" 0 (Sim.Engine.pending eng);
   Sim.Engine.run eng;
-  check_bool "cancelled" false !fired
+  check_bool "never fired" false !fired;
+  Alcotest.(check int) "no event ran" 0 (Sim.Engine.events_processed eng)
+
+(* A timer armed first for an instant, then an event scheduled for it,
+   then the timer re-armed for the same instant: the re-arm takes a
+   fresh sequence number, so the event runs first. Re-arming moves the
+   timer; it does not add a second firing. *)
+let test_timer_rearm_fresh_seq () =
+  let eng = Sim.Engine.create () in
+  let log = ref [] in
+  let tm = Sim.Engine.timer eng (fun () -> log := "timer" :: !log) in
+  Sim.Engine.arm_at tm 1.0;
+  Sim.Engine.schedule_at eng 1.0 (fun () -> log := "event" :: !log);
+  Sim.Engine.arm_after tm 1.0;
+  Alcotest.(check int) "two queued" 2 (Sim.Engine.pending eng);
+  Sim.Engine.run eng;
+  Alcotest.(check (list string)) "event, then timer" [ "event"; "timer" ] (List.rev !log);
+  Alcotest.(check int) "two events ran" 2 (Sim.Engine.events_processed eng);
+  Alcotest.check_raises "past"
+    (Invalid_argument "Engine.arm_at: time 0.5 is in the past (now 1)") (fun () ->
+      Sim.Engine.arm_at tm 0.5);
+  Alcotest.check_raises "past, in a cell"
+    (Invalid_argument "Engine.arm_at_cell: time 0.5 is in the past (now 1)")
+    (fun () -> Sim.Engine.arm_at_cell tm { Sim.Pqueue.time = 0.5 })
+
+let test_timer_run_until () =
+  let eng = Sim.Engine.create () in
+  let fired = ref [] in
+  let tm = Sim.Engine.timer eng (fun () -> fired := 5 :: !fired) in
+  Sim.Engine.arm_at tm 5.0;
+  Sim.Engine.schedule_at eng 1.0 (fun () -> fired := 1 :: !fired);
+  Sim.Engine.run ~until:2.0 eng;
+  Alcotest.(check (list int)) "only the early event" [ 1 ] !fired;
+  check_float "clock clamped" 2.0 (Sim.Engine.current_time eng);
+  Alcotest.(check int) "still armed" 1 (Sim.Engine.pending eng);
+  Sim.Engine.run eng;
+  Alcotest.(check (list int)) "timer after resume" [ 5; 1 ] !fired;
+  check_float "clock at the timer" 5.0 (Sim.Engine.current_time eng)
 
 let test_engine_run_until () =
   let eng = Sim.Engine.create () in
   let fired = ref [] in
-  ignore (Sim.Engine.schedule_at eng 1.0 (fun () -> fired := 1 :: !fired));
-  ignore (Sim.Engine.schedule_at eng 5.0 (fun () -> fired := 5 :: !fired));
+  Sim.Engine.schedule_at eng 1.0 (fun () -> fired := 1 :: !fired);
+  Sim.Engine.schedule_at eng 5.0 (fun () -> fired := 5 :: !fired);
   Sim.Engine.run ~until:2.0 eng;
   Alcotest.(check (list int)) "only early" [ 1 ] !fired;
   check_float "clock clamped" 2.0 (Sim.Engine.current_time eng);
@@ -899,7 +939,11 @@ let () =
           Alcotest.test_case "same-time events FIFO" `Quick test_engine_fifo_same_time;
           Alcotest.test_case "clock advances to event time" `Quick test_engine_clock_advances;
           Alcotest.test_case "past scheduling rejected" `Quick test_engine_past_rejected;
-          Alcotest.test_case "cancel" `Quick test_engine_cancel;
+          Alcotest.test_case "timer cleared before due" `Quick test_timer_cleared;
+          Alcotest.test_case "timer re-arm takes a fresh seq" `Quick
+            test_timer_rearm_fresh_seq;
+          Alcotest.test_case "run ~until stops before a timer" `Quick
+            test_timer_run_until;
           Alcotest.test_case "run ~until pauses and resumes" `Quick test_engine_run_until;
           Alcotest.test_case "delay advances process time" `Quick test_engine_delay_and_now;
           Alcotest.test_case "spawn_child runs after parent" `Quick test_engine_spawn_child;
