@@ -92,10 +92,6 @@ let cases =
     ( "gen --requests 0",
       [ "gen"; "--requests"; "0" ],
       "swala_sim gen: --requests must be >= 1" );
-    (* --jobs is checked with one seed too, although only a sweep uses it *)
-    ( "run --jobs=-1",
-      [ "run"; "--nodes"; "2"; "--jobs=-1" ],
-      "swala_sim run: --jobs must be >= 0" );
     ( "run --trace",
       small @ [ "--trace"; unwritable "t.json" ],
       Printf.sprintf "swala_sim run: --trace: cannot write %s: Not a directory"
@@ -166,6 +162,12 @@ let validation_cases =
       "Config: message loss or node crashes require a fetch_timeout (lost \
        replies would wedge request threads)" );
   ]
+
+(* --jobs is checked with one seed too, although only a sweep uses it. *)
+let jobs_case =
+  ( "run --jobs=-1",
+    [ "run"; "--nodes"; "2"; "--jobs=-1" ],
+    "swala_sim run: --jobs must be >= 0" )
 
 (* EXPERIMENTS.md's CLI recipes. Each prints every figure the document
    quotes, at the precision quoted, every line it quotes whole, and none
@@ -652,7 +654,10 @@ let () =
             (fun (name, f) -> Alcotest.test_case name `Quick f)
             enum_cases
         @ [ Alcotest.test_case "coop below 172 requests" `Quick test_small_coop ]
-        @ List.map usage_case validation_cases );
+        @ List.map usage_case validation_cases
+        (* a new case goes last: Alcotest numbers a group's cases, and
+           the number is part of how each prints *)
+        @ [ usage_case jobs_case ] );
       ( "config-flags",
         List.map
           (fun (name, flags, cfg, router) ->
