@@ -2,17 +2,33 @@ type granularity = Global | Per_table | Per_entry
 
 type table = {
   lock : Sim.Rwlock.t;  (* the table's lock under Per_table *)
-  entries : (string, Meta.t) Hashtbl.t;
+  mutable entries : (string, Meta.t) Hashtbl.t;
+      (* [no_entries] until the table's first write *)
   mutable digest_xor : int;
-      (* xor of meta_hash over [entries], maintained incrementally so
+      (* xor of [Meta.hash] over [entries], maintained incrementally so
          [digest] is O(1) instead of re-hashing every entry. *)
 }
+
+(* Most of a large replicated cluster's n² tables are never touched, so
+   a table and its lock are built at its first probe or write, and its
+   entries at its first write, at the size an eager build gives them:
+   the bucket count fixes the order [entries] lists them in. Until then
+   [tables] holds [untouched], which reads as empty. Nothing writes,
+   locks or traverses the placeholders (a [Hashtbl] traversal flips a
+   flag in the table it walks), so every directory, on any domain,
+   shares them. *)
+let no_entries : (string, Meta.t) Hashtbl.t = Hashtbl.create 1
+
+let untouched =
+  { lock = Sim.Rwlock.create (); entries = no_entries; digest_xor = 0 }
 
 type t = {
   gran : granularity;
   lock_overhead : float;
   scan_cost : float;
   charge_fn : float -> unit;
+  lock_observe :
+    (kind:[ `Read | `Write ] -> wait:float -> depth:int -> unit) option;
   global_lock : Sim.Rwlock.t;  (* used under Global *)
   tables : table array;
   (* Per_entry is modelled by charging one acquisition per entry scanned;
@@ -40,14 +56,9 @@ let create ?(granularity = Per_table) ?(lock_overhead = 2e-6) ?(scan_cost = 0.)
     lock_overhead;
     scan_cost;
     charge_fn = charge;
+    lock_observe;
     global_lock = Sim.Rwlock.create ?observe:lock_observe ();
-    tables =
-      Array.init nodes (fun _ ->
-          {
-            lock = Sim.Rwlock.create ?observe:lock_observe ();
-            entries = Hashtbl.create 64;
-            digest_xor = 0;
-          });
+    tables = Array.make nodes untouched;
     extra_rd = 0;
     hints = (if hints then Some (Hashtbl.create 256) else None);
     hint_saved = 0;
@@ -65,41 +76,25 @@ let charge t n =
     t.charge_fn
       (if n = 1 then t.lock_overhead else float_of_int n *. t.lock_overhead)
 
-(* FNV-1a over one meta's fields: the key's bytes and length, owner,
-   size, and the IEEE bits of exec_time, created and expires (behind a
-   presence byte). Stable across runs and processes, unlike the
-   polymorphic Hashtbl.hash contract, and it allocates nothing, so the
-   digest it maintains costs no garbage per insert or delete. *)
-let fnv_byte h b = (h lxor b) * 0x01000193 land 0x3FFFFFFFFFFFFFF
+(* [node]'s table, built on first use: a probe or write needs its
+   lock. *)
+let table t node =
+  let tbl = t.tables.(node) in
+  if tbl != untouched then tbl
+  else begin
+    let tbl =
+      {
+        lock = Sim.Rwlock.create ?observe:t.lock_observe ();
+        entries = no_entries;
+        digest_xor = 0;
+      }
+    in
+    t.tables.(node) <- tbl;
+    tbl
+  end
 
-(* The [n] low-order bytes of [x], least significant first. *)
-let fnv_bytes h x n =
-  let h = ref h in
-  for i = 0 to n - 1 do
-    h := fnv_byte !h ((x lsr (8 * i)) land 0xff)
-  done;
-  !h
-
-let fnv_float h f =
-  let bits = Int64.bits_of_float f in
-  let lo = Int64.to_int bits land 0xFFFF_FFFF in
-  let hi = Int64.to_int (Int64.shift_right_logical bits 32) in
-  fnv_bytes (fnv_bytes h lo 4) hi 4
-
-let meta_hash (m : Meta.t) =
-  let key = m.Meta.key in
-  let h = ref 0x811c9dc5 in
-  for i = 0 to String.length key - 1 do
-    h := fnv_byte !h (Char.code (String.unsafe_get key i))
-  done;
-  let h = fnv_bytes !h (String.length key) 8 in
-  let h = fnv_bytes h m.Meta.owner 8 in
-  let h = fnv_bytes h m.Meta.size 8 in
-  let h = fnv_float h m.Meta.exec_time in
-  let h = fnv_float h m.Meta.created in
-  match m.Meta.expires with
-  | None -> fnv_byte h 0
-  | Some e -> fnv_float (fnv_byte h 1) e
+let fold_entries f tbl acc =
+  if tbl.entries == no_entries then acc else Hashtbl.fold f tbl.entries acc
 
 let hint_add t ~node key =
   match t.hints with
@@ -189,7 +184,7 @@ let rec scan_order t ~self ~now key i ~skip ~rehint =
     if skip land (1 lsl node) <> 0 then
       scan_order t ~self ~now key (i + 1) ~skip ~rehint
     else
-      match probe t t.tables.(node) ~now key with
+      match probe t (table t node) ~now key with
       | Some _ as hit ->
           if rehint then hint_add t ~node key;
           hit
@@ -215,7 +210,7 @@ let rec scan_hinted t h ~self ~now key ~mask i probed =
     if mask land (1 lsl node) = 0 then
       scan_hinted t h ~self ~now key ~mask (i + 1) probed
     else
-      match probe t t.tables.(node) ~now key with
+      match probe t (table t node) ~now key with
       | Some _ as hit ->
           t.hint_saved <- t.hint_saved + (i + 1 - (probed + 1));
           hit
@@ -238,44 +233,48 @@ let lookup t ~now key = lookup_from t ~self:0 ~now key
 (* The unlocked bodies below keep [digest_xor] and the hint index in step
    with [entries]; every mutation of a table goes through one of them. *)
 let insert_unlocked t tbl ~node meta =
+  if tbl.entries == no_entries then tbl.entries <- Hashtbl.create 64;
   (match Hashtbl.find_opt tbl.entries meta.Meta.key with
-  | Some old -> tbl.digest_xor <- tbl.digest_xor lxor meta_hash old
+  | Some old -> tbl.digest_xor <- tbl.digest_xor lxor old.Meta.hash
   | None -> ());
-  tbl.digest_xor <- tbl.digest_xor lxor meta_hash meta;
+  tbl.digest_xor <- tbl.digest_xor lxor meta.Meta.hash;
   Hashtbl.replace tbl.entries meta.Meta.key meta;
   hint_add t ~node meta.Meta.key
 
 let delete_unlocked t tbl ~node key =
   match Hashtbl.find_opt tbl.entries key with
   | Some old ->
-      tbl.digest_xor <- tbl.digest_xor lxor meta_hash old;
+      tbl.digest_xor <- tbl.digest_xor lxor old.Meta.hash;
       Hashtbl.remove tbl.entries key;
       hint_remove t ~node key;
       true
   | None -> false
 
 let wipe_unlocked t tbl ~node =
-  let n = Hashtbl.length tbl.entries in
-  hint_clear_node t ~node tbl;
-  Hashtbl.reset tbl.entries;
-  tbl.digest_xor <- 0;
-  n
+  if tbl.entries == no_entries then 0
+  else begin
+    let n = Hashtbl.length tbl.entries in
+    hint_clear_node t ~node tbl;
+    Hashtbl.reset tbl.entries;
+    tbl.digest_xor <- 0;
+    n
+  end
 
 let insert t ~node meta =
   check_node t node;
-  locked t t.tables.(node) ~write:true
+  locked t (table t node) ~write:true
     (fun t tbl node meta -> insert_unlocked t tbl ~node meta)
     node meta
 
 let delete t ~node key =
   check_node t node;
-  locked t t.tables.(node) ~write:true
+  locked t (table t node) ~write:true
     (fun t tbl node key -> delete_unlocked t tbl ~node key)
     node key
 
 let purge_node t ~node =
   check_node t node;
-  locked t t.tables.(node) ~write:true
+  locked t (table t node) ~write:true
     (fun t tbl node () -> wipe_unlocked t tbl ~node)
     node ()
 
@@ -285,7 +284,7 @@ let reset_node t ~node =
 
 let entries t ~node =
   check_node t node;
-  Hashtbl.fold (fun _ m acc -> m :: acc) t.tables.(node).entries []
+  fold_entries (fun _ m acc -> m :: acc) t.tables.(node) []
 
 let find t ~node key =
   check_node t node;
@@ -294,7 +293,7 @@ let find t ~node key =
 let digest_slow t ~node =
   check_node t node;
   let tbl = t.tables.(node) in
-  let hash = Hashtbl.fold (fun _ m acc -> acc lxor meta_hash m) tbl.entries 0 in
+  let hash = fold_entries (fun _ m acc -> acc lxor m.Meta.hash) tbl 0 in
   (Hashtbl.length tbl.entries, hash)
 
 let digest t ~node =

@@ -1,14 +1,24 @@
 (** Cache-entry meta-data: what the replicated global directory stores about
     each cached CGI result (the result body itself lives only in the owner
-    node's local store, in a per-entry disk file). *)
+    node's local store, in a per-entry disk file).
 
-type t = {
+    The record is private: only {!make} builds one, so [hash] always
+    describes the other fields. *)
+
+type t = private {
   key : string;  (** canonical request key *)
   owner : int;  (** node holding the result file *)
   size : int;  (** result size in bytes *)
   exec_time : float;  (** measured CGI execution time, drives replacement *)
   created : float;  (** simulation time of insertion *)
   expires : float option;  (** absolute expiry (creation + TTL), if any *)
+  hash : int;
+      (** FNV-1a over the fields above: the key's bytes and length, then
+          owner and size as 8 little-endian bytes each, the IEEE bits of
+          [exec_time] and [created], and a presence byte followed by the
+          bits of [expires], folded to 58 bits. Stable across runs and
+          processes; the term a {!Directory} table's digest XORs. Computed
+          once, by {!make}. *)
 }
 
 val make :

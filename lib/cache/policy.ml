@@ -18,20 +18,20 @@ let to_string = function
   | Gdsf -> "gdsf"
   | Random -> "random"
 
-type access = { last_access : float; hits : int; inserted : float }
-
-let priority p ~clock ~meta ~access =
+(* Each branch stores its own result, so no float is boxed on the way. *)
+let priority p (cell : Sim.Pqueue.cell) ~clock ~meta ~last_access ~hits
+    ~inserted =
   match p with
-  | Lru -> access.last_access
-  | Fifo -> access.inserted
-  | Lfu -> float_of_int access.hits
-  | Largest_size -> -.float_of_int meta.Meta.size
-  | Cheapest_recompute -> meta.Meta.exec_time
+  | Lru -> cell.time <- last_access
+  | Fifo -> cell.time <- inserted
+  | Lfu -> cell.time <- float_of_int hits
+  | Largest_size -> cell.time <- -.float_of_int meta.Meta.size
+  | Cheapest_recompute -> cell.time <- meta.Meta.exec_time
   | Gdsf ->
       let size = float_of_int (Stdlib.max 1 meta.Meta.size) in
-      clock
-      +. (float_of_int (access.hits + 1) *. meta.Meta.exec_time /. size)
-  | Random -> 0.
+      cell.time <-
+        clock +. (float_of_int (hits + 1) *. meta.Meta.exec_time /. size)
+  | Random -> cell.time <- 0.
 
 let uses_clock = function
   | Gdsf -> true

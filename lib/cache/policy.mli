@@ -23,14 +23,24 @@ type t =
 val all : t list
 val to_string : t -> string
 
-(** Access statistics a priority may depend on. *)
-type access = { last_access : float; hits : int; inserted : float }
-
-(** [priority p ~clock ~meta ~access] computes the eviction priority
-    (smaller = evicted sooner). [clock] is the store's GDSF inflation value;
-    other policies ignore it. [Random] has no meaningful priority and the
-    store handles it separately. *)
-val priority : t -> clock:float -> meta:Meta.t -> access:access -> float
+(** [priority p cell ~clock ~meta ~last_access ~hits ~inserted] stores
+    the eviction priority (smaller = evicted sooner) of an entry with
+    [meta] in [cell]. The entry was last touched at [last_access], has
+    been hit [hits] times and was inserted at [inserted]. [clock] is the
+    store's GDSF inflation value; other policies ignore it. [Random] has
+    no meaningful priority and the store handles it separately. The
+    result goes to a {!Sim.Pqueue.cell} rather than being returned, so
+    it is never boxed: the store computes one on every hit and
+    insert. *)
+val priority :
+  t ->
+  Sim.Pqueue.cell ->
+  clock:float ->
+  meta:Meta.t ->
+  last_access:float ->
+  hits:int ->
+  inserted:float ->
+  unit
 
 (** [uses_clock p] is [true] only for [Gdsf]. *)
 val uses_clock : t -> bool

@@ -1,7 +1,7 @@
 (* Consistent-hash ring with virtual nodes.
 
    The ring is a static, immutable structure shared by every node of a
-   cluster: [nodes * vnodes] points on a 62-bit hash circle, each point
+   cluster: [nodes * vnodes] points on a 58-bit hash circle, each point
    claiming the arc that ends at it. A key's home is the physical node
    owning the first point at or clockwise after the key's hash. Liveness
    is *not* baked into the ring — crash handoff is expressed by walking
@@ -10,51 +10,77 @@
    node computes the same answer from the same liveness view. *)
 
 type t = {
-  points : (int * int) array;  (* (hash, node), sorted by hash *)
+  hashes : int array;  (* the points' hashes, ascending *)
+  owners : int array;  (* owners.(i) is the node of point i *)
   nodes : int;
 }
 
-(* FNV-1a, folded to 62 bits so the arithmetic stays in OCaml's tagged
+(* FNV-1a, folded to 58 bits so the arithmetic stays in OCaml's tagged
    int range on 64-bit platforms. Stable across runs and processes,
    unlike the polymorphic [Hashtbl.hash] contract. *)
+let fnv_byte h b = (h lxor b) * 0x01000193 land 0x3FFFFFFFFFFFFFF
+let fnv_basis = 0x811c9dc5
+
 let fnv1a s =
-  let h = ref 0x811c9dc5 in
+  let h = ref fnv_basis in
   for i = 0 to String.length s - 1 do
-    h := (!h lxor Char.code (String.unsafe_get s i)) * 0x01000193
-         land 0x3FFFFFFFFFFFFFF
+    h := fnv_byte !h (Char.code (String.unsafe_get s i))
   done;
   !h
+
+(* [fnv_byte] fed the decimal digits of [n >= 0], most significant
+   first: the bytes [string_of_int n] would give. *)
+let rec fnv_decimal h n =
+  let h = if n >= 10 then fnv_decimal h (n / 10) else h in
+  fnv_byte h (Char.code '0' + (n mod 10))
+
+(* [fnv1a (Printf.sprintf "vn:%d:%d" n v)], without building the
+   string. *)
+let point_hash n v =
+  let byte h c = fnv_byte h (Char.code c) in
+  let h = byte (byte (byte fnv_basis 'v') 'n') ':' in
+  fnv_decimal (byte (fnv_decimal h n) ':') v
 
 let create ~nodes ~vnodes =
   if nodes < 1 then invalid_arg "Ring.create: nodes must be >= 1";
   if vnodes < 1 then invalid_arg "Ring.create: vnodes must be >= 1";
-  let points = Array.make (nodes * vnodes) (0, 0) in
-  for n = 0 to nodes - 1 do
-    for v = 0 to vnodes - 1 do
-      points.((n * vnodes) + v) <- (fnv1a (Printf.sprintf "vn:%d:%d" n v), n)
-    done
-  done;
+  let n_points = nodes * vnodes in
+  (* Point [i] is vnode [i mod vnodes] of node [i / vnodes]. *)
+  let hash_of =
+    Array.init n_points (fun i -> point_hash (i / vnodes) (i mod vnodes))
+  in
+  let order = Array.init n_points Fun.id in
   (* Ties between points are broken by node id so the sort — and hence
-     every ownership decision — is deterministic. *)
-  Array.sort compare points;
-  { points; nodes }
+     every ownership decision — is deterministic. Point indices grow
+     with the node id, so they break the tie the same way. *)
+  Array.stable_sort
+    (fun i j ->
+      let c = Int.compare hash_of.(i) hash_of.(j) in
+      if c <> 0 then c else Int.compare i j)
+    order;
+  {
+    hashes = Array.map (fun i -> hash_of.(i)) order;
+    owners = Array.map (fun i -> i / vnodes) order;
+    nodes;
+  }
 
 (* Index of the first point with hash >= h, wrapping to 0 past the end. *)
 let first_at_or_after t h =
-  let n = Array.length t.points in
-  if h > fst t.points.(n - 1) then 0
+  let hashes = t.hashes in
+  let n = Array.length hashes in
+  if h > hashes.(n - 1) then 0
   else begin
     (* Binary search for the leftmost point with hash >= h. *)
     let lo = ref 0 and hi = ref (n - 1) in
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
-      if fst t.points.(mid) >= h then hi := mid else lo := mid + 1
+      if hashes.(mid) >= h then hi := mid else lo := mid + 1
     done;
     !lo
   end
 
 let owner t key =
-  snd t.points.(first_at_or_after t (fnv1a key))
+  t.owners.(first_at_or_after t (fnv1a key))
 
 (* Walk the ring clockwise from the key's point, collecting the first [k]
    distinct physical nodes. The walk touches each point at most once, so
@@ -62,14 +88,14 @@ let owner t key =
    successor order). *)
 let successors t key ~k =
   if k < 1 then invalid_arg "Ring.successors: k must be >= 1";
-  let n = Array.length t.points in
+  let n = Array.length t.owners in
   let start = first_at_or_after t (fnv1a key) in
   let seen = Array.make t.nodes false in
   let out = ref [] in
   let found = ref 0 in
   let i = ref 0 in
   while !found < k && !i < n do
-    let node = snd t.points.((start + !i) mod n) in
+    let node = t.owners.((start + !i) mod n) in
     if not seen.(node) then begin
       seen.(node) <- true;
       out := node :: !out;
@@ -82,10 +108,10 @@ let successors t key ~k =
 (* The walk past down nodes; [seen] marks the down nodes already asked
    about, so [up] is consulted once per distinct node. *)
 let rec walk_up t ~up ~start ~seen i =
-  let n = Array.length t.points in
+  let n = Array.length t.owners in
   if i >= n then None
   else
-    let node = snd t.points.((start + i) mod n) in
+    let node = t.owners.((start + i) mod n) in
     if seen.(node) then walk_up t ~up ~start ~seen (i + 1)
     else if up node then Some node
     else begin
@@ -97,7 +123,7 @@ let rec walk_up t ~up ~start ~seen i =
    [seen] set is only built once the walk has passed a down node. *)
 let acting_owner t ~up key =
   let start = first_at_or_after t (fnv1a key) in
-  let primary = snd t.points.(start) in
+  let primary = t.owners.(start) in
   if up primary then Some primary
   else begin
     let seen = Array.make t.nodes false in

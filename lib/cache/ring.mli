@@ -1,7 +1,7 @@
 (** Consistent-hash ring with virtual nodes — the key→shard-home mapping
     of the sharded metadata plane (see docs/METADATA_PLANE.md).
 
-    Each physical node contributes [vnodes] points to a 62-bit hash
+    Each physical node contributes [vnodes] points to a 58-bit hash
     circle; a key is homed at the physical node owning the first point
     clockwise of the key's hash. The structure is immutable and shared:
     liveness is supplied per query ({!acting_owner}), so node crashes and

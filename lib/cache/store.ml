@@ -14,10 +14,11 @@ type t = {
   pol : Policy.t;
   clock : unit -> float;
   rng : Sim.Rng.t option;
-  table : (string, slot) Hashtbl.t;
+  mutable table : (string, slot) Hashtbl.t;  (* [no_slots] until an insert *)
   heap : string Sim.Pqueue.Timed.t;
       (* eviction order: keys by (priority, version); a popped item whose
          version no longer matches its slot is stale and skipped *)
+  prio : Sim.Pqueue.cell;  (* the priority [push_heap] is pushing *)
   mutable order : string array;  (* dense key array for Random *)
   mutable n_keys : int;
   mutable gdsf_clock : float;
@@ -32,6 +33,17 @@ type t = {
   stats : Stats.t;
 }
 
+(* A store's table is built at its first insert, at the size an eager
+   build gives it: the bucket count fixes the order [purge_expired]
+   returns its victims in. Until then [table] is [no_slots], which reads
+   as empty. Nothing writes or traverses it (a [Hashtbl] traversal flips
+   a flag in the table it walks), so every store, on any domain, shares
+   it. *)
+let no_slots : (string, slot) Hashtbl.t = Hashtbl.create 1
+
+let fold_slots f t acc =
+  if t.table == no_slots then acc else Hashtbl.fold f t.table acc
+
 let create ~capacity ~policy ~clock ?rng () =
   if capacity < 1 then invalid_arg "Store.create: capacity must be >= 1";
   (match (policy, rng) with
@@ -43,8 +55,9 @@ let create ~capacity ~policy ~clock ?rng () =
     pol = policy;
     clock;
     rng;
-    table = Hashtbl.create (Stdlib.min capacity 4096);
+    table = no_slots;
     heap = Sim.Pqueue.Timed.create ~dummy:"" ();
+    prio = { Sim.Pqueue.time = 0. };
     order = [||];
     n_keys = 0;
     gdsf_clock = 0.;
@@ -56,15 +69,6 @@ let create ~capacity ~policy ~clock ?rng () =
 let next_version t =
   t.vgen <- t.vgen + 1;
   t.vgen
-
-let slot_priority t slot =
-  Policy.priority t.pol ~clock:t.gdsf_clock ~meta:slot.entry.meta
-    ~access:
-      {
-        Policy.last_access = slot.last_access;
-        hits = slot.hits;
-        inserted = slot.inserted;
-      }
 
 (* A heap item is live while its seq is its slot's current version. *)
 let live t ~seq key =
@@ -81,8 +85,10 @@ let live t ~seq key =
    order and GDSF's clock (set only by live pops) are unchanged. *)
 let push_heap t slot =
   if t.pol <> Policy.Random then begin
-    Sim.Pqueue.Timed.push t.heap ~time:(slot_priority t slot)
-      ~seq:slot.version slot.entry.meta.Meta.key;
+    Policy.priority t.pol t.prio ~clock:t.gdsf_clock ~meta:slot.entry.meta
+      ~last_access:slot.last_access ~hits:slot.hits ~inserted:slot.inserted;
+    Sim.Pqueue.Timed.push_cell t.heap t.prio ~seq:slot.version
+      slot.entry.meta.Meta.key;
     if Sim.Pqueue.Timed.length t.heap >= (2 * Hashtbl.length t.table) + 64
     then Sim.Pqueue.Timed.compact t.heap ~keep:(live t)
   end
@@ -124,9 +130,9 @@ let remove t key =
 
 let remove_matching t pred =
   let victims =
-    Hashtbl.fold
+    fold_slots
       (fun key slot acc -> if pred key then slot :: acc else acc)
-      t.table []
+      t []
   in
   List.map
     (fun slot ->
@@ -210,6 +216,8 @@ let evict_one t =
       Some slot.entry.meta
 
 let insert_body t meta body =
+  if t.table == no_slots then
+    t.table <- Hashtbl.create (Stdlib.min t.capacity 4096);
   let key = meta.Meta.key in
   (* Replacing an existing entry never needs eviction. *)
   ignore (remove t key : bool);
@@ -250,7 +258,7 @@ let purge_expired t =
   else begin
     let floor = ref Float.infinity in
     let victims =
-      Hashtbl.fold
+      fold_slots
         (fun _ slot acc ->
           if expired_now t slot then slot :: acc
           else begin
@@ -259,7 +267,7 @@ let purge_expired t =
             | Some _ | None -> ());
             acc
           end)
-        t.table []
+        t []
     in
     t.expiry_floor <- !floor;
     List.map
@@ -271,7 +279,7 @@ let purge_expired t =
 
 let clear t =
   let n = Hashtbl.length t.table in
-  let victims = Hashtbl.fold (fun _ slot acc -> slot :: acc) t.table [] in
+  let victims = fold_slots (fun _ slot acc -> slot :: acc) t [] in
   List.iter (fun slot -> delete_slot t slot) victims;
   Sim.Pqueue.Timed.clear t.heap;
   n
@@ -280,7 +288,7 @@ let mem t key = match peek t key with Some _ -> true | None -> false
 let length t = Hashtbl.length t.table
 
 let keys t =
-  Hashtbl.fold (fun k _ acc -> k :: acc) t.table [] |> List.sort String.compare
+  fold_slots (fun k _ acc -> k :: acc) t [] |> List.sort String.compare
 
 (* Candidates for proactive refresh: live entries whose expiry falls
    within (now, now + horizon], with the access statistics the refresh
@@ -295,7 +303,7 @@ type candidate = {
 }
 
 let expiring t ~now ~horizon =
-  Hashtbl.fold
+  fold_slots
     (fun _ slot acc ->
       match slot.entry.meta.Meta.expires with
       | Some e when e > now && e -. now <= horizon ->
@@ -307,7 +315,7 @@ let expiring t ~now ~horizon =
           }
           :: acc
       | Some _ | None -> acc)
-    t.table []
+    t []
   |> List.sort (fun a b ->
          let c = Float.compare a.c_expires b.c_expires in
          if c <> 0 then c

@@ -33,8 +33,10 @@ type t = {
   flash : flash_crowd option;
   diurnal : diurnal option;
   tiers : tier array;
-  (* Precomputed at [make] so [rewrite] is draw-only on the replay path. *)
+  (* Precomputed at [make] so [rewrite] is draw-only on the replay path:
+     the crowd's Zipf head, and each rank's query arguments. *)
   flash_zipf : Sim.Dist.Discrete.t option;
+  flash_args : (string * string) list array;
 }
 
 let duration t = t.duration
@@ -80,17 +82,29 @@ let validate t =
 
 let make ~duration ?flash ?diurnal ?(tiers = []) () =
   let t =
-    { duration; flash; diurnal; tiers = Array.of_list tiers; flash_zipf = None }
+    {
+      duration;
+      flash;
+      diurnal;
+      tiers = Array.of_list tiers;
+      flash_zipf = None;
+      flash_args = [||];
+    }
   in
   (* First, so a bad head size is reported as a Scenario error. *)
   validate t;
-  {
-    t with
-    flash_zipf =
-      Option.map
-        (fun f -> Sim.Dist.zipf ~n:f.fc_keys ~s:f.fc_zipf_s)
-        flash;
-  }
+  match flash with
+  | None -> t
+  | Some f ->
+      let xd = Synthetic.demand_arg f.fc_demand
+      and xb = string_of_int f.fc_out_bytes in
+      {
+        t with
+        flash_zipf = Some (Sim.Dist.zipf ~n:f.fc_keys ~s:f.fc_zipf_s);
+        flash_args =
+          Array.init f.fc_keys (fun rank ->
+              [ ("q", "crowd" ^ string_of_int rank); ("xd", xd); ("xb", xb) ]);
+      }
 
 (* ------------------------------------------------------------------ *)
 (* Phase schedule *)
@@ -144,7 +158,6 @@ let rewrite t ~rng ~now item =
     | Trace.Cgi { out_bytes = _; _ }, Some f, Some zipf ->
         if Sim.Rng.float rng < p then begin
           let rank = Sim.Dist.Discrete.draw zipf rng in
-          let demand = f.fc_demand in
           Some
             {
               Trace.id = item.Trace.id;
@@ -152,13 +165,8 @@ let rewrite t ~rng ~now item =
                 Trace.Cgi
                   {
                     script = "/cgi-bin/query";
-                    args =
-                      [
-                        ("q", Printf.sprintf "crowd%d" rank);
-                        ("xd", Printf.sprintf "%.9g" demand);
-                        ("xb", string_of_int f.fc_out_bytes);
-                      ];
-                    demand;
+                    args = t.flash_args.(rank);
+                    demand = f.fc_demand;
                     out_bytes = f.fc_out_bytes;
                   };
             }

@@ -37,21 +37,31 @@ let query_script = "/cgi-bin/query"
 let unique_script = "/cgi-bin/unique"
 let private_script = "/cgi-bin/private"
 
+(* [Printf.sprintf "%.9g"] formats through this primitive; calling it
+   directly gives the same bytes without interpreting a format. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+let demand_arg demand = format_float "%.9g" demand
+
+(* [n >= 0] in decimal, zero-padded to [width] digits, as
+   [Printf.sprintf "%0*d" width n] prints it. *)
+let zero_pad width n =
+  let digits = string_of_int n in
+  let pad = width - String.length digits in
+  if pad <= 0 then digits else String.make pad '0' ^ digits
+
 (* The "xd" arg carries the per-key demand so that replay against the server
-   model reproduces the trace's service times (see Cgi.Cost.From_query). *)
-let cgi_item ~id ~script ~qkey ~demand ~out_bytes =
+   model reproduces the trace's service times (see Cgi.Cost.From_query);
+   "xb" carries the output size. A trace whose items share a demand or a
+   size shares the formatted string. *)
+let cgi_item ~id ~script ~qkey ~xd ~xb ~demand ~out_bytes =
   {
     Trace.id;
     kind =
       Trace.Cgi
         {
           script;
-          args =
-            [
-              ("q", qkey);
-              ("xd", Printf.sprintf "%.9g" demand);
-              ("xb", string_of_int out_bytes);
-            ];
+          args = [ ("q", qkey); ("xd", xd); ("xb", xb) ];
           demand;
           out_bytes;
         };
@@ -78,15 +88,16 @@ let adl ~seed ?(params = default_adl) () =
         int_of_float
           (Sim.Dist.lognormal_mean_cv rng_size ~mean:12_000. ~cv:2.0))
   in
+  let xb = string_of_int p.cgi_out_bytes in
   let next_cold = ref 0 in
   let items =
     List.init p.n_requests (fun id ->
         if Sim.Rng.float rng_kind < p.cgi_fraction then
           if Sim.Rng.float rng_kind < p.p_hot then begin
             let k = Sim.Dist.Discrete.draw hot_pop rng_hot in
-            cgi_item ~id ~script:query_script
-              ~qkey:(Printf.sprintf "hot%04d" k)
-              ~demand:hot_demand.(k) ~out_bytes:p.cgi_out_bytes
+            let demand = hot_demand.(k) in
+            cgi_item ~id ~script:query_script ~qkey:("hot" ^ zero_pad 4 k)
+              ~xd:(demand_arg demand) ~xb ~demand ~out_bytes:p.cgi_out_bytes
           end
           else begin
             incr next_cold;
@@ -95,8 +106,8 @@ let adl ~seed ?(params = default_adl) () =
                 ~cv:p.cold_cv
             in
             cgi_item ~id ~script:query_script
-              ~qkey:(Printf.sprintf "cold%06d" !next_cold)
-              ~demand ~out_bytes:p.cgi_out_bytes
+              ~qkey:("cold" ^ zero_pad 6 !next_cold)
+              ~xd:(demand_arg demand) ~xb ~demand ~out_bytes:p.cgi_out_bytes
           end
         else begin
           let k = Sim.Dist.Discrete.draw file_pop rng_file in
@@ -105,7 +116,7 @@ let adl ~seed ?(params = default_adl) () =
             kind =
               Trace.File
                 {
-                  path = Printf.sprintf "/adl/doc%05d.html" k;
+                  path = "/adl/doc" ^ zero_pad 5 k ^ ".html";
                   bytes = file_bytes.(k);
                 };
           }
@@ -146,41 +157,45 @@ let coop ~seed ~n ~n_unique ?(n_hot = Stdlib.min 120 n_unique) ?(zipf_s = 0.8)
   done;
   (* Position each occurrence on a virtual timeline; repeats of a key follow
      its first occurrence at exponentially-distributed gaps of mean
-     [locality] (fraction of the trace), clustering references. *)
-  let placed = ref [] in
+     [locality] (fraction of the trace), clustering references. The n
+     occurrences go in flat position and key columns. *)
+  let pos = Array.make n 0. and key = Array.make n 0 in
+  let i = ref 0 in
   for k = 0 to n_unique - 1 do
-    let base = Sim.Rng.float rng_pos in
-    let pos = ref base in
+    let p = ref (Sim.Rng.float rng_pos) in
     for _ = 1 to occurrences.(k) do
-      placed := (!pos, k) :: !placed;
-      pos := !pos +. Sim.Dist.exponential rng_pos ~mean:locality
+      pos.(!i) <- !p;
+      key.(!i) <- k;
+      incr i;
+      p := !p +. Sim.Dist.exponential rng_pos ~mean:locality
     done
   done;
-  let arr = Array.of_list !placed in
-  Array.sort
-    (fun (p1, k1) (p2, k2) ->
-      let c = Float.compare p1 p2 in
-      if c <> 0 then c else Int.compare k1 k2)
-    arr;
-  Array.to_list
-    (Array.mapi
-       (fun id (_, k) ->
-         cgi_item ~id ~script:query_script
-           ~qkey:(Printf.sprintf "key%05d" k)
-           ~demand ~out_bytes)
-       arr)
+  (* Trace order is (position, key) order. *)
+  let order = Array.init n Fun.id in
+  Array.stable_sort
+    (fun a b ->
+      let c = Float.compare pos.(a) pos.(b) in
+      if c <> 0 then c else Int.compare key.(a) key.(b))
+    order;
+  let qkey = Array.init n_unique (fun k -> "key" ^ zero_pad 5 k) in
+  let xd = demand_arg demand and xb = string_of_int out_bytes in
+  List.init n (fun id ->
+      cgi_item ~id ~script:query_script ~qkey:qkey.(key.(order.(id))) ~xd ~xb
+        ~demand ~out_bytes)
+
+(* [n] one-per-key items of [script], keyed [prefix] and a six-digit id. *)
+let distinct ~script ~prefix ~n ~demand =
+  let out_bytes = 4096 in
+  let xd = demand_arg demand and xb = string_of_int out_bytes in
+  List.init n (fun id ->
+      cgi_item ~id ~script ~qkey:(prefix ^ zero_pad 6 id) ~xd ~xb ~demand
+        ~out_bytes)
 
 let unique_cacheable ~n ~demand =
-  List.init n (fun id ->
-      cgi_item ~id ~script:unique_script
-        ~qkey:(Printf.sprintf "u%06d" id)
-        ~demand ~out_bytes:4096)
+  distinct ~script:unique_script ~prefix:"u" ~n ~demand
 
 let uncacheable ~n ~demand =
-  List.init n (fun id ->
-      cgi_item ~id ~script:private_script
-        ~qkey:(Printf.sprintf "p%06d" id)
-        ~demand ~out_bytes:4096)
+  distinct ~script:private_script ~prefix:"p" ~n ~demand
 
 let register_scripts registry =
   let from_query = Cgi.Cost.From_query { default = 1.0 } in

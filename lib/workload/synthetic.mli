@@ -82,6 +82,11 @@ val unique_cacheable : n:int -> demand:float -> Trace.t
     requests, each about one second"). *)
 val uncacheable : n:int -> demand:float -> Trace.t
 
+(** [demand_arg d] is the ["xd"] argument a generated item carries for
+    demand [d]: [Printf.sprintf "%.9g" d], byte for byte, formatted
+    without interpreting a format string. *)
+val demand_arg : float -> string
+
 (** [register_scripts registry] registers the CGI programs the generated
     traces reference (["/cgi-bin/query"], ["/cgi-bin/unique"], the null
     CGI). Traces carry their demands in the ["xd"] replay parameter, so the

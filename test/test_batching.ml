@@ -148,22 +148,28 @@ let prop_digest_sees_every_field =
     (QCheck.make ~print gen) (fun (extra, (m : Cache.Meta.t), field) ->
       let extra = List.filter (fun (e : Cache.Meta.t) -> e.key <> m.key) extra in
       let changed =
+        let { Cache.Meta.key; owner; size; exec_time; created; expires; _ } =
+          m
+        in
+        let make ?(owner = owner) ?(size = size) ?(exec_time = exec_time)
+            ?(created = created) ?(expires = expires) () =
+          Cache.Meta.make ~key ~owner ~size ~exec_time ~created ~expires
+        in
         match field with
-        | 0 -> { m with owner = m.owner + 1 }
-        | 1 -> { m with size = m.size + 1 }
-        | 2 -> { m with exec_time = Float.succ m.exec_time }
-        | 3 -> { m with created = Float.succ m.created }
+        | 0 -> make ~owner:(owner + 1) ()
+        | 1 -> make ~size:(size + 1) ()
+        | 2 -> make ~exec_time:(Float.succ exec_time) ()
+        | 3 -> make ~created:(Float.succ created) ()
         | 4 ->
-            {
-              m with
-              expires = (match m.expires with None -> Some m.created | Some _ -> None);
-            }
+            make
+              ~expires:
+                (match expires with None -> Some created | Some _ -> None)
+              ()
         | _ ->
-            {
-              m with
-              expires =
-                Some (Float.succ (Option.value m.expires ~default:m.created));
-            }
+            make
+              ~expires:
+                (Some (Float.succ (Option.value expires ~default:created)))
+              ()
       in
       digest_with ~extra m <> digest_with ~extra changed)
 

@@ -40,13 +40,22 @@ let test_meta_validation () =
 (* ------------------------------------------------------------------ *)
 (* Policy *)
 
-let access ~last ~hits ~ins =
-  { Cache.Policy.last_access = last; hits; inserted = ins }
+type access = { last : float; hits : int; ins : float }
+
+let access ~last ~hits ~ins = { last; hits; ins }
+
+(* The priority [Cache.Policy.priority] stores for an entry with [meta]
+   and access history [access]. *)
+let priority p ~clock ~meta ~access:a =
+  let cell = { Sim.Pqueue.time = Float.nan } in
+  Cache.Policy.priority p cell ~clock ~meta ~last_access:a.last ~hits:a.hits
+    ~inserted:a.ins;
+  cell.time
 
 let test_policy_priorities () =
   let m = meta ~size:200 ~exec:3.0 "k" in
   let a = access ~last:5. ~hits:7 ~ins:1. in
-  let pri p = Cache.Policy.priority p ~clock:0. ~meta:m ~access:a in
+  let pri p = priority p ~clock:0. ~meta:m ~access:a in
   check_float "lru = last access" 5. (pri Cache.Policy.Lru);
   check_float "fifo = insert time" 1. (pri Cache.Policy.Fifo);
   check_float "lfu = hits" 7. (pri Cache.Policy.Lfu);
@@ -56,8 +65,8 @@ let test_policy_priorities () =
 let test_policy_gdsf_clock () =
   let m = meta ~size:100 ~exec:2.0 "k" in
   let a = access ~last:0. ~hits:0 ~ins:0. in
-  let p0 = Cache.Policy.priority Cache.Policy.Gdsf ~clock:0. ~meta:m ~access:a in
-  let p1 = Cache.Policy.priority Cache.Policy.Gdsf ~clock:5. ~meta:m ~access:a in
+  let p0 = priority Cache.Policy.Gdsf ~clock:0. ~meta:m ~access:a in
+  let p1 = priority Cache.Policy.Gdsf ~clock:5. ~meta:m ~access:a in
   check_float "clock shifts priority" 5. (p1 -. p0);
   check_bool "uses clock" true (Cache.Policy.uses_clock Cache.Policy.Gdsf);
   check_bool "lru does not" false (Cache.Policy.uses_clock Cache.Policy.Lru)
@@ -67,7 +76,7 @@ let test_policy_gdsf_prefers_valuable () =
   let a = access ~last:0. ~hits:0 ~ins:0. in
   let cheap = meta ~size:1000 ~exec:0.1 "c" in
   let dear = meta ~size:100 ~exec:5.0 "d" in
-  let p m = Cache.Policy.priority Cache.Policy.Gdsf ~clock:0. ~meta:m ~access:a in
+  let p m = priority Cache.Policy.Gdsf ~clock:0. ~meta:m ~access:a in
   check_bool "valuable survives" true (p dear > p cheap)
 
 (* [--policy] parses the names [to_string] gives [all]: each must lead
@@ -553,6 +562,47 @@ let prop_store_insert_then_lookup_hits =
           Cache.Store.lookup store key <> None)
         ks)
 
+(* A store builds its table at its first insert; until then every read
+   sees an empty store, and nothing it does touches the table. *)
+let test_store_untouched () =
+  let store, clock = make_store ~capacity:10 () in
+  clock := Float.infinity;
+  check_int "clear" 0 (Cache.Store.clear store);
+  check_int "purge" 0 (List.length (Cache.Store.purge_expired store));
+  Alcotest.(check (list string)) "keys" [] (Cache.Store.keys store);
+  check_int "expiring" 0
+    (List.length (Cache.Store.expiring store ~now:0. ~horizon:Float.infinity));
+  check_int "remove_matching" 0
+    (List.length (Cache.Store.remove_matching store (fun _ -> true)));
+  check_bool "remove" false (Cache.Store.remove store "k");
+  check_bool "lookup" true (Cache.Store.lookup store "k" = None);
+  check_int "length" 0 (Cache.Store.length store);
+  clock := 0.;
+  ignore (Cache.Store.insert store (meta "k") "");
+  check_bool "first insert is stored" true (Cache.Store.mem store "k")
+
+(* The order [purge_expired] lists its victims in, which orders the
+   delete announcements, is the table's bucket order: built at first
+   insert, the table must have the size an eager build gave it. *)
+let test_store_purge_order () =
+  List.iter
+    (fun (capacity, n) ->
+      let store, clock = make_store ~capacity () in
+      let keys = List.init n (Printf.sprintf "GET /cgi-bin/q?k=%d") in
+      List.iter
+        (fun k -> ignore (Cache.Store.insert store (meta ~expires:1. k) ""))
+        keys;
+      clock := 2.;
+      let table = Hashtbl.create (min capacity 4096) in
+      List.iter (fun k -> Hashtbl.replace table k ()) keys;
+      Alcotest.(check (list string))
+        (Printf.sprintf "capacity %d, %d keys" capacity n)
+        (Hashtbl.fold (fun k () acc -> k :: acc) table [])
+        (List.map
+           (fun m -> m.Cache.Meta.key)
+           (Cache.Store.purge_expired store)))
+    [ (100, 100); (1000, 900); (20_000, 9_000) ]
+
 (* ------------------------------------------------------------------ *)
 (* Directory *)
 
@@ -650,6 +700,52 @@ let test_directory_lock_overhead_advances_clock () =
   Sim.Engine.run eng;
   Alcotest.(check (float 1e-9)) "4 probes x 1ms" 0.004 !took
 
+(* A table is built at its first probe or write. Until then it reads as
+   empty, has taken no lock, and wiping it drops nothing. *)
+let test_directory_untouched () =
+  in_engine (fun () ->
+      let d = Cache.Directory.create ~nodes:3 () in
+      Alcotest.(check (pair int int)) "digest" (0, 0)
+        (Cache.Directory.digest d ~node:1);
+      Alcotest.(check (pair int int)) "digest_slow" (0, 0)
+        (Cache.Directory.digest_slow d ~node:1);
+      check_int "entries" 0 (List.length (Cache.Directory.entries d ~node:1));
+      check_bool "find" true (Cache.Directory.find d ~node:1 "k" = None);
+      check_int "table size" 0 (Cache.Directory.table_size d ~node:1);
+      check_int "total size" 0 (Cache.Directory.total_size d);
+      Alcotest.(check (pair int int)) "no acquisitions" (0, 0)
+        (Cache.Directory.lock_acquisitions d);
+      check_int "reset_node" 0 (Cache.Directory.reset_node d ~node:2);
+      check_int "purge_node" 0 (Cache.Directory.purge_node d ~node:1);
+      Alcotest.(check (pair int int)) "the purge took a write lock" (0, 1)
+        (Cache.Directory.lock_acquisitions d);
+      check_bool "a miss probes every table" true
+        (Cache.Directory.lookup d ~now:0. "k" = None);
+      Alcotest.(check (pair int int)) "one read lock per probe" (3, 1)
+        (Cache.Directory.lock_acquisitions d))
+
+(* [entries] feeds anti-entropy's pulls in the table's bucket order, so a
+   table built at its first write must have an eager build's size. *)
+let test_directory_entries_order () =
+  (* A table that grows lists its keys by its final bucket count, so a
+     few keys catch a table built too small and many one built too
+     large. *)
+  List.iter
+    (fun n ->
+      in_engine (fun () ->
+          let d = Cache.Directory.create ~nodes:2 () in
+          let keys = List.init n (Printf.sprintf "GET /cgi-bin/q?k=%d") in
+          List.iter (fun k -> Cache.Directory.insert d ~node:1 (meta k)) keys;
+          let table = Hashtbl.create 64 in
+          List.iter (fun k -> Hashtbl.replace table k ()) keys;
+          Alcotest.(check (list string))
+            (Printf.sprintf "%d keys" n)
+            (Hashtbl.fold (fun k () acc -> k :: acc) table [])
+            (List.map
+               (fun m -> m.Cache.Meta.key)
+               (Cache.Directory.entries d ~node:1))))
+    [ 20; 300 ]
+
 (* ------------------------------------------------------------------ *)
 (* Stats *)
 
@@ -716,6 +812,10 @@ let () =
           Alcotest.test_case "keys sorted" `Quick test_store_keys_sorted;
           Alcotest.test_case "heap bounded without eviction" `Quick
             test_store_heap_bounded_without_eviction;
+          Alcotest.test_case "untouched store reads as empty" `Quick
+            test_store_untouched;
+          Alcotest.test_case "purge order is an eager table's" `Quick
+            test_store_purge_order;
         ] );
       qsuite "store-props"
         [
@@ -738,6 +838,10 @@ let () =
           Alcotest.test_case "node range checked" `Quick test_directory_out_of_range;
           Alcotest.test_case "lock overhead advances clock" `Quick
             test_directory_lock_overhead_advances_clock;
+          Alcotest.test_case "untouched table reads as empty" `Quick
+            test_directory_untouched;
+          Alcotest.test_case "entries order is an eager table's" `Quick
+            test_directory_entries_order;
         ] );
       ( "stats",
         [

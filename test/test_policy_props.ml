@@ -66,9 +66,14 @@ let model_create ~capacity ~policy =
   { m_cap = capacity; m_pol = policy; m_tbl = Hashtbl.create 16;
     m_clock = 0.; m_vgen = 0 }
 
+(* The priority [Cache.Policy.priority] stores for these inputs. *)
+let priority p ~clock ~meta ~last_access ~hits ~inserted =
+  let cell = { Sim.Pqueue.time = Float.nan } in
+  Cache.Policy.priority p cell ~clock ~meta ~last_access ~hits ~inserted;
+  cell.time
+
 let m_priority m ~meta ~last ~hits ~inserted =
-  Cache.Policy.priority m.m_pol ~clock:m.m_clock ~meta
-    ~access:{ Cache.Policy.last_access = last; hits; inserted }
+  priority m.m_pol ~clock:m.m_clock ~meta ~last_access:last ~hits ~inserted
 
 (* Full-scan victim: minimum (priority-at-last-touch, touch-version) —
    the spec the lazy heap must match, ties breaking towards the least
@@ -284,13 +289,13 @@ let priority_deterministic =
         (int_range 0 50) (float_bound_exclusive 100.))
     (fun (size, exec, hits, clock) ->
       let meta = meta_of ~key:"GET /cgi-bin/p" ~size ~exec in
-      let access =
-        { Cache.Policy.last_access = clock; hits; inserted = clock /. 2. }
+      let priority p =
+        priority p ~clock ~meta ~last_access:clock ~hits
+          ~inserted:(clock /. 2.)
       in
       List.for_all
         (fun p ->
-          Cache.Policy.priority p ~clock ~meta ~access
-          = Cache.Policy.priority p ~clock ~meta ~access
+          priority p = priority p
           && List.filter
                (fun q -> Cache.Policy.to_string q = Cache.Policy.to_string p)
                Cache.Policy.all

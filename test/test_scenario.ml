@@ -213,6 +213,69 @@ let test_rewrite_deterministic () =
   check_bool "same seed same redirections" true (replay 9 = replay 9);
   check_bool "different seed differs" true (replay 9 <> replay 10)
 
+(* [Scenario.rewrite] as first written: the crowd query's arguments
+   formatted by [Printf] on every rewrite. The library builds each
+   rank's arguments once, in [Scenario.make]; the rewritten items must
+   be the same. *)
+let rewrite_ref sc ~zipf ~rng ~now (item : Workload.Trace.item) =
+  let p = Scenario.flash_intensity sc ~now in
+  if p <= 0. then None
+  else
+    match (item.kind, Scenario.flash sc) with
+    | Workload.Trace.Cgi _, Some f ->
+        if Sim.Rng.float rng < p then begin
+          let rank = Sim.Dist.Discrete.draw zipf rng in
+          let demand = f.fc_demand in
+          Some
+            {
+              Workload.Trace.id = item.id;
+              kind =
+                Workload.Trace.Cgi
+                  {
+                    script = "/cgi-bin/query";
+                    args =
+                      [
+                        ("q", Printf.sprintf "crowd%d" rank);
+                        ("xd", Printf.sprintf "%.9g" demand);
+                        ("xb", string_of_int f.fc_out_bytes);
+                      ];
+                    demand;
+                    out_bytes = f.fc_out_bytes;
+                  };
+            }
+        end
+        else None
+    | _ -> None
+
+let test_rewrite_matches_reference () =
+  List.iter
+    (fun (keys, zipf_s, demand, out_bytes, seed) ->
+      let f =
+        Scenario.flash_crowd ~at:5. ~duration:10. ~decay:10. ~fraction:0.9
+          ~keys ~zipf_s ~demand ~out_bytes ()
+      in
+      let sc = Scenario.make ~duration:40. ~flash:f () in
+      let zipf = Sim.Dist.zipf ~n:keys ~s:zipf_s in
+      let trace =
+        Workload.Synthetic.adl_scaled ~seed ~n:400
+        @ Workload.Synthetic.coop ~seed ~n:400 ~n_unique:100 ()
+      in
+      let rng = Sim.Rng.create seed and rng_ref = Sim.Rng.create seed in
+      List.iteri
+        (fun i item ->
+          let now = float_of_int i *. 0.05 in
+          let want = rewrite_ref sc ~zipf ~rng:rng_ref ~now item in
+          if Scenario.rewrite sc ~rng ~now item <> want then
+            Alcotest.failf "keys %d seed %d: rewrite of item %d differs" keys
+              seed i)
+        trace)
+    [
+      (8, 1.0, 1.0, 4096, 1);
+      (1, 0.0, 0.02, 0, 2);
+      (64, 1.3, 1. /. 3., 8192, 3);
+      (1000, 0.8, 2.5e-7, 123, 4);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Diurnal envelope *)
 
@@ -502,6 +565,8 @@ let () =
             test_rewrite_only_in_window;
           Alcotest.test_case "rewrite deterministic" `Quick
             test_rewrite_deterministic;
+          Alcotest.test_case "rewrite matches the Printf-built reference"
+            `Quick test_rewrite_matches_reference;
         ] );
       qsuite "flash-props" [ prop_flash_decays_to_baseline ];
       qsuite "diurnal-props"

@@ -90,6 +90,89 @@ let test_ring_spread () =
                         failed to smooth the ring" i n mean)
     spread
 
+(* The ring as it was first built: one [Printf]-made "vn:N:V" string per
+   point, hashed by FNV-1a, and the (hash, node) pairs sorted by
+   polymorphic compare. A key's start point is found by a linear scan,
+   and every query walks the whole circle. [Cache.Ring] builds its
+   points without strings and searches flat arrays; it must give the
+   same answers. *)
+module Ring_ref = struct
+  type t = { points : (int * int) array; nodes : int }
+
+  let fnv1a s =
+    let h = ref 0x811c9dc5 in
+    String.iter
+      (fun c ->
+        h := (!h lxor Char.code c) * 0x01000193 land 0x3FFFFFFFFFFFFFF)
+      s;
+    !h
+
+  let create ~nodes ~vnodes =
+    let points = Array.make (nodes * vnodes) (0, 0) in
+    for n = 0 to nodes - 1 do
+      for v = 0 to vnodes - 1 do
+        points.((n * vnodes) + v) <- (fnv1a (Printf.sprintf "vn:%d:%d" n v), n)
+      done
+    done;
+    Array.sort compare points;
+    { points; nodes }
+
+  (* The distinct nodes met walking clockwise from the first point at or
+     after the key's hash. *)
+  let walk t key =
+    let n = Array.length t.points in
+    let h = fnv1a key in
+    let rec start i =
+      if i = n then 0 else if fst t.points.(i) >= h then i else start (i + 1)
+    in
+    let s = start 0 in
+    let seen = Array.make t.nodes false in
+    List.filter_map
+      (fun i ->
+        let node = snd t.points.((s + i) mod n) in
+        if seen.(node) then None
+        else begin
+          seen.(node) <- true;
+          Some node
+        end)
+      (List.init n Fun.id)
+
+  let successors t key ~k = List.filteri (fun i _ -> i < k) (walk t key)
+  let acting_owner t ~up key = List.find_opt up (walk t key)
+end
+
+let test_ring_matches_reference () =
+  let rs = Random.State.make [| 29 |] in
+  let random_key () =
+    String.init (Random.State.int rs 40) (fun _ ->
+        Char.chr (Random.State.int rs 256))
+  in
+  List.iter
+    (fun (nodes, vnodes) ->
+      let r = Cache.Ring.create ~nodes ~vnodes
+      and ref_ = Ring_ref.create ~nodes ~vnodes in
+      for i = 0 to 99 do
+        let key = if i mod 2 = 0 then key_of i else random_key () in
+        let what =
+          Printf.sprintf "%d nodes x %d vnodes, key %S" nodes vnodes key
+        in
+        let walk = Ring_ref.walk ref_ key in
+        check_int (what ^ ": owner") (List.hd walk) (Cache.Ring.owner r key);
+        let k = 1 + Random.State.int rs (nodes + 1) in
+        Alcotest.(check (list int))
+          (Printf.sprintf "%s: successors ~k:%d" what k)
+          (Ring_ref.successors ref_ key ~k)
+          (Cache.Ring.successors r key ~k);
+        let down = Array.init nodes (fun _ -> Random.State.int rs 3 = 0) in
+        let down = if i mod 10 = 9 then Array.make nodes true else down in
+        let up node = not down.(node) in
+        Alcotest.(check (option int))
+          (what ^ ": acting owner")
+          (Ring_ref.acting_owner ref_ ~up key)
+          (Cache.Ring.acting_owner r ~up key)
+      done)
+    [ (1, 1); (1, 64); (2, 1); (3, 7); (8, 1); (8, 64); (37, 16); (100, 64) ]
+
 (* ------------------------------------------------------------------ *)
 (* Configuration validation *)
 
@@ -511,6 +594,8 @@ let () =
             test_ring_acting_owner;
           Alcotest.test_case "vnodes smooth the spread" `Quick
             test_ring_spread;
+          Alcotest.test_case "matches the Printf-built reference" `Quick
+            test_ring_matches_reference;
         ] );
       ( "config",
         [ Alcotest.test_case "sharded knobs are validated" `Quick

@@ -342,6 +342,193 @@ let test_register_trace_files () =
   Workload.Synthetic.register_trace_files r trace;
   check_int "two files" 2 (Cgi.Registry.file_count r)
 
+(* The generators as first written: every query argument formatted by
+   [Printf], and [coop]'s placements heapsorted as boxed (position, key)
+   tuples. The library shares repeated strings and sorts flat arrays;
+   it must give the same traces, item by item. *)
+module Gen_ref = struct
+  module S = Workload.Synthetic
+
+  let cgi_item ~id ~script ~qkey ~demand ~out_bytes =
+    {
+      Workload.Trace.id;
+      kind =
+        Workload.Trace.Cgi
+          {
+            script;
+            args =
+              [
+                ("q", qkey);
+                ("xd", Printf.sprintf "%.9g" demand);
+                ("xb", string_of_int out_bytes);
+              ];
+            demand;
+            out_bytes;
+          };
+    }
+
+  let adl ~seed ~(params : S.adl_params) =
+    let p = params in
+    let rng = Sim.Rng.create seed in
+    let rng_kind = Sim.Rng.split rng in
+    let rng_hot = Sim.Rng.split rng in
+    let rng_cold = Sim.Rng.split rng in
+    let rng_file = Sim.Rng.split rng in
+    let rng_size = Sim.Rng.split rng in
+    let hot_demand =
+      Array.init p.n_hot (fun _ ->
+          Sim.Dist.lognormal_mean_cv rng_hot ~mean:p.hot_mean ~cv:p.hot_cv)
+    in
+    let hot_pop = Sim.Dist.zipf ~n:p.n_hot ~s:p.hot_zipf_s in
+    let file_pop = Sim.Dist.zipf ~n:p.n_files ~s:p.file_zipf_s in
+    let file_bytes =
+      Array.init p.n_files (fun _ ->
+          int_of_float
+            (Sim.Dist.lognormal_mean_cv rng_size ~mean:12_000. ~cv:2.0))
+    in
+    let next_cold = ref 0 in
+    List.init p.n_requests (fun id ->
+        if Sim.Rng.float rng_kind < p.cgi_fraction then
+          if Sim.Rng.float rng_kind < p.p_hot then begin
+            let k = Sim.Dist.Discrete.draw hot_pop rng_hot in
+            cgi_item ~id ~script:"/cgi-bin/query"
+              ~qkey:(Printf.sprintf "hot%04d" k)
+              ~demand:hot_demand.(k) ~out_bytes:p.cgi_out_bytes
+          end
+          else begin
+            incr next_cold;
+            let demand =
+              Sim.Dist.lognormal_mean_cv rng_cold ~mean:p.cold_mean
+                ~cv:p.cold_cv
+            in
+            cgi_item ~id ~script:"/cgi-bin/query"
+              ~qkey:(Printf.sprintf "cold%06d" !next_cold)
+              ~demand ~out_bytes:p.cgi_out_bytes
+          end
+        else begin
+          let k = Sim.Dist.Discrete.draw file_pop rng_file in
+          {
+            Workload.Trace.id;
+            kind =
+              Workload.Trace.File
+                {
+                  path = Printf.sprintf "/adl/doc%05d.html" k;
+                  bytes = file_bytes.(k);
+                };
+          }
+        end)
+
+  let adl_scaled ~seed ~n =
+    let d = S.default_adl in
+    let scale = float_of_int n /. float_of_int d.n_requests in
+    adl ~seed
+      ~params:
+        {
+          d with
+          n_requests = n;
+          n_hot = max 8 (int_of_float (float_of_int d.n_hot *. scale));
+          n_files = max 16 (int_of_float (float_of_int d.n_files *. scale));
+        }
+
+  let coop ~seed ~n ~n_unique ~n_hot ~zipf_s ~demand ~out_bytes ~locality =
+    let rng = Sim.Rng.create seed in
+    let rng_rep = Sim.Rng.split rng in
+    let rng_pos = Sim.Rng.split rng in
+    let occurrences = Array.make n_unique 1 in
+    let hot_pop = Sim.Dist.zipf ~n:n_hot ~s:zipf_s in
+    for _ = 1 to n - n_unique do
+      let k = Sim.Dist.Discrete.draw hot_pop rng_rep in
+      occurrences.(k) <- occurrences.(k) + 1
+    done;
+    let placed = ref [] in
+    for k = 0 to n_unique - 1 do
+      let pos = ref (Sim.Rng.float rng_pos) in
+      for _ = 1 to occurrences.(k) do
+        placed := (!pos, k) :: !placed;
+        pos := !pos +. Sim.Dist.exponential rng_pos ~mean:locality
+      done
+    done;
+    let arr = Array.of_list !placed in
+    Array.sort
+      (fun (p1, k1) (p2, k2) ->
+        let c = Float.compare p1 p2 in
+        if c <> 0 then c else Int.compare k1 k2)
+      arr;
+    Array.to_list
+      (Array.mapi
+         (fun id (_, k) ->
+           cgi_item ~id ~script:"/cgi-bin/query"
+             ~qkey:(Printf.sprintf "key%05d" k)
+             ~demand ~out_bytes)
+         arr)
+
+  let unique_cacheable ~n ~demand =
+    List.init n (fun id ->
+        cgi_item ~id ~script:"/cgi-bin/unique"
+          ~qkey:(Printf.sprintf "u%06d" id)
+          ~demand ~out_bytes:4096)
+
+  let uncacheable ~n ~demand =
+    List.init n (fun id ->
+        cgi_item ~id ~script:"/cgi-bin/private"
+          ~qkey:(Printf.sprintf "p%06d" id)
+          ~demand ~out_bytes:4096)
+end
+
+(* [got] equals [want] item by item; the first difference is named. *)
+let check_same_trace what (want : Workload.Trace.t) (got : Workload.Trace.t) =
+  check_int (what ^ ": length") (List.length want) (List.length got);
+  List.iteri
+    (fun i (w, g) ->
+      if w <> g then
+        Alcotest.failf "%s: item %d differs: want %s, got %s" what i
+          (Workload.Trace.key w) (Workload.Trace.key g))
+    (List.combine want got)
+
+let test_generators_match_reference () =
+  let third = 1. /. 3. in
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun n ->
+          check_same_trace
+            (Printf.sprintf "adl_scaled seed %d n %d" seed n)
+            (Gen_ref.adl_scaled ~seed ~n)
+            (Workload.Synthetic.adl_scaled ~seed ~n))
+        [ 1; 700; 5_000 ];
+      List.iter
+        (fun (n, n_unique, n_hot, zipf_s, demand, out_bytes, locality) ->
+          check_same_trace
+            (Printf.sprintf "coop seed %d n %d n_unique %d locality %g" seed n
+               n_unique locality)
+            (Gen_ref.coop ~seed ~n ~n_unique ~n_hot ~zipf_s ~demand ~out_bytes
+               ~locality)
+            (Workload.Synthetic.coop ~seed ~n ~n_unique ~n_hot ~zipf_s ~demand
+               ~out_bytes ~locality ()))
+        [
+          (1, 1, 1, 0.8, 1.0, 4096, 1.0);
+          (1600, 1122, 120, 0.8, 1.0, 4096, 1.0);
+          (1600, 1600, 120, 0.8, third, 4096, 1.0);
+          (3000, 400, 24, 1.1, 0.005, 8192, 0.05);
+          (500, 300, 300, 0.0, 2.5e-7, 0, 0.001);
+        ];
+      List.iter
+        (fun n ->
+          let what f = Printf.sprintf "%s seed %d n %d" f seed n in
+          check_same_trace (what "unique_cacheable")
+            (Gen_ref.unique_cacheable ~n ~demand:third)
+            (Workload.Synthetic.unique_cacheable ~n ~demand:third);
+          check_same_trace (what "uncacheable")
+            (Gen_ref.uncacheable ~n ~demand:1.0)
+            (Workload.Synthetic.uncacheable ~n ~demand:1.0))
+        [ 0; 1; 180 ])
+    [ 1; 7; 42 ];
+  (* A key index wider than its zero padding prints in full. *)
+  check_same_trace "coop past five digits"
+    (Gen_ref.coop ~seed:3 ~n:100_001 ~n_unique:100_001 ~n_hot:120 ~zipf_s:0.8
+       ~demand:1.0 ~out_bytes:4096 ~locality:1.0)
+    (Workload.Synthetic.coop ~seed:3 ~n:100_001 ~n_unique:100_001 ())
+
 (* ------------------------------------------------------------------ *)
 (* Generator edge cases *)
 
@@ -598,6 +785,8 @@ let () =
             test_unique_cacheable_all_distinct;
           Alcotest.test_case "uncacheable script flag" `Quick test_uncacheable_script_flag;
           Alcotest.test_case "register trace files" `Quick test_register_trace_files;
+          Alcotest.test_case "matches the Printf-built reference" `Quick
+            test_generators_match_reference;
         ] );
       ( "edge-cases",
         [
