@@ -6,9 +6,8 @@
    in "An Optimal Trade-off between Content Freshness and Refresh Cost"
    (PAPERS.md). This module implements the controller: it observes, per
    cache key, the access rate (a Rate counter, the estimator Hotspot also
-   uses), the recompute rate (EWMA of the gap between successive inserts
-   of the key) and the recompute cost (EWMA of the measured CGI execution
-   time), and picks the TTL minimising the steady-state cost rate
+   uses) and the recompute cost (EWMA of the measured CGI execution time),
+   and picks the TTL minimising the steady-state cost rate
 
      J(T) = penalty * lambda * T / 2  +  cost / T
 
@@ -35,18 +34,16 @@ type mode = Fixed | Adaptive
 
 let mode_to_string = function Fixed -> "fixed" | Adaptive -> "adaptive"
 
-(* EWMA weight for the per-key gap and cost trackers: heavy enough to
-   smooth lognormal demand draws, light enough to track a regime change
-   within a handful of recomputations. *)
+(* EWMA weight for the per-key cost tracker: heavy enough to smooth
+   lognormal demand draws, light enough to track a regime change within
+   a handful of recomputations. *)
 let ewma_alpha = 0.3
 
 type key_state = {
   accesses : Rate.t;
   (* recompute tracking *)
   mutable last_insert : float option;
-  mutable gap_ewma : float option;  (* mean seconds between inserts *)
   mutable cost_ewma : float option;  (* mean recompute cost, seconds *)
-  mutable inserts : int;
 }
 
 type t = {
@@ -80,9 +77,7 @@ let state t ~now key =
         {
           accesses = Rate.create ~now;
           last_insert = None;
-          gap_ewma = None;
           cost_ewma = None;
-          inserts = 0;
         }
       in
       Hashtbl.replace t.keys key s;
@@ -94,25 +89,12 @@ let observe_access t ~now key =
 
 let observe_insert t ~now ~cost key =
   let s = state t ~now key in
-  (match s.last_insert with
-  | Some prev when now > prev ->
-      let gap = now -. prev in
-      s.gap_ewma <-
-        Some
-          (match s.gap_ewma with
-          | None -> gap
-          | Some g -> ((1. -. ewma_alpha) *. g) +. (ewma_alpha *. gap))
-  | Some _ | None -> ());
   s.last_insert <- Some now;
   s.cost_ewma <-
     Some
       (match s.cost_ewma with
       | None -> cost
-      | Some c -> ((1. -. ewma_alpha) *. c) +. (ewma_alpha *. cost));
-  s.inserts <- s.inserts + 1
-
-let update_interval t key =
-  match Hashtbl.find_opt t.keys key with None -> None | Some s -> s.gap_ewma
+      | Some c -> ((1. -. ewma_alpha) *. c) +. (ewma_alpha *. cost))
 
 let clamp t v = Float.min t.max_ttl (Float.max t.min_ttl v)
 

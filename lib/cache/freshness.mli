@@ -4,8 +4,8 @@
     balancing staleness risk against recompute cost ("An Optimal
     Trade-off between Content Freshness and Refresh Cost", PAPERS.md).
     Per key it tracks the access rate (a {!Rate} counter, as in
-    {!Hotspot}), the recompute rate (EWMA of inter-insert gaps) and the
-    recompute cost (EWMA of measured execution times), and emits
+    {!Hotspot}), the time of the last recomputation and the recompute
+    cost (EWMA of measured execution times), and emits
 
       T* = clamp [min_ttl, max_ttl] (sqrt (2 c / (penalty lambda)))
 
@@ -35,8 +35,8 @@ val create :
     miss) toward the key's rate estimate. *)
 val observe_access : t -> now:float -> string -> unit
 
-(** [observe_insert t ~now ~cost key] records one recomputation: updates
-    the key's inter-insert gap and cost EWMAs. *)
+(** [observe_insert t ~now ~cost key] records one recomputation: notes
+    its time (for {!sweep}) and updates the key's cost EWMA. *)
 val observe_insert : t -> now:float -> cost:float -> string -> unit
 
 (** [ttl t ~now ~cost key] is the controller's TTL for a result of [key]
@@ -45,11 +45,6 @@ val observe_insert : t -> now:float -> cost:float -> string -> unit
     [[min_ttl, max_ttl]]. A first-seen key uses one access per [window]
     as the rate floor. *)
 val ttl : t -> now:float -> cost:float -> string -> float
-
-(** [update_interval t key] is the EWMA of gaps between successive
-    inserts of [key] — the key's observed recompute period ([None]
-    before the second insert). *)
-val update_interval : t -> string -> float option
 
 (** [effective_ttl ~rule ~script ~default] is the TTL layer precedence
     shared by both freshness modes: a {!Rules} override beats the

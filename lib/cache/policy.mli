@@ -5,7 +5,8 @@
     time of access, size etc." (§3). We implement that whole family. A
     policy is expressed as a priority: the entry with the {e smallest}
     priority is evicted first. Priorities may depend on access history, so
-    the store recomputes them on every touch (with lazy heap invalidation).
+    the store recomputes them on every touch and re-keys the entry in its
+    heap.
 
     [Gdsf] (GreedyDual-Size-Frequency, Cao-Irani style with CGI execution
     time as the cost metric) additionally uses an inflation clock supplied

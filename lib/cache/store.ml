@@ -5,8 +5,9 @@ type slot = {
   mutable last_access : float;
   mutable hits : int;
   inserted : float;
-  mutable version : int;  (* bumped on every touch; stale heap items skip *)
-  mutable index : int;  (* position in [order], for O(1) random eviction *)
+  elt : string Sim.Pqueue.Indexed.elt;
+      (* the key's place in [heap]; [no_elt] under Random *)
+  mutable index : int;  (* Random: position in [order] *)
 }
 
 type t = {
@@ -15,17 +16,15 @@ type t = {
   clock : unit -> float;
   rng : Sim.Rng.t option;
   mutable table : (string, slot) Hashtbl.t;  (* [no_slots] until an insert *)
-  heap : string Sim.Pqueue.Timed.t;
-      (* eviction order: keys by (priority, version); a popped item whose
-         version no longer matches its slot is stale and skipped *)
-  prio : Sim.Pqueue.cell;  (* the priority [push_heap] is pushing *)
-  mutable order : string array;  (* dense key array for Random *)
+  heap : string Sim.Pqueue.Indexed.t;
+      (* eviction order of every entry but Random's: each entry's element
+         is keyed by (priority, touch) as of its last touch *)
+  prio : Sim.Pqueue.cell;
+      (* the priority [rekey] sets, or the victim's [heap_victim] reads *)
+  mutable touches : int;  (* store-wide touch counter *)
+  mutable order : string array;  (* Random: dense key array *)
   mutable n_keys : int;
   mutable gdsf_clock : float;
-  mutable vgen : int;
-      (* store-global version generator: heap items must never match a
-         slot they were not pushed for, even across remove/re-insert of
-         the same key *)
   mutable expiry_floor : float;
       (* no stored entry expires before this instant: lowered by every
          insert with a TTL, raised only by a full [purge_expired] scan,
@@ -44,6 +43,10 @@ let no_slots : (string, slot) Hashtbl.t = Hashtbl.create 1
 let fold_slots f t acc =
   if t.table == no_slots then acc else Hashtbl.fold f t.table acc
 
+(* Random's entries are in no heap, so they share this element, which
+   nothing queues or writes; stores on any domain may share it. *)
+let no_elt = Sim.Pqueue.Indexed.elt ""
+
 let create ~capacity ~policy ~clock ?rng () =
   if capacity < 1 then invalid_arg "Store.create: capacity must be >= 1";
   (match (policy, rng) with
@@ -56,44 +59,27 @@ let create ~capacity ~policy ~clock ?rng () =
     clock;
     rng;
     table = no_slots;
-    heap = Sim.Pqueue.Timed.create ~dummy:"" ();
+    heap = Sim.Pqueue.Indexed.create ~dummy:"" ();
     prio = { Sim.Pqueue.time = 0. };
+    touches = 0;
     order = [||];
     n_keys = 0;
     gdsf_clock = 0.;
-    vgen = 0;
     expiry_floor = Float.infinity;
     stats = Stats.create ();
   }
 
-let next_version t =
-  t.vgen <- t.vgen + 1;
-  t.vgen
+(* Re-key [slot]'s element by its priority now. Equal priorities (common
+   under LFU) break towards the least recently touched entry: every
+   touch and insert takes the next [touches] value, so the order is
+   total. *)
+let rekey t slot =
+  Policy.priority t.pol t.prio ~clock:t.gdsf_clock ~meta:slot.entry.meta
+    ~last_access:slot.last_access ~hits:slot.hits ~inserted:slot.inserted;
+  t.touches <- t.touches + 1;
+  Sim.Pqueue.Indexed.set t.heap slot.elt t.prio ~seq:t.touches
 
-(* A heap item is live while its seq is its slot's current version. *)
-let live t ~seq key =
-  match Hashtbl.find t.table key with
-  | slot -> slot.version = seq
-  | exception Not_found -> false
-
-(* Equal priorities (common under LFU) break towards the least recently
-   touched entry: versions are allocated monotonically per touch/insert,
-   so every push carries a fresh one and the order is total. Each touch
-   leaves the slot's previous item behind, and only eviction pops those,
-   so a store that never fills compacts the heap itself once stale items
-   dominate. It drops exactly the items [heap_victim] would skip, so pop
-   order and GDSF's clock (set only by live pops) are unchanged. *)
-let push_heap t slot =
-  if t.pol <> Policy.Random then begin
-    Policy.priority t.pol t.prio ~clock:t.gdsf_clock ~meta:slot.entry.meta
-      ~last_access:slot.last_access ~hits:slot.hits ~inserted:slot.inserted;
-    Sim.Pqueue.Timed.push_cell t.heap t.prio ~seq:slot.version
-      slot.entry.meta.Meta.key;
-    if Sim.Pqueue.Timed.length t.heap >= (2 * Hashtbl.length t.table) + 64
-    then Sim.Pqueue.Timed.compact t.heap ~keep:(live t)
-  end
-
-(* Dense key array bookkeeping (swap-remove). *)
+(* Random's dense key array (swap-remove). *)
 let order_add t key =
   if t.n_keys = Array.length t.order then begin
     let ncap = Stdlib.max 16 (2 * Array.length t.order) in
@@ -118,8 +104,9 @@ let order_remove t idx =
 
 let delete_slot t slot =
   Hashtbl.remove t.table slot.entry.meta.Meta.key;
-  order_remove t slot.index;
-  slot.version <- next_version t (* invalidate heap items *)
+  match t.pol with
+  | Policy.Random -> order_remove t slot.index
+  | _ -> Sim.Pqueue.Indexed.remove t.heap slot.elt
 
 let remove t key =
   match Hashtbl.find_opt t.table key with
@@ -170,30 +157,21 @@ let lookup t key =
       else begin
         slot.last_access <- t.clock ();
         slot.hits <- slot.hits + 1;
-        slot.version <- next_version t;
-        push_heap t slot;
+        if t.pol <> Policy.Random then rekey t slot;
         t.stats.Stats.hits <- t.stats.Stats.hits + 1;
         Some slot.entry
       end
 
-(* Pop heap items until one still describes a live, untouched slot. Its
-   priority becomes GDSF's clock; other policies never read it, so their
-   pops box no float. *)
-let rec heap_victim t =
-  let heap = t.heap in
-  if Sim.Pqueue.Timed.is_empty heap then None
-  else begin
-    let version = Sim.Pqueue.Timed.min_seq heap in
-    match Hashtbl.find_opt t.table (Sim.Pqueue.Timed.peek_min heap) with
-    | Some slot when slot.version = version ->
-        if Policy.uses_clock t.pol then
-          t.gdsf_clock <- Sim.Pqueue.Timed.min_time heap;
-        ignore (Sim.Pqueue.Timed.pop_min heap : string);
-        Some slot
-    | Some _ | None ->
-        ignore (Sim.Pqueue.Timed.pop_min heap : string);
-        heap_victim t
-  end
+(* Every entry of a heap policy is queued, so a non-empty store's heap
+   is non-empty. The victim's priority becomes GDSF's clock; other
+   policies never read it, so their pops box no float. *)
+let heap_victim t =
+  if Policy.uses_clock t.pol then begin
+    Sim.Pqueue.Indexed.read_min_time t.heap t.prio;
+    t.gdsf_clock <- t.prio.Sim.Pqueue.time
+  end;
+  Hashtbl.find_opt t.table
+    (Sim.Pqueue.Indexed.value (Sim.Pqueue.Indexed.pop_min t.heap))
 
 let evict_one t =
   let victim =
@@ -228,22 +206,22 @@ let insert_body t meta body =
     | None -> assert false (* table non-empty implies a victim exists *)
   done;
   let now = t.clock () in
+  let random = t.pol = Policy.Random in
   let slot =
     {
       entry = { meta; body };
       last_access = now;
       hits = 0;
       inserted = now;
-      version = next_version t;
-      index = -1;
+      elt = (if random then no_elt else Sim.Pqueue.Indexed.elt key);
+      index = (if random then order_add t key else -1);
     }
   in
-  slot.index <- order_add t key;
   Hashtbl.add t.table key slot;
   (match meta.Meta.expires with
   | Some e when e < t.expiry_floor -> t.expiry_floor <- e
   | Some _ | None -> ());
-  push_heap t slot;
+  if not random then rekey t slot;
   t.stats.Stats.inserts <- t.stats.Stats.inserts + 1;
   List.rev !evicted
 
@@ -281,7 +259,6 @@ let clear t =
   let n = Hashtbl.length t.table in
   let victims = fold_slots (fun _ slot acc -> slot :: acc) t [] in
   List.iter (fun slot -> delete_slot t slot) victims;
-  Sim.Pqueue.Timed.clear t.heap;
   n
 
 let mem t key = match peek t key with Some _ -> true | None -> false

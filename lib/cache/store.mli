@@ -5,8 +5,10 @@
     costs the same memory whatever its size) together with their
     meta-data, enforces an entry-count capacity
     with a pluggable replacement {!Policy}, and applies TTL expiry. All
-    operations are O(log n) amortised via a lazily-invalidated priority
-    heap; [Random] replacement uses an O(1) indexed key table instead.
+    operations are O(log n): each entry holds one element of a priority
+    heap ({!Sim.Pqueue.Indexed}), re-keyed in place on every hit, so the
+    heap never holds more elements than the store holds entries;
+    [Random] replacement uses an O(1) dense key array instead.
 
     The store is purely a data structure: it never blocks, so it can be used
     from simulated processes and plain test code alike. Time is supplied by

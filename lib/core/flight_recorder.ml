@@ -94,13 +94,7 @@ let create engine cluster cfg ~interval =
     {
       registry = Metrics.Registry.create ~interval ();
       health =
-        Metrics.Health.create
-          ~config:
-            {
-              Metrics.Health.default_config with
-              slo_target = cfg.Config.slo_target;
-            }
-          ~interval ();
+        Metrics.Health.create ?slo_target:cfg.Config.slo_target ~interval ();
       resp_n = 0.;
       resp_sum = 0.;
       stopped = false;

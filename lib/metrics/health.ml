@@ -16,30 +16,15 @@ type incident = {
   message : string;
 }
 
-type config = {
-  slo_target : float option;  (* response-time target (s); None = burn off *)
-  slo_objective : float;  (* fraction of requests that must meet target *)
-  burn_threshold : float;  (* fire when burn rate reaches this multiple *)
-  hit_drop : float;  (* absolute windowed hit-ratio drop vs trailing mean *)
-  queue_depth_min : float;  (* ignore growth below this backlog *)
-  queue_windows : int;  (* consecutive growing windows before firing *)
-  stale_factor : float;  (* windowed mean staleness vs trailing mean *)
-  min_window_obs : int;  (* observations before a window is judged *)
-  warmup_windows : int;  (* windows before baselines are trusted *)
-}
-
-let default_config =
-  {
-    slo_target = None;
-    slo_objective = 0.95;
-    burn_threshold = 2.;
-    hit_drop = 0.25;
-    queue_depth_min = 8.;
-    queue_windows = 3;
-    stale_factor = 3.;
-    min_window_obs = 10;
-    warmup_windows = 3;
-  }
+(* The detector thresholds, documented in health.mli. *)
+let slo_objective = 0.95
+let burn_threshold = 2.
+let hit_drop = 0.25
+let queue_depth_min = 8.
+let queue_windows = 3
+let stale_factor = 3.
+let min_window_obs = 10
+let warmup_windows = 3
 
 type signals = {
   hits : float;  (* cumulative cache hits *)
@@ -50,7 +35,7 @@ type signals = {
 }
 
 type t = {
-  cfg : config;
+  slo_target : float option;
   interval : float;
   mutable incidents : incident list;  (* newest first *)
   mutable n_windows : int;
@@ -74,12 +59,10 @@ type t = {
 let zero_signals =
   { hits = 0.; lookups = 0.; queue_depth = 0.; stale_count = 0.; stale_total = 0. }
 
-let create ?(config = default_config) ~interval () =
+let create ?slo_target ~interval () =
   if not (interval > 0.) then invalid_arg "Health.create: interval must be > 0";
-  if not (config.slo_objective > 0. && config.slo_objective < 1.) then
-    invalid_arg "Health.create: slo_objective must be in (0,1)";
   {
-    cfg = config;
+    slo_target;
     interval;
     incidents = [];
     n_windows = 0;
@@ -99,7 +82,7 @@ let create ?(config = default_config) ~interval () =
 let observe_response t dt =
   t.resp_n <- t.resp_n + 1;
   if dt > t.resp_max then t.resp_max <- dt;
-  match t.cfg.slo_target with
+  match t.slo_target with
   | Some target when dt > target -> t.resp_bad <- t.resp_bad + 1
   | _ -> ()
 
@@ -119,16 +102,15 @@ let update t ~now ~detector ~firing ~value ~threshold ~message =
 let ewma_alpha = 0.3
 
 let tick t ~now s =
-  let cfg = t.cfg in
-  let warmed = t.n_windows >= cfg.warmup_windows in
+  let warmed = t.n_windows >= warmup_windows in
   (* SLO burn rate: window miss fraction over the error budget. *)
-  (match cfg.slo_target with
-  | Some target when t.resp_n >= cfg.min_window_obs ->
+  (match t.slo_target with
+  | Some target when t.resp_n >= min_window_obs ->
       let miss = float_of_int t.resp_bad /. float_of_int t.resp_n in
-      let budget = 1. -. cfg.slo_objective in
+      let budget = 1. -. slo_objective in
       let burn = miss /. budget in
-      update t ~now ~detector:"slo_burn" ~firing:(burn >= cfg.burn_threshold)
-        ~value:burn ~threshold:cfg.burn_threshold
+      update t ~now ~detector:"slo_burn" ~firing:(burn >= burn_threshold)
+        ~value:burn ~threshold:burn_threshold
         ~message:
           (Printf.sprintf
              "%.0f%% of %d responses over %gs target (burn %.1fx, max %.3fs)"
@@ -136,12 +118,12 @@ let tick t ~now s =
   | _ -> ());
   (* Hit-ratio collapse: windowed ratio vs trailing EWMA. *)
   let dlook = s.lookups -. t.prev.lookups in
-  if dlook >= float_of_int cfg.min_window_obs then begin
+  if dlook >= float_of_int min_window_obs then begin
     let h = (s.hits -. t.prev.hits) /. dlook in
     (if warmed && t.hit_ewma_set then
-       let firing = t.hit_ewma -. h >= cfg.hit_drop in
+       let firing = t.hit_ewma -. h >= hit_drop in
        update t ~now ~detector:"hit_ratio_collapse" ~firing ~value:h
-         ~threshold:(t.hit_ewma -. cfg.hit_drop)
+         ~threshold:(t.hit_ewma -. hit_drop)
          ~message:
            (Printf.sprintf "windowed hit ratio %.2f, trailing %.2f" h
               t.hit_ewma));
@@ -161,21 +143,20 @@ let tick t ~now s =
   else t.growth_streak <- 0;
   update t ~now ~detector:"queue_growth"
     ~firing:
-      (t.growth_streak >= cfg.queue_windows
-      && s.queue_depth >= cfg.queue_depth_min)
-    ~value:s.queue_depth ~threshold:cfg.queue_depth_min
+      (t.growth_streak >= queue_windows && s.queue_depth >= queue_depth_min)
+    ~value:s.queue_depth ~threshold:queue_depth_min
     ~message:
       (Printf.sprintf "listen backlog %.1f rising for %d windows"
          s.queue_depth t.growth_streak);
   t.prev_depth <- s.queue_depth;
   (* Staleness spike: windowed mean served age vs trailing mean. *)
   let dsc = s.stale_count -. t.prev.stale_count in
-  if dsc >= float_of_int cfg.min_window_obs then begin
+  if dsc >= float_of_int min_window_obs then begin
     let m = (s.stale_total -. t.prev.stale_total) /. dsc in
     (if warmed && t.stale_ewma_set && t.stale_ewma > 0. then
        update t ~now ~detector:"staleness_spike"
-         ~firing:(m >= cfg.stale_factor *. t.stale_ewma) ~value:m
-         ~threshold:(cfg.stale_factor *. t.stale_ewma)
+         ~firing:(m >= stale_factor *. t.stale_ewma) ~value:m
+         ~threshold:(stale_factor *. t.stale_ewma)
          ~message:
            (Printf.sprintf "windowed staleness %.3fs, trailing %.3fs" m
               t.stale_ewma));

@@ -19,33 +19,6 @@ type incident = {
   message : string;  (** one-line human rendering *)
 }
 
-type config = {
-  slo_target : float option;
-      (** response-time target (s); [None] disables the burn detector *)
-  slo_objective : float;
-      (** fraction of requests that must meet the target, in (0,1) *)
-  burn_threshold : float;
-      (** fire when the window's miss fraction reaches this multiple of
-          the error budget [1 - objective] *)
-  hit_drop : float;
-      (** fire when the windowed hit ratio falls this far (absolute)
-          below its trailing mean *)
-  queue_depth_min : float;  (** ignore backlog growth below this depth *)
-  queue_windows : int;  (** consecutive growing windows before firing *)
-  stale_factor : float;
-      (** fire when windowed mean staleness reaches this multiple of its
-          trailing mean *)
-  min_window_obs : int;
-      (** observations a window needs before it is judged at all *)
-  warmup_windows : int;
-      (** windows observed before baselines are trusted — keeps the cold
-          start from reading as an incident *)
-}
-
-(** SLO burn off; objective 0.95, burn 2x, hit drop 0.25, queue depth 8
-    over 3 windows, staleness 3x, 10 observations, 3 warmup windows. *)
-val default_config : config
-
 (** Cumulative cluster signals read at each tick; deltas between
     consecutive ticks give the windowed values. [queue_depth] is
     instantaneous. *)
@@ -59,7 +32,25 @@ type signals = {
 
 type t
 
-val create : ?config:config -> interval:float -> unit -> t
+(** [create ?slo_target ~interval ()] monitors windows of [interval]
+    virtual seconds. [slo_target] is the response-time target (s);
+    without one the burn detector is off. The thresholds are fixed:
+
+    - [slo_burn]: 95 % of responses must meet the target, and the
+      detector fires when a window's miss fraction reaches 2x the error
+      budget (0.05);
+    - [hit_ratio_collapse]: the windowed hit ratio falls 0.25 (absolute)
+      below its trailing mean;
+    - [queue_growth]: the listen backlog, at depth 8 or more, has grown
+      for 3 consecutive windows;
+    - [staleness_spike]: the windowed mean staleness reaches 3x its
+      trailing mean.
+
+    The burn, hit-ratio and staleness detectors skip a window with
+    fewer than 10 observations, and the last two wait 3 windows before
+    trusting a baseline, so a cold start does not read as an incident.
+    @raise Invalid_argument unless [interval > 0]. *)
+val create : ?slo_target:float -> interval:float -> unit -> t
 
 (** [observe_response t dt] records one completed request's response time
     into the current window. Record-only: safe on the request path. *)

@@ -176,12 +176,6 @@ module Timed = struct
     for i = ((!j - 2) / 2) downto 0 do
       sift_down t ~hole:i ~src:i
     done
-
-  let clear t =
-    t.times <- [||];
-    t.seqs <- [||];
-    t.data <- [||];
-    t.size <- 0
 end
 
 (* The same (time, seq) heap over elements that know their own slot, so

@@ -63,13 +63,10 @@ module Timed : sig
       elements keep their keys and relative pop order. Freed slots are
       overwritten with [dummy]. *)
   val compact : 'a t -> keep:(seq:int -> 'a -> bool) -> unit
-
-  (** [clear h] removes every element and releases the backing arrays. *)
-  val clear : 'a t -> unit
 end
 
 (** The same heap over elements that can be re-keyed or removed in place:
-    the engine's armed timers. Each element records its own slot, so
+    the engine's armed timers and the cache store's entries. Each element records its own slot, so
     {!Indexed.set} on a queued element moves its entry rather than adding
     a second one. An element belongs to at most one heap. *)
 module Indexed : sig

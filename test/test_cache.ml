@@ -336,8 +336,9 @@ let test_store_peek_does_not_refresh_lru () =
   Alcotest.(check (list string)) "peek does not protect a" [ "a" ]
     (List.map (fun m -> m.Cache.Meta.key) evicted)
 
-(* Every hit pushes an eviction-heap item and only eviction pops the
-   stale ones, so a store that never fills must bound its heap itself. *)
+(* A hit re-keys its entry's heap element in place, so a store that
+   never fills holds no more heap elements than entries, however many
+   hits it takes. *)
 let test_store_heap_bounded_without_eviction () =
   let store, _ = make_store ~capacity:1_000 () in
   let keys = Array.init 10 (Printf.sprintf "k%d") in
@@ -385,7 +386,7 @@ module Model = struct
 
   let victim t ~policy =
     (* Ties break towards the least recently touched entry, like the
-       store's version-ordered heap. *)
+       store's touch-ordered heap. *)
     let score e =
       match policy with
       | Cache.Policy.Lru -> (e.last, e.last)

@@ -129,6 +129,20 @@ let test_rules_ttl_override () =
   check_int "expired, so two executions" 2
     (Metrics.Counter.get c Swala.Server.K.cgi_execs)
 
+let prop_rules_parse_total =
+  Fuzz.total ~name:"parse is total" ~count:(Qcheck_count.or_default 200)
+    ~seeds:
+      [
+        "# comment\n\
+         cache   /cgi-bin/query  ttl=3600  threshold=0.5\n\
+         cache /cgi-bin/\n\
+         nocache /cgi-bin/private\n\
+         default cache\n\
+         default-ttl 600\n\
+         default-threshold 0.1\n";
+      ]
+    ~punct:" \t\n#=/.-0123456789" Swala.Rules.parse
+
 (* ------------------------------------------------------------------ *)
 (* Store: remove_matching *)
 
@@ -471,6 +485,16 @@ let test_clf_roundtrip_via_item_to_line () =
         < 1e-4))
     trace trace'
 
+let prop_clf_parse_line_total =
+  Fuzz.total ~name:"parse_line is total" ~count:(Qcheck_count.or_default 200)
+    ~seeds:
+      [
+        {|host - - [10/Oct/1995:13:55:36 -0700] "GET /cgi-bin/query?a=1 HTTP/1.0" 200 2326 1.6|};
+        {|10.0.0.1 - frank [01/Jan/1996:00:00:00 +0000] "GET /index.html HTTP/1.0" 200 -|};
+      ]
+    ~punct:{| "[]/:-?&=.+0123456789|}
+    (Workload.Clf.parse_line ~id:0)
+
 (* ------------------------------------------------------------------ *)
 (* Failure injection: message loss + fetch timeouts. A fault plan's link
    drop is the only way to lose a message. *)
@@ -688,6 +712,7 @@ let () =
           Alcotest.test_case "to_string roundtrip" `Quick test_rules_to_string_roundtrip;
           Alcotest.test_case "server integration" `Quick test_rules_server_integration;
           Alcotest.test_case "ttl override" `Quick test_rules_ttl_override;
+          QCheck_alcotest.to_alcotest prop_rules_parse_total;
         ] );
       ( "store-bytes",
         [
@@ -729,6 +754,7 @@ let () =
           Alcotest.test_case "malformed lines" `Quick test_clf_errors;
           Alcotest.test_case "item_to_line roundtrip" `Quick
             test_clf_roundtrip_via_item_to_line;
+          QCheck_alcotest.to_alcotest prop_clf_parse_line_total;
         ] );
       ( "failure-injection",
         [

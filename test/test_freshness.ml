@@ -99,20 +99,6 @@ let ttl_monotone_rate =
       Cache.Freshness.ttl fa ~now:11. ~cost:0.05 "k"
       >= Cache.Freshness.ttl fb ~now:11. ~cost:0.05 "k")
 
-let test_update_interval_ewma () =
-  let f = fresh () in
-  Cache.Freshness.observe_insert f ~now:1. ~cost:0.1 "k";
-  check_bool "one insert: no gap yet" true
-    (Cache.Freshness.update_interval f "k" = None);
-  Cache.Freshness.observe_insert f ~now:3. ~cost:0.1 "k";
-  (match Cache.Freshness.update_interval f "k" with
-  | Some g -> Alcotest.(check (float 1e-9)) "first gap verbatim" 2. g
-  | None -> Alcotest.fail "gap expected");
-  Cache.Freshness.observe_insert f ~now:7. ~cost:0.1 "k";
-  match Cache.Freshness.update_interval f "k" with
-  | Some g -> Alcotest.(check (float 1e-9)) "EWMA(0.3) of 2 then 4" 2.6 g
-  | None -> Alcotest.fail "gap expected"
-
 let test_sweep_drops_cold () =
   let f = fresh ~window:2. () in
   Cache.Freshness.observe_access f ~now:1. "cold";
@@ -419,8 +405,6 @@ let () =
         ];
       ( "controller-units",
         [
-          Alcotest.test_case "update-interval EWMA" `Quick
-            test_update_interval_ewma;
           Alcotest.test_case "sweep drops cold keys" `Quick
             test_sweep_drops_cold;
         ] );

@@ -30,22 +30,10 @@ let signals ?(hits = 0.) ?(lookups = 0.) ?(depth = 0.) ?(stale_n = 0.)
 let test_create_validates () =
   Alcotest.check_raises "zero interval"
     (Invalid_argument "Health.create: interval must be > 0") (fun () ->
-      ignore (H.create ~interval:0. () : H.t));
-  Alcotest.check_raises "objective out of range"
-    (Invalid_argument "Health.create: slo_objective must be in (0,1)")
-    (fun () ->
-      ignore
-        (H.create
-           ~config:{ H.default_config with H.slo_objective = 1. }
-           ~interval:1.0 ()
-          : H.t))
+      ignore (H.create ~interval:0. () : H.t))
 
 let test_slo_burn () =
-  let h =
-    H.create
-      ~config:{ H.default_config with H.slo_target = Some 0.1 }
-      ~interval:1.0 ()
-  in
+  let h = H.create ~slo_target:0.1 ~interval:1.0 () in
   let feed n dt =
     for _ = 1 to n do
       H.observe_response h dt
@@ -159,11 +147,7 @@ let prop_one_incident_per_excursion =
   QCheck.Test.make ~count ~name:"one slo_burn incident per excursion"
     QCheck.(list_of_size Gen.(0 -- 60) bool)
     (fun windows ->
-      let h =
-        H.create
-          ~config:{ H.default_config with H.slo_target = Some 0.1 }
-          ~interval:1.0 ()
-      in
+      let h = H.create ~slo_target:0.1 ~interval:1.0 () in
       let edges = ref 0 and prev = ref false in
       List.iteri
         (fun i bad ->

@@ -421,6 +421,17 @@ let test_response_roundtrip () =
 
 (* ------------------------------------------------------------------ *)
 
+let prop_request_parse_total =
+  Fuzz.total ~name:"request parse is total" ~count
+    ~seeds:
+      [
+        "GET /cgi-bin/query?a=1&b=x%20y HTTP/1.0\r\nHost: swala\r\n\
+         Accept: */*\r\n\r\n";
+        "POST /cgi-bin/form HTTP/1.0\r\nContent-Length: 7\r\n\r\nx=1&y=2";
+        "HEAD /index.html HTTP/1.0\n\n";
+      ]
+    ~punct:" \r\n:/?&=%+#0123456789" Http.Request.parse
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -467,7 +478,12 @@ let () =
           Alcotest.test_case "wire size" `Quick test_request_wire_size;
         ] );
       qsuite "request-props"
-        [ prop_request_roundtrip; prop_request_wire_size; prop_cache_key_roundtrip ];
+        [
+          prop_request_roundtrip;
+          prop_request_wire_size;
+          prop_cache_key_roundtrip;
+          prop_request_parse_total;
+        ];
       ( "response",
         [
           Alcotest.test_case "ok constructor" `Quick test_response_ok;

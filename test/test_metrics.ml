@@ -236,6 +236,18 @@ let test_histogram_validation () =
     (fun () -> ignore (Metrics.Histogram.create ~bounds:[| 1.; 1. |] ()))
 
 (* ------------------------------------------------------------------ *)
+(* Json *)
+
+let prop_json_total =
+  Fuzz.total ~name:"json of_string is total" ~count
+    ~seeds:
+      [
+        {|{"a":[1,-2.5e3,true,false,null],"b":{"c":"d\"\\\u00e9\n"},"e":[]}|};
+        {|[0.1, 2E-7, "x", {"k": [ ]}, -0, 12345678901234567890]|};
+      ]
+    ~punct:{|{}[],:"\-+.eEu0123456789 |} Metrics.Json.of_string
+
+(* ------------------------------------------------------------------ *)
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
@@ -279,4 +291,5 @@ let () =
           Alcotest.test_case "csv newline quoting" `Quick
             test_table_csv_newline;
         ] );
+      qsuite "json-props" [ prop_json_total ];
     ]

@@ -1,21 +1,22 @@
-(* Property tests for the replacement policies and the lazily-invalidated
-   heap in Cache.Store.
+(* Property tests for the replacement policies and the re-keyable
+   eviction heap in Cache.Store.
 
    The heart of the suite is a model-based oracle: a naive full-scan
    shadow of the store that tracks, per live key, the access statistics
    and the priority-at-last-touch, and picks victims by a full scan for
    the minimum (priority, touch-version) pair — exactly the contract the
-   lazy heap is supposed to implement in O(log n). Replaying random op
-   sequences through both and comparing every eviction catches stale-item
-   bugs (a heap item surviving a touch or a remove/re-insert of the same
-   key) that example tests miss. *)
+   heap is supposed to implement in O(log n). Replaying random sequences
+   of inserts, lookups, removals and clears through both and comparing
+   every eviction catches bookkeeping bugs (an element not re-keyed on a
+   touch, or left in the heap by a remove, a clear or a re-insert of the
+   same key) that example tests miss. *)
 
 let count = Qcheck_count.or_default 200
 
 (* ------------------------------------------------------------------ *)
 (* Op sequences over a small key space *)
 
-type op = Insert of int * int * float | Lookup of int
+type op = Insert of int * int * float | Lookup of int | Remove of int | Clear
 
 let key_of i = Printf.sprintf "GET /cgi-bin/s%d" i
 
@@ -23,12 +24,14 @@ let op_gen =
   QCheck.Gen.(
     frequency
       [
-        ( 3,
+        ( 12,
           map3
             (fun k size exec -> Insert (k, size, exec))
             (int_range 0 7) (int_range 1 500)
             (oneofl [ 0.001; 0.01; 0.05; 0.2; 1.0 ]) );
-        (2, map (fun k -> Lookup k) (int_range 0 7));
+        (8, map (fun k -> Lookup k) (int_range 0 7));
+        (3, map (fun k -> Remove k) (int_range 0 7));
+        (1, return Clear);
       ])
 
 let ops_arbitrary =
@@ -37,7 +40,9 @@ let ops_arbitrary =
       (List.map
          (function
            | Insert (k, s, e) -> Printf.sprintf "I(%d,%d,%g)" k s e
-           | Lookup k -> Printf.sprintf "L(%d)" k)
+           | Lookup k -> Printf.sprintf "L(%d)" k
+           | Remove k -> Printf.sprintf "R(%d)" k
+           | Clear -> "C")
          ops)
   in
   QCheck.make ~print QCheck.Gen.(list_size (1 -- 120) op_gen)
@@ -50,7 +55,7 @@ type mslot = {
   mutable m_last : float;
   mutable m_hits : int;
   m_inserted : float;
-  mutable m_ver : int;  (* version at last touch, mirrors Store's vgen *)
+  mutable m_ver : int;  (* touch number at last touch *)
   mutable m_pr : float;  (* priority at last touch *)
 }
 
@@ -76,7 +81,7 @@ let m_priority m ~meta ~last ~hits ~inserted =
   priority m.m_pol ~clock:m.m_clock ~meta ~last_access:last ~hits ~inserted
 
 (* Full-scan victim: minimum (priority-at-last-touch, touch-version) —
-   the spec the lazy heap must match, ties breaking towards the least
+   the spec the store's heap must match, ties breaking towards the least
    recently touched slot. *)
 let model_victim m =
   Hashtbl.fold
@@ -94,7 +99,7 @@ let model_victim m =
 let model_remove m key =
   if Hashtbl.mem m.m_tbl key then begin
     Hashtbl.remove m.m_tbl key;
-    m.m_vgen <- m.m_vgen + 1 (* delete_slot bumps the version generator *)
+    m.m_vgen <- m.m_vgen + 1 (* only the order of touch numbers matters *)
   end
 
 (* Returns the predicted eviction sequence (victim priorities included,
@@ -143,6 +148,11 @@ let model_keys m =
   Hashtbl.fold (fun k _ acc -> k :: acc) m.m_tbl []
   |> List.sort String.compare
 
+let model_clear m =
+  let n = Hashtbl.length m.m_tbl in
+  List.iter (model_remove m) (model_keys m);
+  n
+
 (* ------------------------------------------------------------------ *)
 (* Replay harness *)
 
@@ -189,7 +199,21 @@ let replay ~policy ~capacity ops =
           let model_hit = model_lookup m ~now:!clock key in
           if store_hit <> model_hit then
             QCheck.Test.fail_reportf "op %d: lookup %s hit=%b, oracle %b" i
-              key store_hit model_hit)
+              key store_hit model_hit
+      | Remove k ->
+          let key = key_of k in
+          let store_had = Cache.Store.remove store key in
+          let model_had = Hashtbl.mem m.m_tbl key in
+          model_remove m key;
+          if store_had <> model_had then
+            QCheck.Test.fail_reportf "op %d: remove %s found=%b, oracle %b" i
+              key store_had model_had
+      | Clear ->
+          let store_n = Cache.Store.clear store in
+          let model_n = model_clear m in
+          if store_n <> model_n then
+            QCheck.Test.fail_reportf "op %d: clear dropped %d, oracle %d" i
+              store_n model_n)
     ops;
   if Cache.Store.keys store <> model_keys m then
     QCheck.Test.fail_reportf "final keys diverge: store [%s], oracle [%s]"
@@ -268,7 +292,15 @@ let random_invariants =
                     !evictions;
                 if not (Cache.Store.mem store (key_of k)) then
                   QCheck.Test.fail_reportf "op %d: inserted key absent" i
-            | Lookup k -> ignore (Cache.Store.lookup store (key_of k)));
+            | Lookup k -> ignore (Cache.Store.lookup store (key_of k))
+            | Remove k ->
+                ignore (Cache.Store.remove store (key_of k) : bool);
+                if Cache.Store.mem store (key_of k) then
+                  QCheck.Test.fail_reportf "op %d: removed key present" i
+            | Clear ->
+                ignore (Cache.Store.clear store : int);
+                if Cache.Store.length store <> 0 then
+                  QCheck.Test.fail_reportf "op %d: clear left entries" i);
             if Cache.Store.length store > capacity then
               QCheck.Test.fail_reportf "op %d: length %d > capacity %d" i
                 (Cache.Store.length store) capacity)
@@ -303,10 +335,11 @@ let priority_deterministic =
         Cache.Policy.all)
 
 (* ------------------------------------------------------------------ *)
-(* Lazy-heap invalidation regressions (deterministic examples) *)
+(* Heap re-keying regressions (deterministic examples) *)
 
-(* A touched key's stale heap item must not get it evicted: after
-   insert a, insert b, lookup a, the LRU victim is b. *)
+(* A touch re-keys the touched entry, so its insert-time priority must
+   not get it evicted: after insert a, insert b, lookup a, the LRU victim
+   is b. *)
 let test_lazy_heap_touch () =
   let clock = ref 0. in
   let store =
@@ -330,13 +363,13 @@ let test_lazy_heap_touch () =
     Cache.Store.insert store (meta_of ~key:"c" ~size:1 ~exec:0.1) "b"
   in
   Alcotest.(check (list string))
-    "victim is b, not the stale item for a"
+    "victim is b, not a at its insert-time priority"
     [ "b" ]
     (List.map (fun (m : Cache.Meta.t) -> m.Cache.Meta.key) evicted)
 
-(* Remove/re-insert of the same key must invalidate the first insert's
-   heap item: the re-inserted key is now the newest, so the other key is
-   the victim. *)
+(* Remove/re-insert of the same key must drop the first insert's place
+   in the heap: the re-inserted key is now the newest, so the other key
+   is the victim. *)
 let test_lazy_heap_reinsert () =
   let clock = ref 0. in
   let store =

@@ -44,12 +44,6 @@ let test_pqueue_peek_stable () =
   check_int "peek min" 1 (Sim.Pqueue.Timed.peek_min h);
   check_int "length unchanged" 2 (Sim.Pqueue.Timed.length h)
 
-let test_pqueue_clear () =
-  let h = heap_of [ 3; 2; 1 ] in
-  Sim.Pqueue.Timed.clear h;
-  check_int "cleared" 0 (Sim.Pqueue.Timed.length h);
-  check_int "arrays released" 0 (Sim.Pqueue.Timed.capacity h)
-
 let prop_pqueue_sorts =
   QCheck.Test.make ~name:"pqueue drains any list in sorted order"
     ~count:(count 200)
@@ -907,7 +901,6 @@ let () =
           Alcotest.test_case "drains in sorted order" `Quick test_pqueue_order;
           Alcotest.test_case "empty behaviour" `Quick test_pqueue_empty;
           Alcotest.test_case "peek does not remove" `Quick test_pqueue_peek_stable;
-          Alcotest.test_case "clear" `Quick test_pqueue_clear;
         ] );
       qsuite "pqueue-props" [ prop_pqueue_sorts ];
       ( "rng",

@@ -147,6 +147,16 @@ let prop_logfmt_roundtrip =
                trace trace'
       | Error _ -> false)
 
+let prop_logfmt_total =
+  Fuzz.total ~name:"logfmt of_string is total"
+    ~count:(Qcheck_count.or_default 200)
+    ~seeds:
+      [
+        "# swala trace v1\n1\tFILE\t/index.html\t1024\n\
+         2\tCGI\t/cgi-bin/query\ta=1&b=x%20y\t0.5\t2048\n";
+      ]
+    ~punct:"\t\n#=&%./-0123456789" Workload.Logfmt.of_string
+
 (* ------------------------------------------------------------------ *)
 (* Webstone *)
 
@@ -754,7 +764,7 @@ let () =
           Alcotest.test_case "comments and blanks" `Quick test_logfmt_comments_and_blanks;
           Alcotest.test_case "bad lines rejected" `Quick test_logfmt_bad_lines;
         ] );
-      qsuite "logfmt-props" [ prop_logfmt_roundtrip ];
+      qsuite "logfmt-props" [ prop_logfmt_roundtrip; prop_logfmt_total ];
       ( "webstone",
         [
           Alcotest.test_case "mix weights" `Quick test_webstone_mix_weights_sum;
